@@ -52,6 +52,7 @@ from .measures import (
     family_from_rows,
     family_to_rows,
     initial_family,
+    sup_dbar,
 )
 
 MAX_PARTICLES = 2**20
@@ -274,11 +275,7 @@ def _run_convergence_main(cfg: ExperimentConfig) -> None:
         for m in m_list:
             traj = mf.solve_particles(spec, rho0, n, m, cfg.T, cfg.dt,
                                       record_every=cfg.record_every)
-            sup = 0.0
-            for fa, fb in zip(traj.families, ref.families):
-                ra, rb = common_cells(fa, fb)
-                sup = max(sup, dbar(ra, rb))
-            rows.append([n, m, sup])
+            rows.append([n, m, sup_dbar(traj, ref)])
     kio.write_csv(_out(cfg, "results.csv"), ["n", "m", "sup_dbar"], rows)
 
 

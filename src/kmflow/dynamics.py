@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import WeightedGraph
-
-TWO_PI = 2.0 * np.pi
+from .measures import TWO_PI, wrap_angle
 
 _CHUNK_ROWS = 512
 
@@ -42,20 +41,13 @@ class IntegrationError(RuntimeError):
         super().__init__(f"non-finite state at step {step} (t = {t:.6g})")
 
 
-def wrap_angle(u):
-    """Reduce angles to [0, 2*pi)."""
-    r = np.mod(u, TWO_PI)
-    return np.where(r >= TWO_PI, r - TWO_PI, r)
-
-
 class CouplingFunction:
     """2*pi-periodic coupling function with |D| <= 1 and Lipschitz constant <= 1."""
 
-    def __init__(self, kind: str, alpha: float = 0.0, fn=None, lipschitz_bound: float = 1.0):
+    def __init__(self, kind: str, alpha: float = 0.0, fn=None):
         self.kind = kind
         self.alpha = alpha
         self.fn = fn
-        self.lipschitz_bound = lipschitz_bound
 
     @classmethod
     def sine(cls) -> "CouplingFunction":
@@ -66,7 +58,7 @@ class CouplingFunction:
         return cls("sine_shift", alpha=float(alpha))
 
     @classmethod
-    def custom(cls, fn, lipschitz_bound: float = 1.0) -> "CouplingFunction":
+    def custom(cls, fn) -> "CouplingFunction":
         """Wrap a vectorized coupling function.
 
         Periodicity, |fn| <= 1, and the Lipschitz bound are the caller's
@@ -77,7 +69,7 @@ class CouplingFunction:
         probe = np.asarray(fn(np.linspace(0.0, TWO_PI, 1024, endpoint=False)))
         if np.max(np.abs(probe)) > 1.0 + 1e-9:
             raise ValueError("coupling function must satisfy |D| <= 1")
-        return cls("custom", fn=fn, lipschitz_bound=float(lipschitz_bound))
+        return cls("custom", fn=fn)
 
     @property
     def is_sine_family(self) -> bool:

@@ -27,8 +27,6 @@ import math
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 _BOUND_SLACK = 1e-9
 
 

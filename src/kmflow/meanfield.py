@@ -19,6 +19,14 @@ interoperating methods:
   on the periodic phase grid (monotone and positivity-preserving; per-cell
   mass conserved to round-off).
 
+The particle system, the pushforward map and the pointwise :func:`velocity`
+all evaluate V through one routine, :func:`_field`, on atoms stored as
+(cells, atoms) position and mass arrays; cells with fewer atoms are padded
+with zero-mass atoms, which add exactly nothing to V.  For the sine family V
+follows from two per-cell moments and two products with W_n, at cost
+O(N + n^2) for N atoms; a custom D is evaluated one target cell at a time,
+one (atoms per cell) x N slab per cell.
+
 Everything in this module takes intrinsic frequencies to be zero; the
 discrete simulators in :mod:`kmflow.dynamics` support omega directly.
 """
@@ -32,9 +40,10 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from . import dynamics
-from .dynamics import CouplingFunction, PhaseState, time_grid, wrap_angle
+from .dynamics import CouplingFunction, PhaseState, time_grid
 from .graphon import Graphon, StepGraphon, kernel_distance
 from .measures import (
+    TWO_PI,
     CircleMeasure,
     DensitySpec,
     MeasureFamily,
@@ -45,8 +54,6 @@ from .measures import (
     empirical_from_phases,
     initial_family,
 )
-
-TWO_PI = 2.0 * math.pi
 
 _VELOCITY_SLACK = 1e-9
 
@@ -63,23 +70,59 @@ class VelocityFieldSpec:
         return self.step_graphon.n
 
 
-@dataclass
-class ParticleEnsemble:
-    """n cells times m particles per cell, each carrying mass 1/m."""
+def _field(w, coupling: CouplingFunction, pos, mass, targets) -> np.ndarray:
+    """Velocity field of atoms ``pos``/``mass`` at the phases ``targets``.
 
-    n: int
-    m: int
-    phases: np.ndarray
+    Returns V[k, t] = n^-1 sum_i w[k, i] sum_j mass[i, j] D(pos[i, j] -
+    targets[k, t]) for source atoms of shape (n, atoms), kernel rows ``w``
+    of shape (k, n) and targets of shape (k, t); ``mass`` may be a scalar.
+    """
+    n = pos.shape[0]
+    if coupling.is_sine_family:
+        # sin(v - u + alpha) = sin(v + alpha) cos u - cos(v + alpha) sin u
+        shifted = pos + coupling.alpha
+        a = (w @ (mass * np.sin(shifted)).sum(axis=1)) / n
+        b = (w @ (mass * np.cos(shifted)).sum(axis=1)) / n
+        out = np.cos(targets) * a[:, None] - np.sin(targets) * b[:, None]
+    else:
+        src = pos.ravel()
+        mass = np.broadcast_to(mass, pos.shape)
+        out = np.empty(targets.shape)
+        for k, t in enumerate(targets):
+            out[k] = coupling(src[None, :] - t[:, None]) @ (w[k][:, None] * mass).ravel()
+        out /= n
+    _check_velocity_bound(out)
+    return out
 
-    def __post_init__(self):
-        self.phases = np.asarray(self.phases, dtype=float)
-        if self.phases.shape != (self.n * self.m,):
-            raise ValueError(
-                f"expected {self.n * self.m} phases, got {self.phases.shape}"
-            )
 
-    def family(self) -> MeasureFamily:
-        return empirical_from_phases(self.phases, self.n, self.m)
+def _check_velocity_bound(v) -> None:
+    worst = float(np.max(np.abs(v)))
+    if worst > 1.0 + _VELOCITY_SLACK:
+        raise RuntimeError(
+            f"velocity bound violated (|V| = {worst:.6g} > 1); "
+            "kernel or coupling breaks its amplitude bound"
+        )
+
+
+def _padded(rows) -> np.ndarray:
+    """Stack 1-D arrays into one (len(rows), longest) array, zero-filled."""
+    out = np.zeros((len(rows), max(len(r) for r in rows)))
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
+
+
+def _atoms(family: MeasureFamily) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and masses as (cells, atoms) arrays, short cells padded
+    with zero-mass atoms."""
+    return (_padded([c.positions for c in family.cells]),
+            _padded([c.masses for c in family.cells]))
+
+
+def _family(pos: np.ndarray, mass: np.ndarray) -> MeasureFamily:
+    """Inverse of :func:`_atoms`: drops the zero-mass padding, wraps positions."""
+    return MeasureFamily([CircleMeasure(p[w > 0.0], w[w > 0.0])
+                          for p, w in zip(pos, mass)])
 
 
 class BlockOscillatorSystem:
@@ -88,8 +131,10 @@ class BlockOscillatorSystem:
     Exposes the same ``rhs_phases`` interface as
     :class:`kmflow.dynamics.OscillatorSystem`, so
     :func:`kmflow.dynamics.integrate` drives it directly.  The right-hand
-    side is evaluated through the per-cell structure (cost O(N + n^2) for
-    the sine family instead of O(N^2)).
+    side is the mean-field velocity of the n cells of m atoms of mass 1/m,
+    evaluated at the atoms themselves by :func:`_field`: O(N + n^2) for the
+    sine family instead of O(N^2), and one m x N slab per cell for a custom
+    coupling.
     """
 
     def __init__(self, step: StepGraphon, m: int, coupling: CouplingFunction):
@@ -108,23 +153,9 @@ class BlockOscillatorSystem:
         return self.step.n * self.m
 
     def rhs_phases(self, u: np.ndarray) -> np.ndarray:
-        n, m = self.n_cells, self.m
-        w = self.step.values
-        if self.coupling.is_sine_family:
-            shifted = u + self.coupling.alpha
-            s_cell = np.sin(shifted).reshape(n, m).mean(axis=1)
-            c_cell = np.cos(shifted).reshape(n, m).mean(axis=1)
-            a = (w @ s_cell) / n
-            b = (w @ c_cell) / n
-            out = np.cos(u) * np.repeat(a, m) - np.sin(u) * np.repeat(b, m)
-        else:
-            blocks = u.reshape(n, m)
-            cell_mean = np.empty((u.size, n))
-            for i in range(n):
-                cell_mean[:, i] = self.coupling(blocks[i][None, :] - u[:, None]).mean(axis=1)
-            out = (cell_mean * np.repeat(w, m, axis=0)).sum(axis=1) / n
-        _check_velocity_bound(out)
-        return out
+        blocks = u.reshape(self.n_cells, self.m)
+        return _field(self.step.values, self.coupling, blocks, 1.0 / self.m,
+                      blocks).ravel()
 
 
 def velocity(spec: VelocityFieldSpec, family: MeasureFamily, u, cell: int):
@@ -140,32 +171,9 @@ def velocity(spec: VelocityFieldSpec, family: MeasureFamily, u, cell: int):
     if not 0 <= cell < spec.n:
         raise IndexError(f"cell index {cell} out of range [0, {spec.n})")
     u = np.asarray(u, dtype=float)
-    w_row = spec.step_graphon.values[cell]
-    n = spec.n
-    if spec.coupling.is_sine_family:
-        a = b = 0.0
-        for i, mu in enumerate(family.cells):
-            shifted = mu.positions + spec.coupling.alpha
-            a += w_row[i] * np.dot(mu.masses, np.sin(shifted))
-            b += w_row[i] * np.dot(mu.masses, np.cos(shifted))
-        out = (a / n) * np.cos(u) - (b / n) * np.sin(u)
-    else:
-        out = np.zeros(u.shape)
-        for i, mu in enumerate(family.cells):
-            vals = spec.coupling(mu.positions[None, ...] - u[..., None])
-            out += w_row[i] * (vals @ mu.masses)
-        out = out / n
-    _check_velocity_bound(out)
-    return out
-
-
-def _check_velocity_bound(v) -> None:
-    worst = float(np.max(np.abs(v)))
-    if worst > 1.0 + _VELOCITY_SLACK:
-        raise RuntimeError(
-            f"velocity bound violated (|V| = {worst:.6g} > 1); "
-            "kernel or coupling breaks its amplitude bound"
-        )
+    pos, mass = _atoms(family)
+    w_row = spec.step_graphon.values[cell:cell + 1]
+    return _field(w_row, spec.coupling, pos, mass, u.reshape(1, -1)).reshape(u.shape)
 
 
 # -- particle method -------------------------------------------------------
@@ -194,16 +202,14 @@ def evolve_family(spec: VelocityFieldSpec, family: MeasureFamily, T: float,
         raise ValueError(
             f"family has {family.n_cells} cells, kernel expects {spec.n}"
         )
-    m = family.cells[0].n_atoms
-    for mu in family.cells:
-        if mu.n_atoms != m or np.max(np.abs(mu.masses - 1.0 / m)) > 1e-12:
-            raise ValueError(
-                "particle evolution expects m uniform atoms of mass 1/m per cell"
-            )
+    pos, mass = _atoms(family)
+    m = pos.shape[1]
+    if np.max(np.abs(mass - 1.0 / m)) > 1e-12:
+        raise ValueError(
+            "particle evolution expects m uniform atoms of mass 1/m per cell"
+        )
     system = BlockOscillatorSystem(spec.step_graphon, m, spec.coupling)
-    ensemble = ParticleEnsemble(
-        spec.n, m, np.concatenate([mu.positions for mu in family.cells]))
-    traj = dynamics.integrate(system, PhaseState(ensemble.phases), T, dt,
+    traj = dynamics.integrate(system, PhaseState(pos.ravel()), T, dt,
                               record_every=record_every)
     families = [empirical_from_phases(row, spec.n, m) for row in traj.phases]
     return MeasureTrajectory(traj.times, families)
@@ -212,86 +218,28 @@ def evolve_family(spec: VelocityFieldSpec, family: MeasureFamily, T: float,
 # -- fixed-point (pushforward) iteration -----------------------------------
 
 
-class _FrozenField:
-    """Velocity field induced by a frozen atom trajectory, linear in time
-    between grid points.  Positions are raw (unwrapped) so interpolation is
-    chart-independent; the trig evaluations are invariant under wrapping."""
+def _transport(spec: VelocityFieldSpec, times: np.ndarray, frozen: np.ndarray,
+               mass: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """RK4-transport points ``start`` (cells, points) through the field of
+    the frozen atoms ``frozen`` (frames, cells, atoms), whose raw (unwrapped)
+    positions are interpolated linearly in time between grid points.
 
-    def __init__(self, spec: VelocityFieldSpec, times: np.ndarray,
-                 positions: list[list[np.ndarray]], masses: list[np.ndarray]):
-        self.spec = spec
-        self.times = times
-        self.positions = positions  # [time][cell] -> raw atom positions
-        self.masses = masses  # [cell] -> atom masses (constant in time)
-
-    def _interp_positions(self, step: int, theta: float) -> list[np.ndarray]:
-        if theta == 0.0 or step + 1 >= len(self.positions):
-            return self.positions[step]
-        left = self.positions[step]
-        right = self.positions[step + 1]
-        return [(1.0 - theta) * a + theta * b for a, b in zip(left, right)]
-
-    def cell_coefficients(self, step: int, theta: float):
-        """Sine-family field coefficients (a, b): V(u, cell k) = a_k cos u - b_k sin u."""
-        spec = self.spec
-        pos = self._interp_positions(step, theta)
-        n = spec.n
-        s_cell = np.empty(n)
-        c_cell = np.empty(n)
-        alpha = spec.coupling.alpha
-        for i in range(n):
-            shifted = pos[i] + alpha
-            s_cell[i] = np.dot(self.masses[i], np.sin(shifted))
-            c_cell[i] = np.dot(self.masses[i], np.cos(shifted))
-        w = spec.step_graphon.values
-        return (w @ s_cell) / n, (w @ c_cell) / n
-
-    def velocity_by_cell(self, step: int, theta: float,
-                         u_by_cell: list[np.ndarray]) -> list[np.ndarray]:
-        spec = self.spec
-        n = spec.n
-        if spec.coupling.is_sine_family:
-            a, b = self.cell_coefficients(step, theta)
-            out = [a[k] * np.cos(u) - b[k] * np.sin(u)
-                   for k, u in enumerate(u_by_cell)]
-        else:
-            pos = self._interp_positions(step, theta)
-            w = spec.step_graphon.values
-            out = []
-            for k, u in enumerate(u_by_cell):
-                acc = np.zeros(u.shape)
-                for i in range(n):
-                    vals = spec.coupling(pos[i][None, :] - u[:, None])
-                    acc += w[k, i] * (vals @ self.masses[i])
-                out.append(acc / n)
-        for v in out:
-            _check_velocity_bound(v)
-        return out
-
-
-def _transport_atoms(field: _FrozenField, start: list[np.ndarray]):
-    """RK4-transport atoms through the frozen field over its full grid.
-
-    Returns the list (per grid time) of per-cell raw positions.
+    Returns the transported points at every grid time, (frames, cells, points).
     """
-    times = field.times
-    current = [p.copy() for p in start]
-    recorded = [[p.copy() for p in current]]
+    w, coupling = spec.step_graphon.values, spec.coupling
+    current = start
+    path = [current]
     for step in range(len(times) - 1):
         h = times[step + 1] - times[step]
-        k1 = field.velocity_by_cell(step, 0.0, current)
-        mid1 = [u + 0.5 * h * k for u, k in zip(current, k1)]
-        k2 = field.velocity_by_cell(step, 0.5, mid1)
-        mid2 = [u + 0.5 * h * k for u, k in zip(current, k2)]
-        k3 = field.velocity_by_cell(step, 0.5, mid2)
-        end = [u + h * k for u, k in zip(current, k3)]
-        k4 = field.velocity_by_cell(step, 1.0, end)
-        current = [
-            u + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for u, a, b, c, d in zip(current, k1, k2, k3, k4)
-        ]
-        recorded.append([p.copy() for p in current])
-    return recorded
+        left, right = frozen[step], frozen[step + 1]
+        mid = 0.5 * (left + right)
+        k1 = _field(w, coupling, left, mass, current)
+        k2 = _field(w, coupling, mid, mass, current + 0.5 * h * k1)
+        k3 = _field(w, coupling, mid, mass, current + 0.5 * h * k2)
+        k4 = _field(w, coupling, right, mass, current + h * k3)
+        current = current + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        path.append(current)
+    return np.array(path)
 
 
 def characteristic_flow(spec: VelocityFieldSpec, frozen: MeasureTrajectory,
@@ -313,18 +261,11 @@ def characteristic_flow(spec: VelocityFieldSpec, frozen: MeasureTrajectory,
         raise ValueError("backward transport not supported")
     # families store wrapped positions; unwrap each atom's path in time so
     # the linear interpolation between grid points is chart-independent
-    n_cells = frozen.families[0].n_cells
-    pos_by_cell = [
-        np.unwrap(np.array([f.cells[i].positions for f in frozen.families]), axis=0)
-        for i in range(n_cells)
-    ]
-    pos = [[pos_by_cell[i][s] for i in range(n_cells)]
-           for s in range(len(frozen.families))]
-    masses = [np.asarray(c.masses, dtype=float) for c in frozen.families[0].cells]
-    sub = _FrozenField(VelocityFieldSpec(spec.step_graphon, spec.coupling),
-                       times[i0:i1 + 1], pos[i0:i1 + 1], masses)
-    out = _transport_atoms(sub, [np.asarray(p, dtype=float) for p in positions])
-    return out[-1]
+    pos = np.unwrap(np.array([_atoms(f)[0] for f in frozen.families]), axis=0)
+    mass = _atoms(frozen.families[0])[1]
+    out = _transport(spec, times[i0:i1 + 1], pos[i0:i1 + 1], mass,
+                     _padded(positions))
+    return [row[:len(p)] for row, p in zip(out[-1], positions)]
 
 
 def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
@@ -347,24 +288,21 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
             f"family has {family0.n_cells} cells, kernel expects {spec.n}"
         )
     times = time_grid(T, dt)
-    start = [np.asarray(c.positions, dtype=float) for c in family0.cells]
-    masses = [np.asarray(c.masses, dtype=float) for c in family0.cells]
-    frozen_positions = [[p.copy() for p in start] for _ in times]
-    prev_traj = _trajectory_from_raw(times, frozen_positions, masses)
+    start, mass = _atoms(family0)
+    frozen = np.broadcast_to(start, times.shape + start.shape)
+    prev_traj = MeasureTrajectory(times, [_family(p, mass) for p in frozen])
 
     distances: list[float] = []
     ratios: list[float] = []
     converged = False
     new_traj = prev_traj
     for _ in range(max_iter):
-        field_ = _FrozenField(spec, times, frozen_positions, masses)
-        new_positions = _transport_atoms(field_, start)
-        new_traj = _trajectory_from_raw(times, new_positions, masses)
+        frozen = _transport(spec, times, frozen, mass, start)
+        new_traj = MeasureTrajectory(times, [_family(p, mass) for p in frozen])
         d = d_alpha(new_traj, prev_traj, alpha)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0.0:
             ratios.append(distances[-1] / distances[-2])
-        frozen_positions = new_positions
         prev_traj = new_traj
         if d < tol:
             converged = True
@@ -378,14 +316,6 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
         "contraction_ratios": ratios,
     }
     return new_traj, report
-
-
-def _trajectory_from_raw(times, positions, masses) -> MeasureTrajectory:
-    families = []
-    for per_cell in positions:
-        cells = [CircleMeasure(wrap_angle(p), w) for p, w in zip(per_cell, masses)]
-        families.append(MeasureFamily(cells))
-    return MeasureTrajectory(times.copy(), families)
 
 
 # -- finite volumes ---------------------------------------------------------

@@ -28,6 +28,7 @@ _MASS_TOL = 1e-12
 
 
 def wrap_angle(u):
+    """Reduce angles to [0, 2*pi)."""
     r = np.mod(u, TWO_PI)
     return np.where(r >= TWO_PI, r - TWO_PI, r)
 

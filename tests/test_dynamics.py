@@ -52,7 +52,7 @@ def test_rhs_single_oscillator_shifted():
 
 def test_rhs_custom_coupling_matches_direct_sum():
     fn = lambda u: 0.8 * np.sin(u)
-    coup = CouplingFunction.custom(fn, lipschitz_bound=0.8)
+    coup = CouplingFunction.custom(fn)
     rng = np.random.default_rng(5)
     w = rng.uniform(-1, 1, (6, 6))
     w = (w + w.T) / 2

@@ -10,7 +10,6 @@ from kmflow.graphs import WeightedGraph
 from kmflow.meanfield import (
     BlockOscillatorSystem,
     DensityField,
-    ParticleEnsemble,
     StabilityConfig,
     VelocityFieldSpec,
     characteristic_flow,
@@ -40,6 +39,7 @@ from oracles import two_oscillator_gap
 
 TWO_PI = 2.0 * np.pi
 SINE = CouplingFunction.sine()
+CUSTOM = CouplingFunction.custom(lambda v: 0.5 * np.sin(v) + 0.25 * np.sin(2.0 * v))
 
 
 def _spec(graphon, n, coupling=SINE):
@@ -73,6 +73,32 @@ def test_velocity_single_atom_formula():
         row_mean = spec.step_graphon.values[cell].mean()
         assert np.allclose(velocity(spec, fam, u, cell),
                            row_mean * np.sin(theta - u), atol=1e-14)
+
+
+def _ragged_family(counts, seed=11):
+    """Cells with the given atom counts and non-uniform masses."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for k in counts:
+        masses = rng.uniform(0.5, 1.5, k)
+        cells.append(CircleMeasure(rng.uniform(0, TWO_PI, k), masses / masses.sum()))
+    return MeasureFamily(cells)
+
+
+@pytest.mark.parametrize("coupling", [SINE, CouplingFunction.sine_shift(0.3), CUSTOM],
+                         ids=["sine", "sine_shift", "custom"])
+def test_velocity_matches_double_sum(coupling):
+    spec = _spec(Graphon.small_world(0.2, 0.3), 4, coupling)
+    fam = _ragged_family((1, 3, 5, 2))
+    w = spec.step_graphon.values
+    u = np.linspace(0.0, TWO_PI, 11)
+    for cell in range(4):
+        expected = np.zeros_like(u)
+        for i, mu in enumerate(fam.cells):
+            for p, q in zip(mu.positions, mu.masses):
+                expected += w[cell, i] * q * coupling(p - u)
+        assert np.allclose(velocity(spec, fam, u, cell), expected / 4,
+                           rtol=0.0, atol=1e-14)
 
 
 def test_velocity_cell_out_of_range():
@@ -134,7 +160,7 @@ def test_block_rhs_matches_dense_kron_system():
     rng = np.random.default_rng(1)
     u = rng.uniform(0, TWO_PI, 12)
     for coup in (SINE, CouplingFunction.sine_shift(0.3),
-                 CouplingFunction.custom(lambda v: 0.8 * np.sin(v), 0.8)):
+                 CouplingFunction.custom(lambda v: 0.8 * np.sin(v))):
         block = BlockOscillatorSystem(Graphon.step(wn).step_values, m, coup)
         full = dynamics.OscillatorSystem(dense, coup, K=1.0)
         assert np.allclose(block.rhs_phases(u), full.rhs_phases(u), atol=1e-12)
@@ -153,14 +179,6 @@ def test_evolve_family_requires_uniform_atoms():
     fam = MeasureFamily([CircleMeasure(np.array([0.0, 1.0]), np.array([0.3, 0.7]))])
     with pytest.raises(ValueError):
         evolve_family(spec, fam, 1.0, 0.1)
-
-
-def test_particle_ensemble_container():
-    ensemble = ParticleEnsemble(2, 3, np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]))
-    fam = ensemble.family()
-    assert fam.n_cells == 2 and fam.cells[0].n_atoms == 3
-    with pytest.raises(ValueError):
-        ParticleEnsemble(2, 3, np.zeros(5))
 
 
 # -- fixed-point iteration ---------------------------------------------------
@@ -183,16 +201,17 @@ def test_picard_contraction_ratios():
 
 
 def test_picard_agrees_with_particles():
-    spec = _spec(Graphon.constant(0.5), 4)
     rho0 = TwoCluster(0.5, 2.6, 0.4)
     tol = 1e-4
     fam0 = initial_family(rho0, 4, 16)
-    fixed, report = picard_solve(spec, fam0, 1.0, 5e-3, alpha=3.0, tol=tol,
-                                 max_iter=25)
-    assert report["converged"]
-    particles = solve_particles(spec, rho0, 4, 16, 1.0, 5e-3)
-    sup = max(dbar(a, b) for a, b in zip(fixed.families, particles.families))
-    assert sup < 10.0 * tol
+    for coupling in (SINE, CUSTOM):
+        spec = _spec(Graphon.constant(0.5), 4, coupling)
+        fixed, report = picard_solve(spec, fam0, 1.0, 5e-3, alpha=3.0, tol=tol,
+                                     max_iter=25)
+        assert report["converged"]
+        particles = solve_particles(spec, rho0, 4, 16, 1.0, 5e-3)
+        sup = max(dbar(a, b) for a, b in zip(fixed.families, particles.families))
+        assert sup < 10.0 * tol
 
 
 def test_picard_requires_contractive_alpha():
@@ -210,6 +229,34 @@ def test_picard_max_iter_reports_nonconvergence():
     assert not report["converged"]
     assert report["iterations"] == 2
     assert traj.times[-1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("coupling", [SINE, CUSTOM], ids=["sine", "custom"])
+def test_picard_and_flow_accept_ragged_families(coupling):
+    # the ragged family and its copy with every atom split into equal parts,
+    # four atoms per cell (same measures, no padding), share one fixed point
+    spec = _spec(Graphon.small_world(0.2, 0.3), 3, coupling)
+    fam = _ragged_family((1, 2, 4))
+    split = MeasureFamily([
+        CircleMeasure(np.repeat(c.positions, 4 // c.n_atoms),
+                      np.repeat(c.masses / (4 // c.n_atoms), 4 // c.n_atoms))
+        for c in fam.cells])
+    traj, report = picard_solve(spec, fam, 0.5, 0.05, tol=1e-10)
+    ref, _ = picard_solve(spec, split, 0.5, 0.05, tol=1e-10)
+    assert report["converged"]
+    for f, g in zip(traj.families, ref.families):
+        assert [c.n_atoms for c in f.cells] == [1, 2, 4]
+        for c, c0 in zip(f.cells, fam.cells):
+            assert np.array_equal(c.masses, c0.masses)
+        assert dbar(f, g) < 1e-12
+    # ragged point lists come back with their own lengths, each point moved
+    # as if transported alone
+    pts = np.array([0.1, 1.3, 2.9, 4.4])
+    full = characteristic_flow(spec, traj, [pts] * 3, 0.0, 0.5)
+    ragged = characteristic_flow(spec, traj, [pts[:2], pts[:1], pts[:3]], 0.0, 0.5)
+    assert [p.size for p in ragged] == [2, 1, 3]
+    for a, b in zip(ragged, full):
+        assert np.allclose(a, b[:a.size], rtol=0.0, atol=1e-14)
 
 
 def test_flow_two_parameter_composition():
