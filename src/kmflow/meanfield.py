@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import dynamics
 from .dynamics import CouplingFunction, PhaseState, time_grid
@@ -580,5 +579,6 @@ def gronwall_envelope(t, a, A: float, B: float, C: float) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     a = np.asarray(a, dtype=float)
-    integral = cumulative_trapezoid(a * np.exp(-A * t), t, initial=0.0)
+    f = a * np.exp(-A * t)
+    integral = np.concatenate([[0.0], np.cumsum(np.diff(t) * (f[1:] + f[:-1]) / 2.0)])
     return np.exp(A * t) * (B * integral + C)

@@ -1,6 +1,7 @@
 """Experiment runner: configs, manifests, reproducibility, file formats."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -246,3 +247,23 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "results.csv").exists()
+
+
+def test_nonfinite_von_mises_rejected_by_cli(tmp_path, capsys):
+    for literal in ("NaN", "Infinity"):
+        code = main(["meanfield_particles", "--graphon", json.dumps(ER_HALF),
+                     "--n", "2", "--m", "4", "--T", "0.1", "--dt", "0.05",
+                     "--rho0", '{"kind": "von_mises", "kappa": %s}' % literal,
+                     "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert "error: concentration kappa must be finite" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, kmflow, kmflow.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from kmflow import dynamics
 from kmflow.dynamics import CouplingFunction, PhaseState, wrap_angle
@@ -290,8 +291,11 @@ def test_density_field_validation():
 
 
 def test_density_field_from_spec_normalized():
-    field = density_field_from_spec(VonMises(5.0, 1.0), 3, 32)
-    assert np.max(np.abs(field.cell_masses() - 1.0)) < 1e-14
+    # kappa = 800 and 5000 overflow exp(kappa cos u) and need the scaled form
+    for kappa, g in ((5.0, 32), (800.0, 256), (5000.0, 256)):
+        field = density_field_from_spec(VonMises(kappa, 1.0), 3, g)
+        assert np.all(np.isfinite(field.values))
+        assert np.max(np.abs(field.cell_masses() - 1.0)) < 1e-14
 
 
 def test_fv_uniform_stationary():
@@ -434,3 +438,11 @@ def test_gronwall_envelope_dominates():
         assert np.all(phi <= bound * (1.0 + 1e-9) + 1e-12)
         # equality case: phi equal to the envelope itself
         assert np.all(bound <= gronwall_envelope(t, a, A, B, C) + 1e-15)
+
+
+def test_gronwall_envelope_matches_scipy_trapezoid():
+    t = np.linspace(0.0, 2.0, 301)
+    a = 1.0 + np.sin(3.0 * t) ** 2
+    expected = np.exp(1.5 * t) * (
+        0.7 * cumulative_trapezoid(a * np.exp(-1.5 * t), t, initial=0.0) + 0.2)
+    assert np.array_equal(gronwall_envelope(t, a, 1.5, 0.7, 0.2), expected)

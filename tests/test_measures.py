@@ -1,9 +1,15 @@
 """Circle measures, transport distances, families, initial distributions."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import i0e
+from scipy.stats import vonmises as scipy_vonmises
 
 from kmflow.measures import (
+    KAPPA_MAX,
     CircleMeasure,
     MeasureFamily,
     MeasureTrajectory,
@@ -192,6 +198,92 @@ def test_von_mises_quantiles_median_at_mode():
     spec = VonMises(3.0, 1.0)
     q = spec.quantile(np.array([0.5]))
     assert q[0] == pytest.approx(1.0, abs=1e-9)
+
+
+QUANTILE_LEVELS = (np.arange(256) + 0.5) / 256
+
+
+@pytest.mark.parametrize("kappa", [1e-300, 1e-8, 0.5, 2.0, 20.0])
+def test_von_mises_quantiles_match_scipy_ppf(kappa):
+    for mu0 in (0.0, 3.14):
+        ours = VonMises(kappa, mu0).quantile(QUANTILE_LEVELS)
+        ref = scipy_vonmises.ppf(QUANTILE_LEVELS, kappa, loc=mu0)
+        assert np.max(circle_distance(ours, ref)) <= 1e-11
+
+
+def _vonmises_cdf_by_quadrature(x, kappa):
+    """F(x) for the mode-0 law on [-pi, pi], by adaptive quadrature of the
+    density exp(kappa (cos t - 1)) / (2 pi i0e(kappa)) from the mode."""
+    c = 1.0 / (TWO_PI * i0e(kappa))
+    half, _ = quad(lambda t: c * math.exp(kappa * (math.cos(t) - 1.0)), 0.0, x,
+                   epsabs=1e-14, epsrel=1e-14, limit=400)
+    return 0.5 + half
+
+
+@pytest.mark.parametrize("kappa", [50.0, 200.0, 1000.0, 5000.0])
+def test_von_mises_quantiles_invert_the_cdf(kappa):
+    # scipy's ppf uses a normal approximation of the CDF for kappa >= 50 and
+    # misses the CDF by up to 3e-6 there, so the oracle is quadrature of the density
+    q = QUANTILE_LEVELS[::16]
+    x = VonMises(kappa, np.pi).quantile(q) - np.pi
+    for xi, qi in zip(x, q):
+        assert abs(_vonmises_cdf_by_quadrature(xi, kappa) - qi) <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", [1e-300, 1e-8, 0.5, 2.0, 20.0, 50.0, 1000.0, 5000.0])
+def test_von_mises_quantiles_monotone(kappa):
+    # mode at pi keeps the quantiles inside (0, 2 pi), away from the wrap
+    x = VonMises(kappa, np.pi).quantile(np.linspace(1e-3, 1.0 - 1e-3, 999))
+    assert np.all(np.isfinite(x))
+    assert np.all(np.diff(x) > 0.0)
+
+
+def test_von_mises_density_matches_bessel_formula():
+    u = np.linspace(0.0, TWO_PI, 97)
+    for kappa in (0.5, 2.0, 20.0, 800.0):
+        ref = np.exp(kappa * (np.cos(u - 1.0) - 1.0)) / (TWO_PI * i0e(kappa))
+        got = VonMises(kappa, 1.0).density(u)
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("params", [(math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.0),
+                                    (2.0 * KAPPA_MAX, 0.0), (1.0, math.nan),
+                                    (1.0, math.inf)],
+                         ids=["kappa_nan", "kappa_inf", "kappa_negative",
+                              "kappa_too_large", "mu0_nan", "mu0_inf"])
+def test_von_mises_rejects_bad_parameters(params):
+    with pytest.raises(ValueError, match="kappa|mu0"):
+        VonMises(*params)
+    with pytest.raises(ValueError, match="kappa|mu0"):
+        density_from_dict({"kind": "von_mises", "kappa": params[0], "mu0": params[1]})
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
+def test_von_mises_twist_rejects_bad_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        VonMisesTwist(kappa)
+
+
+def test_von_mises_quantile_levels_checked():
+    for q in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="quantile levels"):
+            VonMises(2.0).quantile(np.array([0.5, q]))
+
+
+def test_x_independent_spec_inverted_once():
+    calls = []
+
+    class CountingVonMises(VonMises):
+        def quantile(self, q):
+            calls.append(len(q))
+            return super().quantile(q)
+
+    fam = initial_family(CountingVonMises(2.0, 1.0), 5, 8)
+    assert calls == [8]
+    assert all(cell is fam.cells[0] for cell in fam.cells)
+    assert np.array_equal(fam.cells[0].positions, VonMises(2.0, 1.0).quantile(
+        (np.arange(8) + 0.5) / 8))
+    assert not fam.cells[0].positions.flags.writeable
 
 
 def test_two_cluster_quantiles_and_samples():
