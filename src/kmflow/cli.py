@@ -1,6 +1,6 @@
 """Experiment runner: configuration parsing, convergence studies, file I/O.
 
-Every run writes a ``manifest.json`` holding the fully resolved
+Every run that finishes writes a ``manifest.json`` holding the fully resolved
 configuration (defaults included), so re-running from a manifest reproduces
 the outputs byte for byte.  Numeric CSV output uses 17 significant digits.
 
@@ -387,10 +387,14 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; writes results + manifest, returns exit status."""
+    """Execute one experiment; writes results + manifest, returns exit status.
+
+    The manifest is written only after the experiment has finished, so a run
+    that fails leaves none behind.
+    """
     cfg.validate()
-    kio.write_json(_out(cfg, "manifest.json"), cfg.to_dict())
     _RUNNERS[cfg.experiment](cfg)
+    kio.write_json(_out(cfg, "manifest.json"), cfg.to_dict())
     return 0
 
 

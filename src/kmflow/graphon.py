@@ -26,8 +26,12 @@ import json
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+MAX_NODES = 8192
 
 _BOUND_SLACK = 1e-9
+_TILE = 64
 
 
 class QuadratureError(RuntimeError):
@@ -50,16 +54,8 @@ class StepGraphon:
     """
 
     def __init__(self, values):
-        values = np.array(values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("step-graphon values must form a square matrix")
-        if values.shape[0] < 1:
-            raise ValueError("step-graphon needs at least one cell")
-        if not np.array_equal(values, values.T):
-            raise ValueError("step-graphon values must be symmetric")
-        if np.max(np.abs(values)) > 1.0 + _BOUND_SLACK:
-            raise ValueError("step-graphon values must lie in [-1, 1]")
-        self.values = np.clip(values, -1.0, 1.0)
+        values = _checked_symmetric(values, "step-graphon values")
+        self.values = np.clip(values, -1.0, 1.0, out=values)
         self.values.setflags(write=False)
 
     @property
@@ -158,13 +154,18 @@ class Graphon:
         """
         if n < 1:
             raise ValueError("resolution n must be >= 1")
+        if n > MAX_NODES:
+            raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
+        # Constant and band averages are passed as O(n) views; StepGraphon's
+        # own copy is the only n x n write.
         if self.kind == "constant":
-            return StepGraphon(np.full((n, n), self.p))
-        if self.kind == "small_world":
-            frac = _band_fraction_matrix(n, self.h)
-            return StepGraphon(self.p + (1.0 - 2.0 * self.p) * frac)
-        if self.kind == "nearest_neighbor":
-            return StepGraphon(_band_fraction_matrix(n, self.h))
+            return StepGraphon(np.broadcast_to(self.p, (n, n)))
+        if self.kind in ("small_world", "nearest_neighbor"):
+            frac = _band_offset_fractions(n, self.h)
+            frac = 0.5 * (frac + frac[::-1])
+            if self.kind == "small_world":
+                frac = self.p + (1.0 - 2.0 * self.p) * frac
+            return StepGraphon(_toeplitz(frac))
         if self.kind == "step":
             return StepGraphon(_step_cell_average(self.step_values.values, n))
         return StepGraphon(_custom_cell_average(self.fn, n, tol))
@@ -263,11 +264,13 @@ def _area_below(ax, bx, ay, by, c):
     return full + sloped
 
 
-def _band_fraction_matrix(n: int, h: float) -> np.ndarray:
+def _band_offset_fractions(n: int, h: float) -> np.ndarray:
     """Fraction of each cell covered by the circular band min(|x-y|, 1-|x-y|) <= h.
 
     The fraction depends on cells only through the diagonal offset d = i - j,
-    so only 2n-1 exact areas are computed.
+    so only the 2n-1 exact areas are computed; entry d + n - 1 belongs to
+    offset d.  Offsets d and -d agree up to rounding, so callers symmetrise
+    with ``0.5 * (frac + frac[::-1])``.
     """
     d = np.arange(-(n - 1), n)
     ax = d / n
@@ -278,10 +281,49 @@ def _band_fraction_matrix(n: int, h: float) -> np.ndarray:
         return _area_below(ax, bx, ay, by, hi) - _area_below(ax, bx, ay, by, lo)
 
     area = strip(-h, h) + strip(1.0 - h, 2.0) + strip(-2.0, -(1.0 - h))
-    frac = area * n * n
-    idx = np.arange(n)
-    matrix = frac[idx[:, None] - idx[None, :] + n - 1]
-    return 0.5 * (matrix + matrix.T)
+    return area * n * n
+
+
+def _toeplitz(diagonals: np.ndarray) -> np.ndarray:
+    """Read-only n x n view T[i, j] = diagonals[i - j + n - 1] of a 2n-1 vector."""
+    n = (diagonals.shape[0] + 1) // 2
+    return sliding_window_view(diagonals[::-1], n)[::-1]
+
+
+def _checked_symmetric(values, what: str) -> np.ndarray:
+    """Own float copy of a symmetric matrix with entries within slack of [-1, 1].
+
+    The shape and the node cap are checked before anything is copied.  Callers
+    clip the returned copy in place.
+    """
+    values = np.asarray(values)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError(f"{what} must form a square matrix")
+    n = values.shape[0]
+    if n < 1:
+        raise ValueError(f"{what} must have at least one row")
+    if n > MAX_NODES:
+        raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
+    values = np.array(values, dtype=float)
+    if not _is_symmetric(values):
+        raise ValueError(f"{what} must be symmetric")
+    if max(values.max(), -values.min()) > 1.0 + _BOUND_SLACK:
+        raise ValueError(f"{what} must lie in [-1, 1]")
+    return values
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """``np.array_equal(a, a.T)``, compared tile by tile so both reads stay in cache.
+
+    NaN entries compare unequal, so a matrix holding one is not symmetric.
+    """
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        rows = a[i:i + _TILE]
+        for j in range(i, n, _TILE):
+            if not (rows[:, j:j + _TILE] == a[j:j + _TILE, i:i + _TILE].T).all():
+                return False
+    return True
 
 
 def _step_cell_average(values: np.ndarray, n: int) -> np.ndarray:

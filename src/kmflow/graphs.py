@@ -9,41 +9,29 @@ Two constructions:
 
 Sampling is counter-based: the coin for pair (i, j), i <= j, comes from a
 Philox stream keyed by (seed, i) at position j - i, so results are
-reproducible, order-independent, and parallelizable over rows.  Diagonal
-entries (self-loops) are kept in both constructions; for odd couplings the
-self term drops out of the dynamics anyway.
+reproducible, order-independent, and parallelizable over rows.  The sampler
+fills only the upper triangle, one contiguous row segment per stream, and then
+mirrors it into the lower triangle one 64-row strip at a time, so no write
+strides down a column of the full matrix.  Diagonal entries (self-loops) are
+kept in both constructions; for odd couplings the self term drops out of the
+dynamics anyway.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphon import Graphon
-
-MAX_NODES = 8192
-
-_BOUND_SLACK = 1e-9
+from .graphon import _TILE, MAX_NODES, Graphon, _checked_symmetric
 
 
 class WeightedGraph:
     """Dense symmetric weight matrix with |w_ij| <= 1 plus sampling provenance."""
 
     def __init__(self, weights, seed: int | None = None, sampled: bool = False):
-        weights = np.array(weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-            raise ValueError("weights must form a square matrix")
-        n = weights.shape[0]
-        if n > MAX_NODES:
-            raise ValueError(
-                f"dense storage supports up to {MAX_NODES} nodes, got {n}"
-            )
-        if not np.array_equal(weights, weights.T):
-            raise ValueError("weights must be symmetric")
-        if np.max(np.abs(weights)) > 1.0 + _BOUND_SLACK:
-            raise ValueError("weights must lie in [-1, 1]")
+        weights = _checked_symmetric(weights, "weights")
         if sampled and not np.isin(weights, (0.0, 1.0)).all():
             raise ValueError("sampled graphs must have 0/1 weights")
-        self.weights = np.clip(weights, -1.0, 1.0)
+        self.weights = np.clip(weights, -1.0, 1.0, out=weights)
         self.weights.setflags(write=False)
         self.seed = seed
         self.sampled = sampled
@@ -90,10 +78,13 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
         stream = np.random.Generator(
             np.random.Philox(key=[np.uint64(seed), np.uint64(i)])
         )
-        u = stream.random(n - i)
-        row = (u < probs[i, i:]).astype(float)
-        weights[i, i:] = row
-        weights[i:, i] = row
+        weights[i, i:] = stream.random(n - i) < probs[i, i:]
+    del probs  # free it before WeightedGraph makes its own copy of the weights
+    for i in range(0, n, _TILE):
+        stop = min(i + _TILE, n)
+        block = weights[i:stop, i:stop]
+        block += np.triu(block, 1).T
+        weights[stop:, i:stop] = weights[i:stop, stop:].T
     return WeightedGraph(weights, seed=seed, sampled=True)
 
 

@@ -259,6 +259,17 @@ def test_nonfinite_von_mises_rejected_by_cli(tmp_path, capsys):
         assert "error: concentration kappa must be finite" in capsys.readouterr().err
 
 
+def test_failed_run_leaves_no_manifest(tmp_path, capsys):
+    out = tmp_path / "d"
+    code = main(["meanfield_particles", "--graphon", '{"kind": "constant", "p": 0.5}',
+                 "--n", "2", "--m", "4",
+                 "--rho0", '{"kind": "von_mises", "kappa": NaN}',
+                 "--output-dir", str(out)])
+    assert code == 1
+    assert "error: concentration kappa must be finite" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys, kmflow, kmflow.cli; "

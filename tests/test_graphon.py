@@ -1,16 +1,21 @@
 """Kernel evaluation, cell averaging, and kernel distances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kmflow.graphon import (
+    MAX_NODES,
     Graphon,
     QuadratureError,
     StepGraphon,
+    _band_offset_fractions,
     kernel_distance,
     midpoint_step,
     step_norm_2n,
 )
+from kmflow.graphs import WeightedGraph
 from oracles import midpoint_cell_average
 
 TWO_PI = 2.0 * np.pi
@@ -142,6 +147,86 @@ def test_cell_average_output_satisfies_invariants():
         avg = W.cell_average(6)
         assert np.array_equal(avg.values, avg.values.T)
         assert np.max(np.abs(avg.values)) <= 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257])
+def test_band_cell_average_matches_gather_formula(n):
+    # the n x n offset gather symmetrised with its transpose, written out
+    for W in (Graphon.small_world(0.1, 0.25), Graphon.small_world(0.37, 0.013),
+              Graphon.nearest_neighbor(0.25), Graphon.nearest_neighbor(0.2)):
+        frac = _band_offset_fractions(n, W.h)
+        idx = np.arange(n)
+        matrix = frac[idx[:, None] - idx[None, :] + n - 1]
+        expected = 0.5 * (matrix + matrix.T)
+        if W.kind == "small_world":
+            expected = W.p + (1.0 - 2.0 * W.p) * expected
+        expected = np.clip(expected, -1.0, 1.0)
+        values = W.cell_average(n).values
+        assert values.flags.c_contiguous and not values.flags.writeable
+        assert np.array_equal(values, expected)
+
+
+def _symmetric_matrix(n, seed=0):
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+    return np.triu(a) + np.triu(a, 1).T
+
+
+_CONSTRUCTORS = [StepGraphon, WeightedGraph]
+
+
+@pytest.mark.parametrize("make", _CONSTRUCTORS, ids=["step", "weighted"])
+@pytest.mark.parametrize("where", [(63, 64), (64, 63), (0, 64), (64, 127), (127, 10),
+                                   (129, 3), (5, 129), (129, 128)])
+def test_symmetry_check_rejects_one_entry(make, where):
+    # n=130 ends in a ragged tile; 63/64 and 127/128 straddle tile edges
+    values = _symmetric_matrix(130)
+    make(values)
+    values[where] += 1e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        make(values)
+
+
+@pytest.mark.parametrize("make", _CONSTRUCTORS, ids=["step", "weighted"])
+@pytest.mark.parametrize("where", [(64, 64), (129, 129), (3, 100)])
+def test_symmetry_check_rejects_nan(make, where):
+    values = _symmetric_matrix(130)
+    values[where] = values[where[::-1]] = np.nan
+    with pytest.raises(ValueError, match="symmetric"):
+        make(values)
+
+
+@pytest.mark.parametrize("make", _CONSTRUCTORS, ids=["step", "weighted"])
+def test_bound_check_and_clip_leave_caller_array_unchanged(make):
+    values = _symmetric_matrix(70)
+    values[0, 69] = values[69, 0] = 1.0 + 5e-10
+    values[65, 65] = -1.0 - 5e-10
+    before = values.copy()
+    built = make(values)
+    stored = built.values if isinstance(built, StepGraphon) else built.weights
+    assert np.array_equal(values, before)
+    assert stored[0, 69] == stored[69, 0] == 1.0 and stored[65, 65] == -1.0
+    assert not stored.flags.writeable
+    values[1, 2] = values[2, 1] = 1.0 + 2e-9
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        make(values)
+    values[1, 2] = values[2, 1] = -np.inf
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        make(values)
+
+
+@pytest.mark.parametrize("make", _CONSTRUCTORS + [
+    Graphon.step, lambda huge: Graphon.constant(0.5).cell_average(huge.shape[0]),
+], ids=["step", "weighted", "graphon", "cell_average"])
+def test_oversized_input_rejected_before_copy(make):
+    huge = np.broadcast_to(0.0, (MAX_NODES + 1, MAX_NODES + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="nodes"):
+            make(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_kernel_distance_identity_and_constants():

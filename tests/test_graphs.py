@@ -99,6 +99,32 @@ def test_sample_empirical_edge_probabilities():
     assert np.all(np.abs(mean - probs) <= 4.0 * se + 1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_sample_matches_per_pair_philox_oracle(n):
+    # pair (i, j), i <= j, is drawn at position j - i of the stream keyed (seed, i)
+    W = Graphon.small_world(0.2, 0.3)
+    probs = W.cell_average(n).values
+    for seed in (7, 2**64 - 1):
+        expected = np.zeros((n, n))
+        for i in range(n):
+            key = [np.uint64(seed), np.uint64(i)]
+            u = np.random.Generator(np.random.Philox(key=key)).random(n - i)
+            for j in range(i, n):
+                expected[i, j] = expected[j, i] = float(u[j - i] < probs[i, j])
+        g = sample_w_random(W, n, seed=seed)
+        assert np.array_equal(g.weights, expected)
+        assert n == 1 or 0 < expected.sum() < n * n
+
+
+def test_sampled_flag_rejects_weights_within_clip_slack():
+    weights = np.ones((3, 3))
+    WeightedGraph(weights, sampled=True)
+    weights[0, 0] = 1.0 + 5e-10
+    assert WeightedGraph(weights).weights[0, 0] == 1.0
+    with pytest.raises(ValueError, match="0/1"):
+        WeightedGraph(weights, sampled=True)
+
+
 def test_capacity_limit():
     with pytest.raises(ValueError, match="nodes"):
         deterministic_graph(Graphon.constant(0.5), MAX_NODES + 1)
