@@ -17,7 +17,13 @@ unwrapped differences over short horizons.
 
 For the sine family the coupling sum is evaluated through the angle-addition
 split sin(u_j - u_i + a) = sin(u_j + a) cos(u_i) - cos(u_j + a) sin(u_i),
-which needs two matrix-vector products and no n x n temporaries.
+which needs W times the two vectors sin(u + a) and cos(u + a) and no n x n
+temporaries.  A dense W is read once per evaluation, by one (2, n) @ W
+product (W is symmetric).  A Toeplitz W (deterministic graphs of constant and
+band kernels, stored as their 2n-1 diagonals) is never read as a matrix: its
+product with a vector is a convolution with the diagonals, done by one batched
+real FFT of length >= 2n-1 against the diagonals' spectrum, which is computed
+once per system.
 """
 
 from __future__ import annotations
@@ -132,26 +138,40 @@ class OscillatorSystem:
             raise ValueError(
                 f"omega must have length {graph.n}, got shape {self.omega.shape}"
             )
+        if graph._diagonals is None:
+            self._spectrum = None
+        else:
+            # circular convolution of this length has no wrap-around in the
+            # n outputs that are the Toeplitz product
+            self._fft_size = 1 << (2 * graph.n - 2).bit_length()
+            self._spectrum = np.fft.rfft(graph._diagonals, self._fft_size)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
     def rhs_phases(self, u: np.ndarray) -> np.ndarray:
-        w = self.graph.weights
         n = self.n
         if self.coupling.is_sine_family:
             shifted = u + self.coupling.alpha
-            s = np.sin(shifted)
-            c = np.cos(shifted)
-            coupling = np.cos(u) * (w @ s) - np.sin(u) * (w @ c)
+            ws, wc = self._times_weights(np.stack((np.sin(shifted), np.cos(shifted))))
+            coupling = np.cos(u) * ws - np.sin(u) * wc
             return self.omega + (self.K / n) * coupling
+        w = self.graph.weights
         out = np.empty(n)
         for start in range(0, n, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, n)
             diffs = u[None, :] - u[start:stop, None]
             out[start:stop] = np.sum(w[start:stop] * self.coupling(diffs), axis=1)
         return self.omega + (self.K / n) * out
+
+    def _times_weights(self, x: np.ndarray) -> np.ndarray:
+        """``x @ W``: W times each row of x, since W is symmetric."""
+        if self._spectrum is None:
+            return x @ self.graph.weights
+        size, n = self._fft_size, self.n
+        product = np.fft.irfft(np.fft.rfft(x, size) * self._spectrum, size)
+        return product[:, n - 1:2 * n - 1]
 
 
 def rhs(system, state: PhaseState) -> np.ndarray:

@@ -158,17 +158,29 @@ class Graphon:
             raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
         # Constant and band averages are passed as O(n) views; StepGraphon's
         # own copy is the only n x n write.
-        if self.kind == "constant":
-            return StepGraphon(np.broadcast_to(self.p, (n, n)))
-        if self.kind in ("small_world", "nearest_neighbor"):
-            frac = _band_offset_fractions(n, self.h)
-            frac = 0.5 * (frac + frac[::-1])
-            if self.kind == "small_world":
-                frac = self.p + (1.0 - 2.0 * self.p) * frac
-            return StepGraphon(_toeplitz(frac))
+        diagonals = self._diagonals(n)
+        if diagonals is not None:
+            return StepGraphon(_toeplitz(diagonals))
         if self.kind == "step":
             return StepGraphon(_step_cell_average(self.step_values.values, n))
         return StepGraphon(_custom_cell_average(self.fn, n, tol))
+
+    def _diagonals(self, n: int) -> np.ndarray | None:
+        """The 2n-1 diagonals of the resolution-n cell average, or None.
+
+        Constant and band kernels have Toeplitz cell averages: entry (i, j)
+        is ``diagonals[i - j + n - 1]``, and the vector is symmetrised, so
+        ``diagonals == diagonals[::-1]``.  Step and custom kernels return None.
+        """
+        if self.kind == "constant":
+            return np.full(2 * n - 1, self.p)
+        if self.kind not in ("small_world", "nearest_neighbor"):
+            return None
+        frac = _band_offset_fractions(n, self.h)
+        frac = 0.5 * (frac + frac[::-1])
+        if self.kind == "small_world":
+            frac = self.p + (1.0 - 2.0 * self.p) * frac
+        return frac
 
     # -- (de)serialization ----------------------------------------------
 
@@ -270,7 +282,9 @@ def _band_offset_fractions(n: int, h: float) -> np.ndarray:
     The fraction depends on cells only through the diagonal offset d = i - j,
     so only the 2n-1 exact areas are computed; entry d + n - 1 belongs to
     offset d.  Offsets d and -d agree up to rounding, so callers symmetrise
-    with ``0.5 * (frac + frac[::-1])``.
+    with ``0.5 * (frac + frac[::-1])``.  The areas are differences of
+    rounded areas, so they are clamped to [0, 1]: an empty cell must not come
+    out as a tiny negative probability.
     """
     d = np.arange(-(n - 1), n)
     ax = d / n
@@ -281,7 +295,7 @@ def _band_offset_fractions(n: int, h: float) -> np.ndarray:
         return _area_below(ax, bx, ay, by, hi) - _area_below(ax, bx, ay, by, lo)
 
     area = strip(-h, h) + strip(1.0 - h, 2.0) + strip(-2.0, -(1.0 - h))
-    return area * n * n
+    return np.clip(area * n * n, 0.0, 1.0)
 
 
 def _toeplitz(diagonals: np.ndarray) -> np.ndarray:
@@ -310,6 +324,29 @@ def _checked_symmetric(values, what: str) -> np.ndarray:
     if max(values.max(), -values.min()) > 1.0 + _BOUND_SLACK:
         raise ValueError(f"{what} must lie in [-1, 1]")
     return values
+
+
+def _checked_diagonals(diagonals, what: str) -> np.ndarray:
+    """Own read-only copy of the 2n-1 diagonals of a symmetric Toeplitz matrix.
+
+    The vector must equal its reverse (the matrix is then symmetric) and lie
+    within slack of [-1, 1], so it is finite: NaN fails the comparison and an
+    infinity the bound.  The copy is clipped to [-1, 1].
+    """
+    diagonals = np.asarray(diagonals)
+    if diagonals.ndim != 1 or diagonals.shape[0] % 2 != 1:
+        raise ValueError(f"{what} must be a vector of odd length 2n-1")
+    n = (diagonals.shape[0] + 1) // 2
+    if n > MAX_NODES:
+        raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
+    diagonals = np.array(diagonals, dtype=float)
+    if not np.array_equal(diagonals, diagonals[::-1]):
+        raise ValueError(f"{what} must be symmetric")
+    if np.abs(diagonals).max() > 1.0 + _BOUND_SLACK:
+        raise ValueError(f"{what} must lie in [-1, 1]")
+    np.clip(diagonals, -1.0, 1.0, out=diagonals)
+    diagonals.setflags(write=False)
+    return diagonals
 
 
 def _is_symmetric(a: np.ndarray) -> bool:

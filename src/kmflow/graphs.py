@@ -7,6 +7,11 @@ Two constructions:
 * :func:`sample_w_random` -- each unordered pair {i, j} is kept independently
   with probability equal to the cell average ("W-random" sampling).
 
+Deterministic graphs of constant and band kernels are Toeplitz, so they are
+stored as their 2n-1 diagonals and ``weights`` is a read-only n x n view of
+that vector; no n x n array is allocated for them.  The sampler reads the
+edge probabilities of those kernels from the same kind of view.
+
 Sampling is counter-based: the coin for pair (i, j), i <= j, comes from a
 Philox stream keyed by (seed, i) at position j - i, so results are
 reproducible, order-independent, and parallelizable over rows.  The sampler
@@ -21,11 +26,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphon import _TILE, MAX_NODES, Graphon, _checked_symmetric
+from .graphon import (
+    _TILE,
+    MAX_NODES,
+    Graphon,
+    _checked_diagonals,
+    _checked_symmetric,
+    _toeplitz,
+)
 
 
 class WeightedGraph:
-    """Dense symmetric weight matrix with |w_ij| <= 1 plus sampling provenance."""
+    """Symmetric weight matrix with |w_ij| <= 1 plus sampling provenance.
+
+    ``weights`` is a read-only n x n array.  A Toeplitz graph (see
+    :func:`deterministic_graph`) also keeps its 2n-1 diagonals in
+    ``_diagonals``, and ``weights`` is then a view of them; for every other
+    graph ``_diagonals`` is None.
+    """
 
     def __init__(self, weights, seed: int | None = None, sampled: bool = False):
         weights = _checked_symmetric(weights, "weights")
@@ -33,8 +51,19 @@ class WeightedGraph:
             raise ValueError("sampled graphs must have 0/1 weights")
         self.weights = np.clip(weights, -1.0, 1.0, out=weights)
         self.weights.setflags(write=False)
+        self._diagonals = None
         self.seed = seed
         self.sampled = sampled
+
+    @classmethod
+    def _from_diagonals(cls, diagonals) -> "WeightedGraph":
+        """Toeplitz graph with ``weights[i, j] = diagonals[i - j + n - 1]``."""
+        graph = cls.__new__(cls)
+        graph._diagonals = _checked_diagonals(diagonals, "weight diagonals")
+        graph.weights = _toeplitz(graph._diagonals)
+        graph.seed = None
+        graph.sampled = False
+        return graph
 
     @property
     def n(self) -> int:
@@ -53,7 +82,10 @@ def deterministic_graph(W: Graphon, n: int) -> WeightedGraph:
         raise ValueError("node count must be >= 1")
     if n > MAX_NODES:
         raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
-    return WeightedGraph(W.cell_average(n).values)
+    diagonals = W._diagonals(n)
+    if diagonals is None:
+        return WeightedGraph(W.cell_average(n).values)
+    return WeightedGraph._from_diagonals(diagonals)
 
 
 def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
@@ -68,7 +100,11 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
         raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    probs = W.cell_average(n).values
+    diagonals = W._diagonals(n)
+    if diagonals is None:
+        probs = W.cell_average(n).values
+    else:
+        probs = _toeplitz(_checked_diagonals(diagonals, "cell averages"))
     if probs.min() < 0.0:
         raise ValueError(
             "sampling requires probability range: cell averages must be >= 0"
@@ -79,7 +115,7 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
             np.random.Philox(key=[np.uint64(seed), np.uint64(i)])
         )
         weights[i, i:] = stream.random(n - i) < probs[i, i:]
-    del probs  # free it before WeightedGraph makes its own copy of the weights
+    del probs  # a dense one is freed before WeightedGraph copies the weights
     for i in range(0, n, _TILE):
         stop = min(i + _TILE, n)
         block = weights[i:stop, i:stop]

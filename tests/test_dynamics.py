@@ -17,7 +17,8 @@ from kmflow.dynamics import (
     weight_perturbation_constant,
     wrap_angle,
 )
-from kmflow.graphs import WeightedGraph
+from kmflow.graphon import Graphon
+from kmflow.graphs import WeightedGraph, deterministic_graph
 from oracles import two_oscillator_gap
 
 TWO_PI = 2.0 * np.pi
@@ -62,6 +63,54 @@ def test_rhs_custom_coupling_matches_direct_sum():
         [np.sum(w[i] * fn(u - u[i])) for i in range(6)]
     )
     assert np.allclose(sys_.rhs_phases(u), expected, atol=1e-13)
+
+
+_TOEPLITZ_KERNELS = [Graphon.constant(-0.4), Graphon.small_world(0.1, 0.25),
+                     Graphon.nearest_neighbor(0.2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 1000])
+@pytest.mark.parametrize("coupling", [CouplingFunction.sine(),
+                                      CouplingFunction.sine_shift(0.3)],
+                         ids=["sine", "sine_shift"])
+def test_toeplitz_rhs_matches_double_sum(coupling, n):
+    # the FFT convolution against the explicit sum over j of W_ij D(u_j - u_i)
+    rng = np.random.default_rng(n)
+    u = rng.uniform(-TWO_PI, 2 * TWO_PI, n)
+    omega = rng.normal(size=n)
+    for W in _TOEPLITZ_KERNELS:
+        graph = deterministic_graph(W, n)
+        assert graph._diagonals is not None
+        sys_ = OscillatorSystem(graph, coupling, K=1.3, omega=omega)
+        w = W.cell_average(n).values
+        expected = omega + (1.3 / n) * np.sum(w * coupling(u[None, :] - u[:, None]), axis=1)
+        assert np.max(np.abs(sys_.rhs_phases(u) - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [5, 600])
+def test_custom_coupling_on_toeplitz_graph_matches_dense(n):
+    coup = CouplingFunction.custom(lambda u: 0.5 * np.sin(u) + 0.25 * np.cos(2.0 * u))
+    u = np.random.default_rng(3).uniform(0, TWO_PI, n)
+    for W in _TOEPLITZ_KERNELS:
+        graph = deterministic_graph(W, n)
+        dense = WeightedGraph(np.array(graph.weights))
+        assert np.array_equal(OscillatorSystem(graph, coup, K=0.7).rhs_phases(u),
+                              OscillatorSystem(dense, coup, K=0.7).rhs_phases(u))
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_dense_rhs_matches_two_products(n):
+    rng = np.random.default_rng(n)
+    w = rng.uniform(-1, 1, (n, n))
+    w = (w + w.T) / 2
+    u = rng.uniform(0, TWO_PI, n)
+    omega = rng.normal(size=n)
+    alpha = 0.3
+    sys_ = _system(w, CouplingFunction.sine_shift(alpha), K=1.3, omega=omega)
+    coupling = (np.cos(u) * (w @ np.sin(u + alpha))
+                - np.sin(u) * (w @ np.cos(u + alpha)))
+    expected = omega + (1.3 / n) * coupling
+    assert np.max(np.abs(sys_.rhs_phases(u) - expected)) <= 1e-13
 
 
 def test_rhs_dimension_mismatch():

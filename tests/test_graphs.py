@@ -1,5 +1,7 @@
 """Deterministic and W-random graph construction, pixel pictures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from kmflow.graphs import (
     pixel_picture,
     sample_w_random,
 )
+from kmflow.io import write_matrix_csv
 
 
 def test_deterministic_constant():
@@ -101,19 +104,22 @@ def test_sample_empirical_edge_probabilities():
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_sample_matches_per_pair_philox_oracle(n):
-    # pair (i, j), i <= j, is drawn at position j - i of the stream keyed (seed, i)
-    W = Graphon.small_world(0.2, 0.3)
-    probs = W.cell_average(n).values
-    for seed in (7, 2**64 - 1):
-        expected = np.zeros((n, n))
-        for i in range(n):
-            key = [np.uint64(seed), np.uint64(i)]
-            u = np.random.Generator(np.random.Philox(key=key)).random(n - i)
-            for j in range(i, n):
-                expected[i, j] = expected[j, i] = float(u[j - i] < probs[i, j])
-        g = sample_w_random(W, n, seed=seed)
-        assert np.array_equal(g.weights, expected)
-        assert n == 1 or 0 < expected.sum() < n * n
+    # pair (i, j), i <= j, is drawn at position j - i of the stream keyed (seed, i);
+    # band and constant kernels take their probabilities from the diagonals
+    step = Graphon.step([[0.9, 0.2, 0.5], [0.2, 0.7, 0.1], [0.5, 0.1, 0.4]])
+    for W in (Graphon.small_world(0.2, 0.3), Graphon.nearest_neighbor(0.2),
+              Graphon.constant(0.3), step):
+        probs = W.cell_average(n).values
+        for seed in (7, 2**64 - 1):
+            expected = np.zeros((n, n))
+            for i in range(n):
+                key = [np.uint64(seed), np.uint64(i)]
+                u = np.random.Generator(np.random.Philox(key=key)).random(n - i)
+                for j in range(i, n):
+                    expected[i, j] = expected[j, i] = float(u[j - i] < probs[i, j])
+            g = sample_w_random(W, n, seed=seed)
+            assert np.array_equal(g.weights, expected)
+            assert n == 1 or 0 < expected.sum() < n * n
 
 
 def test_sampled_flag_rejects_weights_within_clip_slack():
@@ -151,3 +157,86 @@ def test_pixel_picture_band_geometry():
     assert np.all(img[ring <= 15] == 0)
     assert np.all(img[(ring >= 17) & (ring <= 47)] == 255)
     assert np.all(img[ring == 16] == 128)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.2])
+def test_band_averages_nonnegative_and_sampleable(h):
+    # band areas are differences of rounded areas; an empty cell must not come
+    # out as a tiny negative probability that the sampler rejects
+    W = Graphon.nearest_neighbor(h)
+    for n in range(1, 301):
+        assert W.cell_average(n).values.min() >= 0.0
+        sample_w_random(W, n, seed=n)
+
+
+def test_toeplitz_graph_stores_diagonals_only():
+    W = Graphon.small_world(0.1, 0.25)
+    tracemalloc.start()
+    try:
+        g = deterministic_graph(W, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert g.weights.shape == (4096, 4096) and not g.weights.flags.writeable
+    assert not g._diagonals.flags.writeable
+    with pytest.raises(ValueError):
+        g.weights[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_toeplitz_graph_reads_like_its_dense_copy(n, tmp_path):
+    for W in (Graphon.constant(-0.4), Graphon.small_world(0.2, 0.3),
+              Graphon.nearest_neighbor(0.2)):
+        g = deterministic_graph(W, n)
+        assert g._diagonals is not None
+        dense = WeightedGraph(np.array(g.weights))
+        assert np.array_equal(g.weights, W.cell_average(n).values)
+        assert list(g.edges()) == list(dense.edges())
+        assert np.array_equal(pixel_picture(g), pixel_picture(dense))
+        assert g.weights.sum() == pytest.approx(dense.weights.sum(), rel=1e-13, abs=1e-13)
+        write_matrix_csv(tmp_path / "toeplitz.csv", g.weights)
+        write_matrix_csv(tmp_path / "dense.csv", dense.weights)
+        assert (tmp_path / "toeplitz.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+def _diagonals(n, seed=0):
+    v = np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * n - 1)
+    return 0.5 * (v + v[::-1])
+
+
+@pytest.mark.parametrize("bad", [
+    "asymmetric", "nan", "inf", "above_bound", "below_bound", "even_length", "matrix",
+])
+def test_diagonal_route_rejects_bad_vectors(bad):
+    v = _diagonals(5)
+    g = WeightedGraph._from_diagonals(v)
+    assert np.array_equal(g.weights, np.array(g.weights).T)
+    if bad == "asymmetric":
+        v[1] += 1e-12
+    elif bad == "nan":
+        v[4] = np.nan
+    elif bad == "inf":
+        v[0] = v[-1] = np.inf
+    elif bad == "above_bound":
+        v[2] = v[-3] = 1.0 + 2e-9
+    elif bad == "below_bound":
+        v[4] = -1.0 - 2e-9
+    elif bad == "even_length":
+        v = v[1:]
+    else:
+        v = np.eye(3)
+    with pytest.raises(ValueError, match="weight diagonals"):
+        WeightedGraph._from_diagonals(v)
+
+
+def test_diagonal_route_clips_a_copy_within_slack():
+    v = _diagonals(4)
+    v[0] = v[-1] = 1.0 + 5e-10
+    v[3] = -1.0 - 5e-10
+    before = v.copy()
+    g = WeightedGraph._from_diagonals(v)
+    assert np.array_equal(v, before)
+    assert g.weights[0, 3] == g.weights[3, 0] == 1.0
+    assert np.all(np.diagonal(g.weights) == -1.0)
+    assert not g.sampled and g.seed is None
