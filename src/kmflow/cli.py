@@ -57,6 +57,19 @@ from .measures import (
 
 MAX_PARTICLES = 2**20
 
+# Settings an experiment does not read.  A value other than the default is
+# rejected rather than silently ignored; defaults pass, so manifests (which
+# hold every key) still replay.  The mean-field solvers run with K = 1 and
+# zero frequencies, and convergence_main always starts from quantile atoms.
+_UNREAD_KEYS = {
+    "meanfield_particles": ("K", "omega"),
+    "meanfield_fv": ("K", "omega"),
+    "picard": ("K", "omega"),
+    "convergence_main": ("K", "omega", "init_mode", "init_seed"),
+    "stability_initial": ("K", "omega"),
+    "stability_kernel": ("K", "omega"),
+}
+
 EXPERIMENTS = (
     "simulate",
     "sample_graph",
@@ -120,6 +133,14 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; pick one of "
                 f"{', '.join(EXPERIMENTS)}"
             )
+        defaults = ExperimentConfig(self.experiment)
+        for key in _UNREAD_KEYS.get(self.experiment, ()):
+            value, default = getattr(self, key), getattr(defaults, key)
+            if value != default:
+                raise ValueError(
+                    f"{self.experiment} does not use {key!r}: it must keep its "
+                    f"default {default!r} (got {value!r})"
+                )
         for n in self.n_list() or []:
             for m in self.m_list() or [1]:
                 if n * m > MAX_PARTICLES:
@@ -311,11 +332,8 @@ def _run_convergence_ave(cfg: ExperimentConfig) -> None:
 
 def _perturbed_family(family: MeasureFamily, scale: float, seed: int) -> MeasureFamily:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    cells = []
-    for mu in family.cells:
-        noise = rng.uniform(-scale, scale, mu.n_atoms)
-        cells.append(type(mu)(mu.positions + noise, mu.masses))
-    return MeasureFamily(cells)
+    noise = rng.uniform(-scale, scale, family.positions.shape)
+    return MeasureFamily(family.positions + noise, family.masses)
 
 
 def _run_stability(cfg: ExperimentConfig, perturb_kernel: bool) -> None:

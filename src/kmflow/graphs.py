@@ -56,13 +56,26 @@ class WeightedGraph:
         self.sampled = sampled
 
     @classmethod
+    def _trusted(cls, weights: np.ndarray, seed: int | None = None,
+                 sampled: bool = False) -> "WeightedGraph":
+        """Graph owning a matrix kmflow built and checked itself: symmetric,
+        within [-1, 1] (0/1 if ``sampled``).  Nothing is copied or checked;
+        the matrix is made read-only.  Outside input goes through
+        ``WeightedGraph(weights)``."""
+        graph = cls.__new__(cls)
+        weights.setflags(write=False)
+        graph.weights = weights
+        graph._diagonals = None
+        graph.seed = seed
+        graph.sampled = sampled
+        return graph
+
+    @classmethod
     def _from_diagonals(cls, diagonals) -> "WeightedGraph":
         """Toeplitz graph with ``weights[i, j] = diagonals[i - j + n - 1]``."""
-        graph = cls.__new__(cls)
-        graph._diagonals = _checked_diagonals(diagonals, "weight diagonals")
-        graph.weights = _toeplitz(graph._diagonals)
-        graph.seed = None
-        graph.sampled = False
+        diagonals = _checked_diagonals(diagonals, "weight diagonals")
+        graph = cls._trusted(_toeplitz(diagonals))
+        graph._diagonals = diagonals
         return graph
 
     @property
@@ -84,7 +97,8 @@ def deterministic_graph(W: Graphon, n: int) -> WeightedGraph:
         raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
     diagonals = W._diagonals(n)
     if diagonals is None:
-        return WeightedGraph(W.cell_average(n).values)
+        # StepGraphon has copied, checked and clipped the cell averages
+        return WeightedGraph._trusted(W.cell_average(n).values)
     return WeightedGraph._from_diagonals(diagonals)
 
 
@@ -115,13 +129,13 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
             np.random.Philox(key=[np.uint64(seed), np.uint64(i)])
         )
         weights[i, i:] = stream.random(n - i) < probs[i, i:]
-    del probs  # a dense one is freed before WeightedGraph copies the weights
     for i in range(0, n, _TILE):
         stop = min(i + _TILE, n)
         block = weights[i:stop, i:stop]
         block += np.triu(block, 1).T
         weights[stop:, i:stop] = weights[i:stop, stop:].T
-    return WeightedGraph(weights, seed=seed, sampled=True)
+    # 0/1 and mirrored by construction
+    return WeightedGraph._trusted(weights, seed=seed, sampled=True)
 
 
 def pixel_picture(graph: WeightedGraph) -> np.ndarray:

@@ -19,13 +19,15 @@ interoperating methods:
   on the periodic phase grid (monotone and positivity-preserving; per-cell
   mass conserved to round-off).
 
-The particle system, the pushforward map and the pointwise :func:`velocity`
-all evaluate V through one routine, :func:`_field`, on atoms stored as
-(cells, atoms) position and mass arrays; cells with fewer atoms are padded
-with zero-mass atoms, which add exactly nothing to V.  For the sine family V
-follows from two per-cell moments and two products with W_n, at cost
-O(N + n^2) for N atoms; a custom D is evaluated one target cell at a time,
-one (atoms per cell) x N slab per cell.
+Families are the (cells, atoms) position and mass arrays of
+:class:`kmflow.measures.MeasureFamily`, read directly: cells with fewer atoms
+carry zero-mass padding, which adds exactly nothing to V, and the families of
+a trajectory share one masses array.  The particle system, the pushforward
+map and the pointwise :func:`velocity` all evaluate V through one routine,
+:func:`_field`.  For the sine family V follows from two per-cell moments and
+two products with W_n, at cost O(N + n^2) for N atoms; a custom D is
+evaluated one target cell at a time, in slabs of target rows x N source
+atoms kept under a fixed element budget.
 
 Everything in this module takes intrinsic frequencies to be zero; the
 discrete simulators in :mod:`kmflow.dynamics` support omega directly.
@@ -43,7 +45,6 @@ from .dynamics import CouplingFunction, PhaseState, time_grid
 from .graphon import Graphon, StepGraphon, kernel_distance
 from .measures import (
     TWO_PI,
-    CircleMeasure,
     DensitySpec,
     MeasureFamily,
     MeasureTrajectory,
@@ -56,6 +57,10 @@ from .measures import (
 
 _VELOCITY_SLACK = 1e-9
 
+# Elements (target rows x source atoms) of one custom-coupling slab; each
+# temporary of a slab then takes 8 MiB.
+_SLAB_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class VelocityFieldSpec:
@@ -67,6 +72,10 @@ class VelocityFieldSpec:
     @property
     def n(self) -> int:
         return self.step_graphon.n
+
+    def _check_cells(self, family: MeasureFamily) -> None:
+        if family.n_cells != self.n:
+            raise ValueError(f"family has {family.n_cells} cells, kernel expects {self.n}")
 
 
 def _field(w, coupling: CouplingFunction, pos, mass, targets) -> np.ndarray:
@@ -86,9 +95,12 @@ def _field(w, coupling: CouplingFunction, pos, mass, targets) -> np.ndarray:
     else:
         src = pos.ravel()
         mass = np.broadcast_to(mass, pos.shape)
+        rows = max(1, _SLAB_ELEMENTS // src.size)
         out = np.empty(targets.shape)
         for k, t in enumerate(targets):
-            out[k] = coupling(src[None, :] - t[:, None]) @ (w[k][:, None] * mass).ravel()
+            weights = (w[k][:, None] * mass).ravel()
+            for lo in range(0, t.size, rows):
+                out[k, lo:lo + rows] = coupling(src[None, :] - t[lo:lo + rows, None]) @ weights
         out /= n
     _check_velocity_bound(out)
     return out
@@ -103,27 +115,6 @@ def _check_velocity_bound(v) -> None:
         )
 
 
-def _padded(rows) -> np.ndarray:
-    """Stack 1-D arrays into one (len(rows), longest) array, zero-filled."""
-    out = np.zeros((len(rows), max(len(r) for r in rows)))
-    for i, r in enumerate(rows):
-        out[i, :len(r)] = r
-    return out
-
-
-def _atoms(family: MeasureFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and masses as (cells, atoms) arrays, short cells padded
-    with zero-mass atoms."""
-    return (_padded([c.positions for c in family.cells]),
-            _padded([c.masses for c in family.cells]))
-
-
-def _family(pos: np.ndarray, mass: np.ndarray) -> MeasureFamily:
-    """Inverse of :func:`_atoms`: drops the zero-mass padding, wraps positions."""
-    return MeasureFamily([CircleMeasure(p[w > 0.0], w[w > 0.0])
-                          for p, w in zip(pos, mass)])
-
-
 class BlockOscillatorSystem:
     """The n*m particle system with cell-block weights W_n (x) ones(m, m).
 
@@ -132,8 +123,8 @@ class BlockOscillatorSystem:
     :func:`kmflow.dynamics.integrate` drives it directly.  The right-hand
     side is the mean-field velocity of the n cells of m atoms of mass 1/m,
     evaluated at the atoms themselves by :func:`_field`: O(N + n^2) for the
-    sine family instead of O(N^2), and one m x N slab per cell for a custom
-    coupling.
+    sine family instead of O(N^2), and m x N slabs, chunked by rows, for a
+    custom coupling.
     """
 
     def __init__(self, step: StepGraphon, m: int, coupling: CouplingFunction):
@@ -163,16 +154,13 @@ def velocity(spec: VelocityFieldSpec, family: MeasureFamily, u, cell: int):
     Returns n^-1 sum_i W[cell, i] * int D(v - u) dmu^i(v), the inner
     integral evaluated exactly as a mass-weighted sum over atoms.
     """
-    if family.n_cells != spec.n:
-        raise ValueError(
-            f"family has {family.n_cells} cells, kernel expects {spec.n}"
-        )
+    spec._check_cells(family)
     if not 0 <= cell < spec.n:
         raise IndexError(f"cell index {cell} out of range [0, {spec.n})")
     u = np.asarray(u, dtype=float)
-    pos, mass = _atoms(family)
     w_row = spec.step_graphon.values[cell:cell + 1]
-    return _field(w_row, spec.coupling, pos, mass, u.reshape(1, -1)).reshape(u.shape)
+    return _field(w_row, spec.coupling, family.positions, family.masses,
+                  u.reshape(1, -1)).reshape(u.shape)
 
 
 # -- particle method -------------------------------------------------------
@@ -197,13 +185,10 @@ def solve_particles(spec: VelocityFieldSpec, rho0: DensitySpec, n: int, m: int,
 def evolve_family(spec: VelocityFieldSpec, family: MeasureFamily, T: float,
                   dt: float, record_every: int = 1) -> MeasureTrajectory:
     """Evolve an atomic family (m atoms of mass 1/m per cell) as particles."""
-    if family.n_cells != spec.n:
-        raise ValueError(
-            f"family has {family.n_cells} cells, kernel expects {spec.n}"
-        )
-    pos, mass = _atoms(family)
+    spec._check_cells(family)
+    pos = family.positions
     m = pos.shape[1]
-    if np.max(np.abs(mass - 1.0 / m)) > 1e-12:
+    if np.max(np.abs(family.masses - 1.0 / m)) > 1e-12:
         raise ValueError(
             "particle evolution expects m uniform atoms of mass 1/m per cell"
         )
@@ -242,9 +227,9 @@ def _transport(spec: VelocityFieldSpec, times: np.ndarray, frozen: np.ndarray,
 
 
 def characteristic_flow(spec: VelocityFieldSpec, frozen: MeasureTrajectory,
-                        positions: list[np.ndarray], t_start: float,
-                        t_end: float) -> list[np.ndarray]:
-    """Transport per-cell phase points from t_start to t_end along the
+                        positions: np.ndarray, t_start: float,
+                        t_end: float) -> np.ndarray:
+    """Transport phase points (cells, points) from t_start to t_end along the
     velocity field induced by a frozen measure trajectory.
 
     Both endpoints must lie on the trajectory's time grid.  This is the
@@ -258,13 +243,14 @@ def characteristic_flow(spec: VelocityFieldSpec, frozen: MeasureTrajectory,
         raise ValueError("t_start and t_end must lie on the frozen time grid")
     if i1 < i0:
         raise ValueError("backward transport not supported")
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 2 or len(positions) != frozen.families[0].n_cells:
+        raise ValueError(f"points must form a (cells, points) array, got {positions.shape}")
     # families store wrapped positions; unwrap each atom's path in time so
     # the linear interpolation between grid points is chart-independent
-    pos = np.unwrap(np.array([_atoms(f)[0] for f in frozen.families]), axis=0)
-    mass = _atoms(frozen.families[0])[1]
-    out = _transport(spec, times[i0:i1 + 1], pos[i0:i1 + 1], mass,
-                     _padded(positions))
-    return [row[:len(p)] for row, p in zip(out[-1], positions)]
+    pos = np.unwrap(np.array([f.positions for f in frozen.families]), axis=0)
+    return _transport(spec, times[i0:i1 + 1], pos[i0:i1 + 1],
+                      frozen.families[0].masses, positions)[-1]
 
 
 def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
@@ -282,14 +268,11 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
     """
     if alpha <= 2.0:
         raise ValueError("alpha must exceed 2 for the iteration to contract")
-    if family0.n_cells != spec.n:
-        raise ValueError(
-            f"family has {family0.n_cells} cells, kernel expects {spec.n}"
-        )
+    spec._check_cells(family0)
     times = time_grid(T, dt)
-    start, mass = _atoms(family0)
+    start, mass = family0.positions, family0.masses
     frozen = np.broadcast_to(start, times.shape + start.shape)
-    prev_traj = MeasureTrajectory(times, [_family(p, mass) for p in frozen])
+    prev_traj = MeasureTrajectory(times, [MeasureFamily(p, mass) for p in frozen])
 
     distances: list[float] = []
     ratios: list[float] = []
@@ -297,7 +280,7 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
     new_traj = prev_traj
     for _ in range(max_iter):
         frozen = _transport(spec, times, frozen, mass, start)
-        new_traj = MeasureTrajectory(times, [_family(p, mass) for p in frozen])
+        new_traj = MeasureTrajectory(times, [MeasureFamily(p, mass) for p in frozen])
         d = d_alpha(new_traj, prev_traj, alpha)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0.0:
@@ -426,14 +409,13 @@ def quantile_family_from_density(fieldv: DensityField, m: int) -> MeasureFamily:
     du = fieldv.du
     knots_u = np.arange(g + 1) * du
     q = (np.arange(m) + 0.5) / m
-    cells = []
-    for row in fieldv.values:
+    positions = np.empty((fieldv.n, m))
+    for row, pos in zip(fieldv.values, positions):
         cdf = np.concatenate([[0.0], np.cumsum(row) * du])
         qq = np.minimum(q * cdf[-1], np.nextafter(cdf[-1], 0.0))
         k = np.clip(np.searchsorted(cdf, qq, side="right") - 1, 0, g - 1)
-        pos = knots_u[k] + (qq - cdf[k]) / row[k]
-        cells.append(CircleMeasure.uniform_atoms(pos))
-    return MeasureFamily(cells)
+        pos[:] = knots_u[k] + (qq - cdf[k]) / row[k]
+    return MeasureFamily(positions, np.full((fieldv.n, m), 1.0 / m))
 
 
 # -- weak-form residual ------------------------------------------------------

@@ -3,19 +3,24 @@
 The distance between two measures is the supremum of |int f dmu - int f deta|
 over 1-Lipschitz test functions, which on a compact space equals the
 Wasserstein-1 distance by Kantorovich-Rubinstein duality.  For atomic
-measures on the circle it is computed exactly: merge the atom positions,
-form the cumulative mass difference Delta(x) (piecewise constant), and
-return min over shifts t of the integral of |Delta - t|; the optimal t is a
-weighted median of the segment values, ties resolved at the interval
-midpoint.
+measures on the circle it is computed exactly (Rabin, Delon & Gousseau,
+JMIV 2011): merge the atom positions, form the cumulative mass difference
+Delta(x) (piecewise constant), and return min over shifts t of the integral
+of |Delta - t|; the optimal t is a weighted median of the segment values,
+ties resolved at the interval midpoint.  One kernel, :func:`_w1_rows`, does
+this for every row of two (rows, atoms) array pairs at once.
 
-Families of measures indexed by cells of [0,1] carry the cell-averaged
-metric dbar (mean of per-cell distances), and trajectories of families carry
-the exponentially weighted sup metric d_alpha.
+A family of measures indexed by the cells of [0,1] is one pair of read-only
+(cells, atoms) arrays, positions in [0, 2*pi) and masses; short cells are
+padded with zero-mass atoms, which change no distance or velocity, and the
+families of one trajectory share one masses array.  Families carry the
+cell-averaged metric dbar (one kernel call per pair of families), and
+trajectories of families the exponentially weighted sup metric d_alpha.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,89 +51,104 @@ def circle_distance(theta, theta_prime):
 
 
 class CircleMeasure:
-    """Atomic probability measure on [0, 2*pi): positions plus masses."""
+    """Atomic probability measure on [0, 2*pi): positions plus positive masses,
+    validated as a one-cell :class:`MeasureFamily`."""
 
     def __init__(self, positions, masses):
-        positions = np.asarray(positions, dtype=float)
         masses = np.asarray(masses, dtype=float)
-        if positions.shape != masses.shape or positions.ndim != 1:
-            raise ValueError("positions and masses must be matching 1-D arrays")
-        if positions.size == 0:
-            raise ValueError("measure needs at least one atom")
         if np.any(masses <= 0.0):
             raise ValueError("atom masses must be positive")
-        total = float(masses.sum())
-        if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError(f"atom masses must sum to 1 (got {total!r})")
-        self.positions = wrap_angle(positions)
-        self.masses = masses.copy()
-        self.positions.setflags(write=False)
-        self.masses.setflags(write=False)
+        # a 1-D pair becomes one (1, atoms) row; anything else fails the shape check
+        cell = MeasureFamily(np.asarray(positions, dtype=float)[None], masses[None])
+        self.positions, self.masses = cell.positions[0], cell.masses[0]
 
     @classmethod
     def point(cls, theta: float) -> "CircleMeasure":
         return cls(np.array([theta]), np.array([1.0]))
 
-    @classmethod
-    def uniform_atoms(cls, positions) -> "CircleMeasure":
-        positions = np.asarray(positions, dtype=float)
-        return cls(positions, np.full(positions.shape, 1.0 / positions.size))
-
     @property
     def n_atoms(self) -> int:
         return self.positions.size
 
-    def shifted(self, c: float) -> "CircleMeasure":
-        return CircleMeasure(self.positions + c, self.masses)
-
 
 def bl_distance(mu: CircleMeasure, eta: CircleMeasure) -> float:
     """Exact Wasserstein-1 distance between atomic measures on the circle."""
-    # canonical argument order makes the float result exactly symmetric
-    if _measure_key(eta) < _measure_key(mu):
-        mu, eta = eta, mu
-    pos = np.concatenate([mu.positions, eta.positions])
-    signed = np.concatenate([mu.masses, -eta.masses])
-    order = np.argsort(pos, kind="stable")
-    p = pos[order]
+    return float(_w1_rows(mu.positions[None], mu.masses[None],
+                          eta.positions[None], eta.masses[None])[0])
+
+
+def _w1_rows(pos_a, mass_a, pos_b, mass_b) -> np.ndarray:
+    """Circular W1 between row r of (pos_a, mass_a) and row r of (pos_b, mass_b).
+
+    Inputs are (rows, atoms) arrays of wrapped positions and masses; the two
+    sides may have different widths and zero-mass padding.  Both sides are
+    padded to one width and each pair of rows is put in a canonical order
+    before the merge, so the result is exactly symmetric.
+    """
+    rows, width = pos_a.shape[0], max(pos_a.shape[1], pos_b.shape[1])
+    r = np.arange(rows)[:, None]
+    # each side's row is (positions | masses), zero-padded to one width
+    a, b = sides = np.zeros((2, rows, 2 * width))
+    for side, pos, mass in zip(sides, (pos_a, pos_b), (mass_a, mass_b)):
+        side[:, :pos.shape[1]], side[:, width:width + pos.shape[1]] = pos, mass
+    # row-wise lexicographic key on (positions, masses): swap where b < a
+    differ = a != b
+    first = r, differ.argmax(axis=1)[:, None]
+    swap = differ[first] & (b[first] < a[first])
+    lo, hi = np.where(swap, b, a), np.where(swap, a, b)
+    pos = np.concatenate([lo[:, :width], hi[:, :width]], axis=1)
+    signed = np.concatenate([lo[:, width:], -hi[:, width:]], axis=1)
+    order = np.argsort(pos, axis=1, kind="stable")
+    atoms = 2 * width
     # Delta on segments: 0 on [0, p_0), partial sums afterwards; the final
     # partial sum is ~0 because both measures are normalized.
-    delta = np.concatenate([[0.0], np.cumsum(signed[order])])
-    lengths = np.diff(np.concatenate([[0.0], p, [TWO_PI]]))
-    return _weighted_median_cost(delta, lengths)
-
-
-def _measure_key(mu: CircleMeasure) -> tuple:
-    return (mu.n_atoms, mu.positions.tobytes(), mu.masses.tobytes())
-
-
-def _weighted_median_cost(values: np.ndarray, weights: np.ndarray) -> float:
-    """min over t of sum_k weights_k * |values_k - t| (weighted median)."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order]
-    cw = np.cumsum(w)
-    total = cw[-1]
+    delta = np.zeros((rows, atoms + 1))
+    np.cumsum(signed[r, order], axis=1, out=delta[:, 1:])
+    lengths = np.diff(pos[r, order], axis=1, prepend=0.0, append=TWO_PI)
+    # min over t of sum_k lengths_k * |delta_k - t|: t is a weighted median
+    order = np.argsort(delta, axis=1, kind="stable")
+    v, w = delta[r, order], lengths[r, order]
+    cw = np.cumsum(w, axis=1)
+    total = cw[:, -1:]
     half = 0.5 * total
-    k = int(np.searchsorted(cw, half))
-    if k + 1 < v.size and abs(cw[k] - half) <= 1e-12 * total:
-        t = 0.5 * (v[k] + v[k + 1])
-    else:
-        t = v[k]
-    return float(np.sum(w * np.abs(v - t)))
+    k = (cw < half).sum(axis=1, keepdims=True)
+    at_k = v[r, k]
+    tie = (k < atoms) & (np.abs(cw[r, k] - half) <= 1e-12 * total)
+    t = np.where(tie, 0.5 * (at_k + v[r, np.minimum(k + 1, atoms)]), at_k)
+    return np.sum(w * np.abs(v - t), axis=1)
 
 
 class MeasureFamily:
-    """One circle measure per spatial cell of the unit interval."""
+    """One atomic probability measure per spatial cell of the unit interval.
 
-    def __init__(self, cells: list[CircleMeasure]):
-        if not cells:
-            raise ValueError("family needs at least one cell")
-        self.cells = list(cells)
+    ``positions`` and ``masses`` are read-only (cells, atoms) arrays; cell i
+    is the measure sum_j masses[i, j] delta_{positions[i, j]}.  Masses are
+    nonnegative with every row summing to 1; zero-mass atoms are padding,
+    dropped from the CSV form.  Positions are wrapped into a copy; a
+    read-only masses array that owns its data is shared, not copied.
+    """
+
+    def __init__(self, positions, masses):
+        positions = np.asarray(positions, dtype=float)
+        masses = np.asarray(masses, dtype=float)
+        if positions.ndim != 2 or positions.shape != masses.shape or positions.size == 0:
+            raise ValueError("positions and masses must be matching non-empty "
+                             "(cells, atoms) arrays")
+        if not (masses >= 0.0).all():
+            raise ValueError("atom masses must be nonnegative")
+        totals = masses.sum(axis=1)
+        if not (np.abs(totals - 1.0) <= _MASS_TOL).all():
+            worst = float(totals[np.argmax(np.abs(totals - 1.0))])
+            raise ValueError(f"atom masses must sum to 1 in every cell (got {worst!r})")
+        self.positions = wrap_angle(positions)
+        self.positions.setflags(write=False)
+        shared = not masses.flags.writeable and masses.base is None
+        self.masses = masses if shared else masses.copy()
+        self.masses.setflags(write=False)
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return self.positions.shape[0]
 
     def refine(self, k: int) -> "MeasureFamily":
         """Duplicate every cell k times (exact refinement of the step family)."""
@@ -136,10 +156,8 @@ class MeasureFamily:
             raise ValueError("refinement factor must be >= 1")
         if k == 1:
             return self
-        return MeasureFamily([c for c in self.cells for _ in range(k)])
-
-    def shifted(self, c: float) -> "MeasureFamily":
-        return MeasureFamily([cell.shifted(c) for cell in self.cells])
+        return MeasureFamily(np.repeat(self.positions, k, axis=0),
+                             np.repeat(self.masses, k, axis=0))
 
 
 def common_cells(a: MeasureFamily, b: MeasureFamily) -> tuple[MeasureFamily, MeasureFamily]:
@@ -156,7 +174,7 @@ def dbar(a: MeasureFamily, b: MeasureFamily) -> float:
             f"cell-count mismatch ({a.n_cells} vs {b.n_cells}); "
             "refine to a common cell count first (see common_cells)"
         )
-    return float(np.mean([bl_distance(x, y) for x, y in zip(a.cells, b.cells)]))
+    return float(np.mean(_w1_rows(a.positions, a.masses, b.positions, b.masses)))
 
 
 @dataclass
@@ -188,22 +206,24 @@ def d_alpha(a: MeasureTrajectory, b: MeasureTrajectory, alpha: float = 3.0) -> f
         raise ValueError("alpha must be positive")
     if a.times.size != b.times.size or not np.allclose(a.times, b.times, atol=1e-12):
         raise ValueError("trajectories must share the time grid")
-    vals = [
-        math.exp(-alpha * t) * dbar(fa, fb)
-        for t, fa, fb in zip(a.times, a.families, b.families)
-    ]
-    return float(max(vals))
+    return float(max(math.exp(-alpha * t) * dbar(fa, fb)
+                     for t, fa, fb in zip(a.times, a.families, b.families)))
 
 
 def sup_dbar(a: MeasureTrajectory, b: MeasureTrajectory) -> float:
     """Max over shared times of dbar (families refined to common cells)."""
     if a.times.size != b.times.size or not np.allclose(a.times, b.times, atol=1e-12):
         raise ValueError("trajectories must share the time grid")
-    vals = []
-    for fa, fb in zip(a.families, b.families):
-        ra, rb = common_cells(fa, fb)
-        vals.append(dbar(ra, rb))
-    return float(max(vals))
+    return float(max(dbar(*common_cells(fa, fb)) for fa, fb in zip(a.families, b.families)))
+
+
+@functools.lru_cache(maxsize=1)
+def _uniform_masses(n: int, m: int) -> np.ndarray:
+    """Read-only (n, m) masses 1/m, shared by consecutive families of one
+    shape, such as the frames of a trajectory."""
+    masses = np.full((n, m), 1.0 / m)
+    masses.setflags(write=False)
+    return masses
 
 
 def empirical_from_phases(phases, n: int, m: int) -> MeasureFamily:
@@ -211,8 +231,7 @@ def empirical_from_phases(phases, n: int, m: int) -> MeasureFamily:
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size != n * m:
         raise ValueError(f"expected {n}*{m} phases, got shape {phases.shape}")
-    blocks = phases.reshape(n, m)
-    return MeasureFamily([CircleMeasure.uniform_atoms(row) for row in blocks])
+    return MeasureFamily(phases.reshape(n, m), _uniform_masses(n, m))
 
 
 # -- initial densities ----------------------------------------------------
@@ -461,52 +480,50 @@ def initial_family(rho0: DensitySpec, n: int, m: int, mode: str = "quantile",
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 cells and m >= 1 atoms per cell")
-    cells = []
     if mode == "quantile":
         q = (np.arange(m) + 0.5) / m
         if type(rho0).at is DensitySpec.at:
-            # x-independent: invert once and share the read-only cell
-            cells = [CircleMeasure.uniform_atoms(rho0.quantile(q))] * n
+            # x-independent: invert once for all cells
+            positions = np.broadcast_to(rho0.quantile(q), (n, m))
         else:
-            for i in range(n):
-                spec = rho0.at(cell_representative(i, n))
-                cells.append(CircleMeasure.uniform_atoms(spec.quantile(q)))
+            positions = np.array([rho0.at(cell_representative(i, n)).quantile(q)
+                                  for i in range(n)])
     elif mode == "iid":
         if seed is None:
             raise ValueError("iid mode requires a seed")
+        positions = np.empty((n, m))
         for i in range(n):
             rng = np.random.Generator(
                 np.random.Philox(key=[np.uint64(seed), np.uint64(i)])
             )
-            spec = rho0.at(cell_representative(i, n))
-            cells.append(CircleMeasure.uniform_atoms(spec.sample(rng, m)))
+            positions[i] = rho0.at(cell_representative(i, n)).sample(rng, m)
     else:
         raise ValueError(f"unknown initialization mode: {mode!r}")
-    return MeasureFamily(cells)
+    return MeasureFamily(positions, _uniform_masses(n, m))
 
 
 # -- family CSV form -------------------------------------------------------
 
 
 def family_to_rows(family: MeasureFamily):
-    """Rows (cell, position, mass) for CSV emission."""
-    for i, cell in enumerate(family.cells):
-        for p, w in zip(cell.positions, cell.masses):
-            yield i, float(p), float(w)
+    """Rows (cell, position, mass) for CSV emission; zero-mass padding is dropped."""
+    cells, atoms = np.nonzero(family.masses > 0.0)
+    return zip(cells.tolist(), family.positions[cells, atoms].tolist(),
+               family.masses[cells, atoms].tolist())
 
 
 def family_from_rows(rows) -> MeasureFamily:
-    """Inverse of :func:`family_to_rows`."""
+    """Inverse of :func:`family_to_rows`; every row must carry a positive mass."""
     by_cell: dict[int, list[tuple[float, float]]] = {}
     for cell, position, mass in rows:
+        if not float(mass) > 0.0:
+            raise ValueError(f"atom masses must be positive (got {mass!r} in cell {cell})")
         by_cell.setdefault(int(cell), []).append((float(position), float(mass)))
     if not by_cell:
         raise ValueError("no atoms found")
-    n = max(by_cell) + 1
-    if sorted(by_cell) != list(range(n)):
+    if sorted(by_cell) != list(range(len(by_cell))):
         raise ValueError("cell indices must be contiguous from 0")
-    cells = []
-    for i in range(n):
-        pos, mass = zip(*by_cell[i])
-        cells.append(CircleMeasure(np.array(pos), np.array(mass)))
-    return MeasureFamily(cells)
+    atoms = np.zeros((len(by_cell), max(map(len, by_cell.values())), 2))
+    for i, cell in by_cell.items():
+        atoms[i, :len(cell)] = cell
+    return MeasureFamily(atoms[..., 0], atoms[..., 1])

@@ -9,7 +9,7 @@ closed-form solution.
 import numpy as np
 from scipy.optimize import linprog
 
-from kmflow.measures import CircleMeasure, circle_distance
+from kmflow.measures import CircleMeasure, MeasureFamily, circle_distance
 
 TWO_PI = 2.0 * np.pi
 
@@ -50,6 +50,18 @@ def random_circle_measure(rng, max_atoms=8) -> CircleMeasure:
         masses = np.maximum(masses, 1e-9)
         masses = masses / masses.sum()
     return CircleMeasure(positions, masses)
+
+
+def padded_family(measures, pad_position=0.0) -> MeasureFamily:
+    """Family holding the given measures, short cells padded with zero-mass
+    atoms at ``pad_position``."""
+    width = max(mu.n_atoms for mu in measures)
+    positions = np.full((len(measures), width), pad_position)
+    masses = np.zeros((len(measures), width))
+    for i, mu in enumerate(measures):
+        positions[i, :mu.n_atoms] = mu.positions
+        masses[i, :mu.n_atoms] = mu.masses
+    return MeasureFamily(positions, masses)
 
 
 def two_oscillator_gap(phi0: float, K: float, t: float) -> float:

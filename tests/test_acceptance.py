@@ -29,7 +29,6 @@ from kmflow.meanfield import (
     stability_experiments,
 )
 from kmflow.measures import (
-    CircleMeasure,
     MeasureFamily,
     TwoCluster,
     Uniform,
@@ -141,11 +140,11 @@ def test_c04_initial_data_stability_bound():
     hits = 0
     for trial in range(10):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(trial)))
-        cells = [CircleMeasure(c.positions + rng.uniform(-0.2, 0.2, c.n_atoms),
-                               c.masses) for c in fam_a.cells]
+        fam_b = MeasureFamily(fam_a.positions + rng.uniform(-0.2, 0.2, (n, m)),
+                              fam_a.masses)
         res = stability_experiments(StabilityConfig(
             graphon_a=Graphon.constant(0.5), n=n, m=m, T=T, dt=1e-2,
-            coupling=SINE, family_a=fam_a, family_b=MeasureFamily(cells)))
+            coupling=SINE, family_a=fam_a, family_b=fam_b))
         hits += res["passed"]
     _report("C4 initial-data stability bound", hits == 10, f"{hits}/10")
 

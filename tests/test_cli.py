@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from kmflow import io as kio
-from kmflow.cli import ExperimentConfig, main, render, run
+from kmflow.cli import ExperimentConfig, _perturbed_family, main, render, run
+from kmflow.measures import VonMises, initial_family, wrap_angle
 
 ER_HALF = {"kind": "constant", "p": 0.5}
 
@@ -268,6 +269,58 @@ def test_failed_run_leaves_no_manifest(tmp_path, capsys):
     assert code == 1
     assert "error: concentration kappa must be finite" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+NORMAL_OMEGA = json.dumps({"kind": "normal", "mean": 0.0, "sd": 1.0, "seed": 0})
+
+
+@pytest.mark.parametrize("experiment, key, flags", [
+    ("meanfield_particles", "K", ["--K", "5"]),
+    ("meanfield_particles", "omega", ["--omega", NORMAL_OMEGA]),
+    ("meanfield_fv", "K", ["--K", "0.5"]),
+    ("picard", "omega", ["--omega", '{"kind": "constant", "value": 1.0}']),
+    ("convergence_main", "K", ["--K", "2"]),
+    ("stability_initial", "omega", ["--omega", NORMAL_OMEGA]),
+    ("stability_kernel", "K", ["--K", "3"]),
+])
+def test_unread_settings_rejected(tmp_path, capsys, experiment, key, flags):
+    code = main([experiment, "--graphon", json.dumps(ER_HALF), "--n", "2", "--m", "4",
+                 "--T", "0.1", "--dt", "0.05", *flags, "--output-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {experiment} does not use {key!r}")
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("init_mode", "iid"), ("init_seed", 3)])
+def test_convergence_main_rejects_init_settings(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "convergence_main", key: value}))
+    code = main(["convergence_main", "--config", str(config), "--graphon",
+                 json.dumps(ER_HALF), "--n", "2", "--m", "4", "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: convergence_main does not use {key!r}")
+
+
+def test_default_settings_still_accepted(tmp_path):
+    # a manifest spells out every default, including the keys an experiment ignores
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "picard", "graphon": ER_HALF, "n": 2, "m": 4, "T": 0.1,
+        "dt": 0.05, "K": 1, "omega": {"kind": "zero"}, "init_mode": "quantile",
+        "output_dir": str(tmp_path)})
+    assert run(cfg) == 0
+    replay = json.loads(_read(tmp_path / "manifest.json"))
+    assert ExperimentConfig.from_dict(replay).K == 1
+
+
+def test_perturbed_family_matches_per_cell_draws():
+    # one (cells, atoms) draw gives the numbers of consecutive per-cell draws
+    fam = initial_family(VonMises(1.0, 2.0), 3, 5)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(7)))
+    expected = [fam.positions[i] + rng.uniform(-0.1, 0.1, 5) for i in range(3)]
+    got = _perturbed_family(fam, 0.1, 7)
+    assert np.array_equal(got.positions, wrap_angle(np.array(expected)))
+    assert got.masses is fam.masses
 
 
 def test_import_loads_no_scipy():

@@ -240,3 +240,53 @@ def test_diagonal_route_clips_a_copy_within_slack():
     assert g.weights[0, 3] == g.weights[3, 0] == 1.0
     assert np.all(np.diagonal(g.weights) == -1.0)
     assert not g.sampled and g.seed is None
+
+
+def _count_matrix_checks(monkeypatch):
+    """Count full symmetric-matrix checks made through either module's binding."""
+    from kmflow import graphon as graphon_module
+    from kmflow import graphs as graphs_module
+
+    calls = []
+    original = graphon_module._checked_symmetric
+
+    def counting(values, what):
+        calls.append(what)
+        return original(values, what)
+
+    monkeypatch.setattr(graphon_module, "_checked_symmetric", counting)
+    monkeypatch.setattr(graphs_module, "_checked_symmetric", counting)
+    return calls
+
+
+@pytest.mark.parametrize("build, checks", [
+    (lambda W: deterministic_graph(W, 96), 1),
+    (lambda W: sample_w_random(W, 96, 4), 1),
+    (lambda W: sample_w_random(Graphon.small_world(0.1, 0.25), 96, 4), 0),
+], ids=["deterministic_step", "sampled_step", "sampled_band"])
+def test_built_matrices_are_checked_once(monkeypatch, build, checks):
+    # kmflow's own matrices are checked where they are built (StepGraphon),
+    # not again by WeightedGraph
+    W = Graphon.step(Graphon.small_world(0.2, 0.3).cell_average(12).values)
+    calls = _count_matrix_checks(monkeypatch)
+    graph = build(W)
+    assert len(calls) == checks
+    assert not graph.weights.flags.writeable
+    # outside input still takes the full check
+    WeightedGraph(np.array(graph.weights))
+    assert len(calls) == checks + 1
+
+
+def test_sampled_graph_holds_one_matrix():
+    n = 1024
+    W = Graphon.small_world(0.1, 0.25)
+    tracemalloc.start()
+    try:
+        graph = sample_w_random(W, n, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8
+    assert graph.sampled and graph.seed == 5
+    assert np.array_equal(graph.weights, graph.weights.T)
+    assert np.isin(graph.weights, (0.0, 1.0)).all()

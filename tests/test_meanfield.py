@@ -1,10 +1,12 @@
 """Particle, fixed-point, and finite-volume mean-field solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from kmflow import dynamics
+from kmflow import dynamics, meanfield
 from kmflow.dynamics import CouplingFunction, PhaseState, wrap_angle
 from kmflow.graphon import Graphon
 from kmflow.graphs import WeightedGraph
@@ -36,7 +38,7 @@ from kmflow.measures import (
     dbar,
     initial_family,
 )
-from oracles import two_oscillator_gap
+from oracles import padded_family, two_oscillator_gap
 
 TWO_PI = 2.0 * np.pi
 SINE = CouplingFunction.sine()
@@ -68,7 +70,7 @@ def test_velocity_vanishes_at_uniform():
 def test_velocity_single_atom_formula():
     spec = _spec(Graphon.small_world(0.1, 0.25), 8)
     theta = 1.0
-    fam = MeasureFamily([CircleMeasure.point(theta)] * 8)
+    fam = MeasureFamily(np.full((8, 1), theta), np.ones((8, 1)))
     u = np.array([0.3, 2.0, 5.5])
     for cell in (0, 3, 7):
         row_mean = spec.step_graphon.values[cell].mean()
@@ -83,7 +85,7 @@ def _ragged_family(counts, seed=11):
     for k in counts:
         masses = rng.uniform(0.5, 1.5, k)
         cells.append(CircleMeasure(rng.uniform(0, TWO_PI, k), masses / masses.sum()))
-    return MeasureFamily(cells)
+    return padded_family(cells, pad_position=1.7)
 
 
 @pytest.mark.parametrize("coupling", [SINE, CouplingFunction.sine_shift(0.3), CUSTOM],
@@ -95,11 +97,53 @@ def test_velocity_matches_double_sum(coupling):
     u = np.linspace(0.0, TWO_PI, 11)
     for cell in range(4):
         expected = np.zeros_like(u)
-        for i, mu in enumerate(fam.cells):
-            for p, q in zip(mu.positions, mu.masses):
+        for i, (positions, masses) in enumerate(zip(fam.positions, fam.masses)):
+            for p, q in zip(positions[masses > 0], masses[masses > 0]):
                 expected += w[cell, i] * q * coupling(p - u)
         assert np.allclose(velocity(spec, fam, u, cell), expected / 4,
                            rtol=0.0, atol=1e-14)
+
+
+def test_custom_slab_chunks_match_one_block(monkeypatch):
+    spec = _spec(Graphon.small_world(0.2, 0.3), 3, CUSTOM)
+    fam = _ragged_family((5, 40, 17))
+    u = np.linspace(0.0, TWO_PI, 37)
+    whole = [velocity(spec, fam, u, cell) for cell in range(3)]
+    monkeypatch.setattr(meanfield, "_SLAB_ELEMENTS", 7 * 40 * 3)  # 7-row blocks
+    for cell in range(3):
+        assert np.allclose(velocity(spec, fam, u, cell), whole[cell],
+                           rtol=0.0, atol=1e-15)
+
+
+def test_custom_slab_single_block_at_small_sizes():
+    # (8 cells, 16 atoms): each target cell is one slab, one coupling call
+    calls = []
+
+    def counted(d):
+        calls.append(d.shape)
+        return 0.5 * np.sin(d) + 0.25 * np.sin(2.0 * d)
+
+    system = BlockOscillatorSystem(Graphon.small_world(0.1, 0.25).cell_average(8), 16,
+                                   CouplingFunction.custom(counted))
+    calls.clear()  # drop the amplitude probe made at construction
+    system.rhs_phases(np.linspace(0.0, TWO_PI, 128))
+    assert calls == [(16, 128)] * 8
+
+
+def test_custom_slab_memory_bounded():
+    # one cell of 16384 atoms: an unchunked slab would need 2 GiB per temporary
+    m = 16384
+    spec = _spec(Graphon.constant(1.0), 1, CouplingFunction.custom(lambda d: 0.0 * d))
+    fam = initial_family(Uniform(), 1, m)
+    u = np.linspace(0.0, TWO_PI, m, endpoint=False)
+    tracemalloc.start()
+    try:
+        v = velocity(spec, fam, u, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(v, np.zeros(m))
+    assert peak < 40 * 2**20
 
 
 def test_velocity_cell_out_of_range():
@@ -133,9 +177,9 @@ def test_particles_uniform_stationary():
 def test_particles_single_cell_two_atoms_closed_form():
     # n=1, m=2, W=1, sine: the two atoms follow the two-oscillator dynamics
     spec = VelocityFieldSpec(Graphon.constant(1.0).cell_average(1), SINE)
-    fam0 = MeasureFamily([CircleMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5]))])
+    fam0 = MeasureFamily(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]]))
     traj = evolve_family(spec, fam0, 1.0, 1e-3, record_every=10**9)
-    pos = np.sort(traj.final_family.cells[0].positions)
+    pos = np.sort(traj.final_family.positions[0])
     gap = pos[1] - pos[0]
     assert abs(gap - two_oscillator_gap(1.0, 1.0, 1.0)) < 1e-8
 
@@ -146,12 +190,11 @@ def test_particles_bitwise_equal_to_direct_block_integration():
     traj = solve_particles(spec, rho0, 3, 5, 0.5, 1e-2, record_every=2)
     fam0 = initial_family(rho0, 3, 5)
     system = BlockOscillatorSystem(spec.step_graphon, 5, spec.coupling)
-    phases0 = np.concatenate([c.positions for c in fam0.cells])
+    phases0 = fam0.positions.ravel()
     raw = dynamics.integrate(system, PhaseState(phases0), 0.5, 1e-2, record_every=2)
     assert np.array_equal(traj.times, raw.times)
     for fam, row in zip(traj.families, raw.phases):
-        got = np.concatenate([c.positions for c in fam.cells])
-        assert np.array_equal(got, np.asarray(wrap_angle(row)))
+        assert np.array_equal(fam.positions.ravel(), np.asarray(wrap_angle(row)))
 
 
 def test_block_rhs_matches_dense_kron_system():
@@ -171,13 +214,14 @@ def test_particles_preserve_cell_mass():
     spec = _spec(Graphon.constant(0.8), 3)
     traj = solve_particles(spec, TwoCluster(0.5, 2.5, 0.3), 3, 10, 0.5, 1e-2)
     for fam in traj.families:
-        for cell in fam.cells:
-            assert abs(cell.masses.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(fam.masses.sum(axis=1) - 1.0)) <= 1e-12
+        # the frames share one read-only masses array
+        assert fam.masses is traj.families[0].masses
 
 
 def test_evolve_family_requires_uniform_atoms():
     spec = _spec(Graphon.constant(0.5), 1)
-    fam = MeasureFamily([CircleMeasure(np.array([0.0, 1.0]), np.array([0.3, 0.7]))])
+    fam = MeasureFamily(np.array([[0.0, 1.0]]), np.array([[0.3, 0.7]]))
     with pytest.raises(ValueError):
         evolve_family(spec, fam, 1.0, 0.1)
 
@@ -238,26 +282,25 @@ def test_picard_and_flow_accept_ragged_families(coupling):
     # four atoms per cell (same measures, no padding), share one fixed point
     spec = _spec(Graphon.small_world(0.2, 0.3), 3, coupling)
     fam = _ragged_family((1, 2, 4))
-    split = MeasureFamily([
-        CircleMeasure(np.repeat(c.positions, 4 // c.n_atoms),
-                      np.repeat(c.masses / (4 // c.n_atoms), 4 // c.n_atoms))
-        for c in fam.cells])
+    counts = (fam.masses > 0).sum(axis=1)
+    assert counts.tolist() == [1, 2, 4]
+    split = MeasureFamily(
+        np.array([np.repeat(p[:k], 4 // k) for p, k in zip(fam.positions, counts)]),
+        np.array([np.repeat(w[:k] / (4 // k), 4 // k) for w, k in zip(fam.masses, counts)]))
     traj, report = picard_solve(spec, fam, 0.5, 0.05, tol=1e-10)
     ref, _ = picard_solve(spec, split, 0.5, 0.05, tol=1e-10)
     assert report["converged"]
     for f, g in zip(traj.families, ref.families):
-        assert [c.n_atoms for c in f.cells] == [1, 2, 4]
-        for c, c0 in zip(f.cells, fam.cells):
-            assert np.array_equal(c.masses, c0.masses)
+        # the padding keeps zero mass and the atoms their masses
+        assert f.masses is fam.masses
         assert dbar(f, g) < 1e-12
-    # ragged point lists come back with their own lengths, each point moved
-    # as if transported alone
+    # each row of a (cells, points) array is moved as if transported alone
     pts = np.array([0.1, 1.3, 2.9, 4.4])
-    full = characteristic_flow(spec, traj, [pts] * 3, 0.0, 0.5)
-    ragged = characteristic_flow(spec, traj, [pts[:2], pts[:1], pts[:3]], 0.0, 0.5)
-    assert [p.size for p in ragged] == [2, 1, 3]
-    for a, b in zip(ragged, full):
-        assert np.allclose(a, b[:a.size], rtol=0.0, atol=1e-14)
+    full = characteristic_flow(spec, traj, np.tile(pts, (3, 1)), 0.0, 0.5)
+    assert full.shape == (3, 4)
+    for k in (1, 2, 3):
+        part = characteristic_flow(spec, traj, np.tile(pts[:k], (3, 1)), 0.0, 0.5)
+        assert np.allclose(part, full[:, :k], rtol=0.0, atol=1e-14)
 
 
 def test_flow_two_parameter_composition():
@@ -265,16 +308,16 @@ def test_flow_two_parameter_composition():
     spec = _spec(Graphon.constant(0.7), 3)
     rho0 = VonMises(1.5, 2.0)
     frozen = solve_particles(spec, rho0, 3, 12, 1.0, 2e-2)
-    start = [c.positions.copy() for c in frozen.families[0].cells]
+    start = frozen.families[0].positions
     mid = characteristic_flow(spec, frozen, start, 0.0, 0.5)
     end_two_leg = characteristic_flow(spec, frozen, mid, 0.5, 1.0)
     end_direct = characteristic_flow(spec, frozen, start, 0.0, 1.0)
-    for a, b in zip(end_two_leg, end_direct):
-        assert np.array_equal(a, b)
+    assert np.array_equal(end_two_leg, end_direct)
     # s = s transport is the identity
     same = characteristic_flow(spec, frozen, start, 0.5, 0.5)
-    for a, b in zip(same, start):
-        assert np.array_equal(a, b)
+    assert np.array_equal(same, start)
+    with pytest.raises(ValueError, match="points"):
+        characteristic_flow(spec, frozen, start[:2], 0.0, 0.5)
 
 
 # -- finite volumes ----------------------------------------------------------
@@ -342,7 +385,7 @@ def test_fv_agrees_with_particles_moderate_resolution():
 def test_quantile_family_from_density_uniform():
     field = density_field_from_spec(Uniform(), 2, 64)
     fam = quantile_family_from_density(field, 4)
-    assert np.allclose(fam.cells[0].positions,
+    assert np.allclose(fam.positions[0],
                        [np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4],
                        atol=1e-12)
 
@@ -398,11 +441,11 @@ def test_stability_identical_inputs():
 def test_stability_initial_data_bound():
     fam_a = initial_family(VonMises(1.5, 2.0), 4, 24)
     rng = np.random.default_rng(3)
-    cells = [CircleMeasure(c.positions + rng.uniform(-0.15, 0.15, c.n_atoms),
-                           c.masses) for c in fam_a.cells]
+    fam_b = MeasureFamily(fam_a.positions + rng.uniform(-0.15, 0.15, (4, 24)),
+                          fam_a.masses)
     res = stability_experiments(StabilityConfig(
         graphon_a=Graphon.constant(0.5), n=4, m=24, T=1.0, dt=1e-2,
-        family_a=fam_a, family_b=MeasureFamily(cells)))
+        family_a=fam_a, family_b=fam_b))
     assert res["passed"]
     assert res["bound"] == pytest.approx(np.e * res["initial_dbar"])
 

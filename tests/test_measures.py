@@ -29,9 +29,14 @@ from kmflow.measures import (
     family_to_rows,
     initial_family,
 )
-from oracles import lp_transport_distance, random_circle_measure
+from oracles import lp_transport_distance, padded_family, random_circle_measure
 
 TWO_PI = 2.0 * np.pi
+
+
+def _points(*thetas):
+    """Family of point masses, one per cell."""
+    return MeasureFamily(np.array(thetas)[:, None], np.ones((len(thetas), 1)))
 
 
 def test_circle_distance_examples():
@@ -90,8 +95,8 @@ def test_bl_shift_equivariance():
         mu = random_circle_measure(rng)
         eta = random_circle_measure(rng)
         c = rng.uniform(0, TWO_PI)
-        assert abs(bl_distance(mu.shifted(c), eta.shifted(c))
-                   - bl_distance(mu, eta)) < 1e-12
+        shifted = [CircleMeasure(x.positions + c, x.masses) for x in (mu, eta)]
+        assert abs(bl_distance(*shifted) - bl_distance(mu, eta)) < 1e-12
 
 
 def test_measure_validation():
@@ -102,21 +107,17 @@ def test_measure_validation():
 
 
 def test_dbar_examples():
-    fam = MeasureFamily([CircleMeasure.point(0.0), CircleMeasure.point(1.0)])
+    fam = _points(0.0, 1.0)
     assert dbar(fam, fam) == 0.0
     # single cell reduces to the plain distance
-    one_a = MeasureFamily([CircleMeasure.point(0.0)])
-    one_b = MeasureFamily([CircleMeasure.point(1.2)])
-    assert dbar(one_a, one_b) == pytest.approx(1.2)
+    assert dbar(_points(0.0), _points(1.2)) == pytest.approx(1.2)
     # two cells average their distances: (1.0 + 0.5) / 2
-    fam_a = MeasureFamily([CircleMeasure.point(0.0), CircleMeasure.point(2.0)])
-    fam_b = MeasureFamily([CircleMeasure.point(1.0), CircleMeasure.point(2.5)])
-    assert dbar(fam_a, fam_b) == pytest.approx(0.75)
+    assert dbar(_points(0.0, 2.0), _points(1.0, 2.5)) == pytest.approx(0.75)
 
 
 def test_dbar_cell_count_mismatch_and_refinement():
-    fam2 = MeasureFamily([CircleMeasure.point(0.0), CircleMeasure.point(1.0)])
-    fam3 = MeasureFamily([CircleMeasure.point(0.0)] * 3)
+    fam2 = _points(0.0, 1.0)
+    fam3 = _points(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         dbar(fam2, fam3)
     ra, rb = common_cells(fam2, fam3)
@@ -129,7 +130,7 @@ def test_dbar_cell_count_mismatch_and_refinement():
 def test_dbar_metric_on_random_families():
     rng = np.random.default_rng(6)
     fams = [
-        MeasureFamily([random_circle_measure(rng, 4) for _ in range(3)])
+        padded_family([random_circle_measure(rng, 4) for _ in range(3)])
         for _ in range(60)
     ]
     for a, b, c in zip(fams[::3], fams[1::3], fams[2::3]):
@@ -138,20 +139,14 @@ def test_dbar_metric_on_random_families():
 
 
 def test_d_alpha_examples():
-    fam0 = MeasureFamily([CircleMeasure.point(0.0)])
-    traj = MeasureTrajectory(np.array([0.0]), [fam0])
+    traj = MeasureTrajectory(np.array([0.0]), [_points(0.0)])
     assert d_alpha(traj, traj, 3.0) == 0.0
     # single time t=0 equals dbar at 0
-    other = MeasureTrajectory(np.array([0.0]),
-                              [MeasureFamily([CircleMeasure.point(0.4)])])
+    other = MeasureTrajectory(np.array([0.0]), [_points(0.4)])
     assert d_alpha(traj, other, 3.0) == pytest.approx(0.4)
     # two times {0, 1} with dbar values {0.1, 0.2}: max(0.1, 0.2 e^-3) = 0.1
-    a = MeasureTrajectory(np.array([0.0, 1.0]),
-                          [MeasureFamily([CircleMeasure.point(0.0)]),
-                           MeasureFamily([CircleMeasure.point(0.0)])])
-    b = MeasureTrajectory(np.array([0.0, 1.0]),
-                          [MeasureFamily([CircleMeasure.point(0.1)]),
-                           MeasureFamily([CircleMeasure.point(0.2)])])
+    a = MeasureTrajectory(np.array([0.0, 1.0]), [_points(0.0), _points(0.0)])
+    b = MeasureTrajectory(np.array([0.0, 1.0]), [_points(0.1), _points(0.2)])
     assert d_alpha(a, b, 3.0) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         d_alpha(traj, a, 3.0)  # grid mismatch
@@ -160,9 +155,9 @@ def test_d_alpha_examples():
 def test_empirical_from_phases():
     fam = empirical_from_phases(np.array([0.0, np.pi, np.pi / 2, np.pi / 2]), 2, 2)
     assert fam.n_cells == 2
-    assert sorted(fam.cells[0].positions.tolist()) == pytest.approx([0.0, np.pi])
-    assert np.allclose(fam.cells[0].masses, 0.5)
-    assert np.allclose(fam.cells[1].positions, np.pi / 2)
+    assert sorted(fam.positions[0].tolist()) == pytest.approx([0.0, np.pi])
+    assert np.allclose(fam.masses, 0.5)
+    assert np.allclose(fam.positions[1], np.pi / 2)
     with pytest.raises(ValueError):
         empirical_from_phases(np.zeros(5), 2, 2)
 
@@ -171,27 +166,26 @@ def test_empirical_permutation_invariance():
     phases = np.array([0.3, 1.1, 2.9, 0.3])
     fam_a = empirical_from_phases(phases, 1, 4)
     fam_b = empirical_from_phases(phases[::-1].copy(), 1, 4)
-    assert bl_distance(fam_a.cells[0], fam_b.cells[0]) == 0.0
+    assert dbar(fam_a, fam_b) == 0.0
 
 
 def test_single_cell_reduces_to_whole_population():
     phases = np.random.default_rng(7).uniform(0, TWO_PI, 12)
     fam = empirical_from_phases(phases, 1, 12)
-    assert fam.n_cells == 1 and fam.cells[0].n_atoms == 12
+    assert fam.n_cells == 1 and fam.positions.shape == fam.masses.shape == (1, 12)
 
 
 def test_uniform_quantiles():
     fam = initial_family(Uniform(), 1, 4)
-    assert np.allclose(fam.cells[0].positions,
+    assert np.allclose(fam.positions[0],
                        [np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4])
-    assert np.allclose(fam.cells[0].masses, 0.25)
+    assert np.allclose(fam.masses[0], 0.25)
 
 
 def test_von_mises_zero_concentration_is_uniform():
     fam_vm = initial_family(VonMises(0.0, 2.5), 2, 8)
     fam_u = initial_family(Uniform(), 2, 8)
-    for a, b in zip(fam_vm.cells, fam_u.cells):
-        assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(fam_vm.positions, fam_u.positions)
 
 
 def test_von_mises_quantiles_median_at_mode():
@@ -280,10 +274,9 @@ def test_x_independent_spec_inverted_once():
 
     fam = initial_family(CountingVonMises(2.0, 1.0), 5, 8)
     assert calls == [8]
-    assert all(cell is fam.cells[0] for cell in fam.cells)
-    assert np.array_equal(fam.cells[0].positions, VonMises(2.0, 1.0).quantile(
-        (np.arange(8) + 0.5) / 8))
-    assert not fam.cells[0].positions.flags.writeable
+    expected = VonMises(2.0, 1.0).quantile((np.arange(8) + 0.5) / 8)
+    assert np.array_equal(fam.positions, np.tile(expected, (5, 1)))
+    assert not fam.positions.flags.writeable and not fam.masses.flags.writeable
 
 
 def test_two_cluster_quantiles_and_samples():
@@ -301,27 +294,25 @@ def test_x_dependent_specs():
     spec = XDependent(lambda x: VonMises(2.0, TWO_PI * x))
     fam = initial_family(spec, 4, 3)
     # the median atom sits at the mode 2*pi*x of the cell representative
-    for i, cell in enumerate(fam.cells):
+    for i, cell in enumerate(fam.positions):
         mode = TWO_PI * (i + 1) / 4
-        assert np.min(circle_distance(cell.positions, mode)) < 1e-6
+        assert np.min(circle_distance(cell, mode)) < 1e-6
     twist = VonMisesTwist(2.0)
     fam2 = initial_family(twist, 4, 3)
-    for a, b in zip(fam.cells, fam2.cells):
-        assert np.allclose(a.positions, b.positions)
+    assert np.allclose(fam.positions, fam2.positions)
 
 
 def test_iid_close_to_quantile_at_large_m():
     m = 10_000
     fam_iid = initial_family(Uniform(), 1, m, mode="iid", seed=42)
     fam_q = initial_family(Uniform(), 1, m)
-    assert bl_distance(fam_iid.cells[0], fam_q.cells[0]) < 0.05
+    assert dbar(fam_iid, fam_q) < 0.05
 
 
 def test_iid_reproducible_and_needs_seed():
     a = initial_family(Uniform(), 2, 5, mode="iid", seed=3)
     b = initial_family(Uniform(), 2, 5, mode="iid", seed=3)
-    for ca, cb in zip(a.cells, b.cells):
-        assert np.array_equal(ca.positions, cb.positions)
+    assert np.array_equal(a.positions, b.positions)
     with pytest.raises(ValueError):
         initial_family(Uniform(), 2, 5, mode="iid")
 
@@ -341,6 +332,5 @@ def test_family_rows_round_trip():
     fam = initial_family(VonMises(1.0, 0.5), 3, 4)
     back = family_from_rows(list(family_to_rows(fam)))
     assert back.n_cells == fam.n_cells
-    for a, b in zip(fam.cells, back.cells):
-        assert np.allclose(a.positions, b.positions)
-        assert np.allclose(a.masses, b.masses)
+    assert np.array_equal(fam.positions, back.positions)
+    assert np.array_equal(fam.masses, back.masses)

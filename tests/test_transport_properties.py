@@ -1,0 +1,93 @@
+"""Property tests of the batched circular W1 kernel behind ``dbar``.
+
+Families are drawn ragged: every cell has its own atom count, positions come
+partly from a coarse grid so that atoms tie within and across the two sides,
+and short cells are padded with zero-mass atoms at arbitrary positions.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kmflow.measures import CircleMeasure, MeasureFamily, dbar, family_from_rows
+from oracles import lp_transport_distance
+
+TWO_PI = 2.0 * np.pi
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+# a coarse grid makes ties likely; 0 and the largest double below 2*pi are
+# the edges of the wrapped range
+positions = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, np.pi, 4.0, np.nextafter(TWO_PI, 0.0)]),
+    st.floats(0.0, TWO_PI, exclude_max=True),
+)
+
+
+@st.composite
+def cells(draw, max_atoms=6):
+    """Atoms (positions, positive masses summing to 1) of one cell."""
+    k = draw(st.integers(1, max_atoms))
+    pos = draw(st.lists(positions, min_size=k, max_size=k))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    return np.array(pos), weights / weights.sum()
+
+
+@st.composite
+def families(draw, n_cells, extra_width=3):
+    """A family of ragged cells, zero-mass padding at drawn positions."""
+    atoms = [draw(cells()) for _ in range(n_cells)]
+    width = max(p.size for p, _ in atoms) + draw(st.integers(0, extra_width))
+    pos = np.array(draw(st.lists(positions, min_size=n_cells * width,
+                                 max_size=n_cells * width))).reshape(n_cells, width)
+    mass = np.zeros((n_cells, width))
+    for i, (p, w) in enumerate(atoms):
+        pos[i, :p.size] = p
+        mass[i, :w.size] = w
+    return MeasureFamily(pos, mass)
+
+
+@st.composite
+def family_pairs(draw):
+    n = draw(st.integers(1, 3))
+    return draw(families(n)), draw(families(n))
+
+
+def _cell(family, i):
+    keep = family.masses[i] > 0.0
+    return CircleMeasure(family.positions[i, keep], family.masses[i, keep])
+
+
+@SETTINGS
+@given(family_pairs())
+def test_dbar_matches_lp_oracle(pair):
+    a, b = pair
+    per_cell = [lp_transport_distance(_cell(a, i), _cell(b, i)) for i in range(a.n_cells)]
+    assert abs(dbar(a, b) - np.mean(per_cell)) <= 1e-9
+
+
+@SETTINGS
+@given(family_pairs())
+def test_dbar_exactly_symmetric(pair):
+    a, b = pair
+    assert dbar(a, b) == dbar(b, a)
+
+
+@SETTINGS
+@given(family_pairs(), st.integers(1, 4), st.data())
+def test_zero_mass_atoms_change_nothing(pair, extra, data):
+    a, b = pair
+    pad = np.array(data.draw(st.lists(positions, min_size=a.n_cells * extra,
+                                      max_size=a.n_cells * extra)))
+    padded = MeasureFamily(
+        np.concatenate([a.positions, pad.reshape(a.n_cells, extra)], axis=1),
+        np.concatenate([a.masses, np.zeros((a.n_cells, extra))], axis=1))
+    assert abs(dbar(padded, b) - dbar(a, b)) <= 1e-15
+
+
+@SETTINGS
+@given(st.one_of(st.floats(max_value=0.0), st.just(-0.0), st.just(float("nan"))))
+def test_family_rows_reject_nonpositive_mass(mass):
+    rows = [(0, 0.5, 1.0), (1, 1.0, 0.5), (1, 2.0, 0.5), (1, 3.0, mass)]
+    with pytest.raises(ValueError, match="positive"):
+        family_from_rows(rows)
