@@ -57,17 +57,32 @@ from .measures import (
 
 MAX_PARTICLES = 2**20
 
-# Settings an experiment does not read.  A value other than the default is
+# The settings each experiment reads, besides ``experiment`` and
+# ``output_dir``.  Any other key set to a value other than its default is
 # rejected rather than silently ignored; defaults pass, so manifests (which
 # hold every key) still replay.  The mean-field solvers run with K = 1 and
-# zero frequencies, and convergence_main always starts from quantile atoms.
-_UNREAD_KEYS = {
-    "meanfield_particles": ("K", "omega"),
-    "meanfield_fv": ("K", "omega"),
-    "picard": ("K", "omega"),
-    "convergence_main": ("K", "omega", "init_mode", "init_seed"),
-    "stability_initial": ("K", "omega"),
-    "stability_kernel": ("K", "omega"),
+# zero frequencies, convergence_main always starts from quantile atoms, and
+# meanfield_fv writes only the final field.
+_MEANFIELD_KEYS = ("graphon", "coupling", "rho0", "n", "T", "dt")
+_READ_KEYS = {
+    "simulate": ("graphon", "coupling", "omega", "n", "T", "dt", "K",
+                 "record_every", "seeds", "sampled"),
+    "sample_graph": ("graphon", "n", "seeds", "render_pgm"),
+    "meanfield_particles": _MEANFIELD_KEYS + ("m", "record_every", "init_mode",
+                                              "init_seed"),
+    "meanfield_fv": _MEANFIELD_KEYS + ("g",),
+    "picard": _MEANFIELD_KEYS + ("m", "init_mode", "init_seed", "alpha", "tol",
+                                 "max_iter"),
+    "convergence_main": _MEANFIELD_KEYS + ("m", "ref_n", "ref_m", "record_every"),
+    "convergence_ave": ("graphon", "coupling", "omega", "n", "T", "dt", "K",
+                        "record_every", "seeds"),
+    "stability_initial": _MEANFIELD_KEYS + ("m", "init_mode", "init_seed",
+                                            "record_every", "seeds", "perturbation",
+                                            "perturbation_seed"),
+    "stability_kernel": _MEANFIELD_KEYS + ("m", "init_mode", "init_seed",
+                                           "record_every", "graphon_b",
+                                           "kernel_resolution"),
+    "distance": ("inputs",),
 }
 
 EXPERIMENTS = (
@@ -133,14 +148,17 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; pick one of "
                 f"{', '.join(EXPERIMENTS)}"
             )
+        if isinstance(self.g, bool) or not isinstance(self.g, int) or self.g < 1:
+            raise ValueError(f"'g' must be a positive integer (got {self.g!r})")
         defaults = ExperimentConfig(self.experiment)
-        for key in _UNREAD_KEYS.get(self.experiment, ()):
-            value, default = getattr(self, key), getattr(defaults, key)
-            if value != default:
-                raise ValueError(
-                    f"{self.experiment} does not use {key!r}: it must keep its "
-                    f"default {default!r} (got {value!r})"
-                )
+        read = {"experiment", "output_dir", *_READ_KEYS[self.experiment]}
+        unread = sorted(f.name for f in dataclasses.fields(self)
+                        if f.name not in read
+                        and getattr(self, f.name) != getattr(defaults, f.name))
+        if unread:
+            raise ValueError(f"{self.experiment} does not use " + ", ".join(
+                f"{key!r} (got {getattr(self, key)!r}, must keep its default "
+                f"{getattr(defaults, key)!r})" for key in unread))
         for n in self.n_list() or []:
             for m in self.m_list() or [1]:
                 if n * m > MAX_PARTICLES:
@@ -252,8 +270,9 @@ def _run_meanfield_particles(cfg: ExperimentConfig) -> None:
 def _run_meanfield_fv(cfg: ExperimentConfig) -> None:
     n = _single(cfg.n, "n")
     field0 = mf.density_field_from_spec(density_from_dict(cfg.rho0), n, cfg.g)
+    # only the final field is written, so record t = 0 and T alone
     traj = mf.solve_fv(_spec(cfg, n), field0, cfg.T, cfg.dt,
-                       record_every=cfg.record_every)
+                       record_every=sys.maxsize)
     rows = []
     for i in range(n):
         for k in range(cfg.g):

@@ -219,10 +219,13 @@ def time_grid(T: float, dt: float) -> np.ndarray:
         raise ValueError("T must be nonnegative")
     n_full = int(np.floor(T / dt + 1e-9))
     times = dt * np.arange(n_full + 1)
-    if T - times[-1] > 1e-12 * max(1.0, T):
+    # the last step absorbs a remainder at round-off level (of dt, or of T
+    # itself), so no step exceeds dt by more than that; a longer remainder
+    # becomes a final short step
+    if n_full > 0 and T - times[-1] <= max(1e-12 * dt, 4.0 * np.spacing(T)):
+        times[-1] = T
+    elif T > times[-1]:
         times = np.append(times, T)
-    else:
-        times[-1] = T if n_full > 0 else 0.0
     return times
 
 

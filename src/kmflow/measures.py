@@ -115,7 +115,9 @@ def _w1_rows(pos_a, mass_a, pos_b, mass_b) -> np.ndarray:
     at_k = v[r, k]
     tie = (k < atoms) & (np.abs(cw[r, k] - half) <= 1e-12 * total)
     t = np.where(tie, 0.5 * (at_k + v[r, np.minimum(k + 1, atoms)]), at_k)
-    return np.sum(w * np.abs(v - t), axis=1)
+    # identical rows are exactly 0 apart; the partial sums over atoms that
+    # tie within a row need not cancel exactly
+    return np.where(differ.any(axis=1), np.sum(w * np.abs(v - t), axis=1), 0.0)
 
 
 class MeasureFamily:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from kmflow import io as kio
+from kmflow import meanfield as mf
 from kmflow.cli import ExperimentConfig, _perturbed_family, main, render, run
 from kmflow.measures import VonMises, initial_family, wrap_angle
 
@@ -282,6 +284,10 @@ NORMAL_OMEGA = json.dumps({"kind": "normal", "mean": 0.0, "sd": 1.0, "seed": 0})
     ("convergence_main", "K", ["--K", "2"]),
     ("stability_initial", "omega", ["--omega", NORMAL_OMEGA]),
     ("stability_kernel", "K", ["--K", "3"]),
+    ("meanfield_particles", "sampled", ["--sampled"]),
+    ("meanfield_particles", "seeds", ["--seeds", "9"]),
+    ("meanfield_particles", "g", ["--g", "7"]),
+    ("meanfield_particles", "alpha", ["--alpha", "9"]),
 ])
 def test_unread_settings_rejected(tmp_path, capsys, experiment, key, flags):
     code = main([experiment, "--graphon", json.dumps(ER_HALF), "--n", "2", "--m", "4",
@@ -300,6 +306,70 @@ def test_convergence_main_rejects_init_settings(tmp_path, capsys, key, value):
                  json.dumps(ER_HALF), "--n", "2", "--m", "4", "--output-dir", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: convergence_main does not use {key!r}")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--g", "0"], "error: 'g' must be a positive integer (got 0)"),
+    (["--g", "-3"], "error: 'g' must be a positive integer (got -3)"),
+    (["--record-every", "3"], "error: meanfield_fv does not use 'record_every'"),
+])
+def test_meanfield_fv_rejects_bad_settings(tmp_path, capsys, flags, message):
+    code = main(["meanfield_fv", "--graphon", json.dumps(ER_HALF), "--n", "2",
+                 "--T", "0.1", "--dt", "0.01", *flags, "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("g", [2.5, "8", True])
+def test_phase_grid_size_must_be_an_integer(g):
+    with pytest.raises(ValueError, match="'g' must be a positive integer"):
+        ExperimentConfig.from_dict({"experiment": "meanfield_fv", "g": g})
+
+
+def test_meanfield_fv_cli_keeps_only_endpoints(tmp_path, monkeypatch):
+    kept = []
+    solve = mf.solve_fv
+
+    def recording_solve(*args, **kwargs):
+        kept.append(solve(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(mf, "solve_fv", recording_solve)
+    assert main(["meanfield_fv", "--graphon", json.dumps(ER_HALF), "--n", "2",
+                 "--g", "16", "--T", "0.3", "--dt", "0.05",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert [float(t) for t in kept[0].times] == [0.0, 0.3]
+
+
+def _readme_examples() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("kmflow ")]
+
+
+def test_readme_examples_replay_byte_for_byte(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert len(examples) == 8
+    for argv in examples:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+    manifests = sorted(Path("out").glob("*/manifest.json"))
+    assert len(manifests) == 7
+    for manifest in manifests:
+        first = manifest.parent
+        again = tmp_path / "replay" / first.name
+        experiment = json.loads(manifest.read_text())["experiment"]
+        assert main([experiment, "--config", str(manifest),
+                     "--output-dir", str(again)]) == 0
+        replayed = json.loads((again / "manifest.json").read_text())
+        assert replayed == {**json.loads(manifest.read_text()),
+                            "output_dir": str(again)}
+        outputs = [p.name for p in again.iterdir() if p.name != "manifest.json"]
+        assert "results.csv" in outputs
+        for name in outputs:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_default_settings_still_accepted(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kmflow.dynamics import (
     CouplingFunction,
@@ -14,6 +16,7 @@ from kmflow.dynamics import (
     order_parameter,
     rhs,
     sup_norm_1n,
+    time_grid,
     weight_perturbation_constant,
     wrap_angle,
 )
@@ -222,6 +225,34 @@ def test_wrap_angle_range():
     u = np.array([-0.1, 0.0, TWO_PI, 7.0, -TWO_PI])
     w = wrap_angle(u)
     assert np.all((w >= 0.0) & (w < TWO_PI))
+
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(0.0, 1e-3))
+def test_wrap_angle_just_below_two_pi(eps):
+    for u in (TWO_PI - eps, -eps):
+        w = wrap_angle(np.array([u]))[0]
+        assert 0.0 <= w < TWO_PI
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(1e-4, 10.0), st.floats(0.0, 1000.0),
+       st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9)))
+def test_time_grid_endpoints_and_steps(dt, steps, jitter):
+    # near-multiples of dt (steps + jitter) probe the absorbed final remainder;
+    # at most 1000 steps, so one ulp of T stays below 1e-12 * dt
+    T = dt * (round(steps) + jitter) if jitter else dt * steps
+    assume(0.0 <= T <= 1000.0 * dt)
+    times = time_grid(T, dt)
+    assert times[0] == 0.0
+    assert times[-1] == T
+    if len(times) > 1:
+        step = np.diff(times)
+        assert np.all(step > 0.0)
+        assert np.all(step <= dt * (1.0 + 1e-12))
 
 
 def test_recording_cadence():

@@ -1,5 +1,6 @@
 """Particle, fixed-point, and finite-volume mean-field solvers."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,7 @@ from kmflow.measures import (
     dbar,
     initial_family,
 )
+import oracles
 from oracles import padded_family, two_oscillator_gap
 
 TWO_PI = 2.0 * np.pi
@@ -339,6 +341,93 @@ def test_density_field_from_spec_normalized():
         field = density_field_from_spec(VonMises(kappa, 1.0), 3, g)
         assert np.all(np.isfinite(field.values))
         assert np.max(np.abs(field.cell_masses() - 1.0)) < 1e-14
+
+
+def test_density_field_rejects_empty_phase_grid():
+    with pytest.raises(ValueError, match="g >= 1"):
+        DensityField(np.zeros((2, 0)))
+    for g in (0, -3):
+        with pytest.raises(ValueError, match="g >= 1"):
+            density_field_from_spec(Uniform(), 2, g)
+
+
+FV_COUPLINGS = [SINE, CouplingFunction.sine_shift(0.3), CUSTOM]
+FV_COUPLING_IDS = ["sine", "sine_shift", "custom"]
+
+
+def _random_field(n, g, seed=0):
+    values = np.random.default_rng(seed).uniform(0.2, 1.0, (n, g))
+    return DensityField(values / (values.sum(axis=1, keepdims=True) * (TWO_PI / g)))
+
+
+@pytest.mark.parametrize("g", [1, 7, 96, 97, 512])
+@pytest.mark.parametrize("coupling", FV_COUPLINGS, ids=FV_COUPLING_IDS)
+def test_fv_step_matches_double_sum(coupling, g):
+    spec = _spec(Graphon.small_world(0.3, 0.2), 3, coupling)
+    rho0 = _random_field(3, g)
+    dt = 0.9 * rho0.du
+    traj = solve_fv(spec, rho0, dt, dt)
+    expected = oracles.fv_step(spec.step_graphon.values, coupling, rho0.values,
+                               traj.times[1] - traj.times[0])
+    assert np.max(np.abs(traj.final_field.values - expected)) <= 1e-13
+
+
+def _scalar_time_test():
+    # math.exp rejects arrays: this test only works when t is a scalar
+    return SpaceTimeTestFunction(
+        value=lambda t, u: math.exp(-t) * np.sin(u),
+        dt=lambda t, u: -math.exp(-t) * np.sin(u),
+        du=lambda t, u: math.exp(-t) * np.cos(u),
+    )
+
+
+@pytest.mark.parametrize("g", [1, 7, 96, 97, 512])
+@pytest.mark.parametrize("coupling", FV_COUPLINGS, ids=FV_COUPLING_IDS)
+def test_weak_residual_matches_double_sum(coupling, g):
+    spec = _spec(Graphon.small_world(0.3, 0.2), 3, coupling)
+    rho0 = _random_field(3, g, seed=1)
+    dt = 0.9 * rho0.du
+    traj = solve_fv(spec, rho0, 5 * dt, dt)
+    frames = [f.values for f in traj.fields]
+    w = spec.step_graphon.values
+    for tests in (None, [_scalar_time_test()]):
+        expected = oracles.weak_residual(
+            traj.times, frames, w, coupling,
+            tests or default_test_functions(float(traj.times[-1])))
+        assert abs(weak_residual(traj, spec, tests) - expected) <= 1e-13
+
+
+@pytest.mark.parametrize("frames", [20, 200])
+def test_weak_residual_peak_stays_under_eight_frames(frames):
+    n, g = 16, 1024
+    spec = _spec(Graphon.small_world(0.3, 0.2), n)
+    rho0 = density_field_from_spec(VonMises(2.0, 1.0), n, g)
+    dt = 0.9 * rho0.du
+    traj = solve_fv(spec, rho0, (frames - 1) * dt, dt)
+    assert len(traj.fields) == frames
+    tracemalloc.start()
+    try:
+        weak_residual(traj, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * g * 8
+
+
+def test_fv_endpoints_only_run_builds_no_coupling_table():
+    # the g x g table of D at g = 4096 alone would take 128 MiB
+    n, g = 16, 4096
+    spec = _spec(Graphon.small_world(0.3, 0.2), n)
+    rho0 = density_field_from_spec(VonMises(2.0, 1.0), n, g)
+    dt = 0.9 * rho0.du
+    tracemalloc.start()
+    try:
+        traj = solve_fv(spec, rho0, 10 * dt, dt, record_every=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.fields) == 2
+    assert peak < 8 * 2**20
 
 
 def test_fv_uniform_stationary():

@@ -1,4 +1,4 @@
-"""Property tests of the batched circular W1 kernel behind ``dbar``.
+"""Property tests of the circular W1 kernel behind ``bl_distance`` and ``dbar``.
 
 Families are drawn ragged: every cell has its own atom count, positions come
 partly from a coarse grid so that atoms tie within and across the two sides,
@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmflow.measures import CircleMeasure, MeasureFamily, dbar, family_from_rows
+from kmflow.measures import (
+    CircleMeasure,
+    MeasureFamily,
+    bl_distance,
+    dbar,
+    family_from_rows,
+)
 from oracles import lp_transport_distance
 
 TWO_PI = 2.0 * np.pi
@@ -91,3 +97,12 @@ def test_family_rows_reject_nonpositive_mass(mass):
     rows = [(0, 0.5, 1.0), (1, 1.0, 0.5), (1, 2.0, 0.5), (1, 3.0, mass)]
     with pytest.raises(ValueError, match="positive"):
         family_from_rows(rows)
+
+
+@SETTINGS
+@given(cells(), cells(), cells())
+def test_bl_distance_metric_axioms(a, b, c):
+    mu, eta, nu = (CircleMeasure(*atoms) for atoms in (a, b, c))
+    assert bl_distance(mu, mu) == 0.0
+    assert bl_distance(mu, eta) == bl_distance(eta, mu)
+    assert bl_distance(mu, nu) <= bl_distance(mu, eta) + bl_distance(eta, nu) + 1e-12
