@@ -85,6 +85,44 @@ _READ_KEYS = {
     "distance": ("inputs",),
 }
 
+
+def _integer(value, low: int, high: float = math.inf) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and low <= value < high)
+
+
+def _real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+_COUNT = (lambda v: _integer(v, 1), "a positive integer")
+_COUNTS = (lambda v: all(_integer(x, 1) for x in (v if isinstance(v, list) else [v])),
+           "a positive integer or a list of them")
+_SEED = (lambda v: _integer(v, 0, 2**64), "an integer in [0, 2**64)")
+# Numeric keys -> (test, what the error says a value must be).  A key whose
+# default is None may also stay None.
+_NUMERIC_KEYS = {
+    "n": _COUNTS,
+    "m": _COUNTS,
+    "ref_n": _COUNT,
+    "ref_m": _COUNT,
+    "g": _COUNT,
+    "max_iter": _COUNT,
+    "record_every": _COUNT,
+    "kernel_resolution": _COUNT,
+    "T": (lambda v: _real(v) and v >= 0.0, "a finite number >= 0"),
+    "dt": (lambda v: _real(v) and v > 0.0, "a finite number > 0"),
+    "perturbation": (lambda v: _real(v) and v >= 0.0, "a finite number >= 0"),
+    "tol": (lambda v: _real(v) and v > 0.0, "a finite number > 0"),
+    "alpha": (lambda v: _real(v) and v > 2.0, "a finite number > 2"),
+    "K": (_real, "a finite number"),
+    "seeds": (lambda v: isinstance(v, list) and all(_integer(x, 0, 2**64) for x in v),
+              "a list of integers in [0, 2**64)"),
+    "init_seed": _SEED,
+    "perturbation_seed": _SEED,
+}
+
 EXPERIMENTS = (
     "simulate",
     "sample_graph",
@@ -148,9 +186,13 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; pick one of "
                 f"{', '.join(EXPERIMENTS)}"
             )
-        if isinstance(self.g, bool) or not isinstance(self.g, int) or self.g < 1:
-            raise ValueError(f"'g' must be a positive integer (got {self.g!r})")
         defaults = ExperimentConfig(self.experiment)
+        for key, (valid, what) in _NUMERIC_KEYS.items():
+            value = getattr(self, key)
+            if value is None and getattr(defaults, key) is None:
+                continue
+            if not valid(value):
+                raise ValueError(f"{key!r} must be {what} (got {value!r})")
         read = {"experiment", "output_dir", *_READ_KEYS[self.experiment]}
         unread = sorted(f.name for f in dataclasses.fields(self)
                         if f.name not in read
@@ -426,10 +468,12 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes results + manifest, returns exit status.
 
-    The manifest is written only after the experiment has finished, so a run
-    that fails leaves none behind.
+    An earlier run's manifest is removed first and the new one is written only
+    after the experiment has finished, so a run that fails leaves none behind
+    to vouch for outputs it did not write.
     """
     cfg.validate()
+    (Path(cfg.output_dir) / "manifest.json").unlink(missing_ok=True)
     _RUNNERS[cfg.experiment](cfg)
     kio.write_json(_out(cfg, "manifest.json"), cfg.to_dict())
     return 0

@@ -15,19 +15,19 @@ evolve as raw reals; they are wrapped to [0, 2*pi) only when a state is
 explicitly reduced, so trajectories of nearby systems can be compared with
 unwrapped differences over short horizons.
 
-For the sine family the coupling sum is evaluated through the angle-addition
-split sin(u_j - u_i + a) = sin(u_j + a) cos(u_i) - cos(u_j + a) sin(u_i),
-which needs W times the two vectors sin(u + a) and cos(u + a) and no n x n
-temporaries.  A dense W is read once per evaluation, by one (2, n) @ W
-product (W is symmetric).  A Toeplitz W (deterministic graphs of constant and
-band kernels, stored as their 2n-1 diagonals) is never read as a matrix: its
-product with a vector is a convolution with the diagonals, done by one batched
-real FFT of length >= 2n-1 against the diagonals' spectrum, which is computed
-once per system.
+Every velocity in kmflow is one coupling sum, :func:`_field`: V(u) = n^-1
+sum_i W_ki sum_j m_ij D(v_ij - u) over the atoms v_ij of mass m_ij in cell i.
+The right-hand side here is that sum with one unit-mass atom per oscillator;
+the mean-field particle system, pointwise velocity and Picard transport of
+:mod:`kmflow.meanfield` call it too.  For the sine family it applies W to two
+per-cell moments (angle addition; a graph applies its own product, see
+:mod:`kmflow.graphs`); a custom D is evaluated in slabs of whole target cells
+under one element budget.  Every RK4 step, there too, is :func:`_rk4_step`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +35,14 @@ import numpy as np
 from .graphs import WeightedGraph
 from .measures import TWO_PI, wrap_angle
 
-_CHUNK_ROWS = 512
+# Longest time grid (steps) a run may ask for; the grid is allocated up front.
+MAX_STEPS = 10**7
+
+_VELOCITY_SLACK = 1e-9
+
+# Elements (target rows x source atoms) of one custom-coupling slab; each
+# temporary of a slab then takes 8 MiB.
+_SLAB_ELEMENTS = 1 << 20
 
 
 class IntegrationError(RuntimeError):
@@ -138,40 +145,65 @@ class OscillatorSystem:
             raise ValueError(
                 f"omega must have length {graph.n}, got shape {self.omega.shape}"
             )
-        if graph._diagonals is None:
-            self._spectrum = None
-        else:
-            # circular convolution of this length has no wrap-around in the
-            # n outputs that are the Toeplitz product
-            self._fft_size = 1 << (2 * graph.n - 2).bit_length()
-            self._spectrum = np.fft.rfft(graph._diagonals, self._fft_size)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
     def rhs_phases(self, u: np.ndarray) -> np.ndarray:
-        n = self.n
-        if self.coupling.is_sine_family:
-            shifted = u + self.coupling.alpha
-            ws, wc = self._times_weights(np.stack((np.sin(shifted), np.cos(shifted))))
-            coupling = np.cos(u) * ws - np.sin(u) * wc
-            return self.omega + (self.K / n) * coupling
-        w = self.graph.weights
-        out = np.empty(n)
-        for start in range(0, n, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, n)
-            diffs = u[None, :] - u[start:stop, None]
-            out[start:stop] = np.sum(w[start:stop] * self.coupling(diffs), axis=1)
-        return self.omega + (self.K / n) * out
+        # each oscillator is a cell holding one atom of unit mass
+        atoms = u[:, None]
+        return self.omega + self.K * _field(self.graph, self.coupling, atoms, 1.0,
+                                            atoms).ravel()
 
-    def _times_weights(self, x: np.ndarray) -> np.ndarray:
-        """``x @ W``: W times each row of x, since W is symmetric."""
-        if self._spectrum is None:
-            return x @ self.graph.weights
-        size, n = self._fft_size, self.n
-        product = np.fft.irfft(np.fft.rfft(x, size) * self._spectrum, size)
-        return product[:, n - 1:2 * n - 1]
+
+def _field(w, coupling: CouplingFunction, pos, mass, targets) -> np.ndarray:
+    """Velocity field of atoms ``pos``/``mass`` at the phases ``targets``.
+
+    Returns V[k, t] = n^-1 sum_i w[k, i] sum_j mass[i, j] D(pos[i, j] -
+    targets[k, t]) for source atoms of shape (n, atoms) and targets of shape
+    (k, t); ``mass`` may be a scalar.  ``w`` is a :class:`WeightedGraph`
+    (k = n) or an array of k kernel rows of shape (k, n).
+    """
+    n = pos.shape[0]
+    if coupling.is_sine_family:
+        # sin(v - u + alpha) = sin(v + alpha) cos u - cos(v + alpha) sin u
+        shifted = pos + coupling.alpha
+        s = (mass * np.sin(shifted)).sum(axis=1)
+        c = (mass * np.cos(shifted)).sum(axis=1)
+        if isinstance(w, WeightedGraph):
+            a, b = w._product(np.stack((s, c)))
+        else:  # small step kernels: two mat-vecs beat one stacked product
+            a, b = w @ s, w @ c
+        out = np.cos(targets) * (a / n)[:, None] - np.sin(targets) * (b / n)[:, None]
+    else:
+        rows = w.weights if isinstance(w, WeightedGraph) else w
+        src = pos.ravel()
+        mass = np.broadcast_to(mass, pos.shape)
+        # a slab is a run of whole target cells, or part of one cell's
+        # targets when that cell alone exceeds the budget
+        span = max(1, _SLAB_ELEMENTS // src.size)
+        cells = max(1, span // targets.shape[1])
+        cols = min(span, targets.shape[1])
+        out = np.empty(targets.shape)
+        for k in range(0, len(targets), cells):
+            block = slice(k, k + cells)
+            weights = (rows[block, :, None] * mass).reshape(-1, src.size, 1)
+            for lo in range(0, targets.shape[1], cols):
+                d = coupling(src - targets[block, lo:lo + cols, None])
+                out[block, lo:lo + cols] = np.matmul(d, weights)[..., 0]
+        out /= n
+    _check_velocity_bound(out)
+    return out
+
+
+def _check_velocity_bound(v) -> None:
+    worst = float(np.max(np.abs(v)))
+    if worst > 1.0 + _VELOCITY_SLACK:
+        raise RuntimeError(
+            f"velocity bound violated (|V| = {worst:.6g} > 1); "
+            "kernel or coupling breaks its amplitude bound"
+        )
 
 
 def rhs(system, state: PhaseState) -> np.ndarray:
@@ -204,19 +236,24 @@ class Trajectory:
 
 
 def _rk4_step(rhs_fn, u, dt):
-    k1 = rhs_fn(u)
-    k2 = rhs_fn(u + 0.5 * dt * k1)
-    k3 = rhs_fn(u + 0.5 * dt * k2)
-    k4 = rhs_fn(u + dt * k3)
+    """One classical RK4 step; ``rhs_fn(u, s)`` is told the fraction s of the
+    step (0, 1/2 or 1) at which its stage is evaluated."""
+    k1 = rhs_fn(u, 0.0)
+    k2 = rhs_fn(u + 0.5 * dt * k1, 0.5)
+    k3 = rhs_fn(u + 0.5 * dt * k2, 0.5)
+    k4 = rhs_fn(u + dt * k3, 1.0)
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def time_grid(T: float, dt: float) -> np.ndarray:
     """Step endpoints 0, dt, 2*dt, ..., T with a shortened final step."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if T < 0.0:
-        raise ValueError("T must be nonnegative")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"T must be finite and nonnegative, got {T!r}")
+    if T / dt > MAX_STEPS:
+        raise ValueError(
+            f"T / dt = {T / dt:.6g} steps exceeds the limit of {MAX_STEPS}")
     n_full = int(np.floor(T / dt + 1e-9))
     times = dt * np.arange(n_full + 1)
     # the last step absorbs a remainder at round-off level (of dt, or of T
@@ -248,7 +285,7 @@ def integrate(system, state0: PhaseState, T: float, dt: float,
     rec_states = [u.copy()]
     for step in range(1, n_steps + 1):
         h = times[step] - times[step - 1]
-        u = _rk4_step(system.rhs_phases, u, h)
+        u = _rk4_step(lambda x, _: system.rhs_phases(x), u, h)
         if not np.all(np.isfinite(u)):
             raise IntegrationError(step, float(times[step]))
         if step % record_every == 0 or step == n_steps:

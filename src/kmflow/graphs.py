@@ -10,7 +10,10 @@ Two constructions:
 Deterministic graphs of constant and band kernels are Toeplitz, so they are
 stored as their 2n-1 diagonals and ``weights`` is a read-only n x n view of
 that vector; no n x n array is allocated for them.  The sampler reads the
-edge probabilities of those kernels from the same kind of view.
+edge probabilities of those kernels from the same kind of view.  A graph
+owns its product ``x @ W`` with a stack of vectors, all the sine-family
+dynamics need: a Toeplitz graph convolves with its diagonals by one batched
+real FFT against their spectrum, computed once when the graph is built.
 
 Sampling is counter-based: the coin for pair (i, j), i <= j, comes from a
 Philox stream keyed by (seed, i) at position j - i, so results are
@@ -45,13 +48,14 @@ class WeightedGraph:
     graph ``_diagonals`` is None.
     """
 
+    _diagonals = None
+
     def __init__(self, weights, seed: int | None = None, sampled: bool = False):
         weights = _checked_symmetric(weights, "weights")
         if sampled and not np.isin(weights, (0.0, 1.0)).all():
             raise ValueError("sampled graphs must have 0/1 weights")
         self.weights = np.clip(weights, -1.0, 1.0, out=weights)
         self.weights.setflags(write=False)
-        self._diagonals = None
         self.seed = seed
         self.sampled = sampled
 
@@ -65,7 +69,6 @@ class WeightedGraph:
         graph = cls.__new__(cls)
         weights.setflags(write=False)
         graph.weights = weights
-        graph._diagonals = None
         graph.seed = seed
         graph.sampled = sampled
         return graph
@@ -76,11 +79,23 @@ class WeightedGraph:
         diagonals = _checked_diagonals(diagonals, "weight diagonals")
         graph = cls._trusted(_toeplitz(diagonals))
         graph._diagonals = diagonals
+        # circular convolution of this length has no wrap-around in the n
+        # outputs that are the Toeplitz product
+        graph._fft_size = 1 << (2 * graph.n - 2).bit_length()
+        graph._spectrum = np.fft.rfft(diagonals, graph._fft_size)
         return graph
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """``x @ weights`` for rows x: W times each row, W being symmetric."""
+        if self._diagonals is None:
+            return x @ self.weights
+        size, n = self._fft_size, self.n
+        product = np.fft.irfft(np.fft.rfft(x, size) * self._spectrum, size)
+        return product[..., n - 1:2 * n - 1]
 
     def edges(self):
         """Yield (i, j, weight) for the nonzero upper triangle, diagonal included."""

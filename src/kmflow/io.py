@@ -1,15 +1,29 @@
 """File formats: CSV matrices, binary PGM images, JSON manifests.
 
 All floating-point output uses 17 significant digits so reruns with the same
-configuration produce byte-identical files.
+configuration produce byte-identical files.  Every writer writes a temporary
+file next to its target and renames it into place, so a file is either
+absent, left as it was, or complete.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
+
+
+def _replace(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in its directory."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def fmt(x) -> str:
@@ -24,7 +38,7 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
     lines = [f"n={n}"]
     for row in matrix:
         lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _replace(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -60,7 +74,7 @@ def write_pgm(path, image: np.ndarray) -> None:
         raise ValueError("PGM writer expects a 2-D uint8 array")
     h, w = image.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.tobytes())
+    _replace(path, header + image.tobytes())
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -76,11 +90,11 @@ def write_csv(path, header: list[str], rows) -> None:
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _replace(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _replace(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def read_json(path) -> dict:

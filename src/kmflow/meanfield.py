@@ -24,11 +24,9 @@ Families are the (cells, atoms) position and mass arrays of
 :class:`kmflow.measures.MeasureFamily`, read directly: cells with fewer atoms
 carry zero-mass padding, which adds exactly nothing to V, and the families of
 a trajectory share one masses array.  The particle system, the pushforward
-map and the pointwise :func:`velocity` all evaluate V through one routine,
-:func:`_field`.  For the sine family V follows from two per-cell moments and
-two products with W_n, at cost O(N + n^2) for N atoms; a custom D is
-evaluated one target cell at a time, in slabs of target rows x N source
-atoms kept under a fixed element budget.
+map and the pointwise :func:`velocity` all evaluate V through the coupling
+sum of the graph dynamics, :func:`kmflow.dynamics._field` (O(N + n^2) for N
+atoms of the sine family), and the pushforward map steps with its RK4 step.
 
 Everything in this module takes intrinsic frequencies to be zero; the
 discrete simulators in :mod:`kmflow.dynamics` support omega directly.
@@ -56,13 +54,6 @@ from .measures import (
     initial_family,
 )
 
-_VELOCITY_SLACK = 1e-9
-
-# Elements (target rows x source atoms) of one custom-coupling slab; each
-# temporary of a slab then takes 8 MiB.
-_SLAB_ELEMENTS = 1 << 20
-
-
 @dataclass(frozen=True)
 class VelocityFieldSpec:
     """Step kernel plus coupling function: everything the velocity field needs."""
@@ -79,43 +70,6 @@ class VelocityFieldSpec:
             raise ValueError(f"family has {family.n_cells} cells, kernel expects {self.n}")
 
 
-def _field(w, coupling: CouplingFunction, pos, mass, targets) -> np.ndarray:
-    """Velocity field of atoms ``pos``/``mass`` at the phases ``targets``.
-
-    Returns V[k, t] = n^-1 sum_i w[k, i] sum_j mass[i, j] D(pos[i, j] -
-    targets[k, t]) for source atoms of shape (n, atoms), kernel rows ``w``
-    of shape (k, n) and targets of shape (k, t); ``mass`` may be a scalar.
-    """
-    n = pos.shape[0]
-    if coupling.is_sine_family:
-        # sin(v - u + alpha) = sin(v + alpha) cos u - cos(v + alpha) sin u
-        shifted = pos + coupling.alpha
-        a = (w @ (mass * np.sin(shifted)).sum(axis=1)) / n
-        b = (w @ (mass * np.cos(shifted)).sum(axis=1)) / n
-        out = np.cos(targets) * a[:, None] - np.sin(targets) * b[:, None]
-    else:
-        src = pos.ravel()
-        mass = np.broadcast_to(mass, pos.shape)
-        rows = max(1, _SLAB_ELEMENTS // src.size)
-        out = np.empty(targets.shape)
-        for k, t in enumerate(targets):
-            weights = (w[k][:, None] * mass).ravel()
-            for lo in range(0, t.size, rows):
-                out[k, lo:lo + rows] = coupling(src[None, :] - t[lo:lo + rows, None]) @ weights
-        out /= n
-    _check_velocity_bound(out)
-    return out
-
-
-def _check_velocity_bound(v) -> None:
-    worst = float(np.max(np.abs(v)))
-    if worst > 1.0 + _VELOCITY_SLACK:
-        raise RuntimeError(
-            f"velocity bound violated (|V| = {worst:.6g} > 1); "
-            "kernel or coupling breaks its amplitude bound"
-        )
-
-
 class BlockOscillatorSystem:
     """The n*m particle system with cell-block weights W_n (x) ones(m, m).
 
@@ -123,9 +77,7 @@ class BlockOscillatorSystem:
     :class:`kmflow.dynamics.OscillatorSystem`, so
     :func:`kmflow.dynamics.integrate` drives it directly.  The right-hand
     side is the mean-field velocity of the n cells of m atoms of mass 1/m,
-    evaluated at the atoms themselves by :func:`_field`: O(N + n^2) for the
-    sine family instead of O(N^2), and m x N slabs, chunked by rows, for a
-    custom coupling.
+    evaluated at the atoms themselves by :func:`kmflow.dynamics._field`.
     """
 
     def __init__(self, step: StepGraphon, m: int, coupling: CouplingFunction):
@@ -145,8 +97,8 @@ class BlockOscillatorSystem:
 
     def rhs_phases(self, u: np.ndarray) -> np.ndarray:
         blocks = u.reshape(self.n_cells, self.m)
-        return _field(self.step.values, self.coupling, blocks, 1.0 / self.m,
-                      blocks).ravel()
+        return dynamics._field(self.step.values, self.coupling, blocks,
+                               1.0 / self.m, blocks).ravel()
 
 
 def velocity(spec: VelocityFieldSpec, family: MeasureFamily, u, cell: int):
@@ -160,8 +112,8 @@ def velocity(spec: VelocityFieldSpec, family: MeasureFamily, u, cell: int):
         raise IndexError(f"cell index {cell} out of range [0, {spec.n})")
     u = np.asarray(u, dtype=float)
     w_row = spec.step_graphon.values[cell:cell + 1]
-    return _field(w_row, spec.coupling, family.positions, family.masses,
-                  u.reshape(1, -1)).reshape(u.shape)
+    return dynamics._field(w_row, spec.coupling, family.positions,
+                           family.masses, u.reshape(1, -1)).reshape(u.shape)
 
 
 # -- particle method -------------------------------------------------------
@@ -212,18 +164,13 @@ def _transport(spec: VelocityFieldSpec, times: np.ndarray, frozen: np.ndarray,
     Returns the transported points at every grid time, (frames, cells, points).
     """
     w, coupling = spec.step_graphon.values, spec.coupling
-    current = start
-    path = [current]
+    path = [start]
     for step in range(len(times) - 1):
-        h = times[step + 1] - times[step]
         left, right = frozen[step], frozen[step + 1]
-        mid = 0.5 * (left + right)
-        k1 = _field(w, coupling, left, mass, current)
-        k2 = _field(w, coupling, mid, mass, current + 0.5 * h * k1)
-        k3 = _field(w, coupling, mid, mass, current + 0.5 * h * k2)
-        k4 = _field(w, coupling, right, mass, current + h * k3)
-        current = current + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path.append(current)
+        atoms = {0.0: left, 0.5: 0.5 * (left + right), 1.0: right}
+        path.append(dynamics._rk4_step(
+            lambda x, s: dynamics._field(w, coupling, atoms[s], mass, x),
+            path[-1], times[step + 1] - times[step]))
     return np.array(path)
 
 
@@ -269,6 +216,8 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
     """
     if alpha <= 2.0:
         raise ValueError("alpha must exceed 2 for the iteration to contract")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     spec._check_cells(family0)
     times = time_grid(T, dt)
     start, mass = family0.positions, family0.masses
@@ -374,7 +323,7 @@ def _grid_velocity(w, rho: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     for grid densities rho (n, g): the g x g table of D is circulant, so its
     product is one batched FFT correlation of W_n rho, O(n g log g)."""
     v = np.fft.irfft(np.fft.rfft(w @ rho) * spectrum, rho.shape[1]) / rho.shape[0]
-    _check_velocity_bound(v)
+    dynamics._check_velocity_bound(v)
     return v
 
 

@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths they check: cell averages come from
 brute-force midpoint sums, transport distances from an explicit linear
-program over transport plans, finite-volume velocities from the explicit
-double sum over a g x g coupling table, and the two-oscillator dynamics from
-its closed-form solution.
+program over transport plans, atomic velocity fields from the explicit double
+sum over source cells and their atoms, finite-volume velocities from the
+explicit double sum over a g x g coupling table, and the two-oscillator
+dynamics from its closed-form solution.
 """
 
 import numpy as np
@@ -63,6 +64,21 @@ def padded_family(measures, pad_position=0.0) -> MeasureFamily:
         positions[i, :mu.n_atoms] = mu.positions
         masses[i, :mu.n_atoms] = mu.masses
     return MeasureFamily(positions, masses)
+
+
+def coupling_sum(w, coupling, pos, mass, targets):
+    """V[k, t] = n^-1 sum_i w[k, i] sum_j mass[i, j] D(pos[i, j] - targets[k, t])
+    by the explicit double sum: a loop over target cells k and source cells i,
+    each source atom's D evaluated at every target of cell k."""
+    pos = np.asarray(pos, dtype=float)
+    mass = np.broadcast_to(mass, pos.shape)
+    targets = np.asarray(targets, dtype=float)
+    out = np.zeros(targets.shape)
+    for k in range(len(targets)):
+        for i in range(len(pos)):
+            table = coupling(pos[i][:, None] - targets[k][None, :])
+            out[k] += w[k][i] * (mass[i] @ table)
+    return out / len(pos)
 
 
 def grid_velocity(w, coupling, rho, points):

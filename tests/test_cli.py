@@ -1,5 +1,6 @@
 """Experiment runner: configs, manifests, reproducibility, file formats."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -273,6 +274,76 @@ def test_failed_run_leaves_no_manifest(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_failed_rerun_removes_earlier_manifest(tmp_path, capsys):
+    out = tmp_path / "d"
+    argv = ["meanfield_particles", "--graphon", json.dumps(ER_HALF), "--n", "2",
+            "--m", "4", "--T", "0.1", "--dt", "0.05", "--output-dir", str(out)]
+    assert main(argv) == 0
+    assert (out / "manifest.json").exists()
+    assert main(argv + ["--rho0", '{"kind": "von_mises", "kappa": NaN}']) == 1
+    assert "error: concentration kappa must be finite" in capsys.readouterr().err
+    # no manifest vouches for the earlier outputs, and no temporary file is left
+    assert sorted(p.name for p in out.iterdir()) == ["drift.csv", "results.csv"]
+
+
+def test_failed_write_keeps_old_file_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "results.csv"
+    kio.write_csv(path, ["x"], [[1.0]])
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(kio.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        kio.write_csv(path, ["x"], [[2.0]])
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+    assert _read(path) == "x\n1\n"
+
+
+_BASE_FLAGS = {
+    "meanfield_fv": ["--n", "2", "--g", "8", "--T", "0.1", "--dt", "0.05"],
+    "picard": ["--n", "2", "--m", "4", "--T", "0.1", "--dt", "0.05"],
+    "stability_initial": ["--n", "2", "--m", "4", "--T", "0.1", "--dt", "0.05"],
+    "convergence_main": ["--n", "2", "--m", "4", "--T", "0.1", "--dt", "0.05"],
+}
+
+
+@pytest.mark.parametrize("experiment, flags, message", [
+    ("meanfield_fv", ["--n", "0"], "'n' must be a positive integer or a list of them"),
+    ("convergence_main", ["--m", "4,0"], "'m' must be a positive integer or a list"),
+    ("meanfield_fv", ["--T", "nan"], "'T' must be a finite number >= 0 (got nan)"),
+    ("meanfield_fv", ["--T", "-1"], "'T' must be a finite number >= 0"),
+    ("meanfield_fv", ["--dt", "inf"], "'dt' must be a finite number > 0"),
+    ("meanfield_fv", ["--dt", "0"], "'dt' must be a finite number > 0"),
+    ("stability_initial", ["--perturbation", "-1"],
+     "'perturbation' must be a finite number >= 0"),
+    ("stability_initial", ["--perturbation", "nan"],
+     "'perturbation' must be a finite number >= 0"),
+    ("picard", ["--max-iter", "0"], "'max_iter' must be a positive integer"),
+    ("picard", ["--alpha", "2"], "'alpha' must be a finite number > 2"),
+    ("picard", ["--tol", "nan"], "'tol' must be a finite number > 0"),
+    ("meanfield_fv", ["--T", "1e9", "--dt", "0.01"], "steps exceeds the limit of"),
+])
+def test_bad_numbers_rejected_with_key(tmp_path, capsys, experiment, flags, message):
+    code = main([experiment, "--graphon", json.dumps(ER_HALF), *_BASE_FLAGS[experiment],
+                 *flags, "--output-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", 2.5), ("n", [4, 0]), ("m", True), ("ref_n", 0), ("ref_m", -4),
+    ("record_every", 0), ("kernel_resolution", 0), ("K", float("inf")),
+    ("seeds", [-1]), ("init_seed", 2**64), ("perturbation_seed", "0"),
+])
+def test_bad_numeric_keys_named(key, value):
+    raw = {"experiment": "convergence_main", "graphon": ER_HALF, "n": [2], "m": [4]}
+    with pytest.raises(ValueError, match=f"^{key!r} must be "):
+        ExperimentConfig.from_dict({**raw, key: value})
+
+
 NORMAL_OMEGA = json.dumps({"kind": "normal", "mean": 0.0, "sd": 1.0, "seed": 0})
 
 
@@ -349,12 +420,33 @@ def _readme_examples() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in lines if line.startswith("kmflow ")]
 
 
+# sha256 of every output the README examples write, manifests aside.  They
+# were recorded before the graph and mean-field coupling sums became one
+# routine, which changed no output byte; a change that moves one must say so.
+README_OUTPUT_SHA256 = {
+    "out/ave/results.csv": "c6a49688baa3e49d89eed33a61fb8328b4efe6f3fd5a5af758dc1f62de66461e",
+    "out/conv/results.csv": "1f0108e0980e1dd5833f764b2515da0e30cf039fcb95146fd862f6efbdec079e",
+    "out/dist/results.csv": "e64bcf0ee63aa381586382827b75c6dbfc0c7f0317e40c7f463db945e9520ef8",
+    "out/mfp/drift.csv": "2c359e592d3c494d2b4623f767e303b100301dcdefdcd9c8073b245515a34d68",
+    "out/mfp/results.csv": "ff92c962b6a789dfae9b006f73e640b5273a623b7b86fccf578d1674e0f6daab",
+    "out/sim/results.csv": "e204b1169330596e7b542acfbab514adaedbfff043d1f6a452ad6c76dab336b7",
+    "out/stab/results.csv": "aebd1ad16e1dc24fcfe21efe04d810b3e12a44af9640726ce3b831fddbe9c8c6",
+    "out/sw/graph.pgm": "7bdd64a82e80b8ad10bc992fdce771e91178fbd4657ab23542da78e96e58268d",
+    "out/sw/picture.pgm": "7bdd64a82e80b8ad10bc992fdce771e91178fbd4657ab23542da78e96e58268d",
+    "out/sw/results.csv": "ba4750346b1368a049f26d8e2fe8afba1639fa0a7481a3a8987e4b7635f585fe",
+}
+
+
 def test_readme_examples_replay_byte_for_byte(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     examples = _readme_examples()
     assert len(examples) == 8
     for argv in examples:
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+    written = {p.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in Path("out").rglob("*")
+               if p.is_file() and p.name != "manifest.json"}
+    assert written == README_OUTPUT_SHA256
     manifests = sorted(Path("out").glob("*/manifest.json"))
     assert len(manifests) == 7
     for manifest in manifests:

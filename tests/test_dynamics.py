@@ -1,11 +1,15 @@
 """Oscillator right-hand sides, RK4 integration, diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kmflow import dynamics
 from kmflow.dynamics import (
+    MAX_STEPS,
     CouplingFunction,
     IntegrationError,
     OscillatorSystem,
@@ -253,6 +257,43 @@ def test_time_grid_endpoints_and_steps(dt, steps, jitter):
         step = np.diff(times)
         assert np.all(step > 0.0)
         assert np.all(step <= dt * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("T, dt, message", [
+    (float("nan"), 0.1, "T must be finite"),
+    (float("inf"), 0.1, "T must be finite"),
+    (1.0, float("nan"), "dt must be finite"),
+    (1.0, float("inf"), "dt must be finite"),
+    (1e9, 0.01, "exceeds the limit"),
+    (1.0, 1e-300, "exceeds the limit"),
+])
+def test_time_grid_rejects_before_allocating(T, dt, message):
+    with pytest.raises(ValueError, match=message):
+        time_grid(T, dt)
+
+
+def test_time_grid_step_ceiling(monkeypatch):
+    assert MAX_STEPS == 10**7
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
+    assert len(time_grid(100.0, 1.0)) == 101
+    with pytest.raises(ValueError, match="101 steps exceeds the limit of 100"):
+        time_grid(101.0, 1.0)
+
+
+def test_custom_graph_rhs_memory_bounded():
+    # n = 4096: slabs of whole target cells under the one element budget
+    n = 4096
+    coupling = CouplingFunction.custom(lambda d: 0.5 * np.sin(d) + 0.25 * np.sin(2.0 * d))
+    system = OscillatorSystem(deterministic_graph(Graphon.constant(1.0), n), coupling)
+    u = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    tracemalloc.start()
+    try:
+        v = system.rhs_phases(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(v)) < 1e-15  # equispaced phases: every harmonic cancels
+    assert peak < 56 * 2**20
 
 
 def test_recording_cadence():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from kmflow import dynamics, meanfield
+from kmflow import dynamics
 from kmflow.dynamics import CouplingFunction, PhaseState, wrap_angle
 from kmflow.graphon import Graphon
 from kmflow.graphs import WeightedGraph
@@ -98,11 +98,9 @@ def test_velocity_matches_double_sum(coupling):
     w = spec.step_graphon.values
     u = np.linspace(0.0, TWO_PI, 11)
     for cell in range(4):
-        expected = np.zeros_like(u)
-        for i, (positions, masses) in enumerate(zip(fam.positions, fam.masses)):
-            for p, q in zip(positions[masses > 0], masses[masses > 0]):
-                expected += w[cell, i] * q * coupling(p - u)
-        assert np.allclose(velocity(spec, fam, u, cell), expected / 4,
+        expected = oracles.coupling_sum(w[cell:cell + 1], coupling, fam.positions,
+                                        fam.masses, u[None, :])[0]
+        assert np.allclose(velocity(spec, fam, u, cell), expected,
                            rtol=0.0, atol=1e-14)
 
 
@@ -110,15 +108,21 @@ def test_custom_slab_chunks_match_one_block(monkeypatch):
     spec = _spec(Graphon.small_world(0.2, 0.3), 3, CUSTOM)
     fam = _ragged_family((5, 40, 17))
     u = np.linspace(0.0, TWO_PI, 37)
-    whole = [velocity(spec, fam, u, cell) for cell in range(3)]
-    monkeypatch.setattr(meanfield, "_SLAB_ELEMENTS", 7 * 40 * 3)  # 7-row blocks
-    for cell in range(3):
-        assert np.allclose(velocity(spec, fam, u, cell), whole[cell],
-                           rtol=0.0, atol=1e-15)
+    targets = np.stack([u, u + 1.0, u + 2.0])
+    w = spec.step_graphon.values
+    whole = dynamics._field(w, CUSTOM, fam.positions, fam.masses, targets)
+    # 7-row blocks within a cell, then slabs of two whole cells
+    for budget in (7 * 40 * 3, 2 * 37 * 40 * 3):
+        monkeypatch.setattr(dynamics, "_SLAB_ELEMENTS", budget)
+        chunked = dynamics._field(w, CUSTOM, fam.positions, fam.masses, targets)
+        assert np.allclose(chunked, whole, rtol=0.0, atol=1e-15)
+        for cell in range(3):
+            assert np.allclose(velocity(spec, fam, targets[cell], cell), whole[cell],
+                               rtol=0.0, atol=1e-15)
 
 
 def test_custom_slab_single_block_at_small_sizes():
-    # (8 cells, 16 atoms): each target cell is one slab, one coupling call
+    # (8 cells, 16 atoms): one slab covers every target cell, one coupling call
     calls = []
 
     def counted(d):
@@ -129,7 +133,7 @@ def test_custom_slab_single_block_at_small_sizes():
                                    CouplingFunction.custom(counted))
     calls.clear()  # drop the amplitude probe made at construction
     system.rhs_phases(np.linspace(0.0, TWO_PI, 128))
-    assert calls == [(16, 128)] * 8
+    assert calls == [(8, 16, 128)]
 
 
 def test_custom_slab_memory_bounded():
@@ -266,6 +270,13 @@ def test_picard_requires_contractive_alpha():
     fam0 = initial_family(Uniform(), 2, 4)
     with pytest.raises(ValueError):
         picard_solve(spec, fam0, 1.0, 0.1, alpha=2.0)
+
+
+def test_picard_rejects_zero_sweeps():
+    spec = _spec(Graphon.constant(0.5), 2)
+    fam0 = initial_family(Uniform(), 2, 4)
+    with pytest.raises(ValueError, match="max_iter"):
+        picard_solve(spec, fam0, 1.0, 0.1, max_iter=0)
 
 
 def test_picard_max_iter_reports_nonconvergence():
