@@ -243,11 +243,12 @@ def test_meanfield_fv_cli(tmp_path):
 
 
 def test_console_entry_point(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
         [sys.executable, "-m", "kmflow.cli", "sample_graph",
          "--graphon", json.dumps(ER_HALF), "--n", "4", "--seeds", "1",
          "--output-dir", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "results.csv").exists()
