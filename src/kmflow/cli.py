@@ -37,22 +37,24 @@ from .dynamics import (
     OscillatorSystem,
     PhaseState,
     integrate,
-    max_pairwise_gap,
+    norm_1n,
     omega_from_spec,
     order_parameter,
-    sup_norm_1n,
+    pairwise_gap,
+    recorded_states,
+    time_grid,
 )
 from .graphon import Graphon
 from .graphs import WeightedGraph, deterministic_graph, pixel_picture, sample_w_random
 from .measures import (
     MeasureFamily,
     common_cells,
+    common_dbar,
     dbar,
     density_from_dict,
     family_from_rows,
     family_to_rows,
     initial_family,
-    sup_dbar,
 )
 
 MAX_PARTICLES = 2**20
@@ -121,6 +123,17 @@ _NUMERIC_KEYS = {
               "a list of integers in [0, 2**64)"),
     "init_seed": _SEED,
     "perturbation_seed": _SEED,
+}
+
+# JSON-valued keys -> the constructor that turns the spec into its object.
+# Each experiment builds the ones it reads in ``validate``, so a bad spec is
+# rejected, naming its key, before anything is run or removed.
+_SPEC_KEYS = {
+    "graphon": Graphon.from_dict,
+    "graphon_b": Graphon.from_dict,
+    "coupling": CouplingFunction.from_dict,
+    "rho0": density_from_dict,
+    "omega": lambda spec: omega_from_spec(spec, 1),
 }
 
 EXPERIMENTS = (
@@ -201,12 +214,27 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} does not use " + ", ".join(
                 f"{key!r} (got {getattr(self, key)!r}, must keep its default "
                 f"{getattr(defaults, key)!r})" for key in unread))
+        for key in [key for key in _SPEC_KEYS if key in read]:
+            spec = getattr(self, key)
+            if spec is None:
+                raise ValueError(f"experiment {self.experiment!r} needs the {key!r} key")
+            if not isinstance(spec, dict):
+                raise ValueError(f"the {key!r} spec must be a JSON object (got {spec!r})")
+            try:
+                _SPEC_KEYS[key](spec)
+            except KeyError as exc:
+                raise ValueError(f"the {key!r} spec {spec!r} lacks the field {exc}"
+                                 ) from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{exc} in the {key!r} spec {spec!r}") from None
         for n in self.n_list() or []:
             for m in self.m_list() or [1]:
                 if n * m > MAX_PARTICLES:
                     raise ValueError(
                         f"capacity exceeded: n*m = {n * m} > {MAX_PARTICLES}"
                     )
+                if self.experiment == "picard":
+                    mf.check_picard_capacity(len(time_grid(self.T, self.dt)), n * m)
         if self.ref_n is not None and self.ref_m is not None:
             if self.ref_n * self.ref_m > MAX_PARTICLES:
                 raise ValueError("capacity exceeded for the reference run")
@@ -239,10 +267,7 @@ def _out(cfg: ExperimentConfig, name: str) -> Path:
 
 
 def _graphon(cfg: ExperimentConfig, which: str = "graphon") -> Graphon:
-    spec = getattr(cfg, which)
-    if spec is None:
-        raise ValueError(f"experiment {cfg.experiment!r} needs the {which!r} key")
-    return Graphon.from_dict(spec)
+    return Graphon.from_dict(getattr(cfg, which))
 
 
 def _coupling(cfg: ExperimentConfig) -> CouplingFunction:
@@ -299,13 +324,17 @@ def _spec(cfg: ExperimentConfig, n: int) -> mf.VelocityFieldSpec:
 def _run_meanfield_particles(cfg: ExperimentConfig) -> None:
     n = _single(cfg.n, "n")
     m = _single(cfg.m, "m")
-    traj = mf.solve_particles(_spec(cfg, n), density_from_dict(cfg.rho0), n, m,
-                              cfg.T, cfg.dt, record_every=cfg.record_every,
-                              mode=cfg.init_mode, seed=cfg.init_seed)
+    family0 = initial_family(density_from_dict(cfg.rho0), n, m,
+                             mode=cfg.init_mode, seed=cfg.init_seed)
+    # each drift row is taken as its frame arrives; only the first frame and
+    # the current one are held
+    drift, first = [], None
+    for t, family in mf.particle_frames(_spec(cfg, n), family0, cfg.T, cfg.dt,
+                                        cfg.record_every):
+        first = family if first is None else first
+        drift.append([float(t), dbar(family, first)])
     kio.write_csv(_out(cfg, "results.csv"), ["cell", "position", "mass"],
-                  family_to_rows(traj.final_family))
-    drift = [[float(t), dbar(f, traj.families[0])]
-             for t, f in zip(traj.times, traj.families)]
+                  family_to_rows(family))
     kio.write_csv(_out(cfg, "drift.csv"), ["t", "dbar_to_initial"], drift)
 
 
@@ -349,15 +378,21 @@ def _run_convergence_main(cfg: ExperimentConfig) -> None:
     if ref_n * ref_m > MAX_PARTICLES:
         raise ValueError("capacity exceeded for the reference run")
     rho0 = density_from_dict(cfg.rho0)
-    ref = mf.solve_particles(_spec(cfg, ref_n), rho0, ref_n, ref_m, cfg.T,
-                             cfg.dt, record_every=cfg.record_every)
-    rows = []
-    for n in n_list:
-        spec = _spec(cfg, n)
-        for m in m_list:
-            traj = mf.solve_particles(spec, rho0, n, m, cfg.T, cfg.dt,
-                                      record_every=cfg.record_every)
-            rows.append([n, m, sup_dbar(traj, ref)])
+
+    def frames(n, m, spec):
+        return mf.particle_frames(spec, initial_family(rho0, n, m), cfg.T,
+                                  cfg.dt, cfg.record_every)
+
+    pairs = [(n, m) for n in n_list for m in m_list]
+    specs = {n: _spec(cfg, n) for n in n_list}
+    runs = [frames(n, m, specs[n]) for n, m in pairs]
+    # the reference and every run advance together, each holding its
+    # current frame and its running max of dbar
+    sup = [0.0] * len(pairs)
+    for (_, ref), *current in zip(frames(ref_n, ref_m, _spec(cfg, ref_n)), *runs):
+        for k, (_, family) in enumerate(current):
+            sup[k] = max(sup[k], common_dbar(family, ref))
+    rows = [[n, m, d] for (n, m), d in zip(pairs, sup)]
     kio.write_csv(_out(cfg, "results.csv"), ["n", "m", "sup_dbar"], rows)
 
 
@@ -374,20 +409,22 @@ def _run_convergence_ave(cfg: ExperimentConfig) -> None:
         det = deterministic_graph(W, n)
         omega = omega_from_spec(cfg.omega, n)
         for seed in seeds:
-            u0 = _initial_phases(n, seed)
-            base = integrate(OscillatorSystem(det, coupling, K=cfg.K, omega=omega),
-                             PhaseState(u0), cfg.T, cfg.dt,
-                             record_every=cfg.record_every)
-            rand = integrate(
-                OscillatorSystem(sample_w_random(W, n, seed), coupling, K=cfg.K,
-                                 omega=omega),
-                PhaseState(u0), cfg.T, cfg.dt, record_every=cfg.record_every)
-            if not warned and max_pairwise_gap(base, rand) > math.pi:
+            u0 = PhaseState(_initial_phases(n, seed))
+            base, rand = (recorded_states(OscillatorSystem(graph, coupling, K=cfg.K,
+                                                           omega=omega),
+                                          u0, cfg.T, cfg.dt, cfg.record_every)
+                          for graph in (det, sample_w_random(W, n, seed)))
+            # the two runs advance together, keeping running maxima only
+            sup_norm = gap = 0.0
+            for (_, x), (_, y) in zip(base, rand):
+                sup_norm = max(sup_norm, norm_1n(x, y))
+                gap = max(gap, pairwise_gap(x, y))
+            if not warned and gap > math.pi:
                 print(
                     "warning: a pairwise phase difference exceeded pi; the "
                     "unwrapped comparison is chart-dependent", file=sys.stderr)
                 warned = True
-            rows.append([n, seed, sup_norm_1n(base, rand)])
+            rows.append([n, seed, sup_norm])
     kio.write_csv(_out(cfg, "results.csv"), ["n", "seed", "sup_norm_1n"], rows)
 
 
@@ -527,8 +564,13 @@ def _cli_overrides(args: argparse.Namespace) -> dict:
         if key in _JSON_KEYS:
             raw[key] = json.loads(value)
         elif key in _LIST_KEYS:
-            parts = [p for p in str(value).split(",") if p]
-            nums = [int(p) for p in parts]
+            try:
+                nums = [int(p) for p in str(value).split(",") if p]
+            except ValueError:
+                nums = []
+            if not nums:
+                raise ValueError(f"--{key} takes an integer or a comma list of "
+                                 f"integers (got {value!r})")
             raw[key] = nums if key == "seeds" or len(nums) > 1 else nums[0]
         else:
             raw[key] = value

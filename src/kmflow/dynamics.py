@@ -15,6 +15,13 @@ evolve as raw reals; they are wrapped to [0, 2*pi) only when a state is
 explicitly reduced, so trajectories of nearby systems can be compared with
 unwrapped differences over short horizons.
 
+:func:`recorded_states` yields the recorded frames one at a time, and
+:func:`integrate` fills one (records, n) array from it.  A sup-over-time
+comparison of two runs can therefore advance both together and keep only
+running maxima; :func:`sup_norm_1n` and :func:`max_pairwise_gap` take their
+per-frame values from :func:`norm_1n` and :func:`pairwise_gap`, the functions
+such a streaming reduction applies to each pair of frames.
+
 Every velocity in kmflow is one coupling sum, :func:`_field`: V(u) = n^-1
 sum_i W_ki sum_j m_ij D(v_ij - u) over the atoms v_ij of mass m_ij in cell i.
 The right-hand side here is that sum with one unit-mass atom per oscillator;
@@ -266,6 +273,38 @@ def time_grid(T: float, dt: float) -> np.ndarray:
     return times
 
 
+def _check_run(system, state0: PhaseState, record_every: int) -> None:
+    if state0.n != system.n:
+        raise ValueError(f"state has {state0.n} phases, system expects {system.n}")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+
+
+def recorded_states(system, state0: PhaseState, T: float, dt: float,
+                    record_every: int = 1):
+    """Iterator over the ``(t, u)`` that :func:`integrate` records.
+
+    The arguments are checked at the call; the steps run as the frames are
+    taken, so a caller that reduces each frame as it arrives holds one state
+    at a time.  Each ``u`` is a fresh array that is never written again.
+    """
+    _check_run(system, state0, record_every)
+    return _frames(system, state0.phases.astype(float), time_grid(T, dt),
+                   record_every)
+
+
+def _frames(system, u, times, record_every):
+    n_steps = len(times) - 1
+    yield times[0], u
+    for step in range(1, n_steps + 1):
+        h = times[step] - times[step - 1]
+        u = _rk4_step(lambda x, _: system.rhs_phases(x), u, h)
+        if not np.all(np.isfinite(u)):
+            raise IntegrationError(step, float(times[step]))
+        if step % record_every == 0 or step == n_steps:
+            yield times[step], u
+
+
 def integrate(system, state0: PhaseState, T: float, dt: float,
               record_every: int = 1) -> Trajectory:
     """Integrate with classical RK4 at fixed step ``dt``.
@@ -274,24 +313,15 @@ def integrate(system, state0: PhaseState, T: float, dt: float,
     recorded at t = 0, every ``record_every``-th step, and at T.  A
     non-finite state aborts with the offending step index.
     """
-    if state0.n != system.n:
-        raise ValueError(f"state has {state0.n} phases, system expects {system.n}")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    _check_run(system, state0, record_every)
     times = time_grid(T, dt)
     n_steps = len(times) - 1
-    u = state0.phases.astype(float).copy()
-    rec_times = [times[0]]
-    rec_states = [u.copy()]
-    for step in range(1, n_steps + 1):
-        h = times[step] - times[step - 1]
-        u = _rk4_step(lambda x, _: system.rhs_phases(x), u, h)
-        if not np.all(np.isfinite(u)):
-            raise IntegrationError(step, float(times[step]))
-        if step % record_every == 0 or step == n_steps:
-            rec_times.append(times[step])
-            rec_states.append(u.copy())
-    return Trajectory(np.array(rec_times), np.array(rec_states))
+    kept = np.append(np.arange(0, n_steps, record_every), n_steps)
+    phases = np.empty((kept.size, state0.n))
+    for k, (_, u) in enumerate(_frames(system, state0.phases.astype(float),
+                                       times, record_every)):
+        phases[k] = u
+    return Trajectory(times[kept], phases)
 
 
 def order_parameter(state) -> tuple[float, float]:
@@ -320,18 +350,27 @@ def norm_1n(a, b) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def sup_norm_1n(a: Trajectory, b: Trajectory) -> float:
-    """Max over shared recorded times of the scaled distance between runs."""
+def pairwise_gap(a, b) -> float:
+    """Largest |a_i - b_i| between two phase vectors (unwrapped reals)."""
+    return float(np.max(np.abs(np.asarray(a, dtype=float) - b)))
+
+
+def _check_shared_grid(a: Trajectory, b: Trajectory) -> None:
     if a.phases.shape != b.phases.shape or not np.allclose(a.times, b.times):
         raise ValueError("trajectories must share the recording grid")
-    diff = a.phases - b.phases
-    return float(np.max(np.sqrt(np.mean(diff**2, axis=1))))
+
+
+def sup_norm_1n(a: Trajectory, b: Trajectory) -> float:
+    """Max over shared recorded times of the scaled distance between runs."""
+    _check_shared_grid(a, b)
+    return max(map(norm_1n, a.phases, b.phases))
 
 
 def max_pairwise_gap(a: Trajectory, b: Trajectory) -> float:
     """Largest |a_i(t) - b_i(t)| over the run; > pi means the unwrapped
     comparison has become chart-dependent."""
-    return float(np.max(np.abs(a.phases - b.phases)))
+    _check_shared_grid(a, b)
+    return max(map(pairwise_gap, a.phases, b.phases))
 
 
 def weight_perturbation_constant(T: float) -> float:

@@ -257,10 +257,16 @@ def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 
         if kernel.kind == "step":
             base = math.lcm(base, kernel.step_values.n)
     r = -(-resolution // base) * base
-    diff = W.cell_average(r).values - U.cell_average(r).values
+    if r > MAX_NODES:
+        raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {r}")
+    diag_w, diag_u = W._diagonals(r), U._diagonals(r)
+    if diag_w is None or diag_u is None:
+        diff = W.cell_average(r).values - U.cell_average(r).values
+    else:  # two Toeplitz averages: one r x r difference of read-only views
+        diff = _toeplitz(diag_w) - _toeplitz(diag_u)
     if norm == "L1":
-        return float(np.mean(np.abs(diff)))
-    return float(np.sqrt(np.mean(diff**2)))
+        return float(np.mean(np.abs(diff, out=diff)))
+    return float(np.sqrt(np.mean(np.square(diff, out=diff))))
 
 
 # -- internals ----------------------------------------------------------

@@ -28,6 +28,14 @@ map and the pointwise :func:`velocity` all evaluate V through the coupling
 sum of the graph dynamics, :func:`kmflow.dynamics._field` (O(N + n^2) for N
 atoms of the sine family), and the pushforward map steps with its RK4 step.
 
+Particle runs are streamed: :func:`particle_frames` yields each recorded
+family as its step is taken, and :func:`evolve_family` stores them all.
+:func:`stability_experiments` advances its two runs together and keeps only
+the running max of dbar, so its memory does not grow with the number of
+recorded frames.  The pushforward map genuinely needs its frozen
+(frames, cells, atoms) trajectory; :func:`picard_solve` checks the size of
+one such array against ``PICARD_MAX_BYTES`` before it stores any.
+
 Everything in this module takes intrinsic frequencies to be zero; the
 discrete simulators in :mod:`kmflow.dynamics` support omega directly.
 """
@@ -53,6 +61,13 @@ from .measures import (
     empirical_from_phases,
     initial_family,
 )
+
+# Bytes of one stored (frames, cells, atoms) array of atom positions in
+# picard_solve, frames x cells x atoms x 8 B.  A sweep holds three such arrays
+# at once (the frozen iterate, its families and the new transport), so the
+# limit keeps the iteration under about 768 MiB.
+PICARD_MAX_BYTES = 2**28
+
 
 @dataclass(frozen=True)
 class VelocityFieldSpec:
@@ -138,18 +153,34 @@ def solve_particles(spec: VelocityFieldSpec, rho0: DensitySpec, n: int, m: int,
 def evolve_family(spec: VelocityFieldSpec, family: MeasureFamily, T: float,
                   dt: float, record_every: int = 1) -> MeasureTrajectory:
     """Evolve an atomic family (m atoms of mass 1/m per cell) as particles."""
+    system = _particle_system(spec, family)
+    traj = dynamics.integrate(system, PhaseState(family.positions.ravel()), T, dt,
+                              record_every=record_every)
+    families = [empirical_from_phases(row, spec.n, system.m) for row in traj.phases]
+    return MeasureTrajectory(traj.times, families)
+
+
+def particle_frames(spec: VelocityFieldSpec, family: MeasureFamily, T: float,
+                    dt: float, record_every: int = 1):
+    """Iterator over the ``(t, family)`` frames of :func:`evolve_family`, each
+    family built as its step is taken; a caller that reduces the frames in
+    lockstep holds one frame per run.  The arguments are checked at the call.
+    """
+    system = _particle_system(spec, family)
+    states = dynamics.recorded_states(system, PhaseState(family.positions.ravel()),
+                                      T, dt, record_every)
+    return ((t, empirical_from_phases(u, spec.n, system.m)) for t, u in states)
+
+
+def _particle_system(spec: VelocityFieldSpec,
+                     family: MeasureFamily) -> BlockOscillatorSystem:
     spec._check_cells(family)
-    pos = family.positions
-    m = pos.shape[1]
+    m = family.positions.shape[1]
     if np.max(np.abs(family.masses - 1.0 / m)) > 1e-12:
         raise ValueError(
             "particle evolution expects m uniform atoms of mass 1/m per cell"
         )
-    system = BlockOscillatorSystem(spec.step_graphon, m, spec.coupling)
-    traj = dynamics.integrate(system, PhaseState(pos.ravel()), T, dt,
-                              record_every=record_every)
-    families = [empirical_from_phases(row, spec.n, m) for row in traj.phases]
-    return MeasureTrajectory(traj.times, families)
+    return BlockOscillatorSystem(spec.step_graphon, m, spec.coupling)
 
 
 # -- fixed-point (pushforward) iteration -----------------------------------
@@ -164,14 +195,15 @@ def _transport(spec: VelocityFieldSpec, times: np.ndarray, frozen: np.ndarray,
     Returns the transported points at every grid time, (frames, cells, points).
     """
     w, coupling = spec.step_graphon.values, spec.coupling
-    path = [start]
+    path = np.empty(times.shape + start.shape)
+    path[0] = start
     for step in range(len(times) - 1):
         left, right = frozen[step], frozen[step + 1]
         atoms = {0.0: left, 0.5: 0.5 * (left + right), 1.0: right}
-        path.append(dynamics._rk4_step(
+        path[step + 1] = dynamics._rk4_step(
             lambda x, s: dynamics._field(w, coupling, atoms[s], mass, x),
-            path[-1], times[step + 1] - times[step]))
-    return np.array(path)
+            path[step], times[step + 1] - times[step])
+    return path
 
 
 def characteristic_flow(spec: VelocityFieldSpec, frozen: MeasureTrajectory,
@@ -201,6 +233,16 @@ def characteristic_flow(spec: VelocityFieldSpec, frozen: MeasureTrajectory,
                       frozen.families[0].masses, positions)[-1]
 
 
+def check_picard_capacity(frames: int, atoms: int) -> None:
+    """Reject a Picard run whose stored trajectory exceeds ``PICARD_MAX_BYTES``."""
+    stored = frames * atoms * 8
+    if stored > PICARD_MAX_BYTES:
+        raise ValueError(
+            f"capacity exceeded: {frames} frames x {atoms} atoms x 8 B "
+            f"= {stored / 2**20:.1f} MiB per stored trajectory > "
+            f"{PICARD_MAX_BYTES / 2**20:.0f} MiB")
+
+
 def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
                  dt: float, alpha: float = 3.0, tol: float = 1e-4,
                  max_iter: int = 25) -> tuple[MeasureTrajectory, dict]:
@@ -212,7 +254,8 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
     times), and measures d_alpha between successive candidates.  Stops when
     d_alpha < tol; if max_iter is exhausted the last iterate is returned
     with ``converged = False`` in the report.  alpha > 2 is required for
-    the map to contract.
+    the map to contract.  A run whose stored trajectory (frames x atoms x 8 B)
+    would exceed ``PICARD_MAX_BYTES`` is rejected before any frame is stored.
     """
     if alpha <= 2.0:
         raise ValueError("alpha must exceed 2 for the iteration to contract")
@@ -221,6 +264,7 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
     spec._check_cells(family0)
     times = time_grid(T, dt)
     start, mass = family0.positions, family0.masses
+    check_picard_capacity(times.size, start.size)
     frozen = np.broadcast_to(start, times.shape + start.shape)
     prev_traj = MeasureTrajectory(times, [MeasureFamily(p, mass) for p in frozen])
 
@@ -485,12 +529,10 @@ def stability_experiments(cfg: StabilityConfig) -> dict:
 
     spec_a = VelocityFieldSpec(cfg.graphon_a.cell_average(cfg.n), cfg.coupling)
     spec_b = VelocityFieldSpec(graphon_b.cell_average(cfg.n), cfg.coupling)
-    traj_a = evolve_family(spec_a, fam_a, cfg.T, cfg.dt, record_every=cfg.record_every)
-    traj_b = evolve_family(spec_b, fam_b, cfg.T, cfg.dt, record_every=cfg.record_every)
-
-    measured = max(
-        dbar(x, y) for x, y in zip(traj_a.families, traj_b.families)
-    )
+    # the two runs advance together; only their current frames are held
+    frames_a = particle_frames(spec_a, fam_a, cfg.T, cfg.dt, cfg.record_every)
+    frames_b = particle_frames(spec_b, fam_b, cfg.T, cfg.dt, cfg.record_every)
+    measured = max(dbar(x, y) for (_, x), (_, y) in zip(frames_a, frames_b))
     initial = dbar(fam_a, fam_b)
     bound = math.exp(cfg.T) * initial
     kernel_l1 = None

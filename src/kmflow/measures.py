@@ -216,7 +216,13 @@ def sup_dbar(a: MeasureTrajectory, b: MeasureTrajectory) -> float:
     """Max over shared times of dbar (families refined to common cells)."""
     if a.times.size != b.times.size or not np.allclose(a.times, b.times, atol=1e-12):
         raise ValueError("trajectories must share the time grid")
-    return float(max(dbar(*common_cells(fa, fb)) for fa, fb in zip(a.families, b.families)))
+    return max(map(common_dbar, a.families, b.families))
+
+
+def common_dbar(a: MeasureFamily, b: MeasureFamily) -> float:
+    """dbar of two families refined to their common cell count: the value
+    per frame of :func:`sup_dbar`."""
+    return dbar(*common_cells(a, b))
 
 
 @functools.lru_cache(maxsize=1)

@@ -5,8 +5,11 @@ brute-force midpoint sums, transport distances from an explicit linear
 program over transport plans, atomic velocity fields from the explicit double
 sum over source cells and their atoms, finite-volume velocities from the
 explicit double sum over a g x g coupling table, and the two-oscillator
-dynamics from its closed-form solution.
+dynamics from its closed-form solution.  ``peak_traced`` measures the peak
+memory a call allocates.
 """
+
+import tracemalloc
 
 import numpy as np
 from scipy.optimize import linprog
@@ -125,3 +128,13 @@ def weak_residual(times, fields, w, coupling, tests):
 def two_oscillator_gap(phi0: float, K: float, t: float) -> float:
     """Closed-form phase gap: tan(phi/2) = tan(phi0/2) * exp(-K t)."""
     return 2.0 * np.arctan(np.tan(0.5 * phi0) * np.exp(-K * t))
+
+
+def peak_traced(fn):
+    """Call ``fn()`` under tracemalloc; return (its result, peak traced bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -11,12 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kmflow import cli
 from kmflow import io as kio
 from kmflow import meanfield as mf
 from kmflow.cli import ExperimentConfig, _perturbed_family, main, render, run
 from kmflow.measures import VonMises, initial_family, wrap_angle
+from oracles import peak_traced
 
 ER_HALF = {"kind": "constant", "p": 0.5}
+SMALL_WORLD = {"kind": "small_world", "p": 0.1, "h": 0.25}
 
 
 def _read(path: Path) -> str:
@@ -275,16 +278,83 @@ def test_failed_run_leaves_no_manifest(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
-def test_failed_rerun_removes_earlier_manifest(tmp_path, capsys):
+_RERUN_ARGV = ["meanfield_particles", "--graphon", json.dumps(ER_HALF), "--n", "2",
+               "--m", "4", "--T", "0.1", "--dt", "0.05"]
+
+
+def test_rejected_rerun_keeps_earlier_outputs(tmp_path, capsys):
     out = tmp_path / "d"
-    argv = ["meanfield_particles", "--graphon", json.dumps(ER_HALF), "--n", "2",
-            "--m", "4", "--T", "0.1", "--dt", "0.05", "--output-dir", str(out)]
+    argv = _RERUN_ARGV + ["--output-dir", str(out)]
     assert main(argv) == 0
-    assert (out / "manifest.json").exists()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["drift.csv", "manifest.json", "results.csv"]
     assert main(argv + ["--rho0", '{"kind": "von_mises", "kappa": NaN}']) == 1
     assert "error: concentration kappa must be finite" in capsys.readouterr().err
+    # rejected in validate: the earlier run and its manifest are untouched
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_rerun_removes_earlier_manifest(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "d"
+    argv = _RERUN_ARGV + ["--output-dir", str(out)]
+    assert main(argv) == 0
+    assert (out / "manifest.json").exists()
+
+    def failing_runner(cfg):
+        raise RuntimeError("solver failed")
+
+    monkeypatch.setitem(cli._RUNNERS, "meanfield_particles", failing_runner)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: solver failed\n"
     # no manifest vouches for the earlier outputs, and no temporary file is left
     assert sorted(p.name for p in out.iterdir()) == ["drift.csv", "results.csv"]
+
+
+@pytest.mark.parametrize("experiment, flags, message", [
+    ("meanfield_particles", ["--coupling", '{"kind": "sine_shift"}'],
+     "error: the 'coupling' spec {'kind': 'sine_shift'} lacks the field 'alpha'"),
+    ("picard", ["--coupling", "[1]"], "error: the 'coupling' spec must be a JSON object"),
+    ("meanfield_fv", ["--rho0", '{"kind": "von_mises"}'],
+     "error: the 'rho0' spec {'kind': 'von_mises'} lacks the field 'kappa'"),
+    ("convergence_main", ["--rho0", '{"kind": "cauchy"}'],
+     "error: unknown density kind: 'cauchy' in the 'rho0' spec"),
+    ("simulate", ["--omega", '{"kind": "normal", "mean": 0, "sd": 1}'],
+     "error: the 'omega' spec {'kind': 'normal', 'mean': 0, 'sd': 1} lacks the field 'seed'"),
+    ("convergence_ave", ["--graphon", '{"kind": "constant", "p": 2}'],
+     "in the 'graphon' spec {'kind': 'constant', 'p': 2}"),
+    ("stability_kernel", ["--graphon-b", '{"kind": "small_world", "p": 0.1}'],
+     "error: the 'graphon_b' spec {'kind': 'small_world', 'p': 0.1} lacks the field 'h'"),
+    ("stability_kernel", [], "error: experiment 'stability_kernel' needs the 'graphon_b' key"),
+])
+def test_bad_specs_rejected_with_key(tmp_path, capsys, experiment, flags, message):
+    code = main([experiment, "--graphon", json.dumps(ER_HALF), "--n", "2", "--T", "0.1",
+                 *flags, "--output-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_picard_over_capacity_rejected_before_the_run(tmp_path, capsys):
+    # 101 frames x 2^19 atoms x 8 B = 404 MiB per stored Picard trajectory
+    code = main(["picard", "--graphon", json.dumps(ER_HALF), "--n", "64", "--m", "8192",
+                 "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: capacity exceeded: 101 frames x 524288 atoms x 8 B = 404.0 MiB")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n", ","), ("--n", "3,x"), ("--m", ",,"), ("--seeds", "1,two"),
+])
+def test_list_flags_without_numbers_rejected(tmp_path, capsys, flag, value):
+    code = main(["simulate", "--graphon", json.dumps(ER_HALF), "--n", "3", "--T", "0.1",
+                 flag, value, "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag} takes an integer or a comma list of integers (got {value!r})\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_keeps_old_file_and_no_temporary(tmp_path, monkeypatch):
@@ -397,6 +467,17 @@ def test_meanfield_fv_rejects_bad_settings(tmp_path, capsys, flags, message):
 def test_phase_grid_size_must_be_an_integer(g):
     with pytest.raises(ValueError, match="'g' must be a positive integer"):
         ExperimentConfig.from_dict({"experiment": "meanfield_fv", "g": g})
+
+
+@pytest.mark.parametrize("record_every", ["1", "10"])
+def test_meanfield_particles_memory_independent_of_recorded_frames(tmp_path, record_every):
+    # n*m = 2^14; the 101 frames of the run alone would take 12.6 MiB
+    code, peak = peak_traced(lambda: main([
+        "meanfield_particles", "--graphon", json.dumps(SMALL_WORLD), "--n", "16",
+        "--m", "1024", "--T", "1", "--dt", "0.01", "--record-every", record_every,
+        "--output-dir", str(tmp_path)]))
+    assert code == 0
+    assert peak < 6 * 2**20
 
 
 def test_meanfield_fv_cli_keeps_only_endpoints(tmp_path, monkeypatch):

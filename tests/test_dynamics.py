@@ -1,7 +1,5 @@
 """Oscillator right-hand sides, RK4 integration, diagnostics."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +24,7 @@ from kmflow.dynamics import (
 )
 from kmflow.graphon import Graphon
 from kmflow.graphs import WeightedGraph, deterministic_graph
-from oracles import two_oscillator_gap
+from oracles import peak_traced, two_oscillator_gap
 
 TWO_PI = 2.0 * np.pi
 
@@ -286,12 +284,7 @@ def test_custom_graph_rhs_memory_bounded():
     coupling = CouplingFunction.custom(lambda d: 0.5 * np.sin(d) + 0.25 * np.sin(2.0 * d))
     system = OscillatorSystem(deterministic_graph(Graphon.constant(1.0), n), coupling)
     u = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    tracemalloc.start()
-    try:
-        v = system.rhs_phases(u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    v, peak = peak_traced(lambda: system.rhs_phases(u))
     assert np.max(np.abs(v)) < 1e-15  # equispaced phases: every harmonic cancels
     assert peak < 56 * 2**20
 
@@ -302,6 +295,44 @@ def test_recording_cadence():
                      record_every=4)
     # initial, steps 4 and 8, and the final step 10
     assert np.allclose(traj.times, [0.0, 0.4, 0.8, 1.0])
+
+
+@pytest.mark.parametrize("T, dt, record_every", [
+    (1.0, 0.1, 1), (1.0, 0.1, 4), (1.0, 0.1, 10), (1.0, 0.1, 11), (0.55, 0.1, 2),
+    (0.0, 0.1, 1), (0.3, 0.1, 10**9),
+])
+def test_recorded_states_are_the_integrated_frames(T, dt, record_every):
+    sys_ = _system(np.array([[1.0, 0.4, 0.0], [0.4, 1.0, 0.7], [0.0, 0.7, 0.2]]),
+                   omega=np.array([0.3, -0.1, 0.0]))
+    state0 = PhaseState(np.array([0.0, 1.0, 4.0]))
+    traj = integrate(sys_, state0, T, dt, record_every=record_every)
+    frames = list(dynamics.recorded_states(sys_, state0, T, dt, record_every))
+    assert [t for t, _ in frames] == traj.times.tolist()
+    assert np.array_equal(np.array([u for _, u in frames]), traj.phases)
+    # every frame is its own array, and the start is a copy of the state
+    assert len({id(u) for _, u in frames}) == len(frames)
+    assert not np.shares_memory(frames[0][1], state0.phases)
+
+
+def test_recorded_states_checks_arguments_at_the_call():
+    sys_ = _system(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="record_every"):
+        dynamics.recorded_states(sys_, PhaseState(np.zeros(2)), 1.0, 0.1, 0)
+    with pytest.raises(ValueError, match="expects 2"):
+        dynamics.recorded_states(sys_, PhaseState(np.zeros(3)), 1.0, 0.1)
+    with pytest.raises(ValueError, match="dt"):
+        dynamics.recorded_states(sys_, PhaseState(np.zeros(2)), 1.0, 0.0)
+
+
+def test_trajectory_reductions_match_framewise_values():
+    rng = np.random.default_rng(2)
+    a = dynamics.Trajectory(np.arange(4.0), rng.normal(size=(4, 37)))
+    b = dynamics.Trajectory(np.arange(4.0), rng.normal(size=(4, 37)))
+    diff = a.phases - b.phases
+    assert sup_norm_1n(a, b) == np.max(np.sqrt(np.mean(diff**2, axis=1)))
+    assert dynamics.max_pairwise_gap(a, b) == np.max(np.abs(diff))
+    with pytest.raises(ValueError, match="recording grid"):
+        dynamics.max_pairwise_gap(a, dynamics.Trajectory(np.arange(3.0), b.phases[:3]))
 
 
 def test_omega_from_spec():

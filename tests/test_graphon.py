@@ -1,7 +1,5 @@
 """Kernel evaluation, cell averaging, and kernel distances."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from kmflow.graphon import (
     step_norm_2n,
 )
 from kmflow.graphs import WeightedGraph
-from oracles import midpoint_cell_average
+from oracles import midpoint_cell_average, peak_traced
 
 TWO_PI = 2.0 * np.pi
 
@@ -219,13 +217,12 @@ def test_bound_check_and_clip_leave_caller_array_unchanged(make):
 ], ids=["step", "weighted", "graphon", "cell_average"])
 def test_oversized_input_rejected_before_copy(make):
     huge = np.broadcast_to(0.0, (MAX_NODES + 1, MAX_NODES + 1))
-    tracemalloc.start()
-    try:
+
+    def rejected():
         with pytest.raises(ValueError, match="nodes"):
             make(huge)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = peak_traced(rejected)
     assert peak < 2**20
 
 
@@ -234,6 +231,45 @@ def test_kernel_distance_identity_and_constants():
     assert kernel_distance(W, W, "L2", 64) == 0.0
     assert kernel_distance(Graphon.constant(0.3), Graphon.constant(0.7), "L1", 32) == pytest.approx(0.4)
     assert kernel_distance(Graphon.constant(0.3), Graphon.constant(0.7), "L2", 32) == pytest.approx(0.4)
+
+
+_TOEPLITZ_KERNELS = [
+    Graphon.constant(0.3), Graphon.constant(0.75),
+    Graphon.small_world(0.1, 0.25), Graphon.small_world(0.15, 0.25),
+    Graphon.nearest_neighbor(0.1), Graphon.nearest_neighbor(0.37),
+]
+
+
+@pytest.mark.parametrize("r", [1, 2, 63, 512])
+def test_kernel_distance_toeplitz_route_matches_step_route(r):
+    for W in _TOEPLITZ_KERNELS:
+        for U in _TOEPLITZ_KERNELS:
+            diff = W.cell_average(r).values - U.cell_average(r).values
+            assert kernel_distance(W, U, "L1", r) == np.mean(np.abs(diff))
+            assert kernel_distance(W, U, "L2", r) == np.sqrt(np.mean(diff**2))
+
+
+def test_kernel_distance_step_band_mix_takes_dense_route(monkeypatch):
+    averaged = []
+    cell_average = Graphon.cell_average
+
+    def counting(self, n, *args):
+        averaged.append(self.kind)
+        return cell_average(self, n, *args)
+
+    monkeypatch.setattr(Graphon, "cell_average", counting)
+    band, step = Graphon.small_world(0.1, 0.25), Graphon.step([[0.2, 0.5], [0.5, 0.9]])
+    assert kernel_distance(band, Graphon.nearest_neighbor(0.2), "L1", 64) > 0.0
+    assert averaged == []
+    mixed = kernel_distance(step, band, "L1", 64)
+    assert averaged == ["step", "small_world"]
+    diff = step.cell_average(64).values - band.cell_average(64).values
+    assert mixed == np.mean(np.abs(diff))
+
+
+def test_kernel_distance_resolution_capped():
+    with pytest.raises(ValueError, match="nodes"):
+        kernel_distance(Graphon.constant(0.3), Graphon.constant(0.7), "L1", MAX_NODES + 1)
 
 
 def test_kernel_distance_exact_for_commensurate_steps():

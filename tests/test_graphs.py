@@ -1,7 +1,5 @@
 """Deterministic and W-random graph construction, pixel pictures."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from kmflow.graphs import (
     sample_w_random,
 )
 from kmflow.io import write_matrix_csv
+from oracles import peak_traced
 
 
 def test_deterministic_constant():
@@ -171,12 +170,7 @@ def test_band_averages_nonnegative_and_sampleable(h):
 
 def test_toeplitz_graph_stores_diagonals_only():
     W = Graphon.small_world(0.1, 0.25)
-    tracemalloc.start()
-    try:
-        g = deterministic_graph(W, 4096)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, peak = peak_traced(lambda: deterministic_graph(W, 4096))
     assert peak < 2**20
     assert g.weights.shape == (4096, 4096) and not g.weights.flags.writeable
     assert not g._diagonals.flags.writeable
@@ -280,12 +274,7 @@ def test_built_matrices_are_checked_once(monkeypatch, build, checks):
 def test_sampled_graph_holds_one_matrix():
     n = 1024
     W = Graphon.small_world(0.1, 0.25)
-    tracemalloc.start()
-    try:
-        graph = sample_w_random(W, n, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    graph, peak = peak_traced(lambda: sample_w_random(W, n, 5))
     assert peak < 1.25 * n * n * 8
     assert graph.sampled and graph.seed == 5
     assert np.array_equal(graph.weights, graph.weights.T)

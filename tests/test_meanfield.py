@@ -1,13 +1,12 @@
 """Particle, fixed-point, and finite-volume mean-field solvers."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from kmflow import dynamics
+from kmflow import dynamics, meanfield
 from kmflow.dynamics import CouplingFunction, PhaseState, wrap_angle
 from kmflow.graphon import Graphon
 from kmflow.graphs import WeightedGraph
@@ -40,7 +39,7 @@ from kmflow.measures import (
     initial_family,
 )
 import oracles
-from oracles import padded_family, two_oscillator_gap
+from oracles import padded_family, peak_traced, two_oscillator_gap
 
 TWO_PI = 2.0 * np.pi
 SINE = CouplingFunction.sine()
@@ -142,12 +141,7 @@ def test_custom_slab_memory_bounded():
     spec = _spec(Graphon.constant(1.0), 1, CouplingFunction.custom(lambda d: 0.0 * d))
     fam = initial_family(Uniform(), 1, m)
     u = np.linspace(0.0, TWO_PI, m, endpoint=False)
-    tracemalloc.start()
-    try:
-        v = velocity(spec, fam, u, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    v, peak = peak_traced(lambda: velocity(spec, fam, u, 0))
     assert np.array_equal(v, np.zeros(m))
     assert peak < 40 * 2**20
 
@@ -277,6 +271,30 @@ def test_picard_rejects_zero_sweeps():
     fam0 = initial_family(Uniform(), 2, 4)
     with pytest.raises(ValueError, match="max_iter"):
         picard_solve(spec, fam0, 1.0, 0.1, max_iter=0)
+
+
+def test_picard_capacity_rejected_before_allocating():
+    spec = _spec(Graphon.constant(0.5), 16)
+    fam0 = initial_family(Uniform(), 16, 4096)
+
+    def rejected():
+        # 1001 frames x 65536 atoms x 8 B = 512 MiB per stored trajectory
+        with pytest.raises(ValueError, match="capacity exceeded: 1001 frames x 65536 atoms"):
+            picard_solve(spec, fam0, 1.0, 1e-3)
+
+    _, peak = peak_traced(rejected)
+    assert peak < 2**20
+
+
+def test_picard_capacity_limit_is_frames_times_atoms(monkeypatch):
+    spec = _spec(Graphon.constant(0.5), 2)
+    fam0 = initial_family(Uniform(), 2, 4)
+    monkeypatch.setattr(meanfield, "PICARD_MAX_BYTES", 11 * 8 * 8)
+    _, report = picard_solve(spec, fam0, 1.0, 0.1)  # 11 frames of 8 atoms
+    assert report["converged"]
+    monkeypatch.setattr(meanfield, "PICARD_MAX_BYTES", 11 * 8 * 8 - 1)
+    with pytest.raises(ValueError, match="capacity exceeded"):
+        picard_solve(spec, fam0, 1.0, 0.1)
 
 
 def test_picard_max_iter_reports_nonconvergence():
@@ -416,12 +434,7 @@ def test_weak_residual_peak_stays_under_eight_frames(frames):
     dt = 0.9 * rho0.du
     traj = solve_fv(spec, rho0, (frames - 1) * dt, dt)
     assert len(traj.fields) == frames
-    tracemalloc.start()
-    try:
-        weak_residual(traj, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_traced(lambda: weak_residual(traj, spec))
     assert peak < 8 * n * g * 8
 
 
@@ -431,12 +444,7 @@ def test_fv_endpoints_only_run_builds_no_coupling_table():
     spec = _spec(Graphon.small_world(0.3, 0.2), n)
     rho0 = density_field_from_spec(VonMises(2.0, 1.0), n, g)
     dt = 0.9 * rho0.du
-    tracemalloc.start()
-    try:
-        traj = solve_fv(spec, rho0, 10 * dt, dt, record_every=10**9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, peak = peak_traced(lambda: solve_fv(spec, rho0, 10 * dt, dt, record_every=10**9))
     assert len(traj.fields) == 2
     assert peak < 8 * 2**20
 
@@ -557,6 +565,41 @@ def test_stability_kernel_bound():
     assert res["kernel_l1"] == pytest.approx(0.1)
     assert res["bound"] == pytest.approx(np.exp(2.0) * 0.1)
     assert res["passed"]
+
+
+_STABILITY_KERNELS = (Graphon.small_world(0.1, 0.25), Graphon.small_world(0.15, 0.25))
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_stability_measured_is_max_over_evolved_frames(record_every):
+    W, U = _STABILITY_KERNELS
+    n, m, T, dt = 4, 8, 0.5, 0.03
+    fam_a = initial_family(VonMises(2.0, 1.0), n, m, mode="iid", seed=3)
+    fam_b = MeasureFamily(fam_a.positions + 0.05, fam_a.masses)
+    res = stability_experiments(StabilityConfig(
+        graphon_a=W, graphon_b=U, n=n, m=m, T=T, dt=dt, family_a=fam_a,
+        family_b=fam_b, record_every=record_every))
+    a = evolve_family(_spec(W, n), fam_a, T, dt, record_every=record_every)
+    b = evolve_family(_spec(U, n), fam_b, T, dt, record_every=record_every)
+    assert res["measured"] == max(dbar(x, y) for x, y in zip(a.families, b.families))
+
+
+@pytest.mark.parametrize("perturb", ["kernel", "initial"])
+def test_stability_memory_independent_of_recorded_frames(perturb):
+    W, U = _STABILITY_KERNELS
+    fam = initial_family(VonMises(2.0, 1.0), 16, 256, mode="iid", seed=0)
+    other = ({"graphon_b": U} if perturb == "kernel" else
+             {"family_b": MeasureFamily(fam.positions + 0.05, fam.masses)})
+
+    def run(record_every):
+        return stability_experiments(StabilityConfig(
+            graphon_a=W, n=16, m=256, T=1.0, dt=0.01, family_a=fam,
+            record_every=record_every, **other))
+
+    (every, peak_every), (tenth, peak_tenth) = peak_traced(lambda: run(1)), peak_traced(lambda: run(10))
+    # storing the 101 frames of both runs would take 13 MiB more at record_every 1
+    assert abs(peak_every - peak_tenth) <= 0.1 * peak_tenth
+    assert every["measured"] >= tenth["measured"]
 
 
 def test_gronwall_envelope_dominates():
