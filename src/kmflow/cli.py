@@ -4,6 +4,12 @@ Every run that finishes writes a ``manifest.json`` holding the fully resolved
 configuration (defaults included), so re-running from a manifest reproduces
 the outputs byte for byte.  Numeric CSV output uses 17 significant digits.
 
+``ExperimentConfig.validate`` is the one place a run's settings are checked
+and its inputs built; ``EXPERIMENTS`` gives each experiment its runner, the
+keys it reads and the counts it sweeps.  :func:`run` hands the built inputs to
+the runner, so every config error is raised before the output directory is
+touched.
+
 Experiments
 -----------
 simulate             integrate oscillators on a graphon-derived graph
@@ -22,11 +28,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,7 +52,7 @@ from .dynamics import (
     recorded_states,
     time_grid,
 )
-from .graphon import Graphon
+from .graphon import MAX_NODES, Graphon
 from .graphs import WeightedGraph, deterministic_graph, pixel_picture, sample_w_random
 from .measures import (
     MeasureFamily,
@@ -59,34 +67,6 @@ from .measures import (
 
 MAX_PARTICLES = 2**20
 
-# The settings each experiment reads, besides ``experiment`` and
-# ``output_dir``.  Any other key set to a value other than its default is
-# rejected rather than silently ignored; defaults pass, so manifests (which
-# hold every key) still replay.  The mean-field solvers run with K = 1 and
-# zero frequencies, convergence_main always starts from quantile atoms, and
-# meanfield_fv writes only the final field.
-_MEANFIELD_KEYS = ("graphon", "coupling", "rho0", "n", "T", "dt")
-_READ_KEYS = {
-    "simulate": ("graphon", "coupling", "omega", "n", "T", "dt", "K",
-                 "record_every", "seeds", "sampled"),
-    "sample_graph": ("graphon", "n", "seeds", "render_pgm"),
-    "meanfield_particles": _MEANFIELD_KEYS + ("m", "record_every", "init_mode",
-                                              "init_seed"),
-    "meanfield_fv": _MEANFIELD_KEYS + ("g",),
-    "picard": _MEANFIELD_KEYS + ("m", "init_mode", "init_seed", "alpha", "tol",
-                                 "max_iter"),
-    "convergence_main": _MEANFIELD_KEYS + ("m", "ref_n", "ref_m", "record_every"),
-    "convergence_ave": ("graphon", "coupling", "omega", "n", "T", "dt", "K",
-                        "record_every", "seeds"),
-    "stability_initial": _MEANFIELD_KEYS + ("m", "init_mode", "init_seed",
-                                            "record_every", "seeds", "perturbation",
-                                            "perturbation_seed"),
-    "stability_kernel": _MEANFIELD_KEYS + ("m", "init_mode", "init_seed",
-                                           "record_every", "graphon_b",
-                                           "kernel_resolution"),
-    "distance": ("inputs",),
-}
-
 
 def _integer(value, low: int, high: float = math.inf) -> bool:
     return (isinstance(value, int) and not isinstance(value, bool)
@@ -99,20 +79,17 @@ def _real(value) -> bool:
 
 
 _COUNT = (lambda v: _integer(v, 1), "a positive integer")
-_COUNTS = (lambda v: all(_integer(x, 1) for x in (v if isinstance(v, list) else [v])),
+_COUNTS = (lambda v: v != [] and all(_integer(x, 1) for x in
+                                     (v if isinstance(v, list) else [v])),
            "a positive integer or a list of them")
 _SEED = (lambda v: _integer(v, 0, 2**64), "an integer in [0, 2**64)")
-# Numeric keys -> (test, what the error says a value must be).  A key whose
-# default is None may also stay None.
-_NUMERIC_KEYS = {
-    "n": _COUNTS,
-    "m": _COUNTS,
-    "ref_n": _COUNT,
-    "ref_m": _COUNT,
-    "g": _COUNT,
-    "max_iter": _COUNT,
-    "record_every": _COUNT,
-    "kernel_resolution": _COUNT,
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+# Scalar and list keys -> (test, what the error says a value must be).  A key
+# whose default is None may also stay None.
+_CHECKS = {
+    "n": _COUNTS, "m": _COUNTS,
+    "ref_n": _COUNT, "ref_m": _COUNT, "g": _COUNT, "max_iter": _COUNT,
+    "record_every": _COUNT, "kernel_resolution": _COUNT,
     "T": (lambda v: _real(v) and v >= 0.0, "a finite number >= 0"),
     "dt": (lambda v: _real(v) and v > 0.0, "a finite number > 0"),
     "perturbation": (lambda v: _real(v) and v >= 0.0, "a finite number >= 0"),
@@ -121,33 +98,29 @@ _NUMERIC_KEYS = {
     "K": (_real, "a finite number"),
     "seeds": (lambda v: isinstance(v, list) and all(_integer(x, 0, 2**64) for x in v),
               "a list of integers in [0, 2**64)"),
-    "init_seed": _SEED,
-    "perturbation_seed": _SEED,
+    "init_seed": _SEED, "perturbation_seed": _SEED,
+    "sampled": _FLAG, "render_pgm": _FLAG,
+    "init_mode": (lambda v: v in ("quantile", "iid"), "'quantile' or 'iid'"),
+    "inputs": (lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v),
+               "a list of file paths"),
 }
 
-# JSON-valued keys -> the constructor that turns the spec into its object.
-# Each experiment builds the ones it reads in ``validate``, so a bad spec is
-# rejected, naming its key, before anything is run or removed.
+
+def _frequencies(spec: dict):
+    """The ``omega`` spec as n -> frequencies, its fields checked now."""
+    omega_from_spec(spec, 1)
+    return functools.partial(omega_from_spec, spec)
+
+
+# JSON-valued keys -> the constructor that turns the spec into the object its
+# runner takes.
 _SPEC_KEYS = {
     "graphon": Graphon.from_dict,
     "graphon_b": Graphon.from_dict,
     "coupling": CouplingFunction.from_dict,
     "rho0": density_from_dict,
-    "omega": lambda spec: omega_from_spec(spec, 1),
+    "omega": _frequencies,
 }
-
-EXPERIMENTS = (
-    "simulate",
-    "sample_graph",
-    "meanfield_particles",
-    "meanfield_fv",
-    "picard",
-    "convergence_main",
-    "convergence_ave",
-    "stability_initial",
-    "stability_kernel",
-    "distance",
-)
 
 
 @dataclass
@@ -158,8 +131,8 @@ class ExperimentConfig:
     coupling: dict = field(default_factory=lambda: {"kind": "sine"})
     rho0: dict = field(default_factory=lambda: {"kind": "uniform"})
     omega: dict = field(default_factory=lambda: {"kind": "zero"})
-    n: object = None          # int or list of ints
-    m: object = None          # int or list of ints
+    n: object = None          # int, or list of ints where the experiment sweeps n
+    m: object = None          # int, or list of ints where the experiment sweeps m
     ref_n: int | None = None
     ref_m: int | None = None
     T: float = 1.0
@@ -193,20 +166,27 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
-    def validate(self) -> None:
+    def validate(self) -> dict:
+        """Check every setting and build the experiment's inputs.
+
+        Returns the keyword arguments of the experiment's runner: the objects
+        its JSON specs describe, ``n``/``m`` (a list for the counts it
+        sweeps, an int otherwise), ``convergence_main``'s reference sizes as
+        ``ref`` and ``distance``'s two families.  A bad setting raises
+        ValueError naming its key or file.
+        """
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; pick one of "
-                f"{', '.join(EXPERIMENTS)}"
-            )
+            raise ValueError(f"unknown experiment {self.experiment!r}; pick one of "
+                             f"{', '.join(EXPERIMENTS)}")
+        entry = EXPERIMENTS[self.experiment]
         defaults = ExperimentConfig(self.experiment)
-        for key, (valid, what) in _NUMERIC_KEYS.items():
+        for key, (valid, what) in _CHECKS.items():
             value = getattr(self, key)
             if value is None and getattr(defaults, key) is None:
                 continue
             if not valid(value):
                 raise ValueError(f"{key!r} must be {what} (got {value!r})")
-        read = {"experiment", "output_dir", *_READ_KEYS[self.experiment]}
+        read = {"experiment", "output_dir", *entry.reads}
         unread = sorted(f.name for f in dataclasses.fields(self)
                         if f.name not in read
                         and getattr(self, f.name) != getattr(defaults, f.name))
@@ -214,50 +194,87 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} does not use " + ", ".join(
                 f"{key!r} (got {getattr(self, key)!r}, must keep its default "
                 f"{getattr(defaults, key)!r})" for key in unread))
-        for key in [key for key in _SPEC_KEYS if key in read]:
-            spec = getattr(self, key)
-            if spec is None:
+        if self.init_mode == "iid" and self.init_seed is None:
+            raise ValueError("init_mode 'iid' needs an 'init_seed'")
+        inputs, counts = {}, {}
+        for key in [key for key in (*_SPEC_KEYS, "n", "m") if key in read]:
+            value = getattr(self, key)
+            if value is None:
                 raise ValueError(f"experiment {self.experiment!r} needs the {key!r} key")
-            if not isinstance(spec, dict):
-                raise ValueError(f"the {key!r} spec must be a JSON object (got {spec!r})")
-            try:
-                _SPEC_KEYS[key](spec)
-            except KeyError as exc:
-                raise ValueError(f"the {key!r} spec {spec!r} lacks the field {exc}"
-                                 ) from None
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{exc} in the {key!r} spec {spec!r}") from None
-        for n in self.n_list() or []:
-            for m in self.m_list() or [1]:
-                if n * m > MAX_PARTICLES:
-                    raise ValueError(
-                        f"capacity exceeded: n*m = {n * m} > {MAX_PARTICLES}"
-                    )
-                if self.experiment == "picard":
-                    mf.check_picard_capacity(len(time_grid(self.T, self.dt)), n * m)
-        if self.ref_n is not None and self.ref_m is not None:
-            if self.ref_n * self.ref_m > MAX_PARTICLES:
-                raise ValueError("capacity exceeded for the reference run")
-
-    def n_list(self) -> list[int] | None:
-        if self.n is None:
-            return None
-        return [int(v) for v in (self.n if isinstance(self.n, list) else [self.n])]
-
-    def m_list(self) -> list[int] | None:
-        if self.m is None:
-            return None
-        return [int(v) for v in (self.m if isinstance(self.m, list) else [self.m])]
+            if key in _SPEC_KEYS:
+                inputs[key] = _build_spec(key, value)
+                continue
+            counts[key] = value if isinstance(value, list) else [value]
+            if key not in entry.sweeps and len(counts[key]) != 1:
+                raise ValueError(f"{self.experiment} takes a single {key!r} "
+                                 f"(got {value!r})")
+            inputs[key] = counts[key] if key in entry.sweeps else counts[key][0]
+        sizes = [("", n, m) for n in counts.get("n", []) for m in counts.get("m", [1])]
+        if self.experiment == "convergence_main":
+            low_n, low_m = 2 * max(counts["n"]), 4 * max(counts["m"])
+            inputs["ref"] = ref = (self.ref_n or low_n, self.ref_m or low_m)
+            if ref[0] < low_n or ref[1] < low_m:
+                raise ValueError(
+                    f"the reference must satisfy ref_n >= 2*max(n) = {low_n} and "
+                    f"ref_m >= 4*max(m) = {low_m} (got {ref[0]} and {ref[1]})")
+            sizes.append(("ref_", *ref))
+        for p, n, m in sizes:
+            if n > MAX_NODES or n * m > MAX_PARTICLES:
+                raise ValueError(f"capacity exceeded: {p}n = {n} (at most {MAX_NODES}), "
+                                 f"{p}n*{p}m = {n * m} (at most {MAX_PARTICLES})")
+        frames = len(time_grid(self.T, self.dt))  # checks the step count
+        if self.experiment == "picard":
+            mf.check_picard_capacity(frames, inputs["n"] * inputs["m"])
+        if self.experiment == "distance":
+            if len(self.inputs) != 2:
+                raise ValueError(f"'inputs' must name two family CSV files "
+                                 f"(got {self.inputs!r})")
+            inputs["families"] = [_read_family_csv(path) for path in self.inputs]
+        return inputs
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(kio.read_json(path))
+def _build_spec(key: str, spec):
+    if not isinstance(spec, dict):
+        raise ValueError(f"the {key!r} spec must be a JSON object (got {spec!r})")
+    try:
+        return _SPEC_KEYS[key](spec)
+    except KeyError as exc:
+        raise ValueError(f"the {key!r} spec {spec!r} lacks the field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{exc} in the {key!r} spec {spec!r}") from None
+
+
+def _read_config(path) -> dict:
+    try:
+        raw = kio.read_json(path)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {path} is not JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"config file {path} must hold a JSON object "
+                         f"(got {type(raw).__name__})")
+    return raw
+
+
+def _read_family_csv(path) -> MeasureFamily:
+    lines = Path(path).read_text().strip().splitlines()
+    try:
+        if not lines or lines[0].strip() != "cell,position,mass":
+            raise ValueError("not a family CSV (expected header 'cell,position,mass')")
+        for number, line in enumerate(lines[1:], start=2):
+            if line.count(",") != 2:
+                raise ValueError(f"line {number} is not a 'cell,position,mass' row "
+                                 f"(got {line!r})")
+        return family_from_rows(line.split(",") for line in lines[1:])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- individual experiments --------------------------------------------------
+# Each runner takes the config, for its plain settings, and by keyword the
+# inputs ``validate`` built for it.
 
 
 def _out(cfg: ExperimentConfig, name: str) -> Path:
@@ -266,71 +283,44 @@ def _out(cfg: ExperimentConfig, name: str) -> Path:
     return out / name
 
 
-def _graphon(cfg: ExperimentConfig, which: str = "graphon") -> Graphon:
-    return Graphon.from_dict(getattr(cfg, which))
-
-
-def _coupling(cfg: ExperimentConfig) -> CouplingFunction:
-    return CouplingFunction.from_dict(cfg.coupling)
-
-
-def _single(value, name: str) -> int:
-    if value is None:
-        raise ValueError(f"experiment needs {name!r}")
-    if isinstance(value, list):
-        if len(value) != 1:
-            raise ValueError(f"{name!r} must be a single value here")
-        return int(value[0])
-    return int(value)
-
-
 def _initial_phases(n: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(2**32)]))
     return rng.uniform(0.0, 2.0 * math.pi, n)
 
 
-def _run_simulate(cfg: ExperimentConfig) -> None:
-    n = _single(cfg.n, "n")
-    W = _graphon(cfg)
+def _run_simulate(cfg: ExperimentConfig, graphon, coupling, omega, n) -> None:
     seed = cfg.seeds[0] if cfg.seeds else 0
-    graph = sample_w_random(W, n, seed) if cfg.sampled else deterministic_graph(W, n)
-    system = OscillatorSystem(graph, _coupling(cfg), K=cfg.K,
-                              omega=omega_from_spec(cfg.omega, n))
+    graph = (sample_w_random(graphon, n, seed) if cfg.sampled
+             else deterministic_graph(graphon, n))
+    system = OscillatorSystem(graph, coupling, K=cfg.K, omega=omega(n))
     u0 = _initial_phases(n, seed)
     traj = integrate(system, PhaseState(u0), cfg.T, cfg.dt,
                      record_every=cfg.record_every)
-    wrapped = traj.wrapped_phases()
-    rows = []
-    for k, t in enumerate(traj.times):
-        r, psi = order_parameter(wrapped[k])
-        rows.append([float(t), *map(float, wrapped[k]), r, psi])
+    rows = [[float(t), *map(float, u), *order_parameter(u)]
+            for t, u in zip(traj.times, traj.wrapped_phases())]
     header = ["t"] + [f"u_{i + 1}" for i in range(n)] + ["r", "psi"]
     kio.write_csv(_out(cfg, "results.csv"), header, rows)
 
 
-def _run_sample_graph(cfg: ExperimentConfig) -> None:
-    n = _single(cfg.n, "n")
-    seed = cfg.seeds[0] if cfg.seeds else 0
-    graph = sample_w_random(_graphon(cfg), n, seed)
+def _run_sample_graph(cfg: ExperimentConfig, graphon, n) -> None:
+    graph = sample_w_random(graphon, n, cfg.seeds[0] if cfg.seeds else 0)
     kio.write_matrix_csv(_out(cfg, "results.csv"), graph.weights)
     if cfg.render_pgm:
         kio.write_pgm(_out(cfg, "graph.pgm"), pixel_picture(graph))
 
 
-def _spec(cfg: ExperimentConfig, n: int) -> mf.VelocityFieldSpec:
-    return mf.VelocityFieldSpec(_graphon(cfg).cell_average(n), _coupling(cfg))
+def _spec(graphon: Graphon, coupling: CouplingFunction, n: int) -> mf.VelocityFieldSpec:
+    return mf.VelocityFieldSpec(graphon.cell_average(n), coupling)
 
 
-def _run_meanfield_particles(cfg: ExperimentConfig) -> None:
-    n = _single(cfg.n, "n")
-    m = _single(cfg.m, "m")
-    family0 = initial_family(density_from_dict(cfg.rho0), n, m,
-                             mode=cfg.init_mode, seed=cfg.init_seed)
+def _run_meanfield_particles(cfg: ExperimentConfig, graphon, coupling, rho0,
+                             n, m) -> None:
+    family0 = initial_family(rho0, n, m, mode=cfg.init_mode, seed=cfg.init_seed)
     # each drift row is taken as its frame arrives; only the first frame and
     # the current one are held
     drift, first = [], None
-    for t, family in mf.particle_frames(_spec(cfg, n), family0, cfg.T, cfg.dt,
-                                        cfg.record_every):
+    for t, family in mf.particle_frames(_spec(graphon, coupling, n), family0,
+                                        cfg.T, cfg.dt, cfg.record_every):
         first = family if first is None else first
         drift.append([float(t), dbar(family, first)])
     kio.write_csv(_out(cfg, "results.csv"), ["cell", "position", "mass"],
@@ -338,93 +328,67 @@ def _run_meanfield_particles(cfg: ExperimentConfig) -> None:
     kio.write_csv(_out(cfg, "drift.csv"), ["t", "dbar_to_initial"], drift)
 
 
-def _run_meanfield_fv(cfg: ExperimentConfig) -> None:
-    n = _single(cfg.n, "n")
-    field0 = mf.density_field_from_spec(density_from_dict(cfg.rho0), n, cfg.g)
+def _run_meanfield_fv(cfg: ExperimentConfig, graphon, coupling, rho0, n) -> None:
+    field0 = mf.density_field_from_spec(rho0, n, cfg.g)
     # only the final field is written, so record t = 0 and T alone
-    traj = mf.solve_fv(_spec(cfg, n), field0, cfg.T, cfg.dt,
+    traj = mf.solve_fv(_spec(graphon, coupling, n), field0, cfg.T, cfg.dt,
                        record_every=sys.maxsize)
-    rows = []
-    for i in range(n):
-        for k in range(cfg.g):
-            rows.append([i, k, float(traj.final_field.values[i, k])])
+    rows = [[i, k, float(v)] for (i, k), v in np.ndenumerate(traj.final_field.values)]
     kio.write_csv(_out(cfg, "results.csv"), ["cell", "u_index", "value"], rows)
 
 
-def _run_picard(cfg: ExperimentConfig) -> None:
-    n = _single(cfg.n, "n")
-    m = _single(cfg.m, "m")
-    family0 = initial_family(density_from_dict(cfg.rho0), n, m,
-                             mode=cfg.init_mode, seed=cfg.init_seed)
-    traj, report = mf.picard_solve(_spec(cfg, n), family0, cfg.T, cfg.dt,
-                                   alpha=cfg.alpha, tol=cfg.tol,
+def _run_picard(cfg: ExperimentConfig, graphon, coupling, rho0, n, m) -> None:
+    family0 = initial_family(rho0, n, m, mode=cfg.init_mode, seed=cfg.init_seed)
+    traj, report = mf.picard_solve(_spec(graphon, coupling, n), family0, cfg.T,
+                                   cfg.dt, alpha=cfg.alpha, tol=cfg.tol,
                                    max_iter=cfg.max_iter)
     kio.write_csv(_out(cfg, "results.csv"), ["cell", "position", "mass"],
                   family_to_rows(traj.final_family))
     kio.write_json(_out(cfg, "iteration_report.json"), report)
 
 
-def _run_convergence_main(cfg: ExperimentConfig) -> None:
-    n_list = cfg.n_list()
-    m_list = cfg.m_list()
-    if not n_list or not m_list:
-        raise ValueError("convergence_main needs n and m lists")
-    ref_n = cfg.ref_n if cfg.ref_n is not None else 2 * max(n_list)
-    ref_m = cfg.ref_m if cfg.ref_m is not None else 4 * max(m_list)
-    if ref_n < 2 * max(n_list) or ref_m < 4 * max(m_list):
-        raise ValueError(
-            "reference must satisfy ref_n >= 2*max(n) and ref_m >= 4*max(m)"
-        )
-    if ref_n * ref_m > MAX_PARTICLES:
-        raise ValueError("capacity exceeded for the reference run")
-    rho0 = density_from_dict(cfg.rho0)
-
-    def frames(n, m, spec):
-        return mf.particle_frames(spec, initial_family(rho0, n, m), cfg.T,
+def _run_convergence_main(cfg: ExperimentConfig, graphon, coupling, rho0,
+                          n, m, ref) -> None:
+    def frames(cells, atoms, spec):
+        return mf.particle_frames(spec, initial_family(rho0, cells, atoms), cfg.T,
                                   cfg.dt, cfg.record_every)
 
-    pairs = [(n, m) for n in n_list for m in m_list]
-    specs = {n: _spec(cfg, n) for n in n_list}
-    runs = [frames(n, m, specs[n]) for n, m in pairs]
+    pairs = [(cells, atoms) for cells in n for atoms in m]
+    specs = {cells: _spec(graphon, coupling, cells) for cells in n}
+    runs = [frames(cells, atoms, specs[cells]) for cells, atoms in pairs]
     # the reference and every run advance together, each holding its
     # current frame and its running max of dbar
     sup = [0.0] * len(pairs)
-    for (_, ref), *current in zip(frames(ref_n, ref_m, _spec(cfg, ref_n)), *runs):
+    for (_, reference), *current in zip(frames(*ref, _spec(graphon, coupling, ref[0])),
+                                        *runs):
         for k, (_, family) in enumerate(current):
-            sup[k] = max(sup[k], common_dbar(family, ref))
-    rows = [[n, m, d] for (n, m), d in zip(pairs, sup)]
+            sup[k] = max(sup[k], common_dbar(family, reference))
+    rows = [[cells, atoms, d] for (cells, atoms), d in zip(pairs, sup)]
     kio.write_csv(_out(cfg, "results.csv"), ["n", "m", "sup_dbar"], rows)
 
 
-def _run_convergence_ave(cfg: ExperimentConfig) -> None:
-    n_list = cfg.n_list()
-    if not n_list:
-        raise ValueError("convergence_ave needs an n list")
-    seeds = cfg.seeds or [0]
-    W = _graphon(cfg)
-    coupling = _coupling(cfg)
+def _run_convergence_ave(cfg: ExperimentConfig, graphon, coupling, omega, n) -> None:
     rows = []
     warned = False
-    for n in n_list:
-        det = deterministic_graph(W, n)
-        omega = omega_from_spec(cfg.omega, n)
-        for seed in seeds:
-            u0 = PhaseState(_initial_phases(n, seed))
+    for cells in n:
+        det = deterministic_graph(graphon, cells)
+        frequencies = omega(cells)
+        for seed in cfg.seeds or [0]:
+            u0 = PhaseState(_initial_phases(cells, seed))
             base, rand = (recorded_states(OscillatorSystem(graph, coupling, K=cfg.K,
-                                                           omega=omega),
+                                                           omega=frequencies),
                                           u0, cfg.T, cfg.dt, cfg.record_every)
-                          for graph in (det, sample_w_random(W, n, seed)))
+                          for graph in (det, sample_w_random(graphon, cells, seed)))
             # the two runs advance together, keeping running maxima only
             sup_norm = gap = 0.0
             for (_, x), (_, y) in zip(base, rand):
                 sup_norm = max(sup_norm, norm_1n(x, y))
                 gap = max(gap, pairwise_gap(x, y))
             if not warned and gap > math.pi:
-                print(
-                    "warning: a pairwise phase difference exceeded pi; the "
-                    "unwrapped comparison is chart-dependent", file=sys.stderr)
+                print("warning: a pairwise phase difference exceeded pi; the "
+                      "unwrapped comparison is chart-dependent", file=sys.stderr)
                 warned = True
-            rows.append([n, seed, sup_norm])
+            rows.append([cells, seed, sup_norm])
     kio.write_csv(_out(cfg, "results.csv"), ["n", "seed", "sup_norm_1n"], rows)
 
 
@@ -434,30 +398,23 @@ def _perturbed_family(family: MeasureFamily, scale: float, seed: int) -> Measure
     return MeasureFamily(family.positions + noise, family.masses)
 
 
-def _run_stability(cfg: ExperimentConfig, perturb_kernel: bool) -> None:
-    n = _single(cfg.n, "n")
-    m = _single(cfg.m, "m")
-    rho0 = density_from_dict(cfg.rho0)
+def _run_stability(cfg: ExperimentConfig, graphon, coupling, rho0, n, m,
+                   graphon_b=None) -> None:
+    """stability_kernel (given ``graphon_b``) runs one trial with the second
+    kernel; stability_initial runs one per seed from a perturbed start."""
     fam_a = initial_family(rho0, n, m, mode=cfg.init_mode, seed=cfg.init_seed)
-    rows = []
-    if perturb_kernel:
-        result = mf.stability_experiments(mf.StabilityConfig(
-            graphon_a=_graphon(cfg), graphon_b=_graphon(cfg, "graphon_b"),
-            n=n, m=m, T=cfg.T, dt=cfg.dt, coupling=_coupling(cfg),
-            family_a=fam_a, kernel_resolution=cfg.kernel_resolution,
-            record_every=cfg.record_every))
-        rows.append([0, result["measured"], result["bound"],
-                     "pass" if result["passed"] else "fail"])
+    if graphon_b is not None:
+        trials = [dict(graphon_b=graphon_b, kernel_resolution=cfg.kernel_resolution)]
     else:
-        seeds = cfg.seeds or [cfg.perturbation_seed]
-        for trial, seed in enumerate(seeds):
-            fam_b = _perturbed_family(fam_a, cfg.perturbation, seed)
-            result = mf.stability_experiments(mf.StabilityConfig(
-                graphon_a=_graphon(cfg), n=n, m=m, T=cfg.T, dt=cfg.dt,
-                coupling=_coupling(cfg), family_a=fam_a, family_b=fam_b,
-                record_every=cfg.record_every))
-            rows.append([trial, result["measured"], result["bound"],
-                         "pass" if result["passed"] else "fail"])
+        trials = (dict(family_b=_perturbed_family(fam_a, cfg.perturbation, seed))
+                  for seed in cfg.seeds or [cfg.perturbation_seed])
+    rows = []
+    for trial, perturbed in enumerate(trials):
+        result = mf.stability_experiments(mf.StabilityConfig(
+            graphon_a=graphon, n=n, m=m, T=cfg.T, dt=cfg.dt, coupling=coupling,
+            family_a=fam_a, record_every=cfg.record_every, **perturbed))
+        rows.append([trial, result["measured"], result["bound"],
+                     "pass" if result["passed"] else "fail"])
     kio.write_csv(_out(cfg, "results.csv"),
                   ["trial", "measured", "bound", "status"], rows)
     failures = [r for r in rows if r[3] == "fail"]
@@ -465,40 +422,42 @@ def _run_stability(cfg: ExperimentConfig, perturb_kernel: bool) -> None:
         raise RuntimeError(f"{len(failures)} stability trial(s) exceeded the bound")
 
 
-def _read_family_csv(path) -> MeasureFamily:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].strip() != "cell,position,mass":
-        raise ValueError(f"{path} is not a family CSV (expected header "
-                         "'cell,position,mass')")
-    rows = []
-    for line in lines[1:]:
-        cell, pos, mass = line.split(",")
-        rows.append((int(cell), float(pos), float(mass)))
-    return family_from_rows(rows)
-
-
-def _run_distance(cfg: ExperimentConfig) -> None:
-    if len(cfg.inputs) != 2:
-        raise ValueError("distance experiment needs exactly two input files")
-    fam_a = _read_family_csv(cfg.inputs[0])
-    fam_b = _read_family_csv(cfg.inputs[1])
-    ra, rb = common_cells(fam_a, fam_b)
-    value = dbar(ra, rb)
+def _run_distance(cfg: ExperimentConfig, families) -> None:
+    value = dbar(*common_cells(*families))
     kio.write_csv(_out(cfg, "results.csv"), ["dbar"], [[value]])
     print(kio.fmt(value))
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "sample_graph": _run_sample_graph,
-    "meanfield_particles": _run_meanfield_particles,
-    "meanfield_fv": _run_meanfield_fv,
-    "picard": _run_picard,
-    "convergence_main": _run_convergence_main,
-    "convergence_ave": _run_convergence_ave,
-    "stability_initial": lambda cfg: _run_stability(cfg, perturb_kernel=False),
-    "stability_kernel": lambda cfg: _run_stability(cfg, perturb_kernel=True),
-    "distance": _run_distance,
+class _Experiment(NamedTuple):
+    run: Callable
+    reads: tuple         # the keys it reads, besides experiment and output_dir
+    sweeps: tuple = ()   # the counts ("n", "m") it takes as lists
+
+
+# Any key an experiment does not read, set to a value other than its default,
+# is rejected rather than silently ignored; defaults pass, so manifests (which
+# hold every key) still replay.  The mean-field solvers run with K = 1 and
+# zero frequencies, convergence_main always starts from quantile atoms, and
+# meanfield_fv writes only the final field.
+_GRAPH = ("graphon", "coupling", "omega", "n", "T", "dt", "K", "record_every", "seeds")
+_FIELD = ("graphon", "coupling", "rho0", "n", "T", "dt")
+_ATOMS = _FIELD + ("m", "init_mode", "init_seed")
+EXPERIMENTS = {
+    "simulate": _Experiment(_run_simulate, _GRAPH + ("sampled",)),
+    "sample_graph": _Experiment(_run_sample_graph, ("graphon", "n", "seeds",
+                                                   "render_pgm")),
+    "meanfield_particles": _Experiment(_run_meanfield_particles,
+                                       _ATOMS + ("record_every",)),
+    "meanfield_fv": _Experiment(_run_meanfield_fv, _FIELD + ("g",)),
+    "picard": _Experiment(_run_picard, _ATOMS + ("alpha", "tol", "max_iter")),
+    "convergence_main": _Experiment(_run_convergence_main, _FIELD + (
+        "m", "ref_n", "ref_m", "record_every"), sweeps=("n", "m")),
+    "convergence_ave": _Experiment(_run_convergence_ave, _GRAPH, sweeps=("n",)),
+    "stability_initial": _Experiment(_run_stability, _ATOMS + (
+        "record_every", "seeds", "perturbation", "perturbation_seed")),
+    "stability_kernel": _Experiment(_run_stability, _ATOMS + (
+        "record_every", "graphon_b", "kernel_resolution")),
+    "distance": _Experiment(_run_distance, ("inputs",)),
 }
 
 
@@ -509,17 +468,16 @@ def run(cfg: ExperimentConfig) -> int:
     after the experiment has finished, so a run that fails leaves none behind
     to vouch for outputs it did not write.
     """
-    cfg.validate()
+    inputs = cfg.validate()
     (Path(cfg.output_dir) / "manifest.json").unlink(missing_ok=True)
-    _RUNNERS[cfg.experiment](cfg)
+    EXPERIMENTS[cfg.experiment].run(cfg, **inputs)
     kio.write_json(_out(cfg, "manifest.json"), cfg.to_dict())
     return 0
 
 
 def render(matrix_file, out_path) -> None:
     """Turn a CSV weight matrix into a binary PGM pixel picture."""
-    weights = kio.read_matrix_csv(matrix_file)
-    graph = WeightedGraph(weights)
+    graph = WeightedGraph(kio.read_matrix_csv(matrix_file))
     kio.write_pgm(out_path, pixel_picture(graph))
 
 
@@ -536,14 +494,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--omega", help="frequency spec as inline JSON")
     parser.add_argument("--n", help="node/cell count or comma list")
     parser.add_argument("--m", help="particles per cell or comma list")
-    parser.add_argument("--T", type=float)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--K", type=float)
+    for flag, kind in (("T", float), ("dt", float), ("K", float), ("alpha", float),
+                       ("tol", float), ("max-iter", int), ("record-every", int)):
+        parser.add_argument("--" + flag, dest=flag.replace("-", "_"), type=kind)
     parser.add_argument("--g", type=int, help="phase grid size (finite volumes)")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--max-iter", dest="max_iter", type=int)
-    parser.add_argument("--record-every", dest="record_every", type=int)
     parser.add_argument("--seeds", help="comma-separated seed list")
     parser.add_argument("--sampled", action="store_true", default=None)
     parser.add_argument("--perturbation", type=float)
@@ -552,7 +506,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output-dir", dest="output_dir")
 
 
-_JSON_KEYS = ("graphon", "graphon_b", "coupling", "rho0", "omega")
 _LIST_KEYS = ("n", "m", "seeds")
 
 
@@ -561,15 +514,19 @@ def _cli_overrides(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key in ("command", "config", "inputs", "matrix", "out") or value is None:
             continue
-        if key in _JSON_KEYS:
-            raw[key] = json.loads(value)
+        flag = "--" + key.replace("_", "-")
+        if key in _SPEC_KEYS:
+            try:
+                raw[key] = json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{flag} is not JSON: {exc} (got {value!r})") from None
         elif key in _LIST_KEYS:
             try:
                 nums = [int(p) for p in str(value).split(",") if p]
             except ValueError:
                 nums = []
             if not nums:
-                raise ValueError(f"--{key} takes an integer or a comma list of "
+                raise ValueError(f"{flag} takes an integer or a comma list of "
                                  f"integers (got {value!r})")
             raw[key] = nums if key == "seeds" or len(nums) > 1 else nums[0]
         else:
@@ -578,10 +535,8 @@ def _cli_overrides(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="kmflow",
-        description="coupled oscillators on graphon graphs and their mean-field limit",
-    )
+    parser = argparse.ArgumentParser(prog="kmflow", description="coupled oscillators "
+                                     "on graphon graphs and their mean-field limit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
@@ -597,7 +552,7 @@ def main(argv=None) -> int:
         if args.command == "render":
             render(args.matrix, args.out)
             return 0
-        raw = kio.read_json(args.config) if args.config else {}
+        raw = _read_config(args.config) if args.config else {}
         raw.update(_cli_overrides(args))
         raw.setdefault("experiment", args.command)
         if raw["experiment"] != args.command:

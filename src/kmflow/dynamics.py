@@ -35,12 +35,14 @@ under one element budget.  Every RK4 step, there too, is :func:`_rk4_step`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .graphon import _is_real
 from .graphs import WeightedGraph
-from .measures import TWO_PI, wrap_angle
+from .measures import TWO_PI, check_shared_grid, wrap_angle
 
 # Longest time grid (steps) a run may ask for; the grid is allocated up front.
 MAX_STEPS = 10**7
@@ -341,35 +343,34 @@ def order_parameter(state) -> tuple[float, float]:
     return r, psi
 
 
-def norm_1n(a, b) -> float:
-    """Scaled Euclidean distance sqrt(n^-1 sum (a_i - b_i)^2), unwrapped reals."""
+def _difference(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    return a - b
+
+
+def norm_1n(a, b) -> float:
+    """Scaled Euclidean distance sqrt(n^-1 sum (a_i - b_i)^2), unwrapped reals."""
+    return float(np.sqrt(np.mean(_difference(a, b) ** 2)))
 
 
 def pairwise_gap(a, b) -> float:
     """Largest |a_i - b_i| between two phase vectors (unwrapped reals)."""
-    return float(np.max(np.abs(np.asarray(a, dtype=float) - b)))
-
-
-def _check_shared_grid(a: Trajectory, b: Trajectory) -> None:
-    if a.phases.shape != b.phases.shape or not np.allclose(a.times, b.times):
-        raise ValueError("trajectories must share the recording grid")
+    return float(np.max(np.abs(_difference(a, b))))
 
 
 def sup_norm_1n(a: Trajectory, b: Trajectory) -> float:
     """Max over shared recorded times of the scaled distance between runs."""
-    _check_shared_grid(a, b)
+    check_shared_grid(a, b)
     return max(map(norm_1n, a.phases, b.phases))
 
 
 def max_pairwise_gap(a: Trajectory, b: Trajectory) -> float:
     """Largest |a_i(t) - b_i(t)| over the run; > pi means the unwrapped
     comparison has become chart-dependent."""
-    _check_shared_grid(a, b)
+    check_shared_grid(a, b)
     return max(map(pairwise_gap, a.phases, b.phases))
 
 
@@ -381,12 +382,25 @@ def weight_perturbation_constant(T: float) -> float:
 
 def omega_from_spec(spec: dict, n: int) -> np.ndarray:
     """Intrinsic frequencies from {'kind': 'zero' | 'constant' | 'normal'}."""
+    def number(name: str, low: float = -math.inf) -> float:
+        value = spec[name]
+        if not (_is_real(value) and value >= low):
+            bound = "" if low == -math.inf else f" >= {low:g}"
+            raise ValueError(f"omega field {name!r} must be a finite number{bound} "
+                             f"(got {value!r})")
+        return float(value)
+
     kind = spec.get("kind", "zero")
     if kind == "zero":
         return np.zeros(n)
     if kind == "constant":
-        return np.full(n, float(spec["value"]))
+        return np.full(n, number("value"))
     if kind == "normal":
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(spec["seed"])))
-        return rng.normal(float(spec["mean"]), float(spec["sd"]), n)
+        seed = spec["seed"]
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or not 0 <= seed < 2**64):
+            raise ValueError(f"omega field 'seed' must be an integer in [0, 2**64) "
+                             f"(got {seed!r})")
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        return rng.normal(number("mean"), number("sd", 0.0), n)
     raise ValueError(f"unknown omega kind: {kind!r}")

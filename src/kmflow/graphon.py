@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,6 +33,12 @@ MAX_NODES = 8192
 
 _BOUND_SLACK = 1e-9
 _TILE = 64
+
+
+def _is_real(value) -> bool:
+    """Whether a spec value is a finite real number: not a bool, None or string."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 class QuadratureError(RuntimeError):
@@ -90,22 +97,26 @@ class Graphon:
 
     @classmethod
     def constant(cls, p: float) -> "Graphon":
-        if not -1.0 <= p <= 1.0:
-            raise ValueError("constant kernel value must lie in [-1, 1]")
+        if not (_is_real(p) and -1.0 <= p <= 1.0):
+            raise ValueError(f"constant kernel value p must be a real number in [-1, 1] "
+                             f"(got {p!r})")
         return cls("constant", p=float(p))
 
     @classmethod
     def small_world(cls, p: float, h: float) -> "Graphon":
-        if not 0.0 < p < 0.5:
-            raise ValueError("small-world parameter p must lie in (0, 1/2)")
-        if not 0.0 < h < 0.5:
-            raise ValueError("small-world band half-width h must lie in (0, 1/2)")
+        if not (_is_real(p) and 0.0 < p < 0.5):
+            raise ValueError(f"small-world parameter p must be a real number in (0, 1/2) "
+                             f"(got {p!r})")
+        if not (_is_real(h) and 0.0 < h < 0.5):
+            raise ValueError(f"small-world band half-width h must be a real number in "
+                             f"(0, 1/2) (got {h!r})")
         return cls("small_world", p=float(p), h=float(h))
 
     @classmethod
     def nearest_neighbor(cls, h: float) -> "Graphon":
-        if not 0.0 < h < 0.5:
-            raise ValueError("band half-width h must lie in (0, 1/2)")
+        if not (_is_real(h) and 0.0 < h < 0.5):
+            raise ValueError(f"band half-width h must be a real number in (0, 1/2) "
+                             f"(got {h!r})")
         return cls("nearest_neighbor", h=float(h))
 
     @classmethod

@@ -202,20 +202,24 @@ class MeasureTrajectory:
         return self.families[-1]
 
 
+def check_shared_grid(a, b) -> None:
+    """Reject two trajectories (phase or family) recorded on different grids."""
+    if a.times.shape != b.times.shape or not np.allclose(a.times, b.times, atol=1e-12):
+        raise ValueError("trajectories must share the recording grid")
+
+
 def d_alpha(a: MeasureTrajectory, b: MeasureTrajectory, alpha: float = 3.0) -> float:
     """Weighted sup metric: max over shared times of e^(-alpha t) * dbar."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    if a.times.size != b.times.size or not np.allclose(a.times, b.times, atol=1e-12):
-        raise ValueError("trajectories must share the time grid")
+    check_shared_grid(a, b)
     return float(max(math.exp(-alpha * t) * dbar(fa, fb)
                      for t, fa, fb in zip(a.times, a.families, b.families)))
 
 
 def sup_dbar(a: MeasureTrajectory, b: MeasureTrajectory) -> float:
     """Max over shared times of dbar (families refined to common cells)."""
-    if a.times.size != b.times.size or not np.allclose(a.times, b.times, atol=1e-12):
-        raise ValueError("trajectories must share the time grid")
+    check_shared_grid(a, b)
     return max(map(common_dbar, a.families, b.families))
 
 

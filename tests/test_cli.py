@@ -282,14 +282,79 @@ _RERUN_ARGV = ["meanfield_particles", "--graphon", json.dumps(ER_HALF), "--n", "
                "--m", "4", "--T", "0.1", "--dt", "0.05"]
 
 
-def test_rejected_rerun_keeps_earlier_outputs(tmp_path, capsys):
+_FAMILY_CSV = "cell,position,mass\n0,1.5,0.5\n0,2.5,0.5\n"
+_ER = ["--graphon", json.dumps(ER_HALF)]
+_SHORT = ["--T", "0.1", "--dt", "0.05"]
+_SIMULATE = ["simulate", *_ER, "--n", "2", *_SHORT]
+
+
+# Each bad config must be rejected by validate, before the output directory is
+# touched, with one error line naming its key, flag or file.
+@pytest.mark.parametrize("argv, config, message", [
+    pytest.param(_RERUN_ARGV + ["--rho0", '{"kind": "von_mises", "kappa": NaN}'], None,
+                 "concentration kappa must be finite", id="rho0-nan-kappa"),
+    pytest.param(["simulate", *_ER, "--n", "3,4", *_SHORT], None,
+                 "simulate takes a single 'n' (got [3, 4])", id="simulate-n-list"),
+    pytest.param(["simulate", *_ER, *_SHORT], None,
+                 "experiment 'simulate' needs the 'n' key", id="simulate-no-n"),
+    pytest.param(_RERUN_ARGV, {"init_mode": "iid"}, "init_mode 'iid' needs an 'init_seed'",
+                 id="iid-without-seed"),
+    pytest.param(_RERUN_ARGV, {"init_mode": 5}, "'init_mode' must be 'quantile' or 'iid' "
+                 "(got 5)", id="init-mode-number"),
+    pytest.param(["convergence_main", *_ER, "--n", "2", "--m", "4", *_SHORT], {"ref_n": 3},
+                 "the reference must satisfy ref_n >= 2*max(n) = 4", id="ref-n-low"),
+    pytest.param(["convergence_main", *_ER, "--n", "1024", "--m", "256", *_SHORT], None,
+                 "capacity exceeded: ref_n = 2048 (at most 8192), ref_n*ref_m = 2097152 "
+                 "(at most 1048576)",
+                 id="reference-over-capacity"),
+    pytest.param(["distance", "{tmp}/family.csv"], None,
+                 "'inputs' must name two family CSV files", id="distance-one-file"),
+    pytest.param(_SIMULATE, {"sampled": "no"},
+                 "'sampled' must be true or false (got 'no')", id="sampled-string"),
+    pytest.param(["sample_graph", *_ER, "--n", "2"], {"render_pgm": "false"},
+                 "'render_pgm' must be true or false (got 'false')", id="render-pgm-string"),
+    pytest.param(_SIMULATE + ["--omega", '{"kind": "normal", "mean": 0, "sd": 1, '
+                              '"seed": 1.5}'], None,
+                 "omega field 'seed' must be an integer in [0, 2**64) (got 1.5)",
+                 id="omega-float-seed"),
+    pytest.param(_SIMULATE + ["--omega", '{"kind": "constant", "value": NaN}'], None,
+                 "omega field 'value' must be a finite number (got nan)",
+                 id="omega-nan-value"),
+    pytest.param(_RERUN_ARGV + ["--graphon", '{"kind": "constant", "p": null}'], None,
+                 "constant kernel value p must be a real number in [-1, 1] (got None)",
+                 id="graphon-p-null"),
+    pytest.param(_RERUN_ARGV + ["--graphon", '{"kind": "small_world", "p": "0.1", '
+                                '"h": 0.2}'], None,
+                 "small-world parameter p must be a real number in (0, 1/2) (got '0.1')",
+                 id="graphon-p-string"),
+    pytest.param(_RERUN_ARGV + ["--graphon", '{"kind": "constant", "p": true}'], None,
+                 "constant kernel value p must be a real number in [-1, 1] (got True)",
+                 id="graphon-p-bool"),
+    pytest.param(_RERUN_ARGV + ["--config", "{tmp}/list.json"], None,
+                 "config file {tmp}/list.json must hold a JSON object (got list)",
+                 id="config-not-object"),
+    pytest.param(_RERUN_ARGV + ["--graphon", "{bad"], None, "--graphon is not JSON: ",
+                 id="graphon-flag-not-json"),
+    pytest.param(["distance", "{tmp}/family.csv", "{tmp}/short.csv"], None,
+                 "{tmp}/short.csv: line 3 is not a 'cell,position,mass' row (got '0,2.5')",
+                 id="distance-short-row"),
+])
+def test_rejected_rerun_keeps_earlier_outputs(tmp_path, capsys, argv, config, message):
     out = tmp_path / "d"
-    argv = _RERUN_ARGV + ["--output-dir", str(out)]
-    assert main(argv) == 0
+    assert main(_RERUN_ARGV + ["--output-dir", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(before) == ["drift.csv", "manifest.json", "results.csv"]
-    assert main(argv + ["--rho0", '{"kind": "von_mises", "kappa": NaN}']) == 1
-    assert "error: concentration kappa must be finite" in capsys.readouterr().err
+    (tmp_path / "family.csv").write_text(_FAMILY_CSV)
+    (tmp_path / "short.csv").write_text(_FAMILY_CSV.replace("0,2.5,0.5", "0,2.5"))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert main(argv + ["--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: " + message.replace("{tmp}", str(tmp_path)))
     # rejected in validate: the earlier run and its manifest are untouched
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -300,10 +365,12 @@ def test_failed_rerun_removes_earlier_manifest(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
     assert (out / "manifest.json").exists()
 
-    def failing_runner(cfg):
+    def failing_runner(cfg, **inputs):
         raise RuntimeError("solver failed")
 
-    monkeypatch.setitem(cli._RUNNERS, "meanfield_particles", failing_runner)
+    entry = cli.EXPERIMENTS["meanfield_particles"]
+    monkeypatch.setitem(cli.EXPERIMENTS, "meanfield_particles",
+                        entry._replace(run=failing_runner))
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: solver failed\n"
     # no manifest vouches for the earlier outputs, and no temporary file is left
@@ -325,6 +392,18 @@ def test_failed_rerun_removes_earlier_manifest(tmp_path, capsys, monkeypatch):
     ("stability_kernel", ["--graphon-b", '{"kind": "small_world", "p": 0.1}'],
      "error: the 'graphon_b' spec {'kind': 'small_world', 'p': 0.1} lacks the field 'h'"),
     ("stability_kernel", [], "error: experiment 'stability_kernel' needs the 'graphon_b' key"),
+    ("simulate", ["--omega", '{"kind": "normal", "mean": 0, "sd": -1, "seed": 0}'],
+     "error: omega field 'sd' must be a finite number >= 0 (got -1) in the 'omega' spec"),
+    ("convergence_ave", ["--omega", '{"kind": "normal", "mean": "0", "sd": 1, "seed": 0}'],
+     "error: omega field 'mean' must be a finite number (got '0') in the 'omega' spec"),
+    ("simulate", ["--omega", '{"kind": "constant", "value": Infinity}'],
+     "error: omega field 'value' must be a finite number (got inf) in the 'omega' spec"),
+    ("simulate", ["--omega", '{"kind": "normal", "mean": 0, "sd": 1, "seed": -1}'],
+     "error: omega field 'seed' must be an integer in [0, 2**64) (got -1)"),
+    ("meanfield_fv", ["--graphon", '{"kind": "nearest_neighbor", "h": NaN}'],
+     "error: band half-width h must be a real number in (0, 1/2) (got nan)"),
+    ("stability_kernel", ["--graphon-b", '{"kind": "small_world", "p": 0.1, "h": false}'],
+     "error: small-world band half-width h must be a real number in (0, 1/2) (got False)"),
 ])
 def test_bad_specs_rejected_with_key(tmp_path, capsys, experiment, flags, message):
     code = main([experiment, "--graphon", json.dumps(ER_HALF), "--n", "2", "--T", "0.1",
