@@ -6,9 +6,9 @@ the outputs byte for byte.  Numeric CSV output uses 17 significant digits.
 
 ``ExperimentConfig.validate`` is the one place a run's settings are checked
 and its inputs built; ``EXPERIMENTS`` gives each experiment its runner, the
-keys it reads and the counts it sweeps.  :func:`run` hands the built inputs to
-the runner, so every config error is raised before the output directory is
-touched.
+keys it reads and the counts it sweeps.  :func:`run` calls it once and hands
+the built inputs to the runner, so every config error is raised before the
+output directory is touched.
 
 Experiments
 -----------
@@ -44,7 +44,6 @@ from .dynamics import (
     CouplingFunction,
     OscillatorSystem,
     PhaseState,
-    integrate,
     norm_1n,
     omega_from_spec,
     order_parameter,
@@ -52,8 +51,14 @@ from .dynamics import (
     recorded_states,
     time_grid,
 )
-from .graphon import MAX_NODES, Graphon
-from .graphs import WeightedGraph, deterministic_graph, pixel_picture, sample_w_random
+from .graphon import MAX_NODES, Graphon, _common_resolution
+from .graphs import (
+    WeightedGraph,
+    _edge_probabilities,
+    deterministic_graph,
+    pixel_picture,
+    sample_w_random,
+)
 from .measures import (
     MeasureFamily,
     common_cells,
@@ -63,6 +68,7 @@ from .measures import (
     family_from_rows,
     family_to_rows,
     initial_family,
+    wrap_angle,
 )
 
 MAX_PARTICLES = 2**20
@@ -156,15 +162,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config a dict names; its settings are checked by :meth:`validate`."""
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "experiment" not in raw:
             raise ValueError("config must name an experiment")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
     def validate(self) -> dict:
         """Check every setting and build the experiment's inputs.
@@ -225,6 +230,12 @@ class ExperimentConfig:
         frames = len(time_grid(self.T, self.dt))  # checks the step count
         if self.experiment == "picard":
             mf.check_picard_capacity(frames, inputs["n"] * inputs["m"])
+        if self.experiment in ("sample_graph", "convergence_ave") or self.sampled:
+            for cells in counts["n"]:
+                _edge_probabilities(inputs["graphon"], cells)
+        if self.experiment == "stability_kernel":
+            _common_resolution(inputs["graphon"], inputs["graphon_b"],
+                               self.kernel_resolution)
         if self.experiment == "distance":
             if len(self.inputs) != 2:
                 raise ValueError(f"'inputs' must name two family CSV files "
@@ -267,6 +278,9 @@ def _read_family_csv(path) -> MeasureFamily:
             if line.count(",") != 2:
                 raise ValueError(f"line {number} is not a 'cell,position,mass' row "
                                  f"(got {line!r})")
+            if not math.isfinite(float(line.split(",")[1])):
+                raise ValueError(f"line {number} holds a non-finite position "
+                                 f"(got {line!r})")
         return family_from_rows(line.split(",") for line in lines[1:])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -293,13 +307,13 @@ def _run_simulate(cfg: ExperimentConfig, graphon, coupling, omega, n) -> None:
     graph = (sample_w_random(graphon, n, seed) if cfg.sampled
              else deterministic_graph(graphon, n))
     system = OscillatorSystem(graph, coupling, K=cfg.K, omega=omega(n))
-    u0 = _initial_phases(n, seed)
-    traj = integrate(system, PhaseState(u0), cfg.T, cfg.dt,
-                     record_every=cfg.record_every)
-    rows = [[float(t), *map(float, u), *order_parameter(u)]
-            for t, u in zip(traj.times, traj.wrapped_phases())]
+    states = recorded_states(system, PhaseState(_initial_phases(n, seed)), cfg.T,
+                             cfg.dt, cfg.record_every)
+    # each row is written as its frame arrives; no trajectory is stored
+    wrapped = ((t, wrap_angle(u)) for t, u in states)
     header = ["t"] + [f"u_{i + 1}" for i in range(n)] + ["r", "psi"]
-    kio.write_csv(_out(cfg, "results.csv"), header, rows)
+    kio.write_csv(_out(cfg, "results.csv"), header,
+                  ([float(t), *map(float, u), *order_parameter(u)] for t, u in wrapped))
 
 
 def _run_sample_graph(cfg: ExperimentConfig, graphon, n) -> None:

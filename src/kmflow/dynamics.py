@@ -29,7 +29,8 @@ the mean-field particle system, pointwise velocity and Picard transport of
 :mod:`kmflow.meanfield` call it too.  For the sine family it applies W to two
 per-cell moments (angle addition; a graph applies its own product, see
 :mod:`kmflow.graphs`); a custom D is evaluated in slabs of whole target cells
-under one element budget.  Every RK4 step, there too, is :func:`_rk4_step`.
+under one element budget.  Every RK4 step, there too, is :func:`_rk4_step`,
+and every run, finite volumes too, steps along its time grid in :func:`_march`.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class CouplingFunction:
         if not callable(fn):
             raise ValueError("custom coupling must be callable")
         probe = np.asarray(fn(np.linspace(0.0, TWO_PI, 1024, endpoint=False)))
-        if np.max(np.abs(probe)) > 1.0 + 1e-9:
+        if not np.max(np.abs(probe)) <= 1.0 + 1e-9:
             raise ValueError("coupling function must satisfy |D| <= 1")
         return cls("custom", fn=fn)
 
@@ -207,10 +208,11 @@ def _field(w, coupling: CouplingFunction, pos, mass, targets) -> np.ndarray:
 
 
 def _check_velocity_bound(v) -> None:
+    # written so that a NaN velocity fails the bound too
     worst = float(np.max(np.abs(v)))
-    if worst > 1.0 + _VELOCITY_SLACK:
+    if not worst <= 1.0 + _VELOCITY_SLACK:
         raise RuntimeError(
-            f"velocity bound violated (|V| = {worst:.6g} > 1); "
+            f"velocity bound violated (max |V| = {worst:.6g}, not <= 1); "
             "kernel or coupling breaks its amplitude bound"
         )
 
@@ -275,11 +277,25 @@ def time_grid(T: float, dt: float) -> np.ndarray:
     return times
 
 
-def _check_run(system, state0: PhaseState, record_every: int) -> None:
-    if state0.n != system.n:
-        raise ValueError(f"state has {state0.n} phases, system expects {system.n}")
+def _march(step, state, times, record_every: int):
+    """Iterator over ``(t, state)`` at t = 0, every ``record_every``-th step
+    and the last, where ``step(state, k, h)`` takes ``state`` from ``times[k]``
+    to ``times[k] + h``.  A non-finite state aborts with its step index.
+    """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    last = len(times) - 1
+
+    def frames(state):
+        yield times[0], state
+        for k in range(1, last + 1):
+            state = step(state, k - 1, times[k] - times[k - 1])
+            if not np.all(np.isfinite(state)):
+                raise IntegrationError(k, float(times[k]))
+            if k % record_every == 0 or k == last:
+                yield times[k], state
+
+    return frames(state)
 
 
 def recorded_states(system, state0: PhaseState, T: float, dt: float,
@@ -290,21 +306,11 @@ def recorded_states(system, state0: PhaseState, T: float, dt: float,
     taken, so a caller that reduces each frame as it arrives holds one state
     at a time.  Each ``u`` is a fresh array that is never written again.
     """
-    _check_run(system, state0, record_every)
-    return _frames(system, state0.phases.astype(float), time_grid(T, dt),
-                   record_every)
-
-
-def _frames(system, u, times, record_every):
-    n_steps = len(times) - 1
-    yield times[0], u
-    for step in range(1, n_steps + 1):
-        h = times[step] - times[step - 1]
-        u = _rk4_step(lambda x, _: system.rhs_phases(x), u, h)
-        if not np.all(np.isfinite(u)):
-            raise IntegrationError(step, float(times[step]))
-        if step % record_every == 0 or step == n_steps:
-            yield times[step], u
+    if state0.n != system.n:
+        raise ValueError(f"state has {state0.n} phases, system expects {system.n}")
+    rhs = lambda u, _: system.rhs_phases(u)
+    return _march(lambda u, _, h: _rk4_step(rhs, u, h), state0.phases.astype(float),
+                  time_grid(T, dt), record_every)
 
 
 def integrate(system, state0: PhaseState, T: float, dt: float,
@@ -315,15 +321,13 @@ def integrate(system, state0: PhaseState, T: float, dt: float,
     recorded at t = 0, every ``record_every``-th step, and at T.  A
     non-finite state aborts with the offending step index.
     """
-    _check_run(system, state0, record_every)
-    times = time_grid(T, dt)
-    n_steps = len(times) - 1
-    kept = np.append(np.arange(0, n_steps, record_every), n_steps)
-    phases = np.empty((kept.size, state0.n))
-    for k, (_, u) in enumerate(_frames(system, state0.phases.astype(float),
-                                       times, record_every)):
-        phases[k] = u
-    return Trajectory(times[kept], phases)
+    frames = recorded_states(system, state0, T, dt, record_every)
+    # t = 0, then ceil(steps / record_every) recorded steps
+    records = 1 + -(-(len(time_grid(T, dt)) - 1) // record_every)
+    times, phases = np.empty(records), np.empty((records, state0.n))
+    for k, (t, u) in enumerate(frames):
+        times[k], phases[k] = t, u
+    return Trajectory(times, phases)
 
 
 def order_parameter(state) -> tuple[float, float]:

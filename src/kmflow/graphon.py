@@ -22,7 +22,6 @@ symmetry, |W| <= 1, and L^1-continuity of x -> W(x, .).
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 
@@ -195,11 +194,6 @@ class Graphon:
 
     # -- (de)serialization ----------------------------------------------
 
-    def to_json(self) -> str:
-        if self.kind == "custom":
-            raise ValueError("custom kernels are not JSON-serializable")
-        return json.dumps(self.to_dict())
-
     def to_dict(self) -> dict:
         if self.kind == "constant":
             return {"kind": "constant", "p": self.p}
@@ -223,10 +217,6 @@ class Graphon:
         if kind == "step":
             return cls.step(spec["values"])
         raise ValueError(f"unknown graphon kind: {kind!r}")
-
-    @classmethod
-    def from_json(cls, text: str) -> "Graphon":
-        return cls.from_dict(json.loads(text))
 
 
 def midpoint_step(W: Graphon, n: int) -> StepGraphon:
@@ -263,13 +253,7 @@ def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 
         raise ValueError("resolution must be >= 1")
     if norm not in ("L1", "L2"):
         raise ValueError("norm must be 'L1' or 'L2'")
-    base = 1
-    for kernel in (W, U):
-        if kernel.kind == "step":
-            base = math.lcm(base, kernel.step_values.n)
-    r = -(-resolution // base) * base
-    if r > MAX_NODES:
-        raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {r}")
+    r = _common_resolution(W, U, resolution)
     diag_w, diag_u = W._diagonals(r), U._diagonals(r)
     if diag_w is None or diag_u is None:
         diff = W.cell_average(r).values - U.cell_average(r).values
@@ -281,6 +265,19 @@ def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 
 
 
 # -- internals ----------------------------------------------------------
+
+
+def _common_resolution(W: Graphon, U: Graphon, resolution: int) -> int:
+    """``resolution`` rounded up to a multiple of every step-kernel resolution
+    among W and U, rejected above ``MAX_NODES``."""
+    base = 1
+    for kernel in (W, U):
+        if kernel.kind == "step":
+            base = math.lcm(base, kernel.step_values.n)
+    r = -(-resolution // base) * base
+    if r > MAX_NODES:
+        raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {r}")
+    return r
 
 
 def _area_below(ax, bx, ay, by, c):

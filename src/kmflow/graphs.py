@@ -129,15 +129,7 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
         raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    diagonals = W._diagonals(n)
-    if diagonals is None:
-        probs = W.cell_average(n).values
-    else:
-        probs = _toeplitz(_checked_diagonals(diagonals, "cell averages"))
-    if probs.min() < 0.0:
-        raise ValueError(
-            "sampling requires probability range: cell averages must be >= 0"
-        )
+    probs = _edge_probabilities(W, n)
     weights = np.zeros((n, n))
     for i in range(n):
         stream = np.random.Generator(
@@ -151,6 +143,20 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
         weights[stop:, i:stop] = weights[i:stop, stop:].T
     # 0/1 and mirrored by construction
     return WeightedGraph._trusted(weights, seed=seed, sampled=True)
+
+
+def _edge_probabilities(W: Graphon, n: int) -> np.ndarray:
+    """The n x n cell averages of W, rejected unless all are >= 0."""
+    diagonals = W._diagonals(n)
+    if diagonals is None:
+        probs = W.cell_average(n).values
+    else:
+        probs = _toeplitz(_checked_diagonals(diagonals, "cell averages"))
+    if probs.min() < 0.0:
+        raise ValueError(
+            "sampling requires probability range: cell averages must be >= 0"
+        )
+    return probs
 
 
 def pixel_picture(graph: WeightedGraph) -> np.ndarray:

@@ -3,11 +3,13 @@
 All floating-point output uses 17 significant digits so reruns with the same
 configuration produce byte-identical files.  Every writer writes a temporary
 file next to its target and renames it into place, so a file is either
-absent, left as it was, or complete.
+absent, left as it was, or complete.  :func:`write_csv` writes each row as it
+arrives, so a writer fed from a generator holds one row at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -15,12 +17,15 @@ from pathlib import Path
 import numpy as np
 
 
-def _replace(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file in its directory."""
+@contextlib.contextmanager
+def _replacing(path):
+    """Binary file to write; renamed onto ``path`` when the block completes,
+    removed when it raises."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as out:
+            yield out
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -34,11 +39,10 @@ def fmt(x) -> str:
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     """Write a square matrix row-major with a 'n=<n>' header line."""
     matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    lines = [f"n={n}"]
-    for row in matrix:
-        lines.append(",".join(fmt(v) for v in row))
-    _replace(path, ("\n".join(lines) + "\n").encode())
+    with _replacing(path) as out:
+        out.write(f"n={matrix.shape[0]}\n".encode())
+        for row in matrix:
+            out.write((",".join(fmt(v) for v in row) + "\n").encode())
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -73,28 +77,33 @@ def write_pgm(path, image: np.ndarray) -> None:
     if image.ndim != 2 or image.dtype != np.uint8:
         raise ValueError("PGM writer expects a 2-D uint8 array")
     h, w = image.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    _replace(path, header + image.tobytes())
+    with _replacing(path) as out:
+        out.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        out.write(image.tobytes())
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write rows of mixed int/float/str cells; floats via :func:`fmt`."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-                cells.append(str(int(v)))
-            elif isinstance(v, (float, np.floating)):
-                cells.append(fmt(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    _replace(path, ("\n".join(lines) + "\n").encode())
+    """Write rows of mixed int/float/str cells; floats via :func:`fmt`.
+
+    ``rows`` may be any iterable; each row is written as it is taken.
+    """
+    with _replacing(path) as out:
+        out.write((",".join(header) + "\n").encode())
+        for row in rows:
+            cells = []
+            for v in row:
+                if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+                    cells.append(str(int(v)))
+                elif isinstance(v, (float, np.floating)):
+                    cells.append(fmt(v))
+                else:
+                    cells.append(str(v))
+            out.write((",".join(cells) + "\n").encode())
 
 
 def write_json(path, payload: dict) -> None:
-    _replace(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    with _replacing(path) as out:
+        out.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def read_json(path) -> dict:

@@ -27,6 +27,8 @@ a trajectory share one masses array.  The particle system, the pushforward
 map and the pointwise :func:`velocity` all evaluate V through the coupling
 sum of the graph dynamics, :func:`kmflow.dynamics._field` (O(N + n^2) for N
 atoms of the sine family), and the pushforward map steps with its RK4 step.
+Particles, that map and the finite volumes all step in its one stepping loop,
+:func:`kmflow.dynamics._march`, which aborts on a non-finite state.
 
 Particle runs are streamed: :func:`particle_frames` yields each recorded
 family as its step is taken, and :func:`evolve_family` stores them all.
@@ -195,15 +197,16 @@ def _transport(spec: VelocityFieldSpec, times: np.ndarray, frozen: np.ndarray,
     Returns the transported points at every grid time, (frames, cells, points).
     """
     w, coupling = spec.step_graphon.values, spec.coupling
-    path = np.empty(times.shape + start.shape)
-    path[0] = start
-    for step in range(len(times) - 1):
-        left, right = frozen[step], frozen[step + 1]
+
+    def step(x, k, h):
+        left, right = frozen[k], frozen[k + 1]
         atoms = {0.0: left, 0.5: 0.5 * (left + right), 1.0: right}
-        path[step + 1] = dynamics._rk4_step(
-            lambda x, s: dynamics._field(w, coupling, atoms[s], mass, x),
-            path[step], times[step + 1] - times[step])
-    return path
+        return dynamics._rk4_step(
+            lambda y, s: dynamics._field(w, coupling, atoms[s], mass, y), x, h)
+
+    # one preallocated (frames, cells, points) array, filled as steps are taken
+    frames = dynamics._march(step, start, times, 1)
+    return np.fromiter((x for _, x in frames), np.dtype((float, start.shape)), len(times))
 
 
 def characteristic_flow(spec: VelocityFieldSpec, frozen: MeasureTrajectory,
@@ -306,11 +309,11 @@ class DensityField:
             raise ValueError("density field must be a 2-D array (n, g)")
         if values.shape[1] == 0:
             raise ValueError("density field needs a phase grid of g >= 1 cells")
-        if np.any(values < 0.0):
+        if not (values >= 0.0).all():
             raise ValueError("densities must be nonnegative")
         du = TWO_PI / values.shape[1]
         mass = values.sum(axis=1) * du
-        if np.max(np.abs(mass - 1.0)) > 1e-10:
+        if not np.max(np.abs(mass - 1.0)) <= 1e-10:
             raise ValueError(
                 "per-cell normalization violated: du * sum(rho) must be 1"
             )
@@ -384,29 +387,21 @@ def solve_fv(spec: VelocityFieldSpec, rho0: DensityField, T: float, dt: float,
     """
     if rho0.n != spec.n:
         raise ValueError(f"density has {rho0.n} x-cells, kernel expects {spec.n}")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     du = rho0.du
     if dt > 0.9 * du:
         raise ValueError(
             f"CFL violation: dt = {dt:.6g} exceeds 0.9 * du = {0.9 * du:.6g}"
         )
-    spectrum = _coupling_spectrum(spec.coupling, rho0.g, 0.5)
+    w, spectrum = spec.step_graphon.values, _coupling_spectrum(spec.coupling, rho0.g, 0.5)
 
-    times = time_grid(T, dt)
-    rho = rho0.values
-    rec_times = [times[0]]
-    rec_fields = [rho0]
-    for step in range(1, len(times)):
-        h = times[step] - times[step - 1]
-        v_face = _grid_velocity(spec.step_graphon.values, rho, spectrum)
-        rho_left = np.roll(rho, 1, axis=1)
-        flux = np.where(v_face > 0.0, v_face * rho_left, v_face * rho)
-        rho = rho - (h / du) * (np.roll(flux, -1, axis=1) - flux)
-        if step % record_every == 0 or step == len(times) - 1:
-            rec_times.append(times[step])
-            rec_fields.append(DensityField(rho))
-    return DensityTrajectory(np.array(rec_times), rec_fields)
+    def upwind(rho, _, h):
+        v_face = _grid_velocity(w, rho, spectrum)
+        flux = np.where(v_face > 0.0, v_face * np.roll(rho, 1, axis=1), v_face * rho)
+        return rho - (h / du) * (np.roll(flux, -1, axis=1) - flux)
+
+    frames = [(t, DensityField(rho)) for t, rho in
+              dynamics._march(upwind, rho0.values, time_grid(T, dt), record_every)]
+    return DensityTrajectory(np.array([t for t, _ in frames]), [f for _, f in frames])
 
 
 def quantile_family_from_density(fieldv: DensityField, m: int) -> MeasureFamily:

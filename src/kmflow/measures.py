@@ -126,7 +126,7 @@ class MeasureFamily:
     ``positions`` and ``masses`` are read-only (cells, atoms) arrays; cell i
     is the measure sum_j masses[i, j] delta_{positions[i, j]}.  Masses are
     nonnegative with every row summing to 1; zero-mass atoms are padding,
-    dropped from the CSV form.  Positions are wrapped into a copy; a
+    dropped from the CSV form.  Positions are finite, wrapped into a copy; a
     read-only masses array that owns its data is shared, not copied.
     """
 
@@ -136,6 +136,8 @@ class MeasureFamily:
         if positions.ndim != 2 or positions.shape != masses.shape or positions.size == 0:
             raise ValueError("positions and masses must be matching non-empty "
                              "(cells, atoms) arrays")
+        if not np.isfinite(positions).all():
+            raise ValueError("atom positions must be finite")
         if not (masses >= 0.0).all():
             raise ValueError("atom masses must be nonnegative")
         totals = masses.sum(axis=1)

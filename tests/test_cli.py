@@ -33,7 +33,7 @@ def test_unknown_config_keys_rejected():
 
 def test_unknown_experiment_rejected():
     with pytest.raises(ValueError, match="unknown experiment"):
-        ExperimentConfig.from_dict({"experiment": "frobnicate"})
+        ExperimentConfig.from_dict({"experiment": "frobnicate"}).validate()
 
 
 def test_capacity_limit_enforced():
@@ -41,7 +41,7 @@ def test_capacity_limit_enforced():
         ExperimentConfig.from_dict({
             "experiment": "meanfield_particles", "graphon": ER_HALF,
             "n": 2048, "m": 1024,
-        })
+        }).validate()
 
 
 def test_simulate_writes_trajectory(tmp_path):
@@ -283,6 +283,9 @@ _RERUN_ARGV = ["meanfield_particles", "--graphon", json.dumps(ER_HALF), "--n", "
 
 
 _FAMILY_CSV = "cell,position,mass\n0,1.5,0.5\n0,2.5,0.5\n"
+NEGATIVE = {"kind": "constant", "p": -0.5}
+_NEGATIVE_MESSAGE = "sampling requires probability range: cell averages must be >= 0"
+STEP_3 = {"kind": "step", "values": [[0.5, 0.2, 0.1], [0.2, 0.5, 0.2], [0.1, 0.2, 0.5]]}
 _ER = ["--graphon", json.dumps(ER_HALF)]
 _SHORT = ["--T", "0.1", "--dt", "0.05"]
 _SIMULATE = ["simulate", *_ER, "--n", "2", *_SHORT]
@@ -338,6 +341,24 @@ _SIMULATE = ["simulate", *_ER, "--n", "2", *_SHORT]
     pytest.param(["distance", "{tmp}/family.csv", "{tmp}/short.csv"], None,
                  "{tmp}/short.csv: line 3 is not a 'cell,position,mass' row (got '0,2.5')",
                  id="distance-short-row"),
+    pytest.param(["distance", "{tmp}/family.csv", "{tmp}/nan.csv"], None,
+                 "{tmp}/nan.csv: line 2 holds a non-finite position (got '0,nan,1')",
+                 id="distance-nan-position"),
+    pytest.param(["sample_graph", "--graphon", json.dumps(NEGATIVE), "--n", "4"], None,
+                 _NEGATIVE_MESSAGE, id="sample-graph-negative-kernel"),
+    pytest.param(["simulate", "--graphon", json.dumps(NEGATIVE), "--n", "4", "--sampled",
+                  *_SHORT], None, _NEGATIVE_MESSAGE, id="simulate-sampled-negative-kernel"),
+    pytest.param(["convergence_ave", "--graphon", json.dumps(NEGATIVE), "--n", "2,4",
+                  *_SHORT], None, _NEGATIVE_MESSAGE, id="convergence-ave-negative-kernel"),
+    pytest.param(["stability_kernel", *_ER, "--graphon-b", json.dumps(ER_HALF),
+                  "--n", "2", "--m", "4", *_SHORT], {"kernel_resolution": 10000},
+                 "dense storage supports up to 8192 nodes, got 10000",
+                 id="stability-kernel-resolution"),
+    # 8191 is rounded up to a multiple of the step kernel's 3 cells
+    pytest.param(["stability_kernel", *_ER, "--graphon-b", json.dumps(STEP_3),
+                  "--n", "2", "--m", "4", *_SHORT], {"kernel_resolution": 8191},
+                 "dense storage supports up to 8192 nodes, got 8193",
+                 id="stability-kernel-rounded-resolution"),
 ])
 def test_rejected_rerun_keeps_earlier_outputs(tmp_path, capsys, argv, config, message):
     out = tmp_path / "d"
@@ -346,6 +367,7 @@ def test_rejected_rerun_keeps_earlier_outputs(tmp_path, capsys, argv, config, me
     assert sorted(before) == ["drift.csv", "manifest.json", "results.csv"]
     (tmp_path / "family.csv").write_text(_FAMILY_CSV)
     (tmp_path / "short.csv").write_text(_FAMILY_CSV.replace("0,2.5,0.5", "0,2.5"))
+    (tmp_path / "nan.csv").write_text("cell,position,mass\n0,nan,1\n")
     (tmp_path / "list.json").write_text("[1, 2]")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if config is not None:
@@ -436,6 +458,44 @@ def test_list_flags_without_numbers_rejected(tmp_path, capsys, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_distance_reads_each_file_once(tmp_path, monkeypatch):
+    reads = []
+    read = cli._read_family_csv
+    monkeypatch.setattr(cli, "_read_family_csv", lambda path: reads.append(path) or read(path))
+    (tmp_path / "f.csv").write_text(_FAMILY_CSV)
+    f = str(tmp_path / "f.csv")
+    assert main(["distance", f, f, "--output-dir", str(tmp_path / "out")]) == 0
+    assert reads == [f, f]
+
+
+def test_simulate_failing_mid_stream_leaves_no_results(tmp_path, monkeypatch):
+    real, calls = cli.order_parameter, []
+    out = tmp_path / "out"
+
+    def failing_order_parameter(u):
+        # the third frame fails while the file is being written
+        calls.append((out / ".results.csv.tmp").exists())
+        if len(calls) == 3:
+            raise RuntimeError("frame failed")
+        return real(u)
+
+    monkeypatch.setattr(cli, "order_parameter", failing_order_parameter)
+    assert main(["simulate", "--graphon", json.dumps(ER_HALF), "--n", "4", "--T", "0.2",
+                 "--dt", "0.05", "--output-dir", str(out)]) == 1
+    assert calls == [True, True, True]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("record_every", ["1", "200"])
+def test_simulate_memory_independent_of_recorded_frames(tmp_path, record_every):
+    # 201 frames of 1024 phases: holding every row before writing takes ~20 MiB
+    code, peak = peak_traced(lambda: main([
+        "simulate", "--graphon", json.dumps(ER_HALF), "--n", "1024", "--T", "1",
+        "--dt", "0.005", "--record-every", record_every, "--output-dir", str(tmp_path)]))
+    assert code == 0
+    assert peak < 2 * 2**20
+
+
 def test_failed_write_keeps_old_file_and_no_temporary(tmp_path, monkeypatch):
     path = tmp_path / "results.csv"
     kio.write_csv(path, ["x"], [[1.0]])
@@ -491,7 +551,7 @@ def test_bad_numbers_rejected_with_key(tmp_path, capsys, experiment, flags, mess
 def test_bad_numeric_keys_named(key, value):
     raw = {"experiment": "convergence_main", "graphon": ER_HALF, "n": [2], "m": [4]}
     with pytest.raises(ValueError, match=f"^{key!r} must be "):
-        ExperimentConfig.from_dict({**raw, key: value})
+        ExperimentConfig.from_dict({**raw, key: value}).validate()
 
 
 NORMAL_OMEGA = json.dumps({"kind": "normal", "mean": 0.0, "sd": 1.0, "seed": 0})
@@ -545,7 +605,7 @@ def test_meanfield_fv_rejects_bad_settings(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize("g", [2.5, "8", True])
 def test_phase_grid_size_must_be_an_integer(g):
     with pytest.raises(ValueError, match="'g' must be a positive integer"):
-        ExperimentConfig.from_dict({"experiment": "meanfield_fv", "g": g})
+        ExperimentConfig.from_dict({"experiment": "meanfield_fv", "g": g}).validate()
 
 
 @pytest.mark.parametrize("record_every", ["1", "10"])

@@ -92,6 +92,12 @@ def test_toeplitz_rhs_matches_double_sum(coupling, n):
         assert np.max(np.abs(sys_.rhs_phases(u) - expected)) <= 1e-13
 
 
+
+@pytest.mark.parametrize("value", [1.5, np.nan])
+def test_custom_coupling_probe_rejects_amplitude_and_nan(value):
+    with pytest.raises(ValueError, match=r"\|D\| <= 1"):
+        CouplingFunction.custom(lambda u: np.full_like(u, value))
+
 @pytest.mark.parametrize("n", [5, 600])
 def test_custom_coupling_on_toeplitz_graph_matches_dense(n):
     coup = CouplingFunction.custom(lambda u: 0.5 * np.sin(u) + 0.25 * np.cos(2.0 * u))
@@ -170,11 +176,16 @@ def test_final_partial_step_lands_on_T_exactly():
 
 
 def test_nonfinite_state_aborts_with_step_index():
+    # a NaN coupling fails the velocity bound at its first evaluation
     bad = CouplingFunction("custom", fn=lambda u: np.full(np.shape(u), np.nan))
     sys_ = OscillatorSystem(WeightedGraph(np.ones((2, 2))), bad)
-    with pytest.raises(IntegrationError) as err:
+    with pytest.raises(RuntimeError, match=r"velocity bound violated \(max \|V\| = nan"):
         integrate(sys_, PhaseState(np.array([0.0, 1.0])), 1.0, 0.1)
-    assert err.value.step == 1
+    # finite stages whose RK4 sum overflows: the step's state is non-finite
+    huge = _system(np.ones((2, 2)), omega=np.array([1.7e308, 0.0]))
+    with np.errstate(over="ignore"), pytest.raises(IntegrationError) as err:
+        integrate(huge, PhaseState(np.array([1.7e308, 0.0])), 1.0, 0.01)
+    assert err.value.step == 1 and err.value.t == 0.01
 
 
 def test_rotational_equivariance():

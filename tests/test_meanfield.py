@@ -380,6 +380,32 @@ def test_density_field_rejects_empty_phase_grid():
             density_field_from_spec(Uniform(), 2, g)
 
 
+def test_density_field_rejects_nonfinite_values():
+    with pytest.raises(ValueError, match="nonnegative"):
+        DensityField(np.array([[np.nan, 1.0 / np.pi]]))
+    with pytest.raises(ValueError, match="normalization"):
+        DensityField(np.array([[np.inf, 0.0]]))
+
+
+def _nan_off_probe_grid(u):
+    # |D| <= 1 on the 1024-point grid that CouplingFunction.custom probes,
+    # NaN everywhere between its points
+    k = np.asarray(u) * (1024 / TWO_PI)
+    return np.where(np.abs(k - np.round(k)) < 1e-6, 0.5 * np.sin(u), np.nan)
+
+
+def test_solvers_raise_on_nan_coupling_between_probe_points():
+    spec = _spec(Graphon.constant(0.5), 2, CouplingFunction.custom(_nan_off_probe_grid))
+    with pytest.raises(RuntimeError, match="velocity bound violated"):
+        picard_solve(spec, initial_family(VonMises(2.0, 1.0), 2, 4), 0.1, 0.05)
+    # g = 6 puts the face offsets (j + 1/2) * du between probe points
+    rho0 = density_field_from_spec(Uniform(), 2, 6)
+    with pytest.raises(RuntimeError, match="velocity bound violated"):
+        solve_fv(spec, rho0, 0.1, 0.05)
+    with pytest.raises(RuntimeError, match="velocity bound violated"):
+        evolve_family(spec, initial_family(VonMises(2.0, 1.0), 2, 4), 0.1, 0.05)
+
+
 FV_COUPLINGS = [SINE, CouplingFunction.sine_shift(0.3), CUSTOM]
 FV_COUPLING_IDS = ["sine", "sine_shift", "custom"]
 

@@ -104,6 +104,9 @@ def test_measure_validation():
         CircleMeasure([0.0, 1.0], [0.6, 0.6])  # mass 1.2
     with pytest.raises(ValueError):
         CircleMeasure([0.0], [-1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="atom positions must be finite"):
+            MeasureFamily([[0.0, bad]], [[0.5, 0.5]])
 
 
 def test_dbar_examples():
