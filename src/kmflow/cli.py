@@ -61,7 +61,6 @@ from .graphs import (
 )
 from .measures import (
     MeasureFamily,
-    common_cells,
     common_dbar,
     dbar,
     density_from_dict,
@@ -274,14 +273,7 @@ def _read_family_csv(path) -> MeasureFamily:
     try:
         if not lines or lines[0].strip() != "cell,position,mass":
             raise ValueError("not a family CSV (expected header 'cell,position,mass')")
-        for number, line in enumerate(lines[1:], start=2):
-            if line.count(",") != 2:
-                raise ValueError(f"line {number} is not a 'cell,position,mass' row "
-                                 f"(got {line!r})")
-            if not math.isfinite(float(line.split(",")[1])):
-                raise ValueError(f"line {number} holds a non-finite position "
-                                 f"(got {line!r})")
-        return family_from_rows(line.split(",") for line in lines[1:])
+        return family_from_rows((line.split(",") for line in lines[1:]), first_line=2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -437,7 +429,7 @@ def _run_stability(cfg: ExperimentConfig, graphon, coupling, rho0, n, m,
 
 
 def _run_distance(cfg: ExperimentConfig, families) -> None:
-    value = dbar(*common_cells(*families))
+    value = common_dbar(*families)
     kio.write_csv(_out(cfg, "results.csv"), ["dbar"], [[value]])
     print(kio.fmt(value))
 

@@ -28,9 +28,12 @@ The right-hand side here is that sum with one unit-mass atom per oscillator;
 the mean-field particle system, pointwise velocity and Picard transport of
 :mod:`kmflow.meanfield` call it too.  For the sine family it applies W to two
 per-cell moments (angle addition; a graph applies its own product, see
-:mod:`kmflow.graphs`); a custom D is evaluated in slabs of whole target cells
-under one element budget.  Every RK4 step, there too, is :func:`_rk4_step`,
-and every run, finite volumes too, steps along its time grid in :func:`_march`.
+:mod:`kmflow.graphs`), from one sin/cos pair per atom: alpha rotates the n
+moments, and targets that are the sources (the graph right-hand side, block
+particles) reuse the pair.  A custom D is evaluated in slabs of whole target
+cells under one element budget.  Every RK4 step, there too, is
+:func:`_rk4_step`, and every run, finite volumes too, steps along its time
+grid in :func:`_march`.
 """
 
 from __future__ import annotations
@@ -136,9 +139,6 @@ class PhaseState:
     def n(self) -> int:
         return self.phases.shape[0]
 
-    def wrapped(self) -> np.ndarray:
-        return wrap_angle(self.phases)
-
 
 class OscillatorSystem:
     """Coupled oscillators on an explicit weighted graph."""
@@ -177,15 +177,21 @@ def _field(w, coupling: CouplingFunction, pos, mass, targets) -> np.ndarray:
     """
     n = pos.shape[0]
     if coupling.is_sine_family:
-        # sin(v - u + alpha) = sin(v + alpha) cos u - cos(v + alpha) sin u
-        shifted = pos + coupling.alpha
-        s = (mass * np.sin(shifted)).sum(axis=1)
-        c = (mass * np.cos(shifted)).sum(axis=1)
+        # sin(v - u + alpha) = sin(v + alpha) cos u - cos(v + alpha) sin u;
+        # the shift rotates the moments of sin v, cos v by angle addition
+        sin_v, cos_v = np.sin(pos), np.cos(pos)
+        s = (mass * sin_v).sum(axis=1)
+        c = (mass * cos_v).sum(axis=1)
+        if coupling.alpha:
+            cos_a, sin_a = math.cos(coupling.alpha), math.sin(coupling.alpha)
+            s, c = s * cos_a + c * sin_a, c * cos_a - s * sin_a
         if isinstance(w, WeightedGraph):
             a, b = w._product(np.stack((s, c)))
         else:  # small step kernels: two mat-vecs beat one stacked product
             a, b = w @ s, w @ c
-        out = np.cos(targets) * (a / n)[:, None] - np.sin(targets) * (b / n)[:, None]
+        sin_u, cos_u = ((sin_v, cos_v) if targets is pos
+                        else (np.sin(targets), np.cos(targets)))
+        out = cos_u * (a / n)[:, None] - sin_u * (b / n)[:, None]
     else:
         rows = w.weights if isinstance(w, WeightedGraph) else w
         src = pos.ravel()
@@ -235,12 +241,9 @@ class Trajectory:
     def n(self) -> int:
         return self.phases.shape[1]
 
-    def state(self, k: int) -> PhaseState:
-        return PhaseState(self.phases[k].copy(), float(self.times[k]))
-
     @property
     def final_state(self) -> PhaseState:
-        return self.state(len(self.times) - 1)
+        return PhaseState(self.phases[-1].copy(), float(self.times[-1]))
 
     def wrapped_phases(self) -> np.ndarray:
         return wrap_angle(self.phases)

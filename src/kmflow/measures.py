@@ -8,7 +8,12 @@ JMIV 2011): merge the atom positions, form the cumulative mass difference
 Delta(x) (piecewise constant), and return min over shifts t of the integral
 of |Delta - t|; the optimal t is a weighted median of the segment values,
 ties resolved at the interval midpoint.  One kernel, :func:`_w1_rows`, does
-this for every row of two (rows, atoms) array pairs at once.
+this for every row of two (rows, atoms) array pairs at once.  Rows of m_a
+atoms of mass exactly 1/m_a against m_b atoms of mass exactly 1/m_b, with
+L = lcm(m_a, m_b) <= m_a + m_b (the frames of particle and Picard runs),
+take a counting path: Delta is an integer count in units of 1/L, so after
+one merge of the sorted sides the weighted median is one histogram.  Padded,
+ragged or unequal-mass rows, such as CSV families, take the general path.
 
 A family of measures indexed by the cells of [0,1] is one pair of read-only
 (cells, atoms) arrays, positions in [0, 2*pi) and masses; short cells are
@@ -16,6 +21,8 @@ padded with zero-mass atoms, which change no distance or velocity, and the
 families of one trajectory share one masses array.  Families carry the
 cell-averaged metric dbar (one kernel call per pair of families), and
 trajectories of families the exponentially weighted sup metric d_alpha.
+Families of different cell counts are compared over the at most
+n_a + n_b - 1 runs of overlapping cells, not over lcm(n_a, n_b) cells.
 """
 
 from __future__ import annotations
@@ -81,10 +88,21 @@ def _w1_rows(pos_a, mass_a, pos_b, mass_b) -> np.ndarray:
     """Circular W1 between row r of (pos_a, mass_a) and row r of (pos_b, mass_b).
 
     Inputs are (rows, atoms) arrays of wrapped positions and masses; the two
-    sides may have different widths and zero-mass padding.  Both sides are
-    padded to one width and each pair of rows is put in a canonical order
-    before the merge, so the result is exactly symmetric.
+    sides may have different widths and zero-mass padding.  Equal masses
+    1/m_a and 1/m_b over widths with lcm(m_a, m_b) <= m_a + m_b take
+    :func:`_w1_counts`, all others :func:`_w1_general`; both are exactly
+    symmetric.
     """
+    m_a, m_b = pos_a.shape[1], pos_b.shape[1]
+    if (math.lcm(m_a, m_b) <= m_a + m_b and (mass_a == 1.0 / m_a).all()
+            and (mass_b == 1.0 / m_b).all()):
+        return _w1_counts(pos_a, pos_b)
+    return _w1_general(pos_a, mass_a, pos_b, mass_b)
+
+
+def _w1_general(pos_a, mass_a, pos_b, mass_b) -> np.ndarray:
+    """:func:`_w1_rows` for any masses.  Both sides are padded to one width
+    and each pair of rows is put in a canonical order before the merge."""
     rows, width = pos_a.shape[0], max(pos_a.shape[1], pos_b.shape[1])
     r = np.arange(rows)[:, None]
     # each side's row is (positions | masses), zero-padded to one width
@@ -118,6 +136,45 @@ def _w1_rows(pos_a, mass_a, pos_b, mass_b) -> np.ndarray:
     # identical rows are exactly 0 apart; the partial sums over atoms that
     # tie within a row need not cancel exactly
     return np.where(differ.any(axis=1), np.sum(w * np.abs(v - t), axis=1), 0.0)
+
+
+def _w1_counts(pos_a, pos_b) -> np.ndarray:
+    """:func:`_w1_rows` for m_a atoms of mass 1/m_a against m_b atoms of mass
+    1/m_b, L = lcm(m_a, m_b) <= m_a + m_b.  In units of 1/L, Delta is an
+    integer cumsum of +L/m_a and -L/m_b steps over 2L + 1 levels, and the
+    weighted median is one histogram of the segment lengths over them.  Delta
+    counts up on the narrower side, or on the lexicographically smaller sorted
+    row at equal widths; the order of tied atoms only moves zero lengths.
+    """
+    (rows, m_a), m_b = pos_a.shape, pos_b.shape[1]
+    atoms, L = m_a + m_b, math.lcm(m_a, m_b)
+    pos = np.concatenate([pos_a, pos_b], axis=1)
+    a, b = pos[:, :m_a], pos[:, m_a:]
+    a.sort(axis=1)
+    b.sort(axis=1)
+    flip = m_a > m_b
+    if m_a == m_b:
+        flip = np.take_along_axis(b < a, (a != b).argmax(axis=1)[:, None], axis=1)
+    # timsort merges the two sorted runs
+    order = np.argsort(pos, axis=1, kind="stable")
+    steps = np.repeat([L // m_a, -(L // m_b)], [m_a, m_b])[order]
+    np.negative(steps, out=steps, where=flip)
+    order += atoms * np.arange(rows)[:, None]
+    merged = np.take(pos, order)
+    lengths = np.empty((rows, atoms + 1))
+    lengths[:, 0], lengths[:, -1] = merged[:, 0], TWO_PI - merged[:, -1]
+    np.subtract(merged[:, 1:], merged[:, :-1], out=lengths[:, 1:-1])
+    # Delta + L on segments: L on [0, p_0), then partial sums of the steps,
+    # each row offset into a histogram of its own
+    bins = 2 * L + 1
+    levels = np.zeros((rows, atoms + 1), dtype=np.intp)
+    np.cumsum(steps, axis=1, out=levels[:, 1:])
+    levels += L + bins * np.arange(rows)[:, None]
+    hist = np.bincount(levels.ravel(), lengths.ravel(), rows * bins).reshape(rows, bins)
+    cw = np.cumsum(hist, axis=1)
+    # the first level where the cumulative length reaches half is a minimizer
+    t = np.argmax(cw >= 0.5 * cw[:, -1:], axis=1)[:, None]
+    return np.sum(hist * np.abs(np.arange(bins, dtype=float) - t), axis=1) / L
 
 
 class MeasureFamily:
@@ -226,9 +283,19 @@ def sup_dbar(a: MeasureTrajectory, b: MeasureTrajectory) -> float:
 
 
 def common_dbar(a: MeasureFamily, b: MeasureFamily) -> float:
-    """dbar of two families refined to their common cell count: the value
-    per frame of :func:`sup_dbar`."""
-    return dbar(*common_cells(a, b))
+    """dbar of two families refined to their common cell count (the value per
+    frame of :func:`sup_dbar`), averaged over the runs where cell i of ``a``
+    overlaps cell j of ``b``, weighted by run length."""
+    n_a, n_b = a.n_cells, b.n_cells
+    L = math.lcm(n_a, n_b)
+    # run starts in units of 1/L: every cell edge of either family, once
+    edges = np.sort(np.concatenate([np.arange(0, L, L // n_a), np.arange(0, L, L // n_b)]))
+    starts = edges[np.diff(edges, prepend=-1) > 0]
+    i, j = starts // (L // n_a), starts // (L // n_b)
+    w = _w1_rows(a.positions[i], a.masses[i], b.positions[j], b.masses[j])
+    if starts.size == L:  # one count divides the other: the runs are the cells
+        return float(np.mean(w))
+    return float(np.dot(np.diff(starts, append=L), w) / L)
 
 
 @functools.lru_cache(maxsize=1)
@@ -526,13 +593,24 @@ def family_to_rows(family: MeasureFamily):
                family.masses[cells, atoms].tolist())
 
 
-def family_from_rows(rows) -> MeasureFamily:
-    """Inverse of :func:`family_to_rows`; every row must carry a positive mass."""
+def family_from_rows(rows, first_line: int = 1) -> MeasureFamily:
+    """Inverse of :func:`family_to_rows`: rows (cell, position, mass), numbers
+    or strings, with an integer cell, a finite position and a positive mass.
+    An error names its row as a line, counted from ``first_line``."""
     by_cell: dict[int, list[tuple[float, float]]] = {}
-    for cell, position, mass in rows:
-        if not float(mass) > 0.0:
-            raise ValueError(f"atom masses must be positive (got {mass!r} in cell {cell})")
-        by_cell.setdefault(int(cell), []).append((float(position), float(mass)))
+    for number, row in enumerate(rows, start=first_line):
+        try:
+            cell, position, mass = row
+            cell, position, mass = int(cell), float(position), float(mass)
+        except (TypeError, ValueError):
+            problem = ("needs an integer cell and numeric position and mass"
+                       if len(row) == 3 else "is not a 'cell,position,mass' row")
+        else:
+            problem = ("holds a non-finite position" if not math.isfinite(position)
+                       else "holds a mass that is not positive" if not mass > 0.0 else "")
+        if problem:
+            raise ValueError(f"line {number} {problem} (got {','.join(map(str, row))!r})")
+        by_cell.setdefault(cell, []).append((position, mass))
     if not by_cell:
         raise ValueError("no atoms found")
     if sorted(by_cell) != list(range(len(by_cell))):

@@ -5,11 +5,13 @@ brute-force midpoint sums, transport distances from an explicit linear
 program over transport plans, atomic velocity fields from the explicit double
 sum over source cells and their atoms, finite-volume velocities from the
 explicit double sum over a g x g coupling table, and the two-oscillator
-dynamics from its closed-form solution.  ``peak_traced`` measures the peak
-memory a call allocates.
+dynamics from its closed-form solution.  ``exact_equal_mass_w1`` evaluates
+the circular W1 of equal-mass atoms in rational arithmetic.  ``peak_traced``
+measures the peak memory a call allocates.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -55,6 +57,22 @@ def random_circle_measure(rng, max_atoms=8) -> CircleMeasure:
         masses = np.maximum(masses, 1e-9)
         masses = masses / masses.sum()
     return CircleMeasure(positions, masses)
+
+
+def exact_equal_mass_w1(pos_a, pos_b) -> float:
+    """Circular W1 between m_a atoms of mass exactly 1/m_a at ``pos_a`` and
+    m_b atoms of mass exactly 1/m_b at ``pos_b``, by rational arithmetic on
+    the float positions: the smallest of sum_k len_k |Delta_k - t| over the
+    candidate shifts t = Delta_j (the objective is convex and piecewise
+    linear with its kinks there), rounded once."""
+    steps = sorted([(Fraction(p), Fraction(1, len(pos_a))) for p in pos_a]
+                   + [(Fraction(p), Fraction(-1, len(pos_b))) for p in pos_b])
+    edges = [Fraction(0)] + [p for p, _ in steps] + [Fraction(TWO_PI)]
+    delta = [Fraction(0)]
+    for _, step in steps:
+        delta.append(delta[-1] + step)
+    lengths = [hi - lo for lo, hi in zip(edges, edges[1:])]
+    return float(min(sum(w * abs(v - t) for w, v in zip(lengths, delta)) for t in delta))
 
 
 def padded_family(measures, pad_position=0.0) -> MeasureFamily:

@@ -344,6 +344,11 @@ _SIMULATE = ["simulate", *_ER, "--n", "2", *_SHORT]
     pytest.param(["distance", "{tmp}/family.csv", "{tmp}/nan.csv"], None,
                  "{tmp}/nan.csv: line 2 holds a non-finite position (got '0,nan,1')",
                  id="distance-nan-position"),
+    *(pytest.param(["distance", "{tmp}/family.csv", "{tmp}/" + name], None,
+                   "{tmp}/" + name + ": line 2 needs an integer cell and numeric "
+                   f"position and mass (got '{row}')", id="distance-" + name[:-4])
+      for name, row in [("bad-position.csv", "0,abc,1"), ("bad-cell.csv", "x,1.0,1"),
+                        ("bad-mass.csv", "0,1.0,y")]),
     pytest.param(["sample_graph", "--graphon", json.dumps(NEGATIVE), "--n", "4"], None,
                  _NEGATIVE_MESSAGE, id="sample-graph-negative-kernel"),
     pytest.param(["simulate", "--graphon", json.dumps(NEGATIVE), "--n", "4", "--sampled",
@@ -368,6 +373,9 @@ def test_rejected_rerun_keeps_earlier_outputs(tmp_path, capsys, argv, config, me
     (tmp_path / "family.csv").write_text(_FAMILY_CSV)
     (tmp_path / "short.csv").write_text(_FAMILY_CSV.replace("0,2.5,0.5", "0,2.5"))
     (tmp_path / "nan.csv").write_text("cell,position,mass\n0,nan,1\n")
+    for name, row in [("bad-position.csv", "0,abc,1"), ("bad-cell.csv", "x,1.0,1"),
+                      ("bad-mass.csv", "0,1.0,y")]:
+        (tmp_path / name).write_text(f"cell,position,mass\n{row}\n")
     (tmp_path / "list.json").write_text("[1, 2]")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if config is not None:
@@ -644,11 +652,13 @@ def _readme_examples() -> list[list[str]]:
 # sha256 of every output the README examples write, manifests aside.  They
 # were recorded before the graph and mean-field coupling sums became one
 # routine, which changed no output byte; a change that moves one must say so.
+# drift.csv was re-pinned when equal-mass W1 became an integer count, which
+# moved 21 of its 101 rows by at most 5.6e-17 (3.3e-16 relative).
 README_OUTPUT_SHA256 = {
     "out/ave/results.csv": "c6a49688baa3e49d89eed33a61fb8328b4efe6f3fd5a5af758dc1f62de66461e",
     "out/conv/results.csv": "1f0108e0980e1dd5833f764b2515da0e30cf039fcb95146fd862f6efbdec079e",
     "out/dist/results.csv": "e64bcf0ee63aa381586382827b75c6dbfc0c7f0317e40c7f463db945e9520ef8",
-    "out/mfp/drift.csv": "2c359e592d3c494d2b4623f767e303b100301dcdefdcd9c8073b245515a34d68",
+    "out/mfp/drift.csv": "a427f79aec6277e2bdcfa6b251e8da13912104e9a48c058a549ae23501948b40",
     "out/mfp/results.csv": "ff92c962b6a789dfae9b006f73e640b5273a623b7b86fccf578d1674e0f6daab",
     "out/sim/results.csv": "e204b1169330596e7b542acfbab514adaedbfff043d1f6a452ad6c76dab336b7",
     "out/stab/results.csv": "aebd1ad16e1dc24fcfe21efe04d810b3e12a44af9640726ce3b831fddbe9c8c6",
@@ -656,6 +666,39 @@ README_OUTPUT_SHA256 = {
     "out/sw/picture.pgm": "7bdd64a82e80b8ad10bc992fdce771e91178fbd4657ab23542da78e96e58268d",
     "out/sw/results.csv": "ba4750346b1368a049f26d8e2fe8afba1639fa0a7481a3a8987e4b7635f585fe",
 }
+
+
+def _numeric_drift(path: Path, reference: Path) -> str:
+    """Largest difference between the numbers of two CSV files of one shape."""
+    try:
+        new, old = (np.array([line.split(",") for line in p.read_text().splitlines()[1:]],
+                             dtype=float) for p in (path, reference))
+    except (UnicodeDecodeError, ValueError):
+        return "not an all-numeric CSV"
+    if new.shape != old.shape:
+        return f"shape {new.shape}, baseline {old.shape}"
+    gap = np.abs(new - old)
+    relative = gap / np.maximum(np.abs(old), np.finfo(float).tiny)
+    return (f"largest drift {gap.max(initial=0.0):.3g} (relative "
+            f"{relative.max(initial=0.0):.3g}) in {np.count_nonzero(gap.any(axis=-1))} "
+            f"of {len(gap)} rows")
+
+
+def _readme_mismatch(written: dict) -> str:
+    """Each README output whose hash is not the pinned one.  When
+    KMFLOW_README_BASELINE names a directory in which another tree ran the
+    README examples, each such file also gets its largest numeric drift from
+    the file of that run."""
+    baseline = os.environ.get("KMFLOW_README_BASELINE")
+    lines = [f"written in {Path.cwd()}"]
+    for name in sorted(written.keys() | README_OUTPUT_SHA256.keys()):
+        if written.get(name) == README_OUTPUT_SHA256.get(name):
+            continue
+        line = f"{name}: sha256 {written.get(name)}, pinned {README_OUTPUT_SHA256.get(name)}"
+        if baseline and name in written and (Path(baseline) / name).is_file():
+            line += "; " + _numeric_drift(Path(name), Path(baseline) / name)
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def test_readme_examples_replay_byte_for_byte(tmp_path, monkeypatch, capsys):
@@ -667,7 +710,7 @@ def test_readme_examples_replay_byte_for_byte(tmp_path, monkeypatch, capsys):
     written = {p.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in Path("out").rglob("*")
                if p.is_file() and p.name != "manifest.json"}
-    assert written == README_OUTPUT_SHA256
+    assert written == README_OUTPUT_SHA256, _readme_mismatch(written)
     manifests = sorted(Path("out").glob("*/manifest.json"))
     assert len(manifests) == 7
     for manifest in manifests:

@@ -21,6 +21,7 @@ from kmflow.measures import (
     bl_distance,
     circle_distance,
     common_cells,
+    common_dbar,
     d_alpha,
     dbar,
     density_from_dict,
@@ -29,7 +30,7 @@ from kmflow.measures import (
     family_to_rows,
     initial_family,
 )
-from oracles import lp_transport_distance, padded_family, random_circle_measure
+from oracles import lp_transport_distance, padded_family, peak_traced, random_circle_measure
 
 TWO_PI = 2.0 * np.pi
 
@@ -128,6 +129,40 @@ def test_dbar_cell_count_mismatch_and_refinement():
     # refinement duplicates cells, so dbar is the step-function integral
     expected = (3 * 0.0 + 3 * 1.0) / 6
     assert dbar(ra, rb) == pytest.approx(expected)
+
+
+def _random_family(rng, n, m, equal_mass):
+    masses = np.full((n, m), 1.0 / m) if equal_mass else rng.uniform(0.1, 1.0, (n, m))
+    return MeasureFamily(rng.uniform(0.0, TWO_PI, (n, m)),
+                         masses / masses.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("equal_mass", [True, False])
+@pytest.mark.parametrize("n_a, n_b, exact", [
+    (1, 1, True), (4, 4, True), (2, 6, True), (8, 2, True),
+    (2, 3, False), (5, 7, False), (9, 6, False), (4, 10, False)])
+def test_common_dbar_matches_refined_families(equal_mass, n_a, n_b, exact):
+    # runs of overlapping cells against the families refined to lcm cells:
+    # the same mean when one count divides the other, round-off otherwise
+    rng = np.random.default_rng(n_a * 100 + n_b)
+    for m_a, m_b in [(3, 3), (2, 4), (5, 3)]:
+        a = _random_family(rng, n_a, m_a, equal_mass)
+        b = _random_family(rng, n_b, m_b, equal_mass)
+        got, expected = common_dbar(a, b), dbar(*common_cells(a, b))
+        assert got == common_dbar(b, a)
+        if exact:
+            assert got == expected
+        else:
+            assert abs(got - expected) <= 1e-15
+
+
+def test_common_dbar_memory_independent_of_common_cell_count():
+    # 1021 and 1019 cells share 1040399 common cells but only 2039 runs
+    rng = np.random.default_rng(7)
+    a, b = (_random_family(rng, n, 1, True) for n in (1021, 1019))
+    value, peak = peak_traced(lambda: common_dbar(a, b))
+    assert peak < 2**20
+    assert 0.0 < value <= np.pi
 
 
 def test_dbar_metric_on_random_families():

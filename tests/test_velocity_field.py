@@ -87,3 +87,40 @@ def test_transport_step_matches_double_sum_rk4(coupling):
     path = meanfield._transport(spec, np.array([0.0, h]), frozen, mass, start)
     assert np.array_equal(path[0], start)
     assert np.max(np.abs(path[1] - expected)) <= TOL
+
+
+def _sine_field_two_pairs(w, alpha, pos, mass, targets):
+    """The sine-family field with sin/cos taken of the shifted sources and,
+    separately, of the targets: the reference for reusing one pair."""
+    shifted = pos + alpha
+    s = (mass * np.sin(shifted)).sum(axis=1)
+    c = (mass * np.cos(shifted)).sum(axis=1)
+    if isinstance(w, WeightedGraph):
+        a, b = w._product(np.stack((s, c)))
+    else:
+        a, b = w @ s, w @ c
+    n = pos.shape[0]
+    return np.cos(targets) * (a / n)[:, None] - np.sin(targets) * (b / n)[:, None]
+
+
+@pytest.mark.parametrize("alpha, tol", [(0.0, 0.0), (0.3, 1e-15)])
+def test_sine_rhs_reuses_the_sources_pair(alpha, tol):
+    # at alpha = 0 the graph and block right-hand sides are bit for bit the
+    # two-pair form; a shift only rotates the per-cell moments
+    coupling = CouplingFunction.sine_shift(alpha)
+    rng = np.random.default_rng(3)
+    n, m = 9, 6
+    u = rng.uniform(-TWO_PI, 2 * TWO_PI, n)
+    omega = rng.normal(size=n)
+    for name, graph in _graphs(n).items():
+        atoms = u[:, None]
+        expected = omega + 1.3 * _sine_field_two_pairs(graph, alpha, atoms, 1.0,
+                                                       atoms).ravel()
+        got = OscillatorSystem(graph, coupling, K=1.3, omega=omega).rhs_phases(u)
+        assert np.max(np.abs(got - expected)) <= tol, name
+    step = KERNEL.cell_average(n)
+    x = rng.uniform(0.0, TWO_PI, n * m)
+    blocks = x.reshape(n, m)
+    expected = _sine_field_two_pairs(step.values, alpha, blocks, 1.0 / m, blocks).ravel()
+    got = BlockOscillatorSystem(step, m, coupling).rhs_phases(x)
+    assert np.max(np.abs(got - expected)) <= tol
