@@ -61,7 +61,6 @@ from .graphs import (
 )
 from .measures import (
     MeasureFamily,
-    common_dbar,
     dbar,
     density_from_dict,
     family_from_rows,
@@ -368,7 +367,7 @@ def _run_convergence_main(cfg: ExperimentConfig, graphon, coupling, rho0,
     for (_, reference), *current in zip(frames(*ref, _spec(graphon, coupling, ref[0])),
                                         *runs):
         for k, (_, family) in enumerate(current):
-            sup[k] = max(sup[k], common_dbar(family, reference))
+            sup[k] = max(sup[k], dbar(family, reference))
     rows = [[cells, atoms, d] for (cells, atoms), d in zip(pairs, sup)]
     kio.write_csv(_out(cfg, "results.csv"), ["n", "m", "sup_dbar"], rows)
 
@@ -429,7 +428,7 @@ def _run_stability(cfg: ExperimentConfig, graphon, coupling, rho0, n, m,
 
 
 def _run_distance(cfg: ExperimentConfig, families) -> None:
-    value = common_dbar(*families)
+    value = dbar(*families)
     kio.write_csv(_out(cfg, "results.csv"), ["dbar"], [[value]])
     print(kio.fmt(value))
 
@@ -483,7 +482,11 @@ def run(cfg: ExperimentConfig) -> int:
 
 def render(matrix_file, out_path) -> None:
     """Turn a CSV weight matrix into a binary PGM pixel picture."""
-    graph = WeightedGraph(kio.read_matrix_csv(matrix_file))
+    matrix = kio.read_matrix_csv(matrix_file)
+    try:
+        graph = WeightedGraph(matrix)
+    except ValueError as exc:
+        raise ValueError(f"{matrix_file}: {exc}") from None
     kio.write_pgm(out_path, pixel_picture(graph))
 
 

@@ -18,9 +18,9 @@ unwrapped differences over short horizons.
 :func:`recorded_states` yields the recorded frames one at a time, and
 :func:`integrate` fills one (records, n) array from it.  A sup-over-time
 comparison of two runs can therefore advance both together and keep only
-running maxima; :func:`sup_norm_1n` and :func:`max_pairwise_gap` take their
-per-frame values from :func:`norm_1n` and :func:`pairwise_gap`, the functions
-such a streaming reduction applies to each pair of frames.
+running maxima; :func:`sup_norm_1n` takes its per-frame values from
+:func:`norm_1n`, which, with :func:`pairwise_gap`, is what such a streaming
+reduction applies to each pair of frames.
 
 Every velocity in kmflow is one coupling sum, :func:`_field`: V(u) = n^-1
 sum_i W_ki sum_j m_ij D(v_ij - u) over the atoms v_ij of mass m_ij in cell i.
@@ -81,6 +81,9 @@ class CouplingFunction:
 
     @classmethod
     def sine_shift(cls, alpha: float) -> "CouplingFunction":
+        if not _is_real(alpha):
+            raise ValueError(f"coupling field 'alpha' must be a finite number "
+                             f"(got {alpha!r})")
         return cls("sine_shift", alpha=float(alpha))
 
     @classmethod
@@ -105,13 +108,6 @@ class CouplingFunction:
         if self.is_sine_family:
             return np.sin(np.asarray(u, dtype=float) + self.alpha)
         return np.asarray(self.fn(u), dtype=float)
-
-    def to_dict(self) -> dict:
-        if self.kind == "sine":
-            return {"kind": "sine"}
-        if self.kind == "sine_shift":
-            return {"kind": "sine_shift", "alpha": self.alpha}
-        raise ValueError("custom couplings are not JSON-serializable")
 
     @classmethod
     def from_dict(cls, spec: dict) -> "CouplingFunction":
@@ -372,19 +368,6 @@ def sup_norm_1n(a: Trajectory, b: Trajectory) -> float:
     """Max over shared recorded times of the scaled distance between runs."""
     check_shared_grid(a, b)
     return max(map(norm_1n, a.phases, b.phases))
-
-
-def max_pairwise_gap(a: Trajectory, b: Trajectory) -> float:
-    """Largest |a_i(t) - b_i(t)| over the run; > pi means the unwrapped
-    comparison has become chart-dependent."""
-    check_shared_grid(a, b)
-    return max(map(pairwise_gap, a.phases, b.phases))
-
-
-def weight_perturbation_constant(T: float) -> float:
-    """Growth constant sqrt(T * e^(5T)) bounding trajectory divergence per
-    unit weight-matrix distance (scaled Frobenius) over [0, T]."""
-    return float(np.sqrt(T * np.exp(5.0 * T)))
 
 
 def omega_from_spec(spec: dict, n: int) -> np.ndarray:

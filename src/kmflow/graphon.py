@@ -32,6 +32,9 @@ MAX_NODES = 8192
 
 _BOUND_SLACK = 1e-9
 _TILE = 64
+# custom-kernel quadrature: target agreement, largest grid per axis
+_QUADRATURE_TOL = 1e-9
+_QUADRATURE_POINTS = 4096
 
 
 def _is_real(value) -> bool:
@@ -75,11 +78,6 @@ class StepGraphon:
         i = np.minimum((x * self.n).astype(int), self.n - 1)
         j = np.minimum((y * self.n).astype(int), self.n - 1)
         return self.values[i, j]
-
-    def __eq__(self, other):
-        return isinstance(other, StepGraphon) and np.array_equal(
-            self.values, other.values
-        )
 
 
 class Graphon:
@@ -154,13 +152,13 @@ class Graphon:
 
     # -- cell averaging ------------------------------------------------
 
-    def cell_average(self, n: int, tol: float = 1e-9) -> StepGraphon:
+    def cell_average(self, n: int) -> StepGraphon:
         """Project onto the step functions at resolution n.
 
         Entry (i, j) is n^2 times the integral of W over the cell
         I_i x I_j.  Closed forms are used for the built-in kinds; custom
         kernels use midpoint quadrature refined until the Richardson
-        extrapolants agree to ``tol``.
+        extrapolants agree to 1e-9, on at most 4096 points per axis.
         """
         if n < 1:
             raise ValueError("resolution n must be >= 1")
@@ -173,7 +171,7 @@ class Graphon:
             return StepGraphon(_toeplitz(diagonals))
         if self.kind == "step":
             return StepGraphon(_step_cell_average(self.step_values.values, n))
-        return StepGraphon(_custom_cell_average(self.fn, n, tol))
+        return StepGraphon(_custom_cell_average(self.fn, n))
 
     def _diagonals(self, n: int) -> np.ndarray | None:
         """The 2n-1 diagonals of the resolution-n cell average, or None.
@@ -192,18 +190,7 @@ class Graphon:
             frac = self.p + (1.0 - 2.0 * self.p) * frac
         return frac
 
-    # -- (de)serialization ----------------------------------------------
-
-    def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "p": self.p}
-        if self.kind == "small_world":
-            return {"kind": "small_world", "p": self.p, "h": self.h}
-        if self.kind == "nearest_neighbor":
-            return {"kind": "nearest_neighbor", "h": self.h}
-        if self.kind == "step":
-            return {"kind": "step", "values": self.step_values.values.tolist()}
-        raise ValueError("custom kernels are not JSON-serializable")
+    # -- deserialization -----------------------------------------------
 
     @classmethod
     def from_dict(cls, spec: dict) -> "Graphon":
@@ -389,13 +376,13 @@ def _step_cell_average(values: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (averaged + averaged.T)
 
 
-def _custom_cell_average(fn, n: int, tol: float, max_points: int = 4096) -> np.ndarray:
+def _custom_cell_average(fn, n: int) -> np.ndarray:
     """Composite midpoint quadrature with Richardson extrapolation per cell."""
     prev_est = None
     prev_rich = None
     achieved = math.inf
     s = 1
-    while n * s <= max_points:
+    while n * s <= _QUADRATURE_POINTS:
         g = n * s
         mid = (np.arange(g) + 0.5) / g
         vals = np.asarray(fn(mid[:, None], mid[None, :]), dtype=float)
@@ -404,9 +391,9 @@ def _custom_cell_average(fn, n: int, tol: float, max_points: int = 4096) -> np.n
             rich = (4.0 * est - prev_est) / 3.0
             if prev_rich is not None:
                 achieved = float(np.max(np.abs(rich - prev_rich)))
-                if achieved < tol:
+                if achieved < _QUADRATURE_TOL:
                     return 0.5 * (rich + rich.T)
             prev_rich = rich
         prev_est = est
         s *= 2
-    raise QuadratureError(achieved=achieved, target=tol)
+    raise QuadratureError(achieved=achieved, target=_QUADRATURE_TOL)

@@ -97,12 +97,6 @@ class WeightedGraph:
         product = np.fft.irfft(np.fft.rfft(x, size) * self._spectrum, size)
         return product[..., n - 1:2 * n - 1]
 
-    def edges(self):
-        """Yield (i, j, weight) for the nonzero upper triangle, diagonal included."""
-        iu, ju = np.nonzero(np.triu(self.weights))
-        for i, j in zip(iu, ju):
-            yield int(i), int(j), float(self.weights[i, j])
-
 
 def deterministic_graph(W: Graphon, n: int) -> WeightedGraph:
     """Weighted graph whose weight matrix is the n x n cell average of W."""

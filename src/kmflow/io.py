@@ -39,36 +39,33 @@ def fmt(x) -> str:
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     """Write a square matrix row-major with a 'n=<n>' header line."""
     matrix = np.asarray(matrix, dtype=float)
-    with _replacing(path) as out:
-        out.write(f"n={matrix.shape[0]}\n".encode())
-        for row in matrix:
-            out.write((",".join(fmt(v) for v in row) + "\n").encode())
+    write_csv(path, [f"n={matrix.shape[0]}"], matrix)
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix_csv`."""
-    text = Path(path).read_text().strip()
-    if not text:
-        raise ValueError(f"empty matrix file: {path}")
-    lines = text.splitlines()
-    header = lines[0].strip()
-    if not header.startswith("n="):
-        raise ValueError(f"matrix file {path} is missing the 'n=<n>' header")
+    """Read a matrix written by :func:`write_matrix_csv`.  An error names the
+    file, and the line of a malformed row."""
+    lines = Path(path).read_text().splitlines()
     try:
-        n = int(header[2:])
+        header = lines[0].strip() if lines else ""
+        n = int(header[2:]) if header[:2] == "n=" and header[2:].isdecimal() else 0
+        if n < 1:
+            raise ValueError(f"line 1 is not an 'n=<n>' header with n >= 1 (got {header!r})")
+        rows = []
+        for number, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            try:
+                rows.append([float(v) for v in line.split(",")])
+            except ValueError:
+                rows.append([])
+            if len(rows[-1]) != n:
+                raise ValueError(f"line {number} needs {n} numeric entries (got {line!r})")
+        if len(rows) != n:
+            raise ValueError(f"declares n={n} but holds {len(rows)} rows")
     except ValueError as exc:
-        raise ValueError(f"malformed matrix header {header!r}") from exc
-    rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    matrix = np.array(rows, dtype=float)
-    if matrix.shape != (n, n):
-        raise ValueError(
-            f"matrix file {path} declares n={n} but holds shape {matrix.shape}"
-        )
-    return matrix
+        raise ValueError(f"{path}: {exc}") from None
+    return np.array(rows)
 
 
 def write_pgm(path, image: np.ndarray) -> None:

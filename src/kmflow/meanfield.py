@@ -438,10 +438,10 @@ class SpaceTimeTestFunction:
     label: str = ""
 
 
-def default_test_functions(T: float, modes=(1, 2, 3)) -> list[SpaceTimeTestFunction]:
-    """Family (1 - t/T)^2 * {sin(k u), cos(k u)} for k in modes."""
+def default_test_functions(T: float) -> list[SpaceTimeTestFunction]:
+    """Family (1 - t/T)^2 * {sin(k u), cos(k u)} for k = 1, 2, 3."""
     tests = []
-    for k in modes:
+    for k in (1, 2, 3):
         for trig, trig_d, name in ((np.sin, np.cos, "sin"), (np.cos, lambda u: -np.sin(u), "cos")):
             def _mk(k=k, trig=trig, trig_d=trig_d):
                 phi = lambda t: (1.0 - t / T) ** 2
@@ -490,9 +490,10 @@ def weak_residual(traj: DensityTrajectory, spec: VelocityFieldSpec,
 class StabilityConfig:
     """Paired mean-field runs for continuous-dependence checks.
 
-    Leave ``graphon_b`` unset to perturb only the initial family, leave
-    ``family_b`` unset to perturb only the kernel; setting both combines the
-    two bounds additively.
+    The first run starts from ``family_a``, for example
+    ``initial_family(rho0, n, m)``.  Leave ``graphon_b`` unset to
+    perturb only the initial family, leave ``family_b`` unset to perturb only
+    the kernel; setting both combines the two bounds additively.
     """
 
     graphon_a: Graphon
@@ -500,10 +501,9 @@ class StabilityConfig:
     m: int
     T: float
     dt: float
+    family_a: MeasureFamily
     coupling: CouplingFunction = field(default_factory=CouplingFunction.sine)
     graphon_b: Graphon | None = None
-    rho0: DensitySpec | None = None
-    family_a: MeasureFamily | None = None
     family_b: MeasureFamily | None = None
     kernel_resolution: int = 512
     record_every: int = 1
@@ -516,9 +516,7 @@ def stability_experiments(cfg: StabilityConfig) -> dict:
     runs; the bound is e^T * dbar(initial families) plus, when the kernels
     differ, e^(2T) * ||W - U||_L1 (measured on a refinement grid).
     """
-    if cfg.family_a is None and cfg.rho0 is None:
-        raise ValueError("provide either family_a or rho0")
-    fam_a = cfg.family_a or initial_family(cfg.rho0, cfg.n, cfg.m)
+    fam_a = cfg.family_a
     fam_b = cfg.family_b if cfg.family_b is not None else fam_a
     graphon_b = cfg.graphon_b if cfg.graphon_b is not None else cfg.graphon_a
 
@@ -543,15 +541,3 @@ def stability_experiments(cfg: StabilityConfig) -> dict:
         "passed": bool(measured <= bound + 1e-12),
     }
 
-
-def gronwall_envelope(t, a, A: float, B: float, C: float) -> np.ndarray:
-    """Conclusion curve e^(At) * (B int_0^t a(s) e^(-As) ds + C).
-
-    Any continuous phi with phi(t) <= A int_0^t phi + B int_0^t a + C is
-    dominated by this envelope; used as a standalone numerical check.
-    """
-    t = np.asarray(t, dtype=float)
-    a = np.asarray(a, dtype=float)
-    f = a * np.exp(-A * t)
-    integral = np.concatenate([[0.0], np.cumsum(np.diff(t) * (f[1:] + f[:-1]) / 2.0)])
-    return np.exp(A * t) * (B * integral + C)

@@ -19,10 +19,11 @@ A family of measures indexed by the cells of [0,1] is one pair of read-only
 (cells, atoms) arrays, positions in [0, 2*pi) and masses; short cells are
 padded with zero-mass atoms, which change no distance or velocity, and the
 families of one trajectory share one masses array.  Families carry the
-cell-averaged metric dbar (one kernel call per pair of families), and
-trajectories of families the exponentially weighted sup metric d_alpha.
-Families of different cell counts are compared over the at most
-n_a + n_b - 1 runs of overlapping cells, not over lcm(n_a, n_b) cells.
+cell-averaged metric dbar, one function for any two cell counts and one
+kernel call per pair of families, and trajectories of families the
+exponentially weighted sup metric d_alpha.  Families of different cell
+counts are compared over the at most n_a + n_b - 1 runs of overlapping
+cells, not over lcm(n_a, n_b) refined cells.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class CircleMeasure:
     @classmethod
     def point(cls, theta: float) -> "CircleMeasure":
         return cls(np.array([theta]), np.array([1.0]))
-
-    @property
-    def n_atoms(self) -> int:
-        return self.positions.size
 
 
 def bl_distance(mu: CircleMeasure, eta: CircleMeasure) -> float:
@@ -211,31 +208,26 @@ class MeasureFamily:
     def n_cells(self) -> int:
         return self.positions.shape[0]
 
-    def refine(self, k: int) -> "MeasureFamily":
-        """Duplicate every cell k times (exact refinement of the step family)."""
-        if k < 1:
-            raise ValueError("refinement factor must be >= 1")
-        if k == 1:
-            return self
-        return MeasureFamily(np.repeat(self.positions, k, axis=0),
-                             np.repeat(self.masses, k, axis=0))
-
-
-def common_cells(a: MeasureFamily, b: MeasureFamily) -> tuple[MeasureFamily, MeasureFamily]:
-    """Refine both families to their least common cell count."""
-    L = math.lcm(a.n_cells, b.n_cells)
-    return a.refine(L // a.n_cells), b.refine(L // b.n_cells)
-
 
 def dbar(a: MeasureFamily, b: MeasureFamily) -> float:
-    """Cell-averaged transport distance: mean over cells of the per-cell
-    distance (exact, both families being constant on cells)."""
-    if a.n_cells != b.n_cells:
-        raise ValueError(
-            f"cell-count mismatch ({a.n_cells} vs {b.n_cells}); "
-            "refine to a common cell count first (see common_cells)"
-        )
-    return float(np.mean(_w1_rows(a.positions, a.masses, b.positions, b.masses)))
+    """Cell-averaged transport distance: the integral over x in [0, 1] of the
+    distance between the cells holding x, exact for families constant on
+    their cells.  Equal cell counts average the per-cell distances; other
+    counts average over the runs where cell i of ``a`` overlaps cell j of
+    ``b``, weighted by run length, which equals dbar of both families
+    refined to lcm(n_a, n_b) cells without building them."""
+    n_a, n_b = a.n_cells, b.n_cells
+    if n_a == n_b:
+        return float(np.mean(_w1_rows(a.positions, a.masses, b.positions, b.masses)))
+    L = math.lcm(n_a, n_b)
+    # run starts in units of 1/L: every cell edge of either family, once
+    edges = np.sort(np.concatenate([np.arange(0, L, L // n_a), np.arange(0, L, L // n_b)]))
+    starts = edges[np.diff(edges, prepend=-1) > 0]
+    i, j = starts // (L // n_a), starts // (L // n_b)
+    w = _w1_rows(a.positions[i], a.masses[i], b.positions[j], b.masses[j])
+    if starts.size == L:  # one count divides the other: the runs are the cells
+        return float(np.mean(w))
+    return float(np.dot(np.diff(starts, append=L), w) / L)
 
 
 @dataclass
@@ -277,25 +269,9 @@ def d_alpha(a: MeasureTrajectory, b: MeasureTrajectory, alpha: float = 3.0) -> f
 
 
 def sup_dbar(a: MeasureTrajectory, b: MeasureTrajectory) -> float:
-    """Max over shared times of dbar (families refined to common cells)."""
+    """Max over shared times of dbar."""
     check_shared_grid(a, b)
-    return max(map(common_dbar, a.families, b.families))
-
-
-def common_dbar(a: MeasureFamily, b: MeasureFamily) -> float:
-    """dbar of two families refined to their common cell count (the value per
-    frame of :func:`sup_dbar`), averaged over the runs where cell i of ``a``
-    overlaps cell j of ``b``, weighted by run length."""
-    n_a, n_b = a.n_cells, b.n_cells
-    L = math.lcm(n_a, n_b)
-    # run starts in units of 1/L: every cell edge of either family, once
-    edges = np.sort(np.concatenate([np.arange(0, L, L // n_a), np.arange(0, L, L // n_b)]))
-    starts = edges[np.diff(edges, prepend=-1) > 0]
-    i, j = starts // (L // n_a), starts // (L // n_b)
-    w = _w1_rows(a.positions[i], a.masses[i], b.positions[j], b.masses[j])
-    if starts.size == L:  # one count divides the other: the runs are the cells
-        return float(np.mean(w))
-    return float(np.dot(np.diff(starts, append=L), w) / L)
+    return max(map(dbar, a.families, b.families))
 
 
 @functools.lru_cache(maxsize=1)
@@ -337,9 +313,6 @@ class DensitySpec:
     def density(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 class Uniform(DensitySpec):
     def quantile(self, q):
@@ -350,9 +323,6 @@ class Uniform(DensitySpec):
 
     def density(self, u):
         return np.full(np.shape(u), 1.0 / TWO_PI)
-
-    def to_dict(self):
-        return {"kind": "uniform"}
 
 
 def _check_kappa(kappa) -> float:
@@ -414,9 +384,6 @@ class VonMises(DensitySpec):
         half = np.sin(0.5 * (np.asarray(u, dtype=float) - self.mu0))
         peak = (1.0 + 2.0 * _bessel_ratios(self.kappa).sum()) / TWO_PI
         return np.exp(-2.0 * self.kappa * half * half) * peak
-
-    def to_dict(self):
-        return {"kind": "von_mises", "kappa": self.kappa, "mu0": self.mu0}
 
 
 _RATIO_CUTOFF = 1e-17
@@ -501,10 +468,6 @@ class TwoCluster(DensitySpec):
     def density(self, u):
         raise ValueError("two-cluster distribution has no density")
 
-    def to_dict(self):
-        return {"kind": "two_cluster", "theta1": self.theta1,
-                "theta2": self.theta2, "w": self.w}
-
 
 class XDependent(DensitySpec):
     """Cell-dependent distribution: fn(x) returns the spec for position x."""
@@ -517,9 +480,6 @@ class XDependent(DensitySpec):
     def at(self, x: float) -> DensitySpec:
         return self.fn(x)
 
-    def to_dict(self):
-        raise ValueError("callable x-dependent specs are not JSON-serializable")
-
 
 class VonMisesTwist(XDependent):
     """Von Mises whose mode rotates with the cell: mu0(x) = 2*pi*x."""
@@ -527,9 +487,6 @@ class VonMisesTwist(XDependent):
     def __init__(self, kappa: float):
         self.kappa = _check_kappa(kappa)
         super().__init__(lambda x: VonMises(self.kappa, TWO_PI * x))
-
-    def to_dict(self):
-        return {"kind": "von_mises_twist", "kappa": self.kappa}
 
 
 def density_from_dict(spec: dict) -> DensitySpec:

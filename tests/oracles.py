@@ -6,10 +6,13 @@ program over transport plans, atomic velocity fields from the explicit double
 sum over source cells and their atoms, finite-volume velocities from the
 explicit double sum over a g x g coupling table, and the two-oscillator
 dynamics from its closed-form solution.  ``exact_equal_mass_w1`` evaluates
-the circular W1 of equal-mass atoms in rational arithmetic.  ``peak_traced``
-measures the peak memory a call allocates.
+the circular W1 of equal-mass atoms in rational arithmetic, and
+``common_cells`` refines two families to their least common cell count, the
+reference for dbar over unequal counts.  ``peak_traced`` measures the peak
+memory a call allocates.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -31,7 +34,7 @@ def midpoint_cell_average(kernel_eval, n, i, j, points=512):
 
 def lp_transport_distance(mu: CircleMeasure, eta: CircleMeasure) -> float:
     """Exact optimal transport cost with arc-length ground cost, via LP."""
-    m1, m2 = mu.n_atoms, eta.n_atoms
+    m1, m2 = mu.positions.size, eta.positions.size
     cost = circle_distance(mu.positions[:, None], eta.positions[None, :]).ravel()
     A = np.zeros((m1 + m2, m1 * m2))
     for i in range(m1):
@@ -78,13 +81,32 @@ def exact_equal_mass_w1(pos_a, pos_b) -> float:
 def padded_family(measures, pad_position=0.0) -> MeasureFamily:
     """Family holding the given measures, short cells padded with zero-mass
     atoms at ``pad_position``."""
-    width = max(mu.n_atoms for mu in measures)
+    width = max(mu.positions.size for mu in measures)
     positions = np.full((len(measures), width), pad_position)
     masses = np.zeros((len(measures), width))
     for i, mu in enumerate(measures):
-        positions[i, :mu.n_atoms] = mu.positions
-        masses[i, :mu.n_atoms] = mu.masses
+        positions[i, :mu.positions.size] = mu.positions
+        masses[i, :mu.masses.size] = mu.masses
     return MeasureFamily(positions, masses)
+
+
+def refine(family: MeasureFamily, k: int) -> MeasureFamily:
+    """Every cell repeated k times: the same step family on k times as many
+    cells."""
+    return MeasureFamily(np.repeat(family.positions, k, axis=0),
+                         np.repeat(family.masses, k, axis=0))
+
+
+def common_cells(a: MeasureFamily, b: MeasureFamily) -> tuple[MeasureFamily, MeasureFamily]:
+    """Both families refined to their least common cell count."""
+    L = math.lcm(a.n_cells, b.n_cells)
+    return refine(a, L // a.n_cells), refine(b, L // b.n_cells)
+
+
+def weight_perturbation_constant(T: float) -> float:
+    """Growth constant sqrt(T * e^(5T)) bounding trajectory divergence per
+    unit weight-matrix distance (scaled Frobenius) over [0, T]."""
+    return float(np.sqrt(T * np.exp(5.0 * T)))
 
 
 def coupling_sum(w, coupling, pos, mass, targets):

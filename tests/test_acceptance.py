@@ -14,7 +14,6 @@ from kmflow.dynamics import (
     PhaseState,
     integrate,
     sup_norm_1n,
-    weight_perturbation_constant,
 )
 from kmflow.graphon import Graphon, StepGraphon, kernel_distance, step_norm_2n
 from kmflow.graphs import WeightedGraph, deterministic_graph, sample_w_random
@@ -35,11 +34,16 @@ from kmflow.measures import (
     VonMises,
     VonMisesTwist,
     bl_distance,
-    common_cells,
     dbar,
     initial_family,
 )
-from oracles import lp_transport_distance, random_circle_measure, two_oscillator_gap
+from oracles import (
+    common_cells,
+    lp_transport_distance,
+    random_circle_measure,
+    two_oscillator_gap,
+    weight_perturbation_constant,
+)
 
 TWO_PI = 2.0 * np.pi
 SINE = CouplingFunction.sine()
@@ -154,7 +158,8 @@ def test_c05_kernel_stability_bound():
     # resolution-8 average with the measured L1 distance as the budget.
     res_er = stability_experiments(StabilityConfig(
         graphon_a=Graphon.constant(0.5), graphon_b=Graphon.constant(0.6),
-        n=8, m=64, T=1.0, dt=1e-2, coupling=SINE, rho0=VonMises(1.5, 2.0)))
+        n=8, m=64, T=1.0, dt=1e-2, coupling=SINE,
+        family_a=initial_family(VonMises(1.5, 2.0), 8, 64)))
     er_exact = abs(res_er["kernel_l1"] - 0.1) < 1e-12
     er_ok = res_er["measured"] <= np.exp(2.0) * 0.1 and res_er["passed"]
 
@@ -164,7 +169,7 @@ def test_c05_kernel_stability_bound():
     res_sw = stability_experiments(StabilityConfig(
         graphon_a=sw, graphon_b=Graphon.step(sw.cell_average(8)),
         n=16, m=64, T=1.0, dt=1e-2, coupling=SINE,
-        rho0=VonMisesTwist(1.5), kernel_resolution=512))
+        family_a=initial_family(VonMisesTwist(1.5), 16, 64), kernel_resolution=512))
     _report("C5 kernel stability bound", er_exact and er_ok and res_sw["passed"],
             f"ER: {res_er['measured']:.4f} <= {np.exp(2.0) * 0.1:.4f}; "
             f"band: {res_sw['measured']:.4f} <= {res_sw['bound']:.4f}")

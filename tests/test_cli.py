@@ -131,6 +131,23 @@ def test_render_malformed_csv_fails(tmp_path):
         render(bad, tmp_path / "out.pgm")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n=2\n1,0\n0,abc\n", "line 3 needs 2 numeric entries (got '0,abc')"),
+    ("n=x\n1\n", "line 1 is not an 'n=<n>' header with n >= 1 (got 'n=x')"),
+    ("1,0\n0,1\n", "line 1 is not an 'n=<n>' header with n >= 1 (got '1,0')"),
+    ("", "line 1 is not an 'n=<n>' header with n >= 1 (got '')"),
+    ("n=2\n1,0\n0\n", "line 3 needs 2 numeric entries (got '0')"),
+    ("n=2\n1,0\n", "declares n=2 but holds 1 rows"),
+    ("n=2\n1,0.5\n0,1\n", "weights must be symmetric"),
+], ids=["bad-entry", "bad-header", "no-header", "empty", "short-row", "short", "asymmetric"])
+def test_render_errors_name_file_and_line(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(["render", str(bad), str(tmp_path / "out.pgm")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "out.pgm").exists()
+
+
 def test_sampled_er_pixel_density(tmp_path):
     code = main([
         "sample_graph", "--graphon", json.dumps(ER_HALF), "--n", "128",
@@ -193,6 +210,21 @@ def test_convergence_ave_emits_rows(tmp_path):
     lines = _read(tmp_path / "results.csv").splitlines()
     assert lines[0] == "n,seed,sup_norm_1n"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("K, warns", [(4, True), (20, False)])
+def test_convergence_ave_warns_once_when_a_gap_exceeds_pi(tmp_path, capsys, K, warns):
+    # n = 2, seed 0: the frequencies differ by 3.87, so at K = 4 the sampled
+    # pair (weight 1) locks while the deterministic one (weight 1/2) drifts
+    # apart; at K = 20 both lock and the gap stays below pi
+    code = main(["convergence_ave", "--graphon", json.dumps(ER_HALF), "--n", "2",
+                 "--seeds", "0,0", "--omega",
+                 '{"kind": "normal", "mean": 0, "sd": 2, "seed": 0}', "--K", str(K),
+                 "--T", "5", "--dt", "0.05", "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: a pairwise phase difference exceeded pi; the unwrapped comparison "
+        "is chart-dependent\n" if warns else "")
 
 
 def test_stability_initial_cli(tmp_path):
@@ -364,6 +396,11 @@ _SIMULATE = ["simulate", *_ER, "--n", "2", *_SHORT]
                   "--n", "2", "--m", "4", *_SHORT], {"kernel_resolution": 8191},
                  "dense storage supports up to 8192 nodes, got 8193",
                  id="stability-kernel-rounded-resolution"),
+    *(pytest.param(_RERUN_ARGV + ["--coupling", f'{{"kind": "sine_shift", "alpha": {alpha}}}'],
+                   None, f"coupling field 'alpha' must be a finite number (got {got})",
+                   id=f"sine-shift-alpha-{name}")
+      for name, alpha, got in [("nan", "NaN", "nan"), ("inf", "Infinity", "inf"),
+                               ("bool", "true", "True"), ("string", '"0.3"', "'0.3'")]),
 ])
 def test_rejected_rerun_keeps_earlier_outputs(tmp_path, capsys, argv, config, message):
     out = tmp_path / "d"
@@ -434,6 +471,14 @@ def test_failed_rerun_removes_earlier_manifest(tmp_path, capsys, monkeypatch):
      "error: band half-width h must be a real number in (0, 1/2) (got nan)"),
     ("stability_kernel", ["--graphon-b", '{"kind": "small_world", "p": 0.1, "h": false}'],
      "error: small-world band half-width h must be a real number in (0, 1/2) (got False)"),
+    ("simulate", ["--coupling", '{"kind": "sine_shift", "alpha": NaN}'],
+     "error: coupling field 'alpha' must be a finite number (got nan) in the 'coupling' spec"),
+    ("picard", ["--coupling", '{"kind": "sine_shift", "alpha": -Infinity}'],
+     "error: coupling field 'alpha' must be a finite number (got -inf)"),
+    ("convergence_main", ["--coupling", '{"kind": "sine_shift", "alpha": true}'],
+     "error: coupling field 'alpha' must be a finite number (got True)"),
+    ("stability_initial", ["--coupling", '{"kind": "sine_shift", "alpha": "0.3"}'],
+     "error: coupling field 'alpha' must be a finite number (got '0.3')"),
 ])
 def test_bad_specs_rejected_with_key(tmp_path, capsys, experiment, flags, message):
     code = main([experiment, "--graphon", json.dumps(ER_HALF), "--n", "2", "--T", "0.1",

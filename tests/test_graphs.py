@@ -39,14 +39,6 @@ def test_deterministic_symmetry():
         assert np.array_equal(g.weights, g.weights.T)
 
 
-def test_edge_set_is_nonzero_support():
-    g = deterministic_graph(Graphon.nearest_neighbor(0.2), 5)
-    edges = {(i, j) for i, j, _ in g.edges()}
-    for i in range(5):
-        for j in range(i, 5):
-            assert ((i, j) in edges) == (g.weights[i, j] != 0.0)
-
-
 def test_sample_complete_and_empty():
     full = sample_w_random(Graphon.constant(1.0), 5, seed=1)
     assert np.array_equal(full.weights, np.ones((5, 5)))
@@ -186,7 +178,6 @@ def test_toeplitz_graph_reads_like_its_dense_copy(n, tmp_path):
         assert g._diagonals is not None
         dense = WeightedGraph(np.array(g.weights))
         assert np.array_equal(g.weights, W.cell_average(n).values)
-        assert list(g.edges()) == list(dense.edges())
         assert np.array_equal(pixel_picture(g), pixel_picture(dense))
         assert g.weights.sum() == pytest.approx(dense.weights.sum(), rel=1e-13, abs=1e-13)
         write_matrix_csv(tmp_path / "toeplitz.csv", g.weights)

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
 
 from kmflow import dynamics, meanfield
 from kmflow.dynamics import CouplingFunction, PhaseState, wrap_angle
@@ -19,7 +18,6 @@ from kmflow.meanfield import (
     default_test_functions,
     density_field_from_spec,
     evolve_family,
-    gronwall_envelope,
     picard_solve,
     quantile_family_from_density,
     solve_fv,
@@ -37,6 +35,7 @@ from kmflow.measures import (
     VonMises,
     dbar,
     initial_family,
+    sup_dbar,
 )
 import oracles
 from oracles import padded_family, peak_traced, two_oscillator_gap
@@ -568,7 +567,7 @@ def test_default_test_functions_vanish_at_horizon():
 def test_stability_identical_inputs():
     res = stability_experiments(StabilityConfig(
         graphon_a=Graphon.constant(0.5), n=4, m=16, T=1.0, dt=1e-2,
-        rho0=VonMises(1.0, 1.0)))
+        family_a=initial_family(VonMises(1.0, 1.0), 4, 16)))
     assert res["measured"] == 0.0 and res["bound"] == 0.0 and res["passed"]
 
 
@@ -587,7 +586,7 @@ def test_stability_initial_data_bound():
 def test_stability_kernel_bound():
     res = stability_experiments(StabilityConfig(
         graphon_a=Graphon.constant(0.5), graphon_b=Graphon.constant(0.6),
-        n=4, m=32, T=1.0, dt=1e-2, rho0=VonMises(1.5, 2.0)))
+        n=4, m=32, T=1.0, dt=1e-2, family_a=initial_family(VonMises(1.5, 2.0), 4, 32)))
     assert res["kernel_l1"] == pytest.approx(0.1)
     assert res["bound"] == pytest.approx(np.exp(2.0) * 0.1)
     assert res["passed"]
@@ -610,6 +609,20 @@ def test_stability_measured_is_max_over_evolved_frames(record_every):
     assert res["measured"] == max(dbar(x, y) for x, y in zip(a.families, b.families))
 
 
+def test_sup_dbar_is_max_of_refined_frame_distances():
+    # 8 cells divide 16, so each frame's dbar is that of the families refined
+    # to 16 cells, bit for bit
+    W, rho0 = Graphon.small_world(0.1, 0.25), VonMises(2.0, 1.0)
+    a = evolve_family(_spec(W, 8), initial_family(rho0, 8, 4), 0.5, 0.05)
+    b = evolve_family(_spec(W, 16), initial_family(rho0, 16, 16), 0.5, 0.05)
+    refined = [dbar(*oracles.common_cells(x, y)) for x, y in zip(a.families, b.families)]
+    assert sup_dbar(a, b) == sup_dbar(b, a) == max(refined) > 0.0
+    every_other = evolve_family(_spec(W, 16), initial_family(rho0, 16, 16), 0.5, 0.05,
+                                record_every=2)
+    with pytest.raises(ValueError, match="recording grid"):
+        sup_dbar(a, every_other)
+
+
 @pytest.mark.parametrize("perturb", ["kernel", "initial"])
 def test_stability_memory_independent_of_recorded_frames(perturb):
     W, U = _STABILITY_KERNELS
@@ -627,34 +640,3 @@ def test_stability_memory_independent_of_recorded_frames(perturb):
     assert abs(peak_every - peak_tenth) <= 0.1 * peak_tenth
     assert every["measured"] >= tenth["measured"]
 
-
-def test_gronwall_envelope_dominates():
-    t = np.linspace(0.0, 2.0, 2001)
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        A = rng.uniform(0.2, 3.0)
-        B = rng.uniform(0.0, 2.0)
-        C = rng.uniform(0.1, 2.0)
-        a = rng.uniform(0.0, 1.0) * (1.0 + np.sin(rng.uniform(1, 3) * t)) ** 2
-        bound = gronwall_envelope(t, a, A, B, C)
-        # phi growing no faster than e^{beta t}, beta <= A, satisfies the
-        # integral hypothesis, so the envelope must dominate it
-        beta = rng.uniform(0.0, A)
-        phi = C * np.exp(beta * t)
-        hypothesis_rhs = A * np.concatenate(
-            [[0.0], np.cumsum((phi[1:] + phi[:-1]) / 2 * np.diff(t))]
-        ) + B * np.concatenate(
-            [[0.0], np.cumsum((a[1:] + a[:-1]) / 2 * np.diff(t))]
-        ) + C
-        assert np.all(phi <= hypothesis_rhs + 1e-9)
-        assert np.all(phi <= bound * (1.0 + 1e-9) + 1e-12)
-        # equality case: phi equal to the envelope itself
-        assert np.all(bound <= gronwall_envelope(t, a, A, B, C) + 1e-15)
-
-
-def test_gronwall_envelope_matches_scipy_trapezoid():
-    t = np.linspace(0.0, 2.0, 301)
-    a = 1.0 + np.sin(3.0 * t) ** 2
-    expected = np.exp(1.5 * t) * (
-        0.7 * cumulative_trapezoid(a * np.exp(-1.5 * t), t, initial=0.0) + 0.2)
-    assert np.array_equal(gronwall_envelope(t, a, 1.5, 0.7, 0.2), expected)

@@ -20,8 +20,6 @@ from kmflow.measures import (
     XDependent,
     bl_distance,
     circle_distance,
-    common_cells,
-    common_dbar,
     d_alpha,
     dbar,
     density_from_dict,
@@ -30,7 +28,13 @@ from kmflow.measures import (
     family_to_rows,
     initial_family,
 )
-from oracles import lp_transport_distance, padded_family, peak_traced, random_circle_measure
+from oracles import (
+    common_cells,
+    lp_transport_distance,
+    padded_family,
+    peak_traced,
+    random_circle_measure,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -120,15 +124,14 @@ def test_dbar_examples():
 
 
 def test_dbar_cell_count_mismatch_and_refinement():
+    # 2 against 3 cells: the step-function integral over the 6 common cells
     fam2 = _points(0.0, 1.0)
     fam3 = _points(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        dbar(fam2, fam3)
     ra, rb = common_cells(fam2, fam3)
     assert ra.n_cells == rb.n_cells == 6
-    # refinement duplicates cells, so dbar is the step-function integral
     expected = (3 * 0.0 + 3 * 1.0) / 6
     assert dbar(ra, rb) == pytest.approx(expected)
+    assert dbar(fam2, fam3) == dbar(fam3, fam2) == pytest.approx(expected)
 
 
 def _random_family(rng, n, m, equal_mass):
@@ -142,14 +145,15 @@ def _random_family(rng, n, m, equal_mass):
     (1, 1, True), (4, 4, True), (2, 6, True), (8, 2, True),
     (2, 3, False), (5, 7, False), (9, 6, False), (4, 10, False)])
 def test_common_dbar_matches_refined_families(equal_mass, n_a, n_b, exact):
-    # runs of overlapping cells against the families refined to lcm cells:
-    # the same mean when one count divides the other, round-off otherwise
+    # dbar over runs of overlapping cells against dbar of the families
+    # refined to their common (lcm) cell count: the same mean when one count
+    # divides the other, round-off otherwise
     rng = np.random.default_rng(n_a * 100 + n_b)
     for m_a, m_b in [(3, 3), (2, 4), (5, 3)]:
         a = _random_family(rng, n_a, m_a, equal_mass)
         b = _random_family(rng, n_b, m_b, equal_mass)
-        got, expected = common_dbar(a, b), dbar(*common_cells(a, b))
-        assert got == common_dbar(b, a)
+        got, expected = dbar(a, b), dbar(*common_cells(a, b))
+        assert got == dbar(b, a)
         if exact:
             assert got == expected
         else:
@@ -160,7 +164,7 @@ def test_common_dbar_memory_independent_of_common_cell_count():
     # 1021 and 1019 cells share 1040399 common cells but only 2039 runs
     rng = np.random.default_rng(7)
     a, b = (_random_family(rng, n, 1, True) for n in (1021, 1019))
-    value, peak = peak_traced(lambda: common_dbar(a, b))
+    value, peak = peak_traced(lambda: dbar(a, b))
     assert peak < 2**20
     assert 0.0 < value <= np.pi
 
@@ -356,12 +360,15 @@ def test_iid_reproducible_and_needs_seed():
 
 
 def test_density_spec_json():
-    for d in ({"kind": "uniform"},
-              {"kind": "von_mises", "kappa": 2.0, "mu0": 1.0},
-              {"kind": "two_cluster", "theta1": 0.1, "theta2": 2.0, "w": 0.3},
-              {"kind": "von_mises_twist", "kappa": 1.5}):
-        spec = density_from_dict(d)
-        assert spec.to_dict() == d
+    uniform = density_from_dict({"kind": "uniform"})
+    assert type(uniform) is Uniform
+    vm = density_from_dict({"kind": "von_mises", "kappa": 2.0, "mu0": 1.0})
+    assert (type(vm), vm.kappa, vm.mu0) == (VonMises, 2.0, 1.0)
+    assert density_from_dict({"kind": "von_mises", "kappa": 2.0}).mu0 == 0.0
+    two = density_from_dict({"kind": "two_cluster", "theta1": 0.1, "theta2": 2.0, "w": 0.3})
+    assert (type(two), two.theta1, two.theta2, two.w) == (TwoCluster, 0.1, 2.0, 0.3)
+    twist = density_from_dict({"kind": "von_mises_twist", "kappa": 1.5})
+    assert (type(twist), twist.kappa, twist.at(0.25).mu0) == (VonMisesTwist, 1.5, np.pi / 2)
     with pytest.raises(ValueError):
         density_from_dict({"kind": "bogus"})
 

@@ -1,0 +1,48 @@
+"""Every public name kmflow defines has a caller or is exported.
+
+A public module-level function or class of ``src/kmflow``, or a public method
+of such a class, must either be named in ``kmflow.__all__`` or appear as a
+word somewhere outside its own definition: in ``src/kmflow``, ``README.md``
+or ``perfbench/*.py``.  Tests do not count as callers, so a name only tests
+use belongs in ``tests/oracles.py``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import kmflow
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "kmflow").glob("*.py"))
+CALLERS = [*SOURCES, ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def _public_definitions():
+    """(file, qualified name, node) of each public function, class and method."""
+    defining = (ast.FunctionDef, ast.ClassDef)
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, defining) or node.name.startswith("_"):
+                continue
+            yield path, node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield path, f"{node.name}.{item.name}", item
+
+
+def _used_outside(path, name, node) -> bool:
+    word = re.compile(rf"\b{re.escape(name.rsplit('.', 1)[-1])}\b")
+    for caller in CALLERS:
+        lines = caller.read_text().splitlines()
+        if caller == path:
+            del lines[node.lineno - 1:node.end_lineno]
+        if word.search("\n".join(lines)):
+            return True
+    return False
+
+
+def test_every_public_name_has_a_caller():
+    unused = [name for path, name, node in _public_definitions()
+              if name not in kmflow.__all__ and not _used_outside(path, name, node)]
+    assert unused == [], f"public names with no caller: {unused}"
