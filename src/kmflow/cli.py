@@ -173,7 +173,8 @@ class ExperimentConfig:
         """Check every setting and build the experiment's inputs.
 
         Returns the keyword arguments of the experiment's runner: the objects
-        its JSON specs describe, ``n``/``m`` (a list for the counts it
+        its JSON specs describe (for ``meanfield_fv``, ``rho0`` is its start
+        field on the phase grid), ``n``/``m`` (a list for the counts it
         sweeps, an int otherwise), ``convergence_main``'s reference sizes as
         ``ref`` and ``distance``'s two families.  A bad setting raises
         ValueError naming its key or file.
@@ -231,9 +232,18 @@ class ExperimentConfig:
         if self.experiment in ("sample_graph", "convergence_ave") or self.sampled:
             for cells in counts["n"]:
                 _edge_probabilities(inputs["graphon"], cells)
+        if self.experiment == "meanfield_fv":
+            # the runner starts from this field, so a rho0 without a density
+            # is rejected here
+            try:
+                inputs["rho0"] = mf.density_field_from_spec(inputs["rho0"],
+                                                            inputs["n"], self.g)
+            except ValueError as exc:
+                raise ValueError(f"{exc} in the 'rho0' spec {self.rho0!r}") from None
         if self.experiment == "stability_kernel":
-            _common_resolution(inputs["graphon"], inputs["graphon_b"],
-                               self.kernel_resolution)
+            # the size check of kernel_distance's refinement grid
+            inputs["graphon"]._diagonals(_common_resolution(
+                inputs["graphon"], inputs["graphon_b"], self.kernel_resolution))
         if self.experiment == "distance":
             if len(self.inputs) != 2:
                 raise ValueError(f"'inputs' must name two family CSV files "
@@ -334,9 +344,8 @@ def _run_meanfield_particles(cfg: ExperimentConfig, graphon, coupling, rho0,
 
 
 def _run_meanfield_fv(cfg: ExperimentConfig, graphon, coupling, rho0, n) -> None:
-    field0 = mf.density_field_from_spec(rho0, n, cfg.g)
     # only the final field is written, so record t = 0 and T alone
-    traj = mf.solve_fv(_spec(graphon, coupling, n), field0, cfg.T, cfg.dt,
+    traj = mf.solve_fv(_spec(graphon, coupling, n), rho0, cfg.T, cfg.dt,
                        record_every=sys.maxsize)
     rows = [[i, k, float(v)] for (i, k), v in np.ndenumerate(traj.final_field.values)]
     kio.write_csv(_out(cfg, "results.csv"), ["cell", "u_index", "value"], rows)

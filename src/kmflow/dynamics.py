@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import _is_real
+from .graphon import _is_real, _spec_kind
 from .graphs import WeightedGraph
 from .measures import TWO_PI, check_shared_grid, wrap_angle
 
@@ -109,22 +109,19 @@ class CouplingFunction:
             return np.sin(np.asarray(u, dtype=float) + self.alpha)
         return np.asarray(self.fn(u), dtype=float)
 
+    _FIELDS = {"sine": (), "sine_shift": ("alpha",)}
+
     @classmethod
     def from_dict(cls, spec: dict) -> "CouplingFunction":
-        kind = spec.get("kind")
-        if kind == "sine":
-            return cls.sine()
-        if kind == "sine_shift":
-            return cls.sine_shift(spec["alpha"])
-        raise ValueError(f"unknown coupling kind: {kind!r}")
+        kind = _spec_kind(spec, "coupling", cls._FIELDS)
+        return getattr(cls, kind)(*(spec[name] for name in cls._FIELDS[kind]))
 
 
 @dataclass
 class PhaseState:
-    """Oscillator phases (raw reals) at a model time."""
+    """Oscillator phases (raw reals)."""
 
     phases: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         self.phases = np.asarray(self.phases, dtype=float)
@@ -239,7 +236,7 @@ class Trajectory:
 
     @property
     def final_state(self) -> PhaseState:
-        return PhaseState(self.phases[-1].copy(), float(self.times[-1]))
+        return PhaseState(self.phases[-1].copy())
 
     def wrapped_phases(self) -> np.ndarray:
         return wrap_angle(self.phases)
@@ -380,17 +377,16 @@ def omega_from_spec(spec: dict, n: int) -> np.ndarray:
                              f"(got {value!r})")
         return float(value)
 
-    kind = spec.get("kind", "zero")
+    kind = _spec_kind(spec, "omega", {"zero": (), "constant": ("value",),
+                                      "normal": ("mean", "sd", "seed")}, "zero")
     if kind == "zero":
         return np.zeros(n)
     if kind == "constant":
         return np.full(n, number("value"))
-    if kind == "normal":
-        seed = spec["seed"]
-        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-                or not 0 <= seed < 2**64):
-            raise ValueError(f"omega field 'seed' must be an integer in [0, 2**64) "
-                             f"(got {seed!r})")
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        return rng.normal(number("mean"), number("sd", 0.0), n)
-    raise ValueError(f"unknown omega kind: {kind!r}")
+    seed = spec["seed"]
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 2**64):
+        raise ValueError(f"omega field 'seed' must be an integer in [0, 2**64) "
+                         f"(got {seed!r})")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return rng.normal(number("mean"), number("sd", 0.0), n)

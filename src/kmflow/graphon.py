@@ -43,6 +43,19 @@ def _is_real(value) -> bool:
             and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
+def _spec_kind(spec: dict, what: str, fields: dict, default=None) -> str:
+    """The kind a JSON spec names, checked against ``fields`` (kind -> the
+    fields it takes): an unknown kind, or a field its kind does not take, is
+    rejected rather than ignored."""
+    kind = spec.get("kind", default)
+    if kind not in fields:
+        raise ValueError(f"unknown {what} kind: {kind!r}")
+    extra = sorted(set(spec) - {"kind", *fields[kind]})
+    if extra:
+        raise ValueError(f"{what} kind {kind!r} takes no field {extra[0]!r}")
+    return kind
+
+
 class QuadratureError(RuntimeError):
     """Raised when cell-average quadrature fails to reach the target tolerance."""
 
@@ -160,10 +173,6 @@ class Graphon:
         kernels use midpoint quadrature refined until the Richardson
         extrapolants agree to 1e-9, on at most 4096 points per axis.
         """
-        if n < 1:
-            raise ValueError("resolution n must be >= 1")
-        if n > MAX_NODES:
-            raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
         # Constant and band averages are passed as O(n) views; StepGraphon's
         # own copy is the only n x n write.
         diagonals = self._diagonals(n)
@@ -176,10 +185,17 @@ class Graphon:
     def _diagonals(self, n: int) -> np.ndarray | None:
         """The 2n-1 diagonals of the resolution-n cell average, or None.
 
+        Every cell average and graph of W checks its resolution n here first.
         Constant and band kernels have Toeplitz cell averages: entry (i, j)
-        is ``diagonals[i - j + n - 1]``, and the vector is symmetrised, so
-        ``diagonals == diagonals[::-1]``.  Step and custom kernels return None.
+        is ``diagonals[i - j + n - 1]``.  The vector lies in [-1, 1] (a
+        checked p, or band fractions clipped to [0, 1]) and is symmetrised, so
+        ``diagonals == diagonals[::-1]`` exactly.  Step and custom kernels
+        return None.
         """
+        if n < 1:
+            raise ValueError("resolution n must be >= 1")
+        if n > MAX_NODES:
+            raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
         if self.kind == "constant":
             return np.full(2 * n - 1, self.p)
         if self.kind not in ("small_world", "nearest_neighbor"):
@@ -192,18 +208,13 @@ class Graphon:
 
     # -- deserialization -----------------------------------------------
 
+    _FIELDS = {"constant": ("p",), "small_world": ("p", "h"),
+               "nearest_neighbor": ("h",), "step": ("values",)}
+
     @classmethod
     def from_dict(cls, spec: dict) -> "Graphon":
-        kind = spec.get("kind")
-        if kind == "constant":
-            return cls.constant(spec["p"])
-        if kind == "small_world":
-            return cls.small_world(spec["p"], spec["h"])
-        if kind == "nearest_neighbor":
-            return cls.nearest_neighbor(spec["h"])
-        if kind == "step":
-            return cls.step(spec["values"])
-        raise ValueError(f"unknown graphon kind: {kind!r}")
+        kind = _spec_kind(spec, "graphon", cls._FIELDS)
+        return getattr(cls, kind)(*(spec[name] for name in cls._FIELDS[kind]))
 
 
 def midpoint_step(W: Graphon, n: int) -> StepGraphon:
@@ -236,8 +247,6 @@ def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 
     the result is exact when both kernels are step functions; otherwise it is
     a quadrature estimate with O(1/resolution) error.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
     if norm not in ("L1", "L2"):
         raise ValueError("norm must be 'L1' or 'L2'")
     r = _common_resolution(W, U, resolution)
@@ -256,15 +265,12 @@ def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 
 
 def _common_resolution(W: Graphon, U: Graphon, resolution: int) -> int:
     """``resolution`` rounded up to a multiple of every step-kernel resolution
-    among W and U, rejected above ``MAX_NODES``."""
+    among W and U; :meth:`Graphon._diagonals` checks the result."""
     base = 1
     for kernel in (W, U):
         if kernel.kind == "step":
             base = math.lcm(base, kernel.step_values.n)
-    r = -(-resolution // base) * base
-    if r > MAX_NODES:
-        raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {r}")
-    return r
+    return -(-resolution // base) * base
 
 
 def _area_below(ax, bx, ay, by, c):
@@ -325,29 +331,6 @@ def _checked_symmetric(values, what: str) -> np.ndarray:
     if max(values.max(), -values.min()) > 1.0 + _BOUND_SLACK:
         raise ValueError(f"{what} must lie in [-1, 1]")
     return values
-
-
-def _checked_diagonals(diagonals, what: str) -> np.ndarray:
-    """Own read-only copy of the 2n-1 diagonals of a symmetric Toeplitz matrix.
-
-    The vector must equal its reverse (the matrix is then symmetric) and lie
-    within slack of [-1, 1], so it is finite: NaN fails the comparison and an
-    infinity the bound.  The copy is clipped to [-1, 1].
-    """
-    diagonals = np.asarray(diagonals)
-    if diagonals.ndim != 1 or diagonals.shape[0] % 2 != 1:
-        raise ValueError(f"{what} must be a vector of odd length 2n-1")
-    n = (diagonals.shape[0] + 1) // 2
-    if n > MAX_NODES:
-        raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
-    diagonals = np.array(diagonals, dtype=float)
-    if not np.array_equal(diagonals, diagonals[::-1]):
-        raise ValueError(f"{what} must be symmetric")
-    if np.abs(diagonals).max() > 1.0 + _BOUND_SLACK:
-        raise ValueError(f"{what} must lie in [-1, 1]")
-    np.clip(diagonals, -1.0, 1.0, out=diagonals)
-    diagonals.setflags(write=False)
-    return diagonals
 
 
 def _is_symmetric(a: np.ndarray) -> bool:

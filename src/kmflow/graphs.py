@@ -29,54 +29,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphon import (
-    _TILE,
-    MAX_NODES,
-    Graphon,
-    _checked_diagonals,
-    _checked_symmetric,
-    _toeplitz,
-)
+from .graphon import _TILE, Graphon, _checked_symmetric, _toeplitz
 
 
 class WeightedGraph:
-    """Symmetric weight matrix with |w_ij| <= 1 plus sampling provenance.
+    """Symmetric weight matrix with |w_ij| <= 1.
 
-    ``weights`` is a read-only n x n array.  A Toeplitz graph (see
-    :func:`deterministic_graph`) also keeps its 2n-1 diagonals in
+    ``WeightedGraph(weights)`` checks outside input: a square symmetric
+    matrix of at most ``MAX_NODES`` rows within slack of [-1, 1], copied and
+    clipped to [-1, 1].  ``weights`` is a read-only n x n array.  A Toeplitz
+    graph (see :func:`deterministic_graph`) also keeps its 2n-1 diagonals in
     ``_diagonals``, and ``weights`` is then a view of them; for every other
     graph ``_diagonals`` is None.
     """
 
     _diagonals = None
 
-    def __init__(self, weights, seed: int | None = None, sampled: bool = False):
+    def __init__(self, weights):
         weights = _checked_symmetric(weights, "weights")
-        if sampled and not np.isin(weights, (0.0, 1.0)).all():
-            raise ValueError("sampled graphs must have 0/1 weights")
         self.weights = np.clip(weights, -1.0, 1.0, out=weights)
         self.weights.setflags(write=False)
-        self.seed = seed
-        self.sampled = sampled
 
     @classmethod
-    def _trusted(cls, weights: np.ndarray, seed: int | None = None,
-                 sampled: bool = False) -> "WeightedGraph":
+    def _trusted(cls, weights: np.ndarray) -> "WeightedGraph":
         """Graph owning a matrix kmflow built and checked itself: symmetric,
-        within [-1, 1] (0/1 if ``sampled``).  Nothing is copied or checked;
-        the matrix is made read-only.  Outside input goes through
-        ``WeightedGraph(weights)``."""
+        within [-1, 1].  Nothing is copied or checked; the matrix is made
+        read-only.  Outside input goes through ``WeightedGraph(weights)``."""
         graph = cls.__new__(cls)
         weights.setflags(write=False)
         graph.weights = weights
-        graph.seed = seed
-        graph.sampled = sampled
         return graph
 
     @classmethod
-    def _from_diagonals(cls, diagonals) -> "WeightedGraph":
-        """Toeplitz graph with ``weights[i, j] = diagonals[i - j + n - 1]``."""
-        diagonals = _checked_diagonals(diagonals, "weight diagonals")
+    def _from_diagonals(cls, diagonals: np.ndarray) -> "WeightedGraph":
+        """Toeplitz graph with ``weights[i, j] = diagonals[i - j + n - 1]``,
+        for diagonals :meth:`Graphon._diagonals` built; they are made read-only."""
+        diagonals.setflags(write=False)
         graph = cls._trusted(_toeplitz(diagonals))
         graph._diagonals = diagonals
         # circular convolution of this length has no wrap-around in the n
@@ -100,10 +88,6 @@ class WeightedGraph:
 
 def deterministic_graph(W: Graphon, n: int) -> WeightedGraph:
     """Weighted graph whose weight matrix is the n x n cell average of W."""
-    if n < 1:
-        raise ValueError("node count must be >= 1")
-    if n > MAX_NODES:
-        raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
     diagonals = W._diagonals(n)
     if diagonals is None:
         # StepGraphon has copied, checked and clipped the cell averages
@@ -117,10 +101,6 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
     Requires all cell averages in [0, 1]; kernels with negative averages are
     rejected since they cannot serve as edge probabilities.
     """
-    if n < 1:
-        raise ValueError("node count must be >= 1")
-    if n > MAX_NODES:
-        raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     probs = _edge_probabilities(W, n)
@@ -136,16 +116,13 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
         block += np.triu(block, 1).T
         weights[stop:, i:stop] = weights[i:stop, stop:].T
     # 0/1 and mirrored by construction
-    return WeightedGraph._trusted(weights, seed=seed, sampled=True)
+    return WeightedGraph._trusted(weights)
 
 
 def _edge_probabilities(W: Graphon, n: int) -> np.ndarray:
     """The n x n cell averages of W, rejected unless all are >= 0."""
     diagonals = W._diagonals(n)
-    if diagonals is None:
-        probs = W.cell_average(n).values
-    else:
-        probs = _toeplitz(_checked_diagonals(diagonals, "cell averages"))
+    probs = W.cell_average(n).values if diagonals is None else _toeplitz(diagonals)
     if probs.min() < 0.0:
         raise ValueError(
             "sampling requires probability range: cell averages must be >= 0"

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .graphon import MAX_NODES
+
 
 @contextlib.contextmanager
 def _replacing(path):
@@ -43,29 +45,35 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix_csv`.  An error names the
-    file, and the line of a malformed row."""
-    lines = Path(path).read_text().splitlines()
+    """Read a matrix written by :func:`write_matrix_csv` line by line into one
+    (n, n) array.  An error names the file, and the line of a malformed row."""
     try:
-        header = lines[0].strip() if lines else ""
-        n = int(header[2:]) if header[:2] == "n=" and header[2:].isdecimal() else 0
-        if n < 1:
-            raise ValueError(f"line 1 is not an 'n=<n>' header with n >= 1 (got {header!r})")
-        rows = []
-        for number, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                rows.append([])
-            if len(rows[-1]) != n:
-                raise ValueError(f"line {number} needs {n} numeric entries (got {line!r})")
-        if len(rows) != n:
-            raise ValueError(f"declares n={n} but holds {len(rows)} rows")
+        with open(path) as lines:
+            header = next(lines, "").strip()
+            n = int(header[2:]) if header[:2] == "n=" and header[2:].isdecimal() else 0
+            if n < 1:
+                raise ValueError(f"line 1 is not an 'n=<n>' header with n >= 1 (got {header!r})")
+            if n > MAX_NODES:
+                raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
+            matrix, rows = np.empty((n, n)), 0
+            for number, line in enumerate(lines, start=2):
+                line = line.removesuffix("\n")
+                if not line.strip():
+                    continue
+                try:
+                    row = [float(v) for v in line.split(",")]
+                except ValueError:
+                    row = []
+                if len(row) != n:
+                    raise ValueError(f"line {number} needs {n} numeric entries (got {line!r})")
+                if rows < n:
+                    matrix[rows] = row
+                rows += 1
+        if rows != n:
+            raise ValueError(f"declares n={n} but holds {rows} rows")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return np.array(rows)
+    return matrix
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -8,9 +8,10 @@ The continuum model for the phase density rho(t, u, x) is
 solved here with the kernel replaced by its step discretization W_n.  Three
 interoperating methods:
 
-* :func:`solve_particles` -- the n*m auxiliary particle system whose
-  empirical measures follow the continuum dynamics (block-constant weights,
-  integrated by :mod:`kmflow.dynamics`),
+* :func:`solve_particles` -- the n*m auxiliary particle system, started at
+  the conditional quantiles of rho0, whose empirical measures follow the
+  continuum dynamics (block-constant weights, integrated by
+  :mod:`kmflow.dynamics`),
 * :func:`picard_solve`   -- fixed-point iteration on the pushforward map:
   freeze a candidate measure trajectory, transport the initial atoms along
   the characteristics it induces, repeat until the weighted sup metric
@@ -19,6 +20,9 @@ interoperating methods:
   on the periodic phase grid (monotone and positivity-preserving; per-cell
   mass conserved to round-off), D tabulated at g points and each step's
   velocities one FFT correlation, O(n g log g) after the product W_n rho.
+
+:func:`weak_residual` tests a finite-volume run against the weak form with
+one fixed family, (1 - t/T)^2 {sin ku, cos ku} for k = 1, 2, 3.
 
 Families are the (cells, atoms) position and mass arrays of
 :class:`kmflow.measures.MeasureFamily`, read directly: cells with fewer atoms
@@ -137,18 +141,17 @@ def velocity(spec: VelocityFieldSpec, family: MeasureFamily, u, cell: int):
 
 
 def solve_particles(spec: VelocityFieldSpec, rho0: DensitySpec, n: int, m: int,
-                    T: float, dt: float, record_every: int = 1,
-                    mode: str = "quantile", seed: int | None = None) -> MeasureTrajectory:
+                    T: float, dt: float, record_every: int = 1) -> MeasureTrajectory:
     """Integrate the n*m particle system and record its empirical measures.
 
-    Atoms start at the conditional quantiles of rho0 by default (``mode =
-    'quantile'``, deterministic) or as iid samples (``mode = 'iid'`` with a
-    seed).  This is the self-consistent characteristics flow evaluated along
-    particle trajectories.
+    Atoms start at the conditional quantiles of rho0 (deterministic); start
+    from another family with :func:`evolve_family`.  This is the
+    self-consistent characteristics flow evaluated along particle
+    trajectories.
     """
     if n != spec.n:
         raise ValueError(f"cell count {n} does not match kernel resolution {spec.n}")
-    family0 = initial_family(rho0, n, m, mode=mode, seed=seed)
+    family0 = initial_family(rho0, n, m)
     return evolve_family(spec, family0, T, dt, record_every=record_every)
 
 
@@ -424,62 +427,33 @@ def quantile_family_from_density(fieldv: DensityField, m: int) -> MeasureFamily:
 # -- weak-form residual ------------------------------------------------------
 
 
-@dataclass
-class SpaceTimeTestFunction:
-    """C^1 test function w(t, u) given with its closed-form derivatives.
+def weak_residual(traj: DensityTrajectory, spec: VelocityFieldSpec) -> float:
+    """Largest weak-form defect over x-cells and the six test functions
+    w(t, u) = (1 - t/T)^2 {sin ku, cos ku}, k = 1, 2, 3.
 
-    Must vanish at t = T so the weak identity closes without a terminal
-    boundary term; the default family enforces this by construction.
-    """
-
-    value: object
-    dt: object
-    du: object
-    label: str = ""
-
-
-def default_test_functions(T: float) -> list[SpaceTimeTestFunction]:
-    """Family (1 - t/T)^2 * {sin(k u), cos(k u)} for k = 1, 2, 3."""
-    tests = []
-    for k in (1, 2, 3):
-        for trig, trig_d, name in ((np.sin, np.cos, "sin"), (np.cos, lambda u: -np.sin(u), "cos")):
-            def _mk(k=k, trig=trig, trig_d=trig_d):
-                phi = lambda t: (1.0 - t / T) ** 2
-                dphi = lambda t: -2.0 * (1.0 - t / T) / T
-                return (
-                    lambda t, u: phi(t) * trig(k * u),
-                    lambda t, u: dphi(t) * trig(k * u),
-                    lambda t, u: phi(t) * k * trig_d(k * u),
-                )
-            v, vt, vu = _mk()
-            tests.append(SpaceTimeTestFunction(v, vt, vu, label=f"{name}({k}u)"))
-    return tests
-
-
-def weak_residual(traj: DensityTrajectory, spec: VelocityFieldSpec,
-                  tests: list[SpaceTimeTestFunction] | None = None) -> float:
-    """Largest weak-form defect over test functions and x-cells.
-
-    For each test w, evaluates | int_0^T int_S rho (d_t w + V d_u w) du dt
+    The tests vanish at t = T, so the weak identity closes without a terminal
+    term.  For each w, evaluates | int_0^T int_S rho (d_t w + V d_u w) du dt
     + int_S w(0, .) rho^0 du | with the phase integral on the solver grid
     and the time integral by the trapezoid rule over recorded times.  Frames
     are streamed (V as in :func:`solve_fv`, D at offsets j * du), keeping
-    only their phase integrals, and tests receive a scalar t.
+    only their phase integrals against two (g, 6) tables: the family's phase
+    factors and their u-derivatives.
     """
     times, first = traj.times, traj.fields[0]
-    du, centers = first.du, (np.arange(first.g) + 0.5) * first.du
+    du, T = first.du, float(times[-1])
+    k = np.arange(1.0, 4.0)
+    ku = ((np.arange(first.g) + 0.5) * du)[:, None] * k
+    # columns sin u, cos u, sin 2u, cos 2u, sin 3u, cos 3u
+    trig = np.stack((np.sin(ku), np.cos(ku)), axis=2).reshape(first.g, 6)
+    trig_u = np.stack((k * np.cos(ku), -k * np.sin(ku)), axis=2).reshape(first.g, 6)
     spectrum = _coupling_spectrum(spec.coupling, first.g, 0.0)
-    if tests is None:
-        tests = default_test_functions(float(times[-1]))
-    space = np.empty((len(times), len(tests), first.n))
+    space = np.empty((len(times), first.n, 6))
     for s, (t, fld) in enumerate(zip(times, traj.fields)):
         rho = fld.values
         flux = rho * _grid_velocity(spec.step_graphon.values, rho, spectrum)
-        for q, test in enumerate(tests):
-            space[s, q] = (rho @ test.dt(t, centers) + flux @ test.du(t, centers)) * du
-    defect = np.trapezoid(space, times, axis=0)
-    for q, test in enumerate(tests):
-        defect[q] += (first.values @ test.value(0.0, centers)) * du
+        phi, dphi = (1.0 - t / T) ** 2, -2.0 * (1.0 - t / T) / T
+        space[s] = (dphi * (rho @ trig) + phi * (flux @ trig_u)) * du
+    defect = np.trapezoid(space, times, axis=0) + (first.values @ trig) * du
     return float(np.max(np.abs(defect), initial=0.0))
 
 
@@ -491,9 +465,11 @@ class StabilityConfig:
     """Paired mean-field runs for continuous-dependence checks.
 
     The first run starts from ``family_a``, for example
-    ``initial_family(rho0, n, m)``.  Leave ``graphon_b`` unset to
-    perturb only the initial family, leave ``family_b`` unset to perturb only
-    the kernel; setting both combines the two bounds additively.
+    ``initial_family(rho0, n, m)``; both families must hold ``m`` atoms per
+    cell, and :func:`stability_experiments` rejects them otherwise.  Leave
+    ``graphon_b`` unset to perturb only the initial family, leave
+    ``family_b`` unset to perturb only the kernel; setting both combines the
+    two bounds additively.
     """
 
     graphon_a: Graphon
@@ -518,6 +494,10 @@ def stability_experiments(cfg: StabilityConfig) -> dict:
     """
     fam_a = cfg.family_a
     fam_b = cfg.family_b if cfg.family_b is not None else fam_a
+    atoms = (fam_a.positions.shape[1], fam_b.positions.shape[1])
+    if atoms != (cfg.m, cfg.m):
+        raise ValueError(f"m = {cfg.m} must be the atoms per cell of both families "
+                         f"(family_a has {atoms[0]}, family_b {atoms[1]})")
     graphon_b = cfg.graphon_b if cfg.graphon_b is not None else cfg.graphon_a
 
     spec_a = VelocityFieldSpec(cfg.graphon_a.cell_average(cfg.n), cfg.coupling)

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphon import _is_real, _spec_kind
+
 TWO_PI = 2.0 * math.pi
 
 _MASS_TOL = 1e-12
@@ -326,12 +328,10 @@ class Uniform(DensitySpec):
 
 
 def _check_kappa(kappa) -> float:
-    kappa = float(kappa)
-    if not math.isfinite(kappa):
-        raise ValueError(f"concentration kappa must be finite (got {kappa!r})")
-    if not 0.0 <= kappa <= KAPPA_MAX:
-        raise ValueError(f"concentration kappa must lie in [0, {KAPPA_MAX:g}] (got {kappa!r})")
-    return kappa
+    if not (_is_real(kappa) and 0.0 <= kappa <= KAPPA_MAX):
+        raise ValueError(f"concentration kappa must be finite, a real number in "
+                         f"[0, {KAPPA_MAX:g}] (got {kappa!r})")
+    return float(kappa)
 
 
 class VonMises(DensitySpec):
@@ -361,9 +361,10 @@ class VonMises(DensitySpec):
 
     def __init__(self, kappa: float, mu0: float = 0.0):
         self.kappa = _check_kappa(kappa)
+        if not _is_real(mu0):
+            raise ValueError(f"von Mises mode mu0 must be a finite real number "
+                             f"(got {mu0!r})")
         self.mu0 = float(mu0)
-        if not math.isfinite(self.mu0):
-            raise ValueError(f"von Mises mode mu0 must be finite (got {self.mu0!r})")
 
     def quantile(self, q):
         if self.kappa == 0.0:
@@ -451,8 +452,13 @@ class TwoCluster(DensitySpec):
     """Two-point mixture: mass w at theta1, mass 1-w at theta2."""
 
     def __init__(self, theta1: float, theta2: float, w: float):
-        if not 0.0 < w < 1.0:
-            raise ValueError("cluster weight w must lie in (0, 1)")
+        for name, theta in (("theta1", theta1), ("theta2", theta2)):
+            if not _is_real(theta):
+                raise ValueError(f"cluster position {name} must be a finite real "
+                                 f"number (got {theta!r})")
+        if not (_is_real(w) and 0.0 < w < 1.0):
+            raise ValueError(f"cluster weight w must be a real number in (0, 1) "
+                             f"(got {w!r})")
         self.theta1 = float(theta1)
         self.theta2 = float(theta2)
         self.w = float(w)
@@ -490,16 +496,16 @@ class VonMisesTwist(XDependent):
 
 
 def density_from_dict(spec: dict) -> DensitySpec:
-    kind = spec.get("kind")
+    kind = _spec_kind(spec, "density", {
+        "uniform": (), "von_mises": ("kappa", "mu0"),
+        "two_cluster": ("theta1", "theta2", "w"), "von_mises_twist": ("kappa",)})
     if kind == "uniform":
         return Uniform()
     if kind == "von_mises":
         return VonMises(spec["kappa"], spec.get("mu0", 0.0))
     if kind == "two_cluster":
         return TwoCluster(spec["theta1"], spec["theta2"], spec["w"])
-    if kind == "von_mises_twist":
-        return VonMisesTwist(spec["kappa"])
-    raise ValueError(f"unknown density kind: {kind!r}")
+    return VonMisesTwist(spec["kappa"])
 
 
 def cell_representative(i: int, n: int) -> float:

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: cell averages come from
 brute-force midpoint sums, transport distances from an explicit linear
 program over transport plans, atomic velocity fields from the explicit double
 sum over source cells and their atoms, finite-volume velocities from the
-explicit double sum over a g x g coupling table, and the two-oscillator
+explicit double sum over a g x g coupling table (also for the weak-form
+residual, test function by test function), and the two-oscillator
 dynamics from its closed-form solution.  ``exact_equal_mass_w1`` evaluates
 the circular W1 of equal-mass atoms in rational arithmetic, and
 ``common_cells`` refines two families to their least common cell count, the
@@ -145,21 +146,36 @@ def fv_step(w, coupling, rho, h):
     return rho - (h / du) * (np.roll(flux, -1, axis=1) - flux)
 
 
-def weak_residual(times, fields, w, coupling, tests):
-    """Largest weak-form defect over tests and x-cells, test by test and frame
-    by frame: center velocities by the double sum, phase integrals by the
-    midpoint rule, the time integral by the trapezoid rule."""
+def weak_test_functions(T):
+    """The test functions (1 - t/T)^2 {sin ku, cos ku}, k = 1, 2, 3, each as
+    closed forms of (w, d_t w, d_u w) at (t, u)."""
+    tests = []
+    for k in (1, 2, 3):
+        for trig, trig_u in ((np.sin, np.cos), (np.cos, lambda x: -np.sin(x))):
+            tests.append((
+                lambda t, u, k=k, f=trig: (1.0 - t / T) ** 2 * f(k * u),
+                lambda t, u, k=k, f=trig: -2.0 * (1.0 - t / T) / T * f(k * u),
+                lambda t, u, k=k, f=trig_u: (1.0 - t / T) ** 2 * k * f(k * u),
+            ))
+    return tests
+
+
+def weak_residual(times, fields, w, coupling):
+    """Largest weak-form defect over :func:`weak_test_functions` and x-cells,
+    test by test and frame by frame: center velocities by the double sum,
+    phase integrals by the midpoint rule, the time integral by the trapezoid
+    rule."""
     g = fields[0].shape[1]
     du = TWO_PI / g
     centers = (np.arange(g) + 0.5) * du
     worst = 0.0
-    for test in tests:
+    for value, d_t, d_u in weak_test_functions(float(times[-1])):
         space = []
         for t, rho in zip(times, fields):
             v = grid_velocity(w, coupling, rho, centers)
-            integrand = rho * (test.dt(t, centers) + v * test.du(t, centers))
+            integrand = rho * (d_t(t, centers) + v * d_u(t, centers))
             space.append(integrand.sum(axis=1) * du)
-        init = (fields[0] * test.value(0.0, centers)).sum(axis=1) * du
+        init = (fields[0] * value(0.0, centers)).sum(axis=1) * du
         defect = np.trapezoid(np.array(space), times, axis=0) + init
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst

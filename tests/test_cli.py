@@ -139,13 +139,25 @@ def test_render_malformed_csv_fails(tmp_path):
     ("n=2\n1,0\n0\n", "line 3 needs 2 numeric entries (got '0')"),
     ("n=2\n1,0\n", "declares n=2 but holds 1 rows"),
     ("n=2\n1,0.5\n0,1\n", "weights must be symmetric"),
-], ids=["bad-entry", "bad-header", "no-header", "empty", "short-row", "short", "asymmetric"])
+    ("n=2\n1,0\n0,1\n0,1\n", "declares n=2 but holds 3 rows"),
+    ("n=8193\n", "dense storage supports up to 8192 nodes, got 8193"),
+], ids=["bad-entry", "bad-header", "no-header", "empty", "short-row", "short", "asymmetric",
+        "long", "over-capacity"])
 def test_render_errors_name_file_and_line(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
     assert main(["render", str(bad), str(tmp_path / "out.pgm")]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not (tmp_path / "out.pgm").exists()
+
+
+def test_matrix_csv_read_holds_one_matrix(tmp_path):
+    n = 1024
+    matrix = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n))
+    kio.write_matrix_csv(tmp_path / "m.csv", matrix)
+    read, peak = peak_traced(lambda: kio.read_matrix_csv(tmp_path / "m.csv"))
+    assert np.array_equal(read, matrix)
+    assert peak < 1.25 * n * n * 8
 
 
 def test_sampled_er_pixel_density(tmp_path):
@@ -401,6 +413,30 @@ _SIMULATE = ["simulate", *_ER, "--n", "2", *_SHORT]
                    id=f"sine-shift-alpha-{name}")
       for name, alpha, got in [("nan", "NaN", "nan"), ("inf", "Infinity", "inf"),
                                ("bool", "true", "True"), ("string", '"0.3"', "'0.3'")]),
+    pytest.param(_RERUN_ARGV + ["--rho0", '{"kind": "von_mises", "kappa": true}'], None,
+                 "concentration kappa must be finite, a real number in [0, 1e+06] "
+                 "(got True)", id="rho0-bool-kappa"),
+    pytest.param(_RERUN_ARGV + ["--rho0", '{"kind": "von_mises", "kappa": 1, '
+                                '"mu0": "3.14"}'], None,
+                 "von Mises mode mu0 must be a finite real number (got '3.14')",
+                 id="rho0-string-mu0"),
+    pytest.param(_RERUN_ARGV + ["--rho0", '{"kind": "two_cluster", "theta1": NaN, '
+                                '"theta2": 1, "w": 0.5}'], None,
+                 "cluster position theta1 must be a finite real number (got nan)",
+                 id="rho0-nan-theta1"),
+    pytest.param(["meanfield_fv", *_ER, "--n", "2", *_SHORT, "--rho0",
+                  '{"kind": "two_cluster", "theta1": 0.5, "theta2": 2.5, "w": 0.3}'], None,
+                 "two-cluster distribution has no density in the 'rho0' spec",
+                 id="meanfield-fv-two-cluster"),
+    pytest.param(_RERUN_ARGV + ["--coupling", '{"kind": "sine", "alpha": 0.5}'], None,
+                 "coupling kind 'sine' takes no field 'alpha' in the 'coupling' spec",
+                 id="coupling-extra-field"),
+    pytest.param(_RERUN_ARGV + ["--graphon", '{"kind": "constant", "p": 0.5, "typo": 3}'],
+                 None, "graphon kind 'constant' takes no field 'typo' in the 'graphon' spec",
+                 id="graphon-extra-field"),
+    pytest.param(_SIMULATE + ["--omega", '{"kind": "zero", "sd": 1}'], None,
+                 "omega kind 'zero' takes no field 'sd' in the 'omega' spec",
+                 id="omega-extra-field"),
 ])
 def test_rejected_rerun_keeps_earlier_outputs(tmp_path, capsys, argv, config, message):
     out = tmp_path / "d"
@@ -479,6 +515,31 @@ def test_failed_rerun_removes_earlier_manifest(tmp_path, capsys, monkeypatch):
      "error: coupling field 'alpha' must be a finite number (got True)"),
     ("stability_initial", ["--coupling", '{"kind": "sine_shift", "alpha": "0.3"}'],
      "error: coupling field 'alpha' must be a finite number (got '0.3')"),
+    ("simulate", ["--coupling", '{"kind": "sine", "alpha": 0.5}'],
+     "error: coupling kind 'sine' takes no field 'alpha' in the 'coupling' spec"),
+    ("meanfield_fv", ["--graphon", '{"kind": "small_world", "p": 0.1, "h": 0.2, "typo": 3}'],
+     "error: graphon kind 'small_world' takes no field 'typo' in the 'graphon' spec"),
+    ("stability_kernel", ["--graphon-b", '{"kind": "constant", "p": 0.5, "q": 1}'],
+     "error: graphon kind 'constant' takes no field 'q' in the 'graphon_b' spec"),
+    ("convergence_ave", ["--omega", '{"kind": "zero", "sd": 1}'],
+     "error: omega kind 'zero' takes no field 'sd' in the 'omega' spec"),
+    ("simulate", ["--omega", '{"sd": 1}'],
+     "error: omega kind 'zero' takes no field 'sd' in the 'omega' spec"),
+    ("picard", ["--rho0", '{"kind": "uniform", "kappa": 1}'],
+     "error: density kind 'uniform' takes no field 'kappa' in the 'rho0' spec"),
+    ("meanfield_particles", ["--rho0", '{"kind": "von_mises", "kappa": true, "mu0": 1}'],
+     "error: concentration kappa must be finite, a real number in [0, 1e+06] (got True) "
+     "in the 'rho0' spec"),
+    ("convergence_main", ["--rho0", '{"kind": "von_mises_twist", "kappa": "2"}'],
+     "error: concentration kappa must be finite, a real number in [0, 1e+06] (got '2')"),
+    ("stability_initial", ["--rho0", '{"kind": "two_cluster", "theta1": 1, '
+                           '"theta2": "2", "w": 0.5}'],
+     "error: cluster position theta2 must be a finite real number (got '2')"),
+    ("picard", ["--rho0", '{"kind": "two_cluster", "theta1": 1, "theta2": 2, "w": true}'],
+     "error: cluster weight w must be a real number in (0, 1) (got True)"),
+    ("meanfield_fv", ["--rho0", '{"kind": "two_cluster", "theta1": 1, "theta2": 2, '
+                      '"w": 0.5}'],
+     "error: two-cluster distribution has no density in the 'rho0' spec"),
 ])
 def test_bad_specs_rejected_with_key(tmp_path, capsys, experiment, flags, message):
     code = main([experiment, "--graphon", json.dumps(ER_HALF), "--n", "2", "--T", "0.1",

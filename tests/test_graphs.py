@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from kmflow.graphon import Graphon
+from kmflow.graphon import MAX_NODES, Graphon
 from kmflow.graphs import (
-    MAX_NODES,
     WeightedGraph,
     deterministic_graph,
     pixel_picture,
@@ -18,7 +17,6 @@ from oracles import peak_traced
 def test_deterministic_constant():
     g = deterministic_graph(Graphon.constant(0.5), 3)
     assert np.allclose(g.weights, 0.5)
-    assert not g.sampled
 
 
 def test_deterministic_matches_cell_average():
@@ -56,7 +54,6 @@ def test_sample_same_seed_bit_identical():
     a = sample_w_random(W, 40, seed=123)
     b = sample_w_random(W, 40, seed=123)
     assert np.array_equal(a.weights, b.weights)
-    assert a.sampled and a.seed == 123
 
 
 def test_sample_different_seeds_differ():
@@ -113,13 +110,10 @@ def test_sample_matches_per_pair_philox_oracle(n):
             assert n == 1 or 0 < expected.sum() < n * n
 
 
-def test_sampled_flag_rejects_weights_within_clip_slack():
+def test_weights_within_clip_slack_are_clipped():
     weights = np.ones((3, 3))
-    WeightedGraph(weights, sampled=True)
     weights[0, 0] = 1.0 + 5e-10
     assert WeightedGraph(weights).weights[0, 0] == 1.0
-    with pytest.raises(ValueError, match="0/1"):
-        WeightedGraph(weights, sampled=True)
 
 
 def test_capacity_limit():
@@ -185,48 +179,6 @@ def test_toeplitz_graph_reads_like_its_dense_copy(n, tmp_path):
         assert (tmp_path / "toeplitz.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
 
 
-def _diagonals(n, seed=0):
-    v = np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * n - 1)
-    return 0.5 * (v + v[::-1])
-
-
-@pytest.mark.parametrize("bad", [
-    "asymmetric", "nan", "inf", "above_bound", "below_bound", "even_length", "matrix",
-])
-def test_diagonal_route_rejects_bad_vectors(bad):
-    v = _diagonals(5)
-    g = WeightedGraph._from_diagonals(v)
-    assert np.array_equal(g.weights, np.array(g.weights).T)
-    if bad == "asymmetric":
-        v[1] += 1e-12
-    elif bad == "nan":
-        v[4] = np.nan
-    elif bad == "inf":
-        v[0] = v[-1] = np.inf
-    elif bad == "above_bound":
-        v[2] = v[-3] = 1.0 + 2e-9
-    elif bad == "below_bound":
-        v[4] = -1.0 - 2e-9
-    elif bad == "even_length":
-        v = v[1:]
-    else:
-        v = np.eye(3)
-    with pytest.raises(ValueError, match="weight diagonals"):
-        WeightedGraph._from_diagonals(v)
-
-
-def test_diagonal_route_clips_a_copy_within_slack():
-    v = _diagonals(4)
-    v[0] = v[-1] = 1.0 + 5e-10
-    v[3] = -1.0 - 5e-10
-    before = v.copy()
-    g = WeightedGraph._from_diagonals(v)
-    assert np.array_equal(v, before)
-    assert g.weights[0, 3] == g.weights[3, 0] == 1.0
-    assert np.all(np.diagonal(g.weights) == -1.0)
-    assert not g.sampled and g.seed is None
-
-
 def _count_matrix_checks(monkeypatch):
     """Count full symmetric-matrix checks made through either module's binding."""
     from kmflow import graphon as graphon_module
@@ -267,6 +219,5 @@ def test_sampled_graph_holds_one_matrix():
     W = Graphon.small_world(0.1, 0.25)
     graph, peak = peak_traced(lambda: sample_w_random(W, n, 5))
     assert peak < 1.25 * n * n * 8
-    assert graph.sampled and graph.seed == 5
     assert np.array_equal(graph.weights, graph.weights.T)
     assert np.isin(graph.weights, (0.0, 1.0)).all()

@@ -1,7 +1,5 @@
 """Particle, fixed-point, and finite-volume mean-field solvers."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from kmflow.meanfield import (
     StabilityConfig,
     VelocityFieldSpec,
     characteristic_flow,
-    default_test_functions,
     density_field_from_spec,
     evolve_family,
     picard_solve,
@@ -25,7 +22,6 @@ from kmflow.meanfield import (
     stability_experiments,
     velocity,
     weak_residual,
-    SpaceTimeTestFunction,
 )
 from kmflow.measures import (
     CircleMeasure,
@@ -426,15 +422,6 @@ def test_fv_step_matches_double_sum(coupling, g):
     assert np.max(np.abs(traj.final_field.values - expected)) <= 1e-13
 
 
-def _scalar_time_test():
-    # math.exp rejects arrays: this test only works when t is a scalar
-    return SpaceTimeTestFunction(
-        value=lambda t, u: math.exp(-t) * np.sin(u),
-        dt=lambda t, u: -math.exp(-t) * np.sin(u),
-        du=lambda t, u: math.exp(-t) * np.cos(u),
-    )
-
-
 @pytest.mark.parametrize("g", [1, 7, 96, 97, 512])
 @pytest.mark.parametrize("coupling", FV_COUPLINGS, ids=FV_COUPLING_IDS)
 def test_weak_residual_matches_double_sum(coupling, g):
@@ -443,12 +430,9 @@ def test_weak_residual_matches_double_sum(coupling, g):
     dt = 0.9 * rho0.du
     traj = solve_fv(spec, rho0, 5 * dt, dt)
     frames = [f.values for f in traj.fields]
-    w = spec.step_graphon.values
-    for tests in (None, [_scalar_time_test()]):
-        expected = oracles.weak_residual(
-            traj.times, frames, w, coupling,
-            tests or default_test_functions(float(traj.times[-1])))
-        assert abs(weak_residual(traj, spec, tests) - expected) <= 1e-13
+    expected = oracles.weak_residual(traj.times, frames, spec.step_graphon.values,
+                                     coupling)
+    assert abs(weak_residual(traj, spec) - expected) <= 1e-13
 
 
 @pytest.mark.parametrize("frames", [20, 200])
@@ -533,18 +517,6 @@ def test_weak_residual_stationary_solution():
     assert weak_residual(traj, spec) < 1e-8
 
 
-def test_weak_residual_zero_test_function():
-    spec = _spec(Graphon.constant(0.5), 2)
-    rho0 = density_field_from_spec(VonMises(1.0, 1.0), 2, 32)
-    traj = solve_fv(spec, rho0, 0.5, 0.5 * rho0.du, record_every=1)
-    zero = SpaceTimeTestFunction(
-        value=lambda t, u: np.zeros(np.shape(u)),
-        dt=lambda t, u: np.zeros(np.shape(u)),
-        du=lambda t, u: np.zeros(np.shape(u)),
-    )
-    assert weak_residual(traj, spec, [zero]) == 0.0
-
-
 def test_weak_residual_shrinks_under_refinement():
     spec = _spec(Graphon.constant(0.5), 4)
     residuals = []
@@ -553,12 +525,6 @@ def test_weak_residual_shrinks_under_refinement():
         traj = solve_fv(spec, rho0, 1.0, 0.5 * rho0.du, record_every=1)
         residuals.append(weak_residual(traj, spec))
     assert residuals[0] / residuals[1] >= 1.5
-
-
-def test_default_test_functions_vanish_at_horizon():
-    for test in default_test_functions(2.0):
-        u = np.linspace(0, TWO_PI, 9)
-        assert np.allclose(test.value(2.0, u), 0.0)
 
 
 # -- stability and utility bounds -------------------------------------------
@@ -581,6 +547,16 @@ def test_stability_initial_data_bound():
         family_a=fam_a, family_b=fam_b))
     assert res["passed"]
     assert res["bound"] == pytest.approx(np.e * res["initial_dbar"])
+
+
+def test_stability_rejects_m_unlike_either_family():
+    fam4, fam8 = (initial_family(VonMises(1.0, 1.0), 4, m) for m in (4, 8))
+    for m, fam_b, got in ((8, None, "4, family_b 4"), (4, fam8, "4, family_b 8")):
+        with pytest.raises(ValueError, match=f"m = {m} must be the atoms per cell of "
+                           f"both families \\(family_a has {got}\\)"):
+            stability_experiments(StabilityConfig(
+                graphon_a=Graphon.constant(0.5), n=4, m=m, T=0.1, dt=1e-2,
+                family_a=fam4, family_b=fam_b))
 
 
 def test_stability_kernel_bound():
