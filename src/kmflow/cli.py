@@ -233,6 +233,9 @@ class ExperimentConfig:
             for cells in counts["n"]:
                 _edge_probabilities(inputs["graphon"], cells)
         if self.experiment == "meanfield_fv":
+            if (phase_cells := inputs["n"] * self.g) > MAX_PARTICLES:
+                raise ValueError(f"capacity exceeded: n*g = {inputs['n']}*{self.g} = "
+                                 f"{phase_cells} phase cells (at most {MAX_PARTICLES})")
             # the runner starts from this field, so a rho0 without a density
             # is rejected here
             try:

@@ -26,11 +26,11 @@ Every velocity in kmflow is one coupling sum, :func:`_field`: V(u) = n^-1
 sum_i W_ki sum_j m_ij D(v_ij - u) over the atoms v_ij of mass m_ij in cell i.
 The right-hand side here is that sum with one unit-mass atom per oscillator;
 the mean-field particle system, pointwise velocity and Picard transport of
-:mod:`kmflow.meanfield` call it too.  For the sine family it applies W to two
-per-cell moments (angle addition; a graph applies its own product, see
-:mod:`kmflow.graphs`), from one sin/cos pair per atom: alpha rotates the n
-moments, and targets that are the sources (the graph right-hand side, block
-particles) reuse the pair.  A custom D is evaluated in slabs of whole target
+:mod:`kmflow.meanfield` call it too.  For the sine family it applies W,
+through ``WeightedGraph._product``, to the (2, n) per-cell moments (angle
+addition) of one sin/cos pair per atom: alpha rotates the n moments, and
+targets that are the sources (the graph right-hand side, block particles)
+reuse the pair.  A custom D is evaluated in slabs of whole target
 cells under one element budget.  Every RK4 step, there too, is
 :func:`_rk4_step`, and every run, finite volumes too, steps along its time
 grid in :func:`_march`.
@@ -44,8 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import _is_real, _spec_kind
-from .graphs import WeightedGraph
+from .graphon import WeightedGraph, _is_real, _spec_kind
 from .measures import TWO_PI, check_shared_grid, wrap_angle
 
 # Longest time grid (steps) a run may ask for; the grid is allocated up front.
@@ -160,33 +159,31 @@ class OscillatorSystem:
                                             atoms).ravel()
 
 
-def _field(w, coupling: CouplingFunction, pos, mass, targets) -> np.ndarray:
+def _field(w: WeightedGraph, coupling: CouplingFunction, pos, mass, targets):
     """Velocity field of atoms ``pos``/``mass`` at the phases ``targets``.
 
-    Returns V[k, t] = n^-1 sum_i w[k, i] sum_j mass[i, j] D(pos[i, j] -
+    Returns V[k, t] = n^-1 sum_i w[i, k] sum_j mass[i, j] D(pos[i, j] -
     targets[k, t]) for source atoms of shape (n, atoms) and targets of shape
-    (k, t); ``mass`` may be a scalar.  ``w`` is a :class:`WeightedGraph`
-    (k = n) or an array of k kernel rows of shape (k, n).
+    (k, t); ``mass`` may be a scalar.  ``w`` is the graph (k = n, and column
+    k is row k) or, for one cell's velocity, that column of it alone.
     """
     n = pos.shape[0]
     if coupling.is_sine_family:
         # sin(v - u + alpha) = sin(v + alpha) cos u - cos(v + alpha) sin u;
         # the shift rotates the moments of sin v, cos v by angle addition
-        sin_v, cos_v = np.sin(pos), np.cos(pos)
-        s = (mass * sin_v).sum(axis=1)
-        c = (mass * cos_v).sum(axis=1)
+        trig = np.empty((2, *pos.shape))
+        sin_v, cos_v = np.sin(pos, out=trig[0]), np.cos(pos, out=trig[1])
+        moments = (mass * trig).sum(axis=2)
         if coupling.alpha:
             cos_a, sin_a = math.cos(coupling.alpha), math.sin(coupling.alpha)
-            s, c = s * cos_a + c * sin_a, c * cos_a - s * sin_a
-        if isinstance(w, WeightedGraph):
-            a, b = w._product(np.stack((s, c)))
-        else:  # small step kernels: two mat-vecs beat one stacked product
-            a, b = w @ s, w @ c
+            s, c = moments
+            s[:], c[:] = s * cos_a + c * sin_a, c * cos_a - s * sin_a
+        a, b = w._product(moments)
         sin_u, cos_u = ((sin_v, cos_v) if targets is pos
                         else (np.sin(targets), np.cos(targets)))
         out = cos_u * (a / n)[:, None] - sin_u * (b / n)[:, None]
     else:
-        rows = w.weights if isinstance(w, WeightedGraph) else w
+        columns = w.weights.T
         src = pos.ravel()
         mass = np.broadcast_to(mass, pos.shape)
         # a slab is a run of whole target cells, or part of one cell's
@@ -197,7 +194,9 @@ def _field(w, coupling: CouplingFunction, pos, mass, targets) -> np.ndarray:
         out = np.empty(targets.shape)
         for k in range(0, len(targets), cells):
             block = slice(k, k + cells)
-            weights = (rows[block, :, None] * mass).reshape(-1, src.size, 1)
+            # C order for any strides of w, so that matmul sums alike
+            weights = np.multiply(columns[block, :, None], mass, order="C")
+            weights = weights.reshape(-1, src.size, 1)
             for lo in range(0, targets.shape[1], cols):
                 d = coupling(src - targets[block, lo:lo + cols, None])
                 out[block, lo:lo + cols] = np.matmul(d, weights)[..., 0]

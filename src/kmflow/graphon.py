@@ -16,6 +16,11 @@ the band kernels the per-cell band area is computed in closed form (the band
 intersected with a cell is polygonal); custom kernels fall back to a composite
 midpoint rule with Richardson extrapolation.
 
+The cell average W_n is a :class:`StepGraphon`, a :class:`WeightedGraph`: the
+deterministic graph on n nodes, which graphs and mean field multiply by through
+one product.  ``WeightedGraph._from_diagonals`` alone decides how the Toeplitz
+averages of constant and band kernels are stored.
+
 Custom kernels carry documented obligations that are not checked pointwise:
 symmetry, |W| <= 1, and L^1-continuity of x -> W(x, .).
 """
@@ -29,6 +34,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_NODES = 8192
+
+# Toeplitz matrices from this many rows up multiply by FFT: the (2, n) product
+# of the sine field crossed over from dense between 416 and 448 on a 2-vCPU VM.
+_TOEPLITZ_NODES = 432
 
 _BOUND_SLACK = 1e-9
 _TILE = 64
@@ -68,21 +77,84 @@ class QuadratureError(RuntimeError):
         )
 
 
-class StepGraphon:
-    """Symmetric piecewise-constant kernel on the n x n cell grid.
+class WeightedGraph:
+    """Symmetric weight matrix with |w_ij| <= 1.
 
-    ``values[i, j]`` is the constant value on cell
-    ``[i/n, (i+1)/n) x [j/n, (j+1)/n)`` (0-based indices).
+    ``WeightedGraph(weights)`` checks outside input: a square symmetric
+    matrix of at most ``MAX_NODES`` rows within slack of [-1, 1], copied and
+    clipped to [-1, 1].  ``weights`` is a read-only n x n array;
+    :meth:`_product` is every coupling sum's product with it.
     """
 
-    def __init__(self, values):
-        values = _checked_symmetric(values, "step-graphon values")
-        self.values = np.clip(values, -1.0, 1.0, out=values)
-        self.values.setflags(write=False)
+    _diagonals = None
+
+    def __init__(self, weights):
+        weights = np.asarray(weights)
+        if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
+            raise ValueError("weights must form a square matrix")
+        n = weights.shape[0]
+        if n < 1:
+            raise ValueError("weights must have at least one row")
+        if n > MAX_NODES:
+            raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
+        # the shape and the node cap are checked before anything is copied
+        weights = np.array(weights, dtype=float)
+        if not _is_symmetric(weights):
+            raise ValueError("weights must be symmetric")
+        if max(weights.max(), -weights.min()) > 1.0 + _BOUND_SLACK:
+            raise ValueError("weights must lie in [-1, 1]")
+        self.weights = np.clip(weights, -1.0, 1.0, out=weights)
+        self.weights.setflags(write=False)
+
+    @classmethod
+    def _trusted(cls, weights: np.ndarray):
+        """Instance owning weights kmflow built: a symmetric matrix within [-1, 1]
+        (or one column of it); nothing is copied or checked, and it is made read-only."""
+        graph = cls.__new__(cls)
+        weights.setflags(write=False)
+        graph.weights = weights
+        return graph
+
+    @classmethod
+    def _from_diagonals(cls, diagonals: np.ndarray):
+        """Toeplitz ``weights[i, j] = diagonals[i - j + n - 1]`` from
+        :meth:`Graphon._diagonals`: dense below ``_TOEPLITZ_NODES`` rows, else a
+        view of the read-only diagonals, multiplied by FFT against their spectrum."""
+        n = (diagonals.shape[0] + 1) // 2
+        if n < _TOEPLITZ_NODES:
+            return cls._trusted(np.array(_toeplitz(diagonals)))
+        diagonals.setflags(write=False)
+        graph = cls._trusted(_toeplitz(diagonals))
+        graph._diagonals = diagonals
+        # circular convolution of this length has no wrap-around in the n
+        # outputs that are the Toeplitz product
+        graph._fft_size = 1 << (2 * n - 2).bit_length()
+        graph._spectrum = np.fft.rfft(diagonals, graph._fft_size)
+        return graph
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.weights.shape[0]
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """``x @ weights`` for rows x: W times each row, W being symmetric."""
+        if self._diagonals is None:
+            return x @ self.weights
+        size, n = self._fft_size, self.n
+        product = np.fft.irfft(np.fft.rfft(x, size) * self._spectrum, size)
+        return product[..., n - 1:2 * n - 1]
+
+
+class StepGraphon(WeightedGraph):
+    """Symmetric piecewise-constant kernel on the n x n cell grid.
+
+    ``values[i, j]``, the graph's ``weights``, is the constant value on cell
+    ``[i/n, (i+1)/n) x [j/n, (j+1)/n)`` (0-based indices).
+    """
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.weights
 
     def eval(self, x, y):
         """Evaluate the step function; x = 1 is folded into the last cell."""
@@ -173,19 +245,16 @@ class Graphon:
         kernels use midpoint quadrature refined until the Richardson
         extrapolants agree to 1e-9, on at most 4096 points per axis.
         """
-        # Constant and band averages are passed as O(n) views; StepGraphon's
-        # own copy is the only n x n write.
         diagonals = self._diagonals(n)
         if diagonals is not None:
-            return StepGraphon(_toeplitz(diagonals))
+            return StepGraphon._from_diagonals(diagonals)
         if self.kind == "step":
             return StepGraphon(_step_cell_average(self.step_values.values, n))
         return StepGraphon(_custom_cell_average(self.fn, n))
 
     def _diagonals(self, n: int) -> np.ndarray | None:
-        """The 2n-1 diagonals of the resolution-n cell average, or None.
+        """The 2n-1 diagonals of the resolution-n cell average, once n is checked.
 
-        Every cell average and graph of W checks its resolution n here first.
         Constant and band kernels have Toeplitz cell averages: entry (i, j)
         is ``diagonals[i - j + n - 1]``.  The vector lies in [-1, 1] (a
         checked p, or band fractions clipped to [0, 1]) and is symmetrised, so
@@ -250,11 +319,7 @@ def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 
     if norm not in ("L1", "L2"):
         raise ValueError("norm must be 'L1' or 'L2'")
     r = _common_resolution(W, U, resolution)
-    diag_w, diag_u = W._diagonals(r), U._diagonals(r)
-    if diag_w is None or diag_u is None:
-        diff = W.cell_average(r).values - U.cell_average(r).values
-    else:  # two Toeplitz averages: one r x r difference of read-only views
-        diff = _toeplitz(diag_w) - _toeplitz(diag_u)
+    diff = W.cell_average(r).values - U.cell_average(r).values
     if norm == "L1":
         return float(np.mean(np.abs(diff, out=diff)))
     return float(np.sqrt(np.mean(np.square(diff, out=diff))))
@@ -309,28 +374,6 @@ def _toeplitz(diagonals: np.ndarray) -> np.ndarray:
     """Read-only n x n view T[i, j] = diagonals[i - j + n - 1] of a 2n-1 vector."""
     n = (diagonals.shape[0] + 1) // 2
     return sliding_window_view(diagonals[::-1], n)[::-1]
-
-
-def _checked_symmetric(values, what: str) -> np.ndarray:
-    """Own float copy of a symmetric matrix with entries within slack of [-1, 1].
-
-    The shape and the node cap are checked before anything is copied.  Callers
-    clip the returned copy in place.
-    """
-    values = np.asarray(values)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError(f"{what} must form a square matrix")
-    n = values.shape[0]
-    if n < 1:
-        raise ValueError(f"{what} must have at least one row")
-    if n > MAX_NODES:
-        raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
-    values = np.array(values, dtype=float)
-    if not _is_symmetric(values):
-        raise ValueError(f"{what} must be symmetric")
-    if max(values.max(), -values.min()) > 1.0 + _BOUND_SLACK:
-        raise ValueError(f"{what} must lie in [-1, 1]")
-    return values
 
 
 def _is_symmetric(a: np.ndarray) -> bool:

@@ -19,7 +19,7 @@ interoperating methods:
 * :func:`solve_fv`       -- first-order conservative upwind finite volumes
   on the periodic phase grid (monotone and positivity-preserving; per-cell
   mass conserved to round-off), D tabulated at g points and each step's
-  velocities one FFT correlation, O(n g log g) after the product W_n rho.
+  velocities one FFT correlation, O(n g log g) after W_n rho.
 
 :func:`weak_residual` tests a finite-volume run against the weak form with
 one fixed family, (1 - t/T)^2 {sin ku, cos ku} for k = 1, 2, 3.
@@ -30,7 +30,8 @@ carry zero-mass padding, which adds exactly nothing to V, and the families of
 a trajectory share one masses array.  The particle system, the pushforward
 map and the pointwise :func:`velocity` all evaluate V through the coupling
 sum of the graph dynamics, :func:`kmflow.dynamics._field` (O(N + n^2) for N
-atoms of the sine family), and the pushforward map steps with its RK4 step.
+atoms of the sine family), with the cell average W_n, a graph, passed itself;
+W_n rho too is its one product.  The pushforward map steps with its RK4 step.
 Particles, that map and the finite volumes all step in its one stepping loop,
 :func:`kmflow.dynamics._march`, which aborts on a non-finite state.
 
@@ -55,13 +56,13 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import CouplingFunction, PhaseState, time_grid
-from .graphon import Graphon, StepGraphon, kernel_distance
+from .graphon import Graphon, StepGraphon, WeightedGraph, kernel_distance
 from .measures import (
     TWO_PI,
     DensitySpec,
     MeasureFamily,
     MeasureTrajectory,
-    cell_representative,
+    _cell_rows,
     d_alpha,
     dbar,
     empirical_from_phases,
@@ -118,8 +119,8 @@ class BlockOscillatorSystem:
 
     def rhs_phases(self, u: np.ndarray) -> np.ndarray:
         blocks = u.reshape(self.n_cells, self.m)
-        return dynamics._field(self.step.values, self.coupling, blocks,
-                               1.0 / self.m, blocks).ravel()
+        return dynamics._field(self.step, self.coupling, blocks, 1.0 / self.m,
+                               blocks).ravel()
 
 
 def velocity(spec: VelocityFieldSpec, family: MeasureFamily, u, cell: int):
@@ -132,8 +133,8 @@ def velocity(spec: VelocityFieldSpec, family: MeasureFamily, u, cell: int):
     if not 0 <= cell < spec.n:
         raise IndexError(f"cell index {cell} out of range [0, {spec.n})")
     u = np.asarray(u, dtype=float)
-    w_row = spec.step_graphon.values[cell:cell + 1]
-    return dynamics._field(w_row, spec.coupling, family.positions,
+    column = WeightedGraph._trusted(spec.step_graphon.weights[:, cell:cell + 1])
+    return dynamics._field(column, spec.coupling, family.positions,
                            family.masses, u.reshape(1, -1)).reshape(u.shape)
 
 
@@ -199,7 +200,7 @@ def _transport(spec: VelocityFieldSpec, times: np.ndarray, frozen: np.ndarray,
 
     Returns the transported points at every grid time, (frames, cells, points).
     """
-    w, coupling = spec.step_graphon.values, spec.coupling
+    w, coupling = spec.step_graphon, spec.coupling
 
     def step(x, k, h):
         left, right = frozen[k], frozen[k + 1]
@@ -344,12 +345,9 @@ def density_field_from_spec(rho0: DensitySpec, n: int, g: int) -> DensityField:
     if g < 1:
         raise ValueError(f"phase grid needs g >= 1 cells, got g = {g}")
     centers = (np.arange(g) + 0.5) * (TWO_PI / g)
-    values = np.empty((n, g))
-    for i in range(n):
-        values[i] = rho0.at(cell_representative(i, n)).density(centers)
+    values = _cell_rows(rho0, n, lambda spec: spec.density(centers))
     du = TWO_PI / g
-    values /= values.sum(axis=1, keepdims=True) * du
-    return DensityField(values)
+    return DensityField(values / (values.sum(axis=1, keepdims=True) * du))
 
 
 @dataclass
@@ -368,11 +366,12 @@ def _coupling_spectrum(coupling: CouplingFunction, g: int, offset: float):
     return np.conj(np.fft.rfft(coupling((np.arange(g) + offset) * du))) * du
 
 
-def _grid_velocity(w, rho: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+def _grid_velocity(w: StepGraphon, rho: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """V[i, f] = n^-1 sum_j w[i, j] du sum_k rho[j, k] D((k - f + offset) du)
     for grid densities rho (n, g): the g x g table of D is circulant, so its
     product is one batched FFT correlation of W_n rho, O(n g log g)."""
-    v = np.fft.irfft(np.fft.rfft(w @ rho) * spectrum, rho.shape[1]) / rho.shape[0]
+    w_rho = w._product(rho.T).T  # W_n times each of the g columns of rho
+    v = np.fft.irfft(np.fft.rfft(w_rho) * spectrum, rho.shape[1]) / rho.shape[0]
     dynamics._check_velocity_bound(v)
     return v
 
@@ -395,7 +394,7 @@ def solve_fv(spec: VelocityFieldSpec, rho0: DensityField, T: float, dt: float,
         raise ValueError(
             f"CFL violation: dt = {dt:.6g} exceeds 0.9 * du = {0.9 * du:.6g}"
         )
-    w, spectrum = spec.step_graphon.values, _coupling_spectrum(spec.coupling, rho0.g, 0.5)
+    w, spectrum = spec.step_graphon, _coupling_spectrum(spec.coupling, rho0.g, 0.5)
 
     def upwind(rho, _, h):
         v_face = _grid_velocity(w, rho, spectrum)
@@ -437,10 +436,12 @@ def weak_residual(traj: DensityTrajectory, spec: VelocityFieldSpec) -> float:
     and the time integral by the trapezoid rule over recorded times.  Frames
     are streamed (V as in :func:`solve_fv`, D at offsets j * du), keeping
     only their phase integrals against two (g, 6) tables: the family's phase
-    factors and their u-derivatives.
+    factors and their u-derivatives.  A one-frame run (T = 0) is rejected.
     """
     times, first = traj.times, traj.fields[0]
     du, T = first.du, float(times[-1])
+    if not T > 0.0:
+        raise ValueError(f"weak residual needs a positive horizon T, got T = {T:g}")
     k = np.arange(1.0, 4.0)
     ku = ((np.arange(first.g) + 0.5) * du)[:, None] * k
     # columns sin u, cos u, sin 2u, cos 2u, sin 3u, cos 3u
@@ -450,7 +451,7 @@ def weak_residual(traj: DensityTrajectory, spec: VelocityFieldSpec) -> float:
     space = np.empty((len(times), first.n, 6))
     for s, (t, fld) in enumerate(zip(times, traj.fields)):
         rho = fld.values
-        flux = rho * _grid_velocity(spec.step_graphon.values, rho, spectrum)
+        flux = rho * _grid_velocity(spec.step_graphon, rho, spectrum)
         phi, dphi = (1.0 - t / T) ** 2, -2.0 * (1.0 - t / T) / T
         space[s] = (dphi * (rho @ trig) + phi * (flux @ trig_u)) * du
     defect = np.trapezoid(space, times, axis=0) + (first.values @ trig) * du
@@ -498,10 +499,9 @@ def stability_experiments(cfg: StabilityConfig) -> dict:
     if atoms != (cfg.m, cfg.m):
         raise ValueError(f"m = {cfg.m} must be the atoms per cell of both families "
                          f"(family_a has {atoms[0]}, family_b {atoms[1]})")
-    graphon_b = cfg.graphon_b if cfg.graphon_b is not None else cfg.graphon_a
-
     spec_a = VelocityFieldSpec(cfg.graphon_a.cell_average(cfg.n), cfg.coupling)
-    spec_b = VelocityFieldSpec(graphon_b.cell_average(cfg.n), cfg.coupling)
+    spec_b = spec_a if cfg.graphon_b is None else VelocityFieldSpec(
+        cfg.graphon_b.cell_average(cfg.n), cfg.coupling)
     # the two runs advance together; only their current frames are held
     frames_a = particle_frames(spec_a, fam_a, cfg.T, cfg.dt, cfg.record_every)
     frames_b = particle_frames(spec_b, fam_b, cfg.T, cfg.dt, cfg.record_every)

@@ -513,6 +513,15 @@ def cell_representative(i: int, n: int) -> float:
     return (i + 1) / n
 
 
+def _cell_rows(rho0: DensitySpec, n: int, evaluate) -> np.ndarray:
+    """Rows ``evaluate(rho0.at(x_i))`` for the n cell representatives; an
+    x-independent spec is evaluated once, into a read-only repeated row."""
+    if type(rho0).at is DensitySpec.at:
+        row = evaluate(rho0)
+        return np.broadcast_to(row, (n, row.size))
+    return np.array([evaluate(rho0.at(cell_representative(i, n))) for i in range(n)])
+
+
 def initial_family(rho0: DensitySpec, n: int, m: int, mode: str = "quantile",
                    seed: int | None = None) -> MeasureFamily:
     """Build the initial family with m atoms (mass 1/m) per cell.
@@ -526,12 +535,7 @@ def initial_family(rho0: DensitySpec, n: int, m: int, mode: str = "quantile",
         raise ValueError("need n >= 1 cells and m >= 1 atoms per cell")
     if mode == "quantile":
         q = (np.arange(m) + 0.5) / m
-        if type(rho0).at is DensitySpec.at:
-            # x-independent: invert once for all cells
-            positions = np.broadcast_to(rho0.quantile(q), (n, m))
-        else:
-            positions = np.array([rho0.at(cell_representative(i, n)).quantile(q)
-                                  for i in range(n)])
+        positions = _cell_rows(rho0, n, lambda spec: spec.quantile(q))
     elif mode == "iid":
         if seed is None:
             raise ValueError("iid mode requires a seed")

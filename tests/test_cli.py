@@ -560,6 +560,34 @@ def test_picard_over_capacity_rejected_before_the_run(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_meanfield_fv_over_capacity_rejected_before_the_start_field(tmp_path, capsys):
+    # n*g = 2^20 + 2 phase cells; the (n, g) start field is never built
+    code, peak = peak_traced(lambda: main([
+        "meanfield_fv", "--graphon", json.dumps(ER_HALF), "--n", "2", "--g", "524289",
+        "--T", "0", "--output-dir", str(tmp_path)]))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: capacity exceeded: n*g = 2*524289 = 1048578 phase cells "
+        "(at most 1048576)")
+    assert peak < 2**20
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stability_initial_averages_the_kernel_once_per_trial(tmp_path, monkeypatch):
+    averaged = []
+    cell_average = cli.Graphon.cell_average
+
+    def counting(self, n):
+        averaged.append(n)
+        return cell_average(self, n)
+
+    monkeypatch.setattr(cli.Graphon, "cell_average", counting)
+    assert main(["stability_initial", "--graphon", json.dumps(ER_HALF), "--n", "2",
+                 "--m", "4", "--T", "0.1", "--dt", "0.05", "--seeds", "0,1,2",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert averaged == [2, 2, 2]
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--n", ","), ("--n", "3,x"), ("--m", ",,"), ("--seeds", "1,two"),
 ])
@@ -759,13 +787,17 @@ def _readme_examples() -> list[list[str]]:
 # were recorded before the graph and mean-field coupling sums became one
 # routine, which changed no output byte; a change that moves one must say so.
 # drift.csv was re-pinned when equal-mass W1 became an integer count, which
-# moved 21 of its 101 rows by at most 5.6e-17 (3.3e-16 relative).
+# moved 21 of its 101 rows by at most 5.6e-17 (3.3e-16 relative).  ave/,
+# mfp/drift.csv and mfp/results.csv were re-pinned when small Toeplitz graphs
+# became dense and the mean field took its two moments through one (2, n)
+# product: at most 2.8e-17 (ave, 5 of 15 rows; drift, 23 of 101 rows) and
+# 4.4e-16 (results, 32 of 2048 rows).
 README_OUTPUT_SHA256 = {
-    "out/ave/results.csv": "c6a49688baa3e49d89eed33a61fb8328b4efe6f3fd5a5af758dc1f62de66461e",
+    "out/ave/results.csv": "7f5f297b8e1582a0b367abed5349b1ebad2d229be6415e8468e617c40e43f8a2",
     "out/conv/results.csv": "1f0108e0980e1dd5833f764b2515da0e30cf039fcb95146fd862f6efbdec079e",
     "out/dist/results.csv": "e64bcf0ee63aa381586382827b75c6dbfc0c7f0317e40c7f463db945e9520ef8",
-    "out/mfp/drift.csv": "a427f79aec6277e2bdcfa6b251e8da13912104e9a48c058a549ae23501948b40",
-    "out/mfp/results.csv": "ff92c962b6a789dfae9b006f73e640b5273a623b7b86fccf578d1674e0f6daab",
+    "out/mfp/drift.csv": "64ae315b2e65b6f6e4b2404e967fe03f84c33ec46336f2d0fe797aba0c06fe9e",
+    "out/mfp/results.csv": "24de030722b7ea23e81d50d4539108461019d12bf05daf6b489eb61b0fb51f53",
     "out/sim/results.csv": "e204b1169330596e7b542acfbab514adaedbfff043d1f6a452ad6c76dab336b7",
     "out/stab/results.csv": "aebd1ad16e1dc24fcfe21efe04d810b3e12a44af9640726ce3b831fddbe9c8c6",
     "out/sw/graph.pgm": "7bdd64a82e80b8ad10bc992fdce771e91178fbd4657ab23542da78e96e58268d",

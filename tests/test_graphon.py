@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kmflow.graphon import (
+    _TOEPLITZ_NODES,
     MAX_NODES,
     Graphon,
     QuadratureError,
@@ -149,7 +150,7 @@ def test_cell_average_output_satisfies_invariants():
         assert np.max(np.abs(avg.values)) <= 1.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257, _TOEPLITZ_NODES])
 def test_band_cell_average_matches_gather_formula(n):
     # the n x n offset gather symmetrised with its transpose, written out
     for W in (Graphon.small_world(0.1, 0.25), Graphon.small_world(0.37, 0.013),
@@ -162,8 +163,17 @@ def test_band_cell_average_matches_gather_formula(n):
             expected = W.p + (1.0 - 2.0 * W.p) * expected
         expected = np.clip(expected, -1.0, 1.0)
         values = W.cell_average(n).values
-        assert values.flags.c_contiguous and not values.flags.writeable
+        # a dense copy below the size constant, a view of the diagonals from it up
+        assert values.flags.c_contiguous == (n < _TOEPLITZ_NODES)
+        assert not values.flags.writeable
         assert np.array_equal(values, expected)
+
+
+def test_band_cell_average_holds_its_diagonals_only():
+    avg, peak = peak_traced(lambda: Graphon.small_world(0.1, 0.25).cell_average(4096))
+    assert peak < 2**20
+    assert isinstance(avg, WeightedGraph) and avg.values is avg.weights
+    assert avg.values.shape == (4096, 4096) and not avg.values.flags.writeable
 
 
 def _symmetric_matrix(n, seed=0):
@@ -252,6 +262,9 @@ def test_kernel_distance_toeplitz_route_matches_step_route(r):
 
 
 def test_kernel_distance_step_band_mix_takes_dense_route(monkeypatch):
+    # every pair is a difference of two cell averages; from the size constant
+    # up, two band averages are views of their diagonals, so the difference
+    # is the one r x r array
     averaged = []
     cell_average = Graphon.cell_average
 
@@ -261,8 +274,12 @@ def test_kernel_distance_step_band_mix_takes_dense_route(monkeypatch):
 
     monkeypatch.setattr(Graphon, "cell_average", counting)
     band, step = Graphon.small_world(0.1, 0.25), Graphon.step([[0.2, 0.5], [0.5, 0.9]])
-    assert kernel_distance(band, Graphon.nearest_neighbor(0.2), "L1", 64) > 0.0
-    assert averaged == []
+    r = _TOEPLITZ_NODES
+    distance, peak = peak_traced(
+        lambda: kernel_distance(band, Graphon.nearest_neighbor(0.2), "L1", r))
+    assert distance > 0.0 and peak < 1.25 * r * r * 8
+    assert averaged == ["small_world", "nearest_neighbor"]
+    del averaged[:]
     mixed = kernel_distance(step, band, "L1", 64)
     assert averaged == ["step", "small_world"]
     diff = step.cell_average(64).values - band.cell_average(64).values

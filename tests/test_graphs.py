@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kmflow.graphon import MAX_NODES, Graphon
+from kmflow.graphon import _TOEPLITZ_NODES, MAX_NODES, Graphon, StepGraphon
 from kmflow.graphs import (
     WeightedGraph,
     deterministic_graph,
@@ -164,12 +164,12 @@ def test_toeplitz_graph_stores_diagonals_only():
         g.weights[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, _TOEPLITZ_NODES])
 def test_toeplitz_graph_reads_like_its_dense_copy(n, tmp_path):
     for W in (Graphon.constant(-0.4), Graphon.small_world(0.2, 0.3),
               Graphon.nearest_neighbor(0.2)):
         g = deterministic_graph(W, n)
-        assert g._diagonals is not None
+        assert (g._diagonals is not None) == (n >= _TOEPLITZ_NODES)
         dense = WeightedGraph(np.array(g.weights))
         assert np.array_equal(g.weights, W.cell_average(n).values)
         assert np.array_equal(pixel_picture(g), pixel_picture(dense))
@@ -179,20 +179,40 @@ def test_toeplitz_graph_reads_like_its_dense_copy(n, tmp_path):
         assert (tmp_path / "toeplitz.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n", [1, 7, 255, 256, 257, _TOEPLITZ_NODES - 1, _TOEPLITZ_NODES,
+                               _TOEPLITZ_NODES + 1, 1000])
+def test_toeplitz_storage_rule(n):
+    # dense below the size constant, read-only diagonals from it up; either
+    # way the graph is the cell average and its product is the dense product
+    x = np.random.default_rng(n).normal(size=(2, n))
+    for W in (Graphon.constant(-0.4), Graphon.small_world(0.1, 0.25),
+              Graphon.nearest_neighbor(0.2)):
+        g = deterministic_graph(W, n)
+        assert isinstance(g, StepGraphon) and isinstance(g, WeightedGraph)
+        assert np.array_equal(g.weights, W.cell_average(n).values)
+        dense = n < _TOEPLITZ_NODES
+        assert (g._diagonals is None) == dense
+        assert g.weights.flags.c_contiguous == dense
+        assert not g.weights.flags.writeable
+        expected = x @ np.array(g.weights)
+        if dense:
+            assert np.array_equal(g._product(x), expected)
+        else:
+            assert not g._diagonals.flags.writeable
+            assert np.max(np.abs(g._product(x) - expected)) <= 1e-12
+
+
 def _count_matrix_checks(monkeypatch):
-    """Count full symmetric-matrix checks made through either module's binding."""
-    from kmflow import graphon as graphon_module
-    from kmflow import graphs as graphs_module
-
+    """Count full symmetric-matrix checks: calls of the one checked
+    constructor, which StepGraphon inherits."""
     calls = []
-    original = graphon_module._checked_symmetric
+    original = WeightedGraph.__init__
 
-    def counting(values, what):
-        calls.append(what)
-        return original(values, what)
+    def counting(self, weights):
+        calls.append(type(self).__name__)
+        original(self, weights)
 
-    monkeypatch.setattr(graphon_module, "_checked_symmetric", counting)
-    monkeypatch.setattr(graphs_module, "_checked_symmetric", counting)
+    monkeypatch.setattr(WeightedGraph, "__init__", counting)
     return calls
 
 
@@ -202,8 +222,8 @@ def _count_matrix_checks(monkeypatch):
     (lambda W: sample_w_random(Graphon.small_world(0.1, 0.25), 96, 4), 0),
 ], ids=["deterministic_step", "sampled_step", "sampled_band"])
 def test_built_matrices_are_checked_once(monkeypatch, build, checks):
-    # kmflow's own matrices are checked where they are built (StepGraphon),
-    # not again by WeightedGraph
+    # kmflow's own matrices are checked once, where they are built (a step
+    # kernel's StepGraphon), and a band kernel's not at all
     W = Graphon.step(Graphon.small_world(0.2, 0.3).cell_average(12).values)
     calls = _count_matrix_checks(monkeypatch)
     graph = build(W)

@@ -103,7 +103,7 @@ def test_custom_slab_chunks_match_one_block(monkeypatch):
     fam = _ragged_family((5, 40, 17))
     u = np.linspace(0.0, TWO_PI, 37)
     targets = np.stack([u, u + 1.0, u + 2.0])
-    w = spec.step_graphon.values
+    w = spec.step_graphon
     whole = dynamics._field(w, CUSTOM, fam.positions, fam.masses, targets)
     # 7-row blocks within a cell, then slabs of two whole cells
     for budget in (7 * 40 * 3, 2 * 37 * 40 * 3):
@@ -367,6 +367,23 @@ def test_density_field_from_spec_normalized():
         assert np.max(np.abs(field.cell_masses() - 1.0)) < 1e-14
 
 
+def test_x_independent_density_evaluated_once():
+    calls = []
+
+    class CountingVonMises(VonMises):
+        def density(self, u):
+            calls.append(len(u))
+            return super().density(u)
+
+    field = density_field_from_spec(CountingVonMises(2.0, 1.0), 5, 8)
+    assert calls == [8]
+    # the per-cell evaluation it replaces, bit for bit
+    du = TWO_PI / 8
+    rows = np.tile(VonMises(2.0, 1.0).density((np.arange(8) + 0.5) * du), (5, 1))
+    rows /= rows.sum(axis=1, keepdims=True) * du
+    assert np.array_equal(field.values, rows)
+
+
 def test_density_field_rejects_empty_phase_grid():
     with pytest.raises(ValueError, match="g >= 1"):
         DensityField(np.zeros((2, 0)))
@@ -508,6 +525,14 @@ def test_quantile_family_from_density_uniform():
 
 
 # -- weak-form residual ------------------------------------------------------
+
+
+def test_weak_residual_rejects_a_zero_horizon():
+    spec = _spec(Graphon.constant(0.5), 2)
+    traj = solve_fv(spec, density_field_from_spec(Uniform(), 2, 16), 0.0, 0.1)
+    assert len(traj.fields) == 1
+    with pytest.raises(ValueError, match="positive horizon T, got T = 0"):
+        weak_residual(traj, spec)
 
 
 def test_weak_residual_stationary_solution():

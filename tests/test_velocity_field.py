@@ -95,10 +95,7 @@ def _sine_field_two_pairs(w, alpha, pos, mass, targets):
     shifted = pos + alpha
     s = (mass * np.sin(shifted)).sum(axis=1)
     c = (mass * np.cos(shifted)).sum(axis=1)
-    if isinstance(w, WeightedGraph):
-        a, b = w._product(np.stack((s, c)))
-    else:
-        a, b = w @ s, w @ c
+    a, b = w._product(np.stack((s, c)))
     n = pos.shape[0]
     return np.cos(targets) * (a / n)[:, None] - np.sin(targets) * (b / n)[:, None]
 
@@ -121,6 +118,6 @@ def test_sine_rhs_reuses_the_sources_pair(alpha, tol):
     step = KERNEL.cell_average(n)
     x = rng.uniform(0.0, TWO_PI, n * m)
     blocks = x.reshape(n, m)
-    expected = _sine_field_two_pairs(step.values, alpha, blocks, 1.0 / m, blocks).ravel()
+    expected = _sine_field_two_pairs(step, alpha, blocks, 1.0 / m, blocks).ravel()
     got = BlockOscillatorSystem(step, m, coupling).rhs_phases(x)
     assert np.max(np.abs(got - expected)) <= tol
