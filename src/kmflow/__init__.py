@@ -10,7 +10,7 @@ Subpackages by layer:
 * :mod:`kmflow.cli`       -- experiment runner and file formats
 """
 
-from .graphon import Graphon, StepGraphon, kernel_distance, midpoint_step, step_norm_2n
+from .graphon import Graphon, StepGraphon, kernel_distance
 from .graphs import WeightedGraph, deterministic_graph, pixel_picture, sample_w_random
 from .dynamics import (
     CouplingFunction,
@@ -50,8 +50,6 @@ __all__ = [
     "Graphon",
     "StepGraphon",
     "kernel_distance",
-    "midpoint_step",
-    "step_norm_2n",
     "WeightedGraph",
     "deterministic_graph",
     "sample_w_random",

@@ -10,6 +10,11 @@ keys it reads and the counts it sweeps.  :func:`run` calls it once and hands
 the built inputs to the runner, so every config error is raised before the
 output directory is touched.
 
+Every ``ExperimentConfig`` key but ``experiment`` and ``inputs`` is also a
+flag on every subcommand, spelled with dashes; its ``--help`` is what
+``_CHECKS`` says its value must be, and its text is read by the key's kind
+(:func:`_flag_value`), a malformed one being an error that names the flag.
+
 Experiments
 -----------
 simulate             integrate oscillators on a graphon-derived graph
@@ -51,7 +56,7 @@ from .dynamics import (
     recorded_states,
     time_grid,
 )
-from .graphon import MAX_NODES, Graphon, _common_resolution
+from .graphon import MAX_NODES, Graphon, _common_resolution, _is_integer, _is_real
 from .graphs import (
     WeightedGraph,
     _edge_probabilities,
@@ -71,42 +76,32 @@ from .measures import (
 
 MAX_PARTICLES = 2**20
 
-
-def _integer(value, low: int, high: float = math.inf) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and low <= value < high)
-
-
-def _real(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-_COUNT = (lambda v: _integer(v, 1), "a positive integer")
-_COUNTS = (lambda v: v != [] and all(_integer(x, 1) for x in
+_COUNT = (lambda v: _is_integer(v, 1), "a positive integer")
+_COUNTS = (lambda v: v != [] and all(_is_integer(x, 1) for x in
                                      (v if isinstance(v, list) else [v])),
            "a positive integer or a list of them")
-_SEED = (lambda v: _integer(v, 0, 2**64), "an integer in [0, 2**64)")
+_SEED = (lambda v: _is_integer(v, 0, 2**64), "an integer in [0, 2**64)")
 _FLAG = (lambda v: isinstance(v, bool), "true or false")
-# Scalar and list keys -> (test, what the error says a value must be).  A key
-# whose default is None may also stay None.
+# Scalar and list keys -> (test, what the error and the flag's --help say a
+# value must be).  A key whose default is None may also stay None.
 _CHECKS = {
     "n": _COUNTS, "m": _COUNTS,
     "ref_n": _COUNT, "ref_m": _COUNT, "g": _COUNT, "max_iter": _COUNT,
     "record_every": _COUNT, "kernel_resolution": _COUNT,
-    "T": (lambda v: _real(v) and v >= 0.0, "a finite number >= 0"),
-    "dt": (lambda v: _real(v) and v > 0.0, "a finite number > 0"),
-    "perturbation": (lambda v: _real(v) and v >= 0.0, "a finite number >= 0"),
-    "tol": (lambda v: _real(v) and v > 0.0, "a finite number > 0"),
-    "alpha": (lambda v: _real(v) and v > 2.0, "a finite number > 2"),
-    "K": (_real, "a finite number"),
-    "seeds": (lambda v: isinstance(v, list) and all(_integer(x, 0, 2**64) for x in v),
+    "T": (lambda v: _is_real(v) and v >= 0.0, "a finite number >= 0"),
+    "dt": (lambda v: _is_real(v) and v > 0.0, "a finite number > 0"),
+    "perturbation": (lambda v: _is_real(v) and v >= 0.0, "a finite number >= 0"),
+    "tol": (lambda v: _is_real(v) and v > 0.0, "a finite number > 0"),
+    "alpha": (lambda v: _is_real(v) and v > 2.0, "a finite number > 2"),
+    "K": (_is_real, "a finite number"),
+    "seeds": (lambda v: isinstance(v, list) and all(_is_integer(x, 0, 2**64) for x in v),
               "a list of integers in [0, 2**64)"),
     "init_seed": _SEED, "perturbation_seed": _SEED,
     "sampled": _FLAG, "render_pgm": _FLAG,
     "init_mode": (lambda v: v in ("quantile", "iid"), "'quantile' or 'iid'"),
     "inputs": (lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v),
                "a list of file paths"),
+    "output_dir": (lambda v: isinstance(v, str), "a directory path"),
 }
 
 
@@ -135,8 +130,8 @@ class ExperimentConfig:
     coupling: dict = field(default_factory=lambda: {"kind": "sine"})
     rho0: dict = field(default_factory=lambda: {"kind": "uniform"})
     omega: dict = field(default_factory=lambda: {"kind": "zero"})
-    n: object = None          # int, or list of ints where the experiment sweeps n
-    m: object = None          # int, or list of ints where the experiment sweeps m
+    n: int | list | None = None  # a list where the experiment sweeps n
+    m: int | list | None = None  # a list where the experiment sweeps m
     ref_n: int | None = None
     ref_m: int | None = None
     T: float = 1.0
@@ -236,6 +231,7 @@ class ExperimentConfig:
             if (phase_cells := inputs["n"] * self.g) > MAX_PARTICLES:
                 raise ValueError(f"capacity exceeded: n*g = {inputs['n']}*{self.g} = "
                                  f"{phase_cells} phase cells (at most {MAX_PARTICLES})")
+            mf.check_cfl(self.dt, self.g)
             # the runner starts from this field, so a rho0 without a density
             # is rejected here
             try:
@@ -504,55 +500,43 @@ def render(matrix_file, out_path) -> None:
 
 # -- command line ------------------------------------------------------------
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config (or manifest) file")
-    parser.add_argument("--graphon", help="graphon spec as inline JSON")
-    parser.add_argument("--graphon-b", dest="graphon_b",
-                        help="second graphon spec (stability_kernel)")
-    parser.add_argument("--coupling", help="coupling spec as inline JSON")
-    parser.add_argument("--rho0", help="initial density spec as inline JSON")
-    parser.add_argument("--omega", help="frequency spec as inline JSON")
-    parser.add_argument("--n", help="node/cell count or comma list")
-    parser.add_argument("--m", help="particles per cell or comma list")
-    for flag, kind in (("T", float), ("dt", float), ("K", float), ("alpha", float),
-                       ("tol", float), ("max-iter", int), ("record-every", int)):
-        parser.add_argument("--" + flag, dest=flag.replace("-", "_"), type=kind)
-    parser.add_argument("--g", type=int, help="phase grid size (finite volumes)")
-    parser.add_argument("--seeds", help="comma-separated seed list")
-    parser.add_argument("--sampled", action="store_true", default=None)
-    parser.add_argument("--perturbation", type=float)
-    parser.add_argument("--render-pgm", dest="render_pgm", action="store_true",
-                        default=None)
-    parser.add_argument("--output-dir", dest="output_dir")
+_FLAG_FIELDS = [f for f in dataclasses.fields(ExperimentConfig)
+                if f.name not in ("experiment", "inputs")]
+_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
 
 
-_LIST_KEYS = ("n", "m", "seeds")
+def _flag_value(f: dataclasses.Field, text):
+    """A flag's text as the value of its key: inline JSON for a spec, a comma
+    list of integers for a list key (one count stays an int where the key takes
+    one), else by the key's annotation; a store_true flag passes True."""
+    flag, kinds = "--" + f.name.replace("_", "-"), f.type.split(" | ")
+    if f.name in _SPEC_KEYS:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{flag} is not JSON: {exc} (got {text!r})") from None
+    if "list" in kinds:
+        try:
+            nums = [int(p) for p in text.split(",") if p]
+        except ValueError:
+            nums = []
+        if not nums:
+            raise ValueError(f"{flag} takes an integer or a comma list of "
+                             f"integers (got {text!r})")
+        return nums[0] if "int" in kinds and len(nums) == 1 else nums
+    parse, what = _NUMBERS.get(kinds[0], (lambda v: v, None))
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{flag} takes {what} (got {text!r})") from None
 
 
-def _cli_overrides(args: argparse.Namespace) -> dict:
-    raw = {}
-    for key, value in vars(args).items():
-        if key in ("command", "config", "inputs", "matrix", "out") or value is None:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if key in _SPEC_KEYS:
-            try:
-                raw[key] = json.loads(value)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{flag} is not JSON: {exc} (got {value!r})") from None
-        elif key in _LIST_KEYS:
-            try:
-                nums = [int(p) for p in str(value).split(",") if p]
-            except ValueError:
-                nums = []
-            if not nums:
-                raise ValueError(f"{flag} takes an integer or a comma list of "
-                                 f"integers (got {value!r})")
-            raw[key] = nums if key == "seeds" or len(nums) > 1 else nums[0]
-        else:
-            raw[key] = value
-    return raw
+def _flag_help(f: dataclasses.Field) -> str:
+    if f.name in _SPEC_KEYS:
+        return f"the {f.name} spec as inline JSON"
+    if f.type == "bool":
+        return "set it to true"
+    return _CHECKS[f.name][1] + (", comma-separated" if "list" in f.type else "")
 
 
 def main(argv=None) -> int:
@@ -561,7 +545,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common(p)
+        p.add_argument("--config", help="JSON config (or manifest) file")
+        for f in _FLAG_FIELDS:
+            p.add_argument("--" + f.name.replace("_", "-"), default=None,
+                           action="store_true" if f.type == "bool" else "store",
+                           help=_flag_help(f))
         if name == "distance":
             p.add_argument("inputs", nargs="*", help="two family CSV files")
     p_render = sub.add_parser("render", help="CSV weight matrix -> PGM image")
@@ -574,7 +562,8 @@ def main(argv=None) -> int:
             render(args.matrix, args.out)
             return 0
         raw = _read_config(args.config) if args.config else {}
-        raw.update(_cli_overrides(args))
+        raw.update({f.name: _flag_value(f, getattr(args, f.name)) for f in _FLAG_FIELDS
+                    if getattr(args, f.name) is not None})
         raw.setdefault("experiment", args.command)
         if raw["experiment"] != args.command:
             raise ValueError(

@@ -39,12 +39,11 @@ grid in :func:`_march`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import WeightedGraph, _is_real, _spec_kind
+from .graphon import WeightedGraph, _check_seed, _is_real, _spec_kind
 from .measures import TWO_PI, check_shared_grid, wrap_angle
 
 # Longest time grid (steps) a run may ask for; the grid is allocated up front.
@@ -89,14 +88,24 @@ class CouplingFunction:
     def custom(cls, fn) -> "CouplingFunction":
         """Wrap a vectorized coupling function.
 
-        Periodicity, |fn| <= 1, and the Lipschitz bound are the caller's
-        obligation; only the amplitude bound is spot-checked on a grid.
+        One call of ``fn`` at 1024 equispaced points checks |fn| <= 1 and, by
+        the secant slopes (the pair across 2*pi included, so a D that is not
+        periodic fails too), Lip(fn) <= 1; between the points both stay the
+        caller's obligation.
         """
         if not callable(fn):
             raise ValueError("custom coupling must be callable")
-        probe = np.asarray(fn(np.linspace(0.0, TWO_PI, 1024, endpoint=False)))
+        u = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+        probe = np.asarray(fn(u))
+        if probe.shape != u.shape:
+            raise ValueError(f"coupling function must return one value per phase "
+                             f"(got shape {probe.shape} for {u.size} phases)")
         if not np.max(np.abs(probe)) <= 1.0 + 1e-9:
             raise ValueError("coupling function must satisfy |D| <= 1")
+        slope = np.max(np.abs(np.diff(probe, append=probe[:1]))) / u[1]
+        if not slope <= 1.0 + 1e-9:
+            raise ValueError(f"coupling function must satisfy Lip(D) <= 1: its secant "
+                             f"slopes on {u.size} points reach {slope:.6g}")
         return cls("custom", fn=fn)
 
     @property
@@ -382,10 +391,6 @@ def omega_from_spec(spec: dict, n: int) -> np.ndarray:
         return np.zeros(n)
     if kind == "constant":
         return np.full(n, number("value"))
-    seed = spec["seed"]
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or not 0 <= seed < 2**64):
-        raise ValueError(f"omega field 'seed' must be an integer in [0, 2**64) "
-                         f"(got {seed!r})")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    _check_seed(spec["seed"], "omega field 'seed'")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(spec["seed"])))
     return rng.normal(number("mean"), number("sd", 0.0), n)

@@ -21,8 +21,9 @@ deterministic graph on n nodes, which graphs and mean field multiply by through
 one product.  ``WeightedGraph._from_diagonals`` alone decides how the Toeplitz
 averages of constant and band kernels are stored.
 
-Custom kernels carry documented obligations that are not checked pointwise:
-symmetry, |W| <= 1, and L^1-continuity of x -> W(x, .).
+A custom kernel's symmetry and |W| <= 1 are checked on the first, n x n grid
+of its cell-average quadrature; L^1-continuity of x -> W(x, .) stays the
+caller's obligation.
 """
 
 from __future__ import annotations
@@ -47,9 +48,21 @@ _QUADRATURE_POINTS = 4096
 
 
 def _is_real(value) -> bool:
-    """Whether a spec value is a finite real number: not a bool, None or string."""
+    """Whether a value is a finite real number: not a bool, None or string."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+
+
+def _is_integer(value, low: int, high: float = math.inf) -> bool:
+    """Whether a value is an integer, not a bool, in [low, high)."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value < high)
+
+
+def _check_seed(seed, name: str = "seed") -> None:
+    """Reject a seed that is not an integer in [0, 2**64), naming it ``name``."""
+    if not _is_integer(seed, 0, 2**64):
+        raise ValueError(f"{name} must be an integer in [0, 2**64) (got {seed!r})")
 
 
 def _spec_kind(spec: dict, what: str, fields: dict, default=None) -> str:
@@ -210,8 +223,9 @@ class Graphon:
     def custom(cls, fn) -> "Graphon":
         """Wrap a vectorized kernel ``fn(x, y)``.
 
-        The caller guarantees symmetry, |fn| <= 1, and enough smoothness for
-        the quadrature fallback; these obligations are not verified pointwise.
+        :meth:`cell_average` checks symmetry and |fn| <= 1 on its first
+        quadrature grid; enough smoothness for the quadrature is the caller's
+        obligation.
         """
         if not callable(fn):
             raise ValueError("custom kernel must be callable")
@@ -284,27 +298,6 @@ class Graphon:
     def from_dict(cls, spec: dict) -> "Graphon":
         kind = _spec_kind(spec, "graphon", cls._FIELDS)
         return getattr(cls, kind)(*(spec[name] for name in cls._FIELDS[kind]))
-
-
-def midpoint_step(W: Graphon, n: int) -> StepGraphon:
-    """Alternative discretization: sample W at the grid points (i/n, j/n).
-
-    This is interchangeable with :meth:`Graphon.cell_average` whenever both
-    converge to W in L^2; cell averaging remains the default everywhere else
-    in the package.
-    """
-    x = np.arange(1, n + 1) / n
-    values = W.eval(x[:, None], x[None, :])
-    values = 0.5 * (values + values.T)
-    return StepGraphon(values)
-
-
-def step_norm_2n(a: StepGraphon, b: StepGraphon) -> float:
-    """Scaled Frobenius distance sqrt(n^-2 sum (a_ij - b_ij)^2)."""
-    if a.n != b.n:
-        raise ValueError(f"resolution mismatch: {a.n} != {b.n}")
-    diff = a.values - b.values
-    return float(np.sqrt(np.mean(diff**2)))
 
 
 def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 256) -> float:
@@ -402,8 +395,23 @@ def _step_cell_average(values: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (averaged + averaged.T)
 
 
+def _check_custom_values(vals: np.ndarray) -> None:
+    """Reject a custom kernel whose values on the n x n midpoint grid break
+    |W| <= 1 or symmetry by more than the bound slack, naming the excess."""
+    grid = "on the {0} x {0} midpoint grid".format(vals.shape[0])
+    peak = float(np.max(np.abs(vals)))
+    if not peak <= 1.0 + _BOUND_SLACK:
+        raise ValueError(f"custom kernel must satisfy |W| <= 1: |W| reaches {peak:.6g} {grid}")
+    # vals - vals.T is antisymmetric, so its max is its largest absolute entry
+    gap = float(np.max(vals - vals.T))
+    if not gap <= _BOUND_SLACK:
+        raise ValueError(f"custom kernel must be symmetric: |W(x, y) - W(y, x)| "
+                         f"reaches {gap:.6g} {grid}")
+
+
 def _custom_cell_average(fn, n: int) -> np.ndarray:
-    """Composite midpoint quadrature with Richardson extrapolation per cell."""
+    """Composite midpoint quadrature with Richardson extrapolation per cell;
+    the first, n x n grid is checked by :func:`_check_custom_values`."""
     prev_est = None
     prev_rich = None
     achieved = math.inf
@@ -412,6 +420,8 @@ def _custom_cell_average(fn, n: int) -> np.ndarray:
         g = n * s
         mid = (np.arange(g) + 0.5) / g
         vals = np.asarray(fn(mid[:, None], mid[None, :]), dtype=float)
+        if s == 1:
+            _check_custom_values(vals)
         est = vals.reshape(n, s, n, s).mean(axis=(1, 3))
         if prev_est is not None:
             rich = (4.0 * est - prev_est) / 3.0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphon import _TILE, Graphon, StepGraphon, WeightedGraph
+from .graphon import _TILE, Graphon, StepGraphon, WeightedGraph, _check_seed
 
 
 def deterministic_graph(W: Graphon, n: int) -> StepGraphon:
@@ -38,8 +38,7 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
     Requires all cell averages in [0, 1]; kernels with negative averages are
     rejected since they cannot serve as edge probabilities.
     """
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    _check_seed(seed)
     probs = _edge_probabilities(W, n)
     weights = np.zeros((n, n))
     for i in range(n):

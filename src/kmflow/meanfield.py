@@ -376,6 +376,14 @@ def _grid_velocity(w: StepGraphon, rho: np.ndarray, spectrum: np.ndarray) -> np.
     return v
 
 
+def check_cfl(dt: float, g: int) -> None:
+    """Reject a finite-volume step dt > 0.9 * du on g phase cells of width
+    du = 2*pi/g; dt <= 0.9 * du guarantees the CFL condition since |V| <= 1."""
+    du = TWO_PI / g
+    if dt > 0.9 * du:
+        raise ValueError(f"CFL violation: dt = {dt:.6g} exceeds 0.9 * du = {0.9 * du:.6g}")
+
+
 def solve_fv(spec: VelocityFieldSpec, rho0: DensityField, T: float, dt: float,
              record_every: int = 1) -> DensityTrajectory:
     """First-order conservative upwind finite volumes on the periodic grid.
@@ -383,17 +391,13 @@ def solve_fv(spec: VelocityFieldSpec, rho0: DensityField, T: float, dt: float,
     Face velocities are rebuilt each step from the current density by
     midpoint quadrature in the phase variable (exact in x, the kernel being
     cell-constant): one FFT correlation with D tabulated once at the g
-    offsets (j + 1/2) * du, O(n^2 g + n g log g) per step.  The explicit
-    step requires dt <= 0.9 * du, which guarantees the CFL condition since
-    |V| <= 1; violations are rejected before stepping.
+    offsets (j + 1/2) * du, O(n^2 g + n g log g) per step.  The step is
+    checked by :func:`check_cfl` before stepping.
     """
     if rho0.n != spec.n:
         raise ValueError(f"density has {rho0.n} x-cells, kernel expects {spec.n}")
+    check_cfl(dt, rho0.g)
     du = rho0.du
-    if dt > 0.9 * du:
-        raise ValueError(
-            f"CFL violation: dt = {dt:.6g} exceeds 0.9 * du = {0.9 * du:.6g}"
-        )
     w, spectrum = spec.step_graphon, _coupling_spectrum(spec.coupling, rho0.g, 0.5)
 
     def upwind(rho, _, h):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import _is_real, _spec_kind
+from .graphon import _check_seed, _is_real, _spec_kind
 
 TWO_PI = 2.0 * math.pi
 
@@ -529,7 +529,7 @@ def initial_family(rho0: DensitySpec, n: int, m: int, mode: str = "quantile",
     ``quantile`` places atoms at the conditional quantiles (k - 1/2)/m of
     rho0(., x_i) -- deterministic, the default for mean-field runs.  ``iid``
     draws m independent samples per cell (Philox stream keyed by
-    (seed, cell)).
+    (seed, cell)); its seed must be an integer in [0, 2**64).
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 cells and m >= 1 atoms per cell")
@@ -537,8 +537,7 @@ def initial_family(rho0: DensitySpec, n: int, m: int, mode: str = "quantile",
         q = (np.arange(m) + 0.5) / m
         positions = _cell_rows(rho0, n, lambda spec: spec.quantile(q))
     elif mode == "iid":
-        if seed is None:
-            raise ValueError("iid mode requires a seed")
+        _check_seed(seed, "iid seed")
         positions = np.empty((n, m))
         for i in range(n):
             rng = np.random.Generator(

@@ -6,11 +6,13 @@ program over transport plans, atomic velocity fields from the explicit double
 sum over source cells and their atoms, finite-volume velocities from the
 explicit double sum over a g x g coupling table (also for the weak-form
 residual, test function by test function), and the two-oscillator
-dynamics from its closed-form solution.  ``exact_equal_mass_w1`` evaluates
-the circular W1 of equal-mass atoms in rational arithmetic, and
-``common_cells`` refines two families to their least common cell count, the
-reference for dbar over unequal counts.  ``peak_traced`` measures the peak
-memory a call allocates.
+dynamics from its closed-form solution.  ``midpoint_step`` samples a kernel
+at the grid points, the alternative to cell averaging, and ``step_norm_2n``
+is the scaled Frobenius distance of two step kernels.
+``exact_equal_mass_w1`` evaluates the circular W1 of equal-mass atoms in
+rational arithmetic, and ``common_cells`` refines two families to their least
+common cell count, the reference for dbar over unequal counts.
+``peak_traced`` measures the peak memory a call allocates.
 """
 
 import math
@@ -20,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
+from kmflow.graphon import StepGraphon
 from kmflow.measures import CircleMeasure, MeasureFamily, circle_distance
 
 TWO_PI = 2.0 * np.pi
@@ -31,6 +34,26 @@ def midpoint_cell_average(kernel_eval, n, i, j, points=512):
     xs = i / n + offsets
     ys = j / n + offsets
     return float(np.mean(kernel_eval(xs[:, None], ys[None, :])))
+
+
+def midpoint_step(W, n: int) -> StepGraphon:
+    """Alternative discretization: sample W at the grid points (i/n, j/n).
+
+    This is interchangeable with cell averaging whenever both converge to W
+    in L^2.
+    """
+    x = np.arange(1, n + 1) / n
+    values = W.eval(x[:, None], x[None, :])
+    values = 0.5 * (values + values.T)
+    return StepGraphon(values)
+
+
+def step_norm_2n(a: StepGraphon, b: StepGraphon) -> float:
+    """Scaled Frobenius distance sqrt(n^-2 sum (a_ij - b_ij)^2)."""
+    if a.n != b.n:
+        raise ValueError(f"resolution mismatch: {a.n} != {b.n}")
+    diff = a.values - b.values
+    return float(np.sqrt(np.mean(diff**2)))
 
 
 def lp_transport_distance(mu: CircleMeasure, eta: CircleMeasure) -> float:

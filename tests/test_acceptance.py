@@ -15,7 +15,7 @@ from kmflow.dynamics import (
     integrate,
     sup_norm_1n,
 )
-from kmflow.graphon import Graphon, StepGraphon, kernel_distance, step_norm_2n
+from kmflow.graphon import Graphon, StepGraphon, kernel_distance
 from kmflow.graphs import WeightedGraph, deterministic_graph, sample_w_random
 from kmflow.meanfield import (
     StabilityConfig,
@@ -41,6 +41,7 @@ from oracles import (
     common_cells,
     lp_transport_distance,
     random_circle_measure,
+    step_norm_2n,
     two_oscillator_gap,
     weight_perturbation_constant,
 )

@@ -1,5 +1,6 @@
 """Experiment runner: configs, manifests, reproducibility, file formats."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -424,7 +425,8 @@ _SIMULATE = ["simulate", *_ER, "--n", "2", *_SHORT]
                                 '"theta2": 1, "w": 0.5}'], None,
                  "cluster position theta1 must be a finite real number (got nan)",
                  id="rho0-nan-theta1"),
-    pytest.param(["meanfield_fv", *_ER, "--n", "2", *_SHORT, "--rho0",
+    # g = 8 keeps dt = 0.05 within the CFL bound, which is checked first
+    pytest.param(["meanfield_fv", *_ER, "--n", "2", "--g", "8", *_SHORT, "--rho0",
                   '{"kind": "two_cluster", "theta1": 0.5, "theta2": 2.5, "w": 0.3}'], None,
                  "two-cluster distribution has no density in the 'rho0' spec",
                  id="meanfield-fv-two-cluster"),
@@ -437,6 +439,10 @@ _SIMULATE = ["simulate", *_ER, "--n", "2", *_SHORT]
     pytest.param(_SIMULATE + ["--omega", '{"kind": "zero", "sd": 1}'], None,
                  "omega kind 'zero' takes no field 'sd' in the 'omega' spec",
                  id="omega-extra-field"),
+    # 0.9 * du = 0.9 * 2*pi/1024; found before the (4, 1024) start field is built
+    pytest.param(["meanfield_fv", *_ER, "--n", "4", "--g", "1024", "--dt", "0.01"], None,
+                 "CFL violation: dt = 0.01 exceeds 0.9 * du = 0.00552233",
+                 id="meanfield-fv-cfl"),
 ])
 def test_rejected_rerun_keeps_earlier_outputs(tmp_path, capsys, argv, config, message):
     out = tmp_path / "d"
@@ -600,6 +606,103 @@ def test_list_flags_without_numbers_rejected(tmp_path, capsys, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+VON_MISES = {"kind": "von_mises", "kappa": 2.0, "mu0": 1.0}
+# Per config key: an experiment that reads it, a flag text (None for a flag
+# that takes none) and the config value that text stands for, not the default.
+_FLAG_CASES = {
+    "graphon": ("picard", json.dumps(SMALL_WORLD), SMALL_WORLD),
+    "graphon_b": ("stability_kernel", json.dumps(SMALL_WORLD), SMALL_WORLD),
+    "coupling": ("picard", '{"kind": "sine_shift", "alpha": 0.3}',
+                 {"kind": "sine_shift", "alpha": 0.3}),
+    "rho0": ("picard", json.dumps(VON_MISES), VON_MISES),
+    "omega": ("simulate", '{"kind": "constant", "value": 0.5}',
+              {"kind": "constant", "value": 0.5}),
+    "n": ("convergence_main", "2,4", [2, 4]),
+    "m": ("meanfield_particles", "8", 8),
+    "ref_n": ("convergence_main", "8", 8),
+    "ref_m": ("convergence_main", "32", 32),
+    "T": ("picard", "0.2", 0.2),
+    "dt": ("picard", "0.025", 0.025),
+    "K": ("simulate", "2.5", 2.5),
+    "g": ("meanfield_fv", "16", 16),
+    "alpha": ("picard", "2.5", 2.5),
+    "tol": ("picard", "1e-3", 0.001),
+    "max_iter": ("picard", "3", 3),
+    "record_every": ("simulate", "2", 2),
+    "seeds": ("simulate", "3", [3]),
+    "sampled": ("simulate", None, True),
+    "init_mode": ("picard", "iid", "iid"),
+    "init_seed": ("picard", "3", 3),
+    "perturbation": ("stability_initial", "0.05", 0.05),
+    "perturbation_seed": ("stability_initial", "4", 4),
+    "kernel_resolution": ("stability_kernel", "64", 64),
+    "render_pgm": ("sample_graph", None, True),
+    "output_dir": ("picard", "named", "named"),
+}
+# the settings every case starts from, each where its experiment reads it
+_FLAG_BASE = {"graphon": ER_HALF, "graphon_b": ER_HALF, "n": 2, "m": 4, "T": 0.1,
+              "dt": 0.05, "init_seed": 1}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
+                                 if f.name not in ("experiment", "inputs")])
+def test_every_config_key_is_a_flag(tmp_path, monkeypatch, key):
+    experiment, text, value = _FLAG_CASES[key]
+    if key == "output_dir":  # its case names a directory under tmp_path
+        text = value = str(tmp_path / text)
+    assert value != getattr(ExperimentConfig(experiment), key)
+    entry = cli.EXPERIMENTS[experiment]
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment,
+                        entry._replace(run=lambda cfg, **inputs: None))
+    base = {k: v for k, v in _FLAG_BASE.items() if k in entry.reads}
+    manifests = []
+    for form, flags, config in [
+        ("flag", ["--" + key.replace("_", "-"), *([] if text is None else [text])], base),
+        ("config", [], {**base, key: value}),
+    ]:
+        out = Path(value) if key == "output_dir" else tmp_path / form
+        if key != "output_dir":
+            flags = [*flags, "--output-dir", str(out)]
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main([experiment, "--config", str(tmp_path / "config.json"), *flags]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+        assert manifests[-1].pop("output_dir") == str(out)
+    assert manifests[0] == manifests[1]
+    if key != "output_dir":
+        assert manifests[0][key] == value
+
+
+@pytest.mark.parametrize("flag, text, what", [
+    ("--T", "x", "a number"), ("--dt", "", "a number"), ("--K", "1,5", "a number"),
+    ("--g", "2.5", "an integer"), ("--max-iter", "ten", "an integer"),
+    ("--init-seed", "1e3", "an integer"), ("--kernel-resolution", "0x10", "an integer"),
+])
+def test_bad_flag_text_is_an_error_naming_the_flag(tmp_path, capsys, flag, text, what):
+    code = main(["picard", "--graphon", json.dumps(ER_HALF), "--n", "2", "--m", "4",
+                 flag, text, "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {flag} takes {what} (got {text!r})\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_config_key_is_checked_or_built():
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment"}
+    assert keys - cli._CHECKS.keys() - cli._SPEC_KEYS.keys() == set()
+
+
+def test_help_says_what_each_flag_takes(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["stability_kernel", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name in ("experiment", "inputs"):
+            continue
+        assert f" --{f.name.replace('_', '-')} " in text
+        if f.name in cli._CHECKS and f.type != "bool":
+            assert cli._CHECKS[f.name][1] in text, f.name
+
+
 def test_distance_reads_each_file_once(tmp_path, monkeypatch):
     reads = []
     read = cli._read_family_csv
@@ -688,7 +791,7 @@ def test_bad_numbers_rejected_with_key(tmp_path, capsys, experiment, flags, mess
 @pytest.mark.parametrize("key, value", [
     ("n", 2.5), ("n", [4, 0]), ("m", True), ("ref_n", 0), ("ref_m", -4),
     ("record_every", 0), ("kernel_resolution", 0), ("K", float("inf")),
-    ("seeds", [-1]), ("init_seed", 2**64), ("perturbation_seed", "0"),
+    ("seeds", [-1]), ("init_seed", 2**64), ("perturbation_seed", "0"), ("output_dir", 5),
 ])
 def test_bad_numeric_keys_named(key, value):
     raw = {"experiment": "convergence_main", "graphon": ER_HALF, "n": [2], "m": [4]}

@@ -98,6 +98,32 @@ def test_custom_coupling_probe_rejects_amplitude_and_nan(value):
     with pytest.raises(ValueError, match=r"\|D\| <= 1"):
         CouplingFunction.custom(lambda u: np.full_like(u, value))
 
+# secant slopes of sin 6u on the 1024-point probe reach 5.9995; u / 2pi has
+# slope 1/2pi but drops from ~1 to 0 across the wrap-around pair
+@pytest.mark.parametrize("fn, slope", [
+    pytest.param(lambda u: np.sin(6.0 * u), "5.99955", id="sin-6u"),
+    pytest.param(lambda u: u / TWO_PI, "162.816", id="not-periodic"),
+])
+def test_custom_coupling_probe_rejects_lipschitz_above_one(fn, slope):
+    with pytest.raises(ValueError, match=rf"Lip\(D\) <= 1: .* reach {slope}$"):
+        CouplingFunction.custom(fn)
+
+
+def test_custom_coupling_probe_rejects_one_value_for_all_phases():
+    with pytest.raises(ValueError, match=r"one value per phase \(got shape \(\) for 1024 "):
+        CouplingFunction.custom(lambda u: 0.5)
+
+
+@pytest.mark.parametrize("fn", [
+    pytest.param(lambda u: 0.5 * np.sin(u) + 0.25 * np.sin(2.0 * u), id="two-sines"),
+    pytest.param(lambda u: 0.5 * np.sin(u) + 0.25 * np.cos(2.0 * u), id="sine-cosine"),
+    pytest.param(lambda u: 0.8 * np.sin(u), id="0.8-sine"),
+    pytest.param(np.sin, id="sine"),
+])
+def test_custom_coupling_probe_accepts_one_lipschitz_periodic_d(fn):
+    assert CouplingFunction.custom(fn).fn is fn
+
+
 @pytest.mark.parametrize("n", [5, 600])
 def test_custom_coupling_on_toeplitz_graph_matches_dense(n):
     coup = CouplingFunction.custom(lambda u: 0.5 * np.sin(u) + 0.25 * np.cos(2.0 * u))

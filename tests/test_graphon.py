@@ -13,11 +13,9 @@ from kmflow.graphon import (
     StepGraphon,
     _band_offset_fractions,
     kernel_distance,
-    midpoint_step,
-    step_norm_2n,
 )
 from kmflow.graphs import WeightedGraph
-from oracles import midpoint_cell_average, peak_traced
+from oracles import midpoint_cell_average, midpoint_step, peak_traced, step_norm_2n
 
 TWO_PI = 2.0 * np.pi
 
@@ -133,6 +131,30 @@ def test_cell_average_custom_matches_oracle():
     for i, j in ((0, 0), (1, 3), (2, 2)):
         oracle = midpoint_cell_average(fn, 4, i, j, points=1024)
         assert avg.values[i, j] == pytest.approx(oracle, abs=1e-6)
+
+
+@pytest.mark.parametrize("fn, message", [
+    # averages to 0.5 +- 3e-16 at n = 8 if symmetrized unchecked
+    pytest.param(lambda x, y: 0.5 + 0.4 * np.sin(TWO_PI * (x - y)),
+                 r"must be symmetric: \|W\(x, y\) - W\(y, x\)\| reaches 0\.8 on the 8 x 8 ",
+                 id="asymmetric"),
+    pytest.param(lambda x, y: 0.6 + 0.5 * np.cos(TWO_PI * (x - y)),
+                 r"must satisfy \|W\| <= 1: \|W\| reaches 1\.1 on the 8 x 8 ", id="above-one"),
+    pytest.param(lambda x, y: np.where(x == y, np.nan, 0.5), r"\|W\| reaches nan", id="nan"),
+])
+def test_custom_cell_average_checks_symmetry_and_bound(fn, message):
+    with pytest.raises(ValueError, match=message):
+        Graphon.custom(fn).cell_average(8)
+
+
+@pytest.mark.parametrize("fn", [
+    pytest.param(lambda x, y: 0.5 * np.cos(TWO_PI * (x - y)), id="cosine"),
+    pytest.param(lambda x, y: np.sin(TWO_PI * x) * np.sin(TWO_PI * y), id="product"),
+    pytest.param(lambda x, y: np.minimum(x, y), id="min"),
+])
+def test_custom_cell_average_accepts_symmetric_bounded_kernels(fn):
+    avg = Graphon.custom(fn).cell_average(8).values
+    assert np.array_equal(avg, avg.T) and np.max(np.abs(avg)) <= 1.0
 
 
 def test_cell_average_custom_nonconvergence_reports_tolerance():

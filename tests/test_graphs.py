@@ -49,6 +49,13 @@ def test_sample_rejects_signed_kernels():
         sample_w_random(Graphon.constant(-0.5), 4, seed=0)
 
 
+@pytest.mark.parametrize("seed", [1.7, True, -1, 2**64])
+def test_sample_rejects_a_seed_that_is_not_a_uint64(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, 2\*\*64\) "
+                                         rf"\(got {seed!r}\)$"):
+        sample_w_random(Graphon.constant(0.5), 16, seed)
+
+
 def test_sample_same_seed_bit_identical():
     W = Graphon.small_world(0.2, 0.3)
     a = sample_w_random(W, 40, seed=123)

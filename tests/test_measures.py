@@ -359,6 +359,13 @@ def test_iid_reproducible_and_needs_seed():
         initial_family(Uniform(), 2, 5, mode="iid")
 
 
+@pytest.mark.parametrize("seed", [1.7, True, -1, 2**64])
+def test_iid_rejects_a_seed_that_is_not_a_uint64(seed):
+    with pytest.raises(ValueError, match=rf"^iid seed must be an integer in \[0, 2\*\*64\) "
+                                         rf"\(got {seed!r}\)$"):
+        initial_family(Uniform(), 2, 5, mode="iid", seed=seed)
+
+
 def test_density_spec_json():
     uniform = density_from_dict({"kind": "uniform"})
     assert type(uniform) is Uniform
