@@ -6,7 +6,7 @@ the outputs byte for byte.  Numeric CSV output uses 17 significant digits.
 
 ``ExperimentConfig.validate`` is the one place a run's settings are checked
 and its inputs built; ``EXPERIMENTS`` gives each experiment its runner, the
-keys it reads and the counts it sweeps.  :func:`run` calls it once and hands
+keys it reads and the lists it sweeps.  :func:`run` calls it once and hands
 the built inputs to the runner, so every config error is raised before the
 output directory is touched.
 
@@ -195,6 +195,16 @@ class ExperimentConfig:
                 f"{getattr(defaults, key)!r})" for key in unread))
         if self.init_mode == "iid" and self.init_seed is None:
             raise ValueError("init_mode 'iid' needs an 'init_seed'")
+        if self.init_mode != "iid" and self.init_seed is not None:
+            raise ValueError(f"'init_seed' needs init_mode 'iid' (got init_seed "
+                             f"{self.init_seed!r} with init_mode {self.init_mode!r})")
+        if "seeds" not in entry.sweeps and len(self.seeds) > 1:
+            raise ValueError(f"{self.experiment} takes a single 'seeds' entry "
+                             f"(got {self.seeds!r})")
+        if self.seeds and self.perturbation_seed != defaults.perturbation_seed:
+            raise ValueError(f"'perturbation_seed' is not used with 'seeds' (got "
+                             f"perturbation_seed {self.perturbation_seed!r} with seeds "
+                             f"{self.seeds!r})")
         inputs, counts = {}, {}
         for key in [key for key in (*_SPEC_KEYS, "n", "m") if key in read]:
             value = getattr(self, key)
@@ -346,7 +356,7 @@ def _run_meanfield_fv(cfg: ExperimentConfig, graphon, coupling, rho0, n) -> None
     # only the final field is written, so record t = 0 and T alone
     traj = mf.solve_fv(_spec(graphon, coupling, n), rho0, cfg.T, cfg.dt,
                        record_every=sys.maxsize)
-    rows = [[i, k, float(v)] for (i, k), v in np.ndenumerate(traj.final_field.values)]
+    rows = ([i, k, float(v)] for (i, k), v in np.ndenumerate(traj.final_field.values))
     kio.write_csv(_out(cfg, "results.csv"), ["cell", "u_index", "value"], rows)
 
 
@@ -444,7 +454,7 @@ def _run_distance(cfg: ExperimentConfig, families) -> None:
 class _Experiment(NamedTuple):
     run: Callable
     reads: tuple         # the keys it reads, besides experiment and output_dir
-    sweeps: tuple = ()   # the counts ("n", "m") it takes as lists
+    sweeps: tuple = ()   # the lists ("n", "m", "seeds") it runs once per entry
 
 
 # Any key an experiment does not read, set to a value other than its default,
@@ -465,9 +475,9 @@ EXPERIMENTS = {
     "picard": _Experiment(_run_picard, _ATOMS + ("alpha", "tol", "max_iter")),
     "convergence_main": _Experiment(_run_convergence_main, _FIELD + (
         "m", "ref_n", "ref_m", "record_every"), sweeps=("n", "m")),
-    "convergence_ave": _Experiment(_run_convergence_ave, _GRAPH, sweeps=("n",)),
+    "convergence_ave": _Experiment(_run_convergence_ave, _GRAPH, sweeps=("n", "seeds")),
     "stability_initial": _Experiment(_run_stability, _ATOMS + (
-        "record_every", "seeds", "perturbation", "perturbation_seed")),
+        "record_every", "seeds", "perturbation", "perturbation_seed"), sweeps=("seeds",)),
     "stability_kernel": _Experiment(_run_stability, _ATOMS + (
         "record_every", "graphon_b", "kernel_resolution")),
     "distance": _Experiment(_run_distance, ("inputs",)),

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import WeightedGraph, _check_seed, _is_real, _spec_kind
+from .graphon import WeightedGraph, _check_count, _check_seed, _is_real, _spec_kind
 from .measures import TWO_PI, check_shared_grid, wrap_angle
 
 # Longest time grid (steps) a run may ask for; the grid is allocated up front.
@@ -286,8 +286,7 @@ def _march(step, state, times, record_every: int):
     and the last, where ``step(state, k, h)`` takes ``state`` from ``times[k]``
     to ``times[k] + h``.  A non-finite state aborts with its step index.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    _check_count(record_every, "record_every")
     last = len(times) - 1
 
     def frames(state):

@@ -11,15 +11,18 @@ A graphon here is a bounded symmetric measurable function W on [0,1]^2 with
   I_i = [(i-1)/n, i/n),
 * ``custom(fn)``             -- arbitrary user kernel.
 
-Cell averaging projects a kernel onto the step functions at resolution n.  For
-the band kernels the per-cell band area is computed in closed form (the band
-intersected with a cell is polygonal); custom kernels fall back to a composite
-midpoint rule with Richardson extrapolation.
+Cell averaging projects a kernel onto the step functions at resolution n.  The
+first three kinds are one band profile ``(base, ((h, jump), ...))``, ``base``
+plus ``jump`` where the circular distance is at most h (``kind`` only names the
+JSON spec), averaged in closed form band by band (a band intersected with a
+cell is polygonal); custom kernels fall back to a composite midpoint rule with
+Richardson extrapolation.
 
 The cell average W_n is a :class:`StepGraphon`, a :class:`WeightedGraph`: the
 deterministic graph on n nodes, which graphs and mean field multiply by through
 one product.  ``WeightedGraph._from_diagonals`` alone decides how the Toeplitz
-averages of constant and band kernels are stored.
+averages of band profiles are stored; the FFT spectrum of a large one is taken
+by its first product, so sampling and kernel distances never compute it.
 
 A custom kernel's symmetry and |W| <= 1 are checked on the first, n x n grid
 of its cell-average quadrature; L^1-continuity of x -> W(x, .) stays the
@@ -28,6 +31,7 @@ caller's obligation.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -63,6 +67,12 @@ def _check_seed(seed, name: str = "seed") -> None:
     """Reject a seed that is not an integer in [0, 2**64), naming it ``name``."""
     if not _is_integer(seed, 0, 2**64):
         raise ValueError(f"{name} must be an integer in [0, 2**64) (got {seed!r})")
+
+
+def _check_count(value, name: str) -> None:
+    """Reject a count that is not an integer >= 1, naming it ``name``."""
+    if not _is_integer(value, 1):
+        raise ValueError(f"need an integer {name} >= 1 (got {value!r})")
 
 
 def _spec_kind(spec: dict, what: str, fields: dict, default=None) -> str:
@@ -139,22 +149,25 @@ class WeightedGraph:
         diagonals.setflags(write=False)
         graph = cls._trusted(_toeplitz(diagonals))
         graph._diagonals = diagonals
-        # circular convolution of this length has no wrap-around in the n
-        # outputs that are the Toeplitz product
-        graph._fft_size = 1 << (2 * n - 2).bit_length()
-        graph._spectrum = np.fft.rfft(diagonals, graph._fft_size)
         return graph
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
 
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        """The diagonals' FFT, taken on the first :meth:`_product`, at a length
+        whose circular convolution does not wrap into the n Toeplitz outputs."""
+        return np.fft.rfft(self._diagonals, 1 << (2 * self.n - 2).bit_length())
+
     def _product(self, x: np.ndarray) -> np.ndarray:
         """``x @ weights`` for rows x: W times each row, W being symmetric."""
         if self._diagonals is None:
             return x @ self.weights
-        size, n = self._fft_size, self.n
-        product = np.fft.irfft(np.fft.rfft(x, size) * self._spectrum, size)
+        spectrum, n = self._spectrum, self.n
+        size = 2 * (spectrum.shape[0] - 1)
+        product = np.fft.irfft(np.fft.rfft(x, size) * spectrum, size)
         return product[..., n - 1:2 * n - 1]
 
 
@@ -169,22 +182,13 @@ class StepGraphon(WeightedGraph):
     def values(self) -> np.ndarray:
         return self.weights
 
-    def eval(self, x, y):
-        """Evaluate the step function; x = 1 is folded into the last cell."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        i = np.minimum((x * self.n).astype(int), self.n - 1)
-        j = np.minimum((y * self.n).astype(int), self.n - 1)
-        return self.values[i, j]
-
 
 class Graphon:
     """A bounded symmetric kernel on [0,1]^2, constructed via the classmethods."""
 
-    def __init__(self, kind: str, *, p=None, h=None, step=None, fn=None):
+    def __init__(self, kind: str, *, bands=None, step=None, fn=None):
         self.kind = kind
-        self.p = p
-        self.h = h
+        self._bands = bands
         self.step_values = step
         self.fn = fn
 
@@ -195,7 +199,7 @@ class Graphon:
         if not (_is_real(p) and -1.0 <= p <= 1.0):
             raise ValueError(f"constant kernel value p must be a real number in [-1, 1] "
                              f"(got {p!r})")
-        return cls("constant", p=float(p))
+        return cls("constant", bands=(float(p), ()))
 
     @classmethod
     def small_world(cls, p: float, h: float) -> "Graphon":
@@ -205,14 +209,15 @@ class Graphon:
         if not (_is_real(h) and 0.0 < h < 0.5):
             raise ValueError(f"small-world band half-width h must be a real number in "
                              f"(0, 1/2) (got {h!r})")
-        return cls("small_world", p=float(p), h=float(h))
+        p, h = float(p), float(h)
+        return cls("small_world", bands=(p, ((h, 1.0 - 2.0 * p),)))
 
     @classmethod
     def nearest_neighbor(cls, h: float) -> "Graphon":
         if not (_is_real(h) and 0.0 < h < 0.5):
             raise ValueError(f"band half-width h must be a real number in (0, 1/2) "
                              f"(got {h!r})")
-        return cls("nearest_neighbor", h=float(h))
+        return cls("nearest_neighbor", bands=(0.0, ((float(h), 1.0),)))
 
     @classmethod
     def step(cls, values) -> "Graphon":
@@ -231,63 +236,42 @@ class Graphon:
             raise ValueError("custom kernel must be callable")
         return cls("custom", fn=fn)
 
-    # -- evaluation ----------------------------------------------------
-
-    def eval(self, x, y):
-        """Evaluate W(x, y) for x, y in [0, 1] (scalars or arrays)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.kind == "constant":
-            return np.full(np.broadcast_shapes(x.shape, y.shape), self.p)
-        if self.kind in ("small_world", "nearest_neighbor"):
-            dist = np.abs(x - y)
-            on_band = np.minimum(dist, 1.0 - dist) <= self.h
-            if self.kind == "small_world":
-                return np.where(on_band, 1.0 - self.p, self.p)
-            return np.where(on_band, 1.0, 0.0)
-        if self.kind == "step":
-            return self.step_values.eval(x, y)
-        return np.asarray(self.fn(x, y), dtype=float)
-
     # -- cell averaging ------------------------------------------------
 
     def cell_average(self, n: int) -> StepGraphon:
         """Project onto the step functions at resolution n.
 
         Entry (i, j) is n^2 times the integral of W over the cell
-        I_i x I_j.  Closed forms are used for the built-in kinds; custom
-        kernels use midpoint quadrature refined until the Richardson
+        I_i x I_j.  Closed forms are used for band profiles and step kernels;
+        custom kernels use midpoint quadrature refined until the Richardson
         extrapolants agree to 1e-9, on at most 4096 points per axis.
         """
         diagonals = self._diagonals(n)
         if diagonals is not None:
             return StepGraphon._from_diagonals(diagonals)
-        if self.kind == "step":
+        if self.step_values is not None:
             return StepGraphon(_step_cell_average(self.step_values.values, n))
         return StepGraphon(_custom_cell_average(self.fn, n))
 
     def _diagonals(self, n: int) -> np.ndarray | None:
         """The 2n-1 diagonals of the resolution-n cell average, once n is checked.
 
-        Constant and band kernels have Toeplitz cell averages: entry (i, j)
-        is ``diagonals[i - j + n - 1]``.  The vector lies in [-1, 1] (a
-        checked p, or band fractions clipped to [0, 1]) and is symmetrised, so
-        ``diagonals == diagonals[::-1]`` exactly.  Step and custom kernels
-        return None.
+        A band profile has a Toeplitz cell average: entry (i, j) is
+        ``diagonals[i - j + n - 1]``, ``base`` plus each band's ``jump`` times
+        the fraction of the cell it covers.  The constructors keep the vector
+        in [-1, 1], and it is symmetrised, so ``diagonals == diagonals[::-1]``
+        exactly.  Step and custom kernels return None.
         """
-        if n < 1:
-            raise ValueError("resolution n must be >= 1")
+        _check_count(n, "resolution n")
         if n > MAX_NODES:
             raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
-        if self.kind == "constant":
-            return np.full(2 * n - 1, self.p)
-        if self.kind not in ("small_world", "nearest_neighbor"):
+        if self._bands is None:
             return None
-        frac = _band_offset_fractions(n, self.h)
-        frac = 0.5 * (frac + frac[::-1])
-        if self.kind == "small_world":
-            frac = self.p + (1.0 - 2.0 * self.p) * frac
-        return frac
+        base, bands = self._bands
+        diagonals = np.full(2 * n - 1, base)
+        for h, jump in bands:
+            diagonals += jump * _band_offset_fractions(n, h)
+        return diagonals
 
     # -- deserialization -----------------------------------------------
 
@@ -326,7 +310,7 @@ def _common_resolution(W: Graphon, U: Graphon, resolution: int) -> int:
     among W and U; :meth:`Graphon._diagonals` checks the result."""
     base = 1
     for kernel in (W, U):
-        if kernel.kind == "step":
+        if kernel.step_values is not None:
             base = math.lcm(base, kernel.step_values.n)
     return -(-resolution // base) * base
 
@@ -346,10 +330,10 @@ def _band_offset_fractions(n: int, h: float) -> np.ndarray:
 
     The fraction depends on cells only through the diagonal offset d = i - j,
     so only the 2n-1 exact areas are computed; entry d + n - 1 belongs to
-    offset d.  Offsets d and -d agree up to rounding, so callers symmetrise
-    with ``0.5 * (frac + frac[::-1])``.  The areas are differences of
-    rounded areas, so they are clamped to [0, 1]: an empty cell must not come
-    out as a tiny negative probability.
+    offset d.  Offsets d and -d agree up to rounding, so the result is
+    symmetrised as ``0.5 * (frac + frac[::-1])``.  The areas are differences of
+    rounded areas, so they are clamped to [0, 1] first: an empty cell must not
+    come out as a tiny negative probability.
     """
     d = np.arange(-(n - 1), n)
     ax = d / n
@@ -360,7 +344,8 @@ def _band_offset_fractions(n: int, h: float) -> np.ndarray:
         return _area_below(ax, bx, ay, by, hi) - _area_below(ax, bx, ay, by, lo)
 
     area = strip(-h, h) + strip(1.0 - h, 2.0) + strip(-2.0, -(1.0 - h))
-    return np.clip(area * n * n, 0.0, 1.0)
+    frac = np.clip(area * n * n, 0.0, 1.0)
+    return 0.5 * (frac + frac[::-1])
 
 
 def _toeplitz(diagonals: np.ndarray) -> np.ndarray:

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import CouplingFunction, PhaseState, time_grid
-from .graphon import Graphon, StepGraphon, WeightedGraph, kernel_distance
+from .graphon import Graphon, StepGraphon, WeightedGraph, _check_count, kernel_distance
 from .measures import (
     TWO_PI,
     DensitySpec,
@@ -103,8 +103,7 @@ class BlockOscillatorSystem:
     """
 
     def __init__(self, step: StepGraphon, m: int, coupling: CouplingFunction):
-        if m < 1:
-            raise ValueError("need m >= 1 particles per cell")
+        _check_count(m, "m")
         self.step = step
         self.m = m
         self.coupling = coupling
@@ -266,8 +265,7 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
     """
     if alpha <= 2.0:
         raise ValueError("alpha must exceed 2 for the iteration to contract")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_count(max_iter, "max_iter")
     spec._check_cells(family0)
     times = time_grid(T, dt)
     start, mass = family0.positions, family0.masses
@@ -342,8 +340,8 @@ class DensityField:
 
 def density_field_from_spec(rho0: DensitySpec, n: int, g: int) -> DensityField:
     """Sample rho0 at phase-cell midpoints; rows renormalized exactly."""
-    if g < 1:
-        raise ValueError(f"phase grid needs g >= 1 cells, got g = {g}")
+    _check_count(n, "n")
+    _check_count(g, "g")
     centers = (np.arange(g) + 0.5) * (TWO_PI / g)
     values = _cell_rows(rho0, n, lambda spec: spec.density(centers))
     du = TWO_PI / g
@@ -412,8 +410,7 @@ def solve_fv(spec: VelocityFieldSpec, rho0: DensityField, T: float, dt: float,
 
 def quantile_family_from_density(fieldv: DensityField, m: int) -> MeasureFamily:
     """Atomize each row of a density field at its m conditional quantiles."""
-    if m < 1:
-        raise ValueError("need m >= 1 atoms per cell")
+    _check_count(m, "m")
     g = fieldv.g
     du = fieldv.du
     knots_u = np.arange(g + 1) * du

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import _check_seed, _is_real, _spec_kind
+from .graphon import _check_count, _check_seed, _is_real, _spec_kind
 
 TWO_PI = 2.0 * math.pi
 
@@ -529,11 +529,14 @@ def initial_family(rho0: DensitySpec, n: int, m: int, mode: str = "quantile",
     ``quantile`` places atoms at the conditional quantiles (k - 1/2)/m of
     rho0(., x_i) -- deterministic, the default for mean-field runs.  ``iid``
     draws m independent samples per cell (Philox stream keyed by
-    (seed, cell)); its seed must be an integer in [0, 2**64).
+    (seed, cell)); its seed must be an integer in [0, 2**64).  A quantile
+    start takes no seed.
     """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 cells and m >= 1 atoms per cell")
+    _check_count(n, "n")
+    _check_count(m, "m")
     if mode == "quantile":
+        if seed is not None:
+            raise ValueError(f"a quantile start takes no seed (got {seed!r})")
         q = (np.arange(m) + 0.5) / m
         positions = _cell_rows(rho0, n, lambda spec: spec.quantile(q))
     elif mode == "iid":

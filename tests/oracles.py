@@ -6,9 +6,11 @@ program over transport plans, atomic velocity fields from the explicit double
 sum over source cells and their atoms, finite-volume velocities from the
 explicit double sum over a g x g coupling table (also for the weak-form
 residual, test function by test function), and the two-oscillator
-dynamics from its closed-form solution.  ``midpoint_step`` samples a kernel
-at the grid points, the alternative to cell averaging, and ``step_norm_2n``
-is the scaled Frobenius distance of two step kernels.
+dynamics from its closed-form solution.  ``small_world_kernel`` and
+``nearest_neighbor_kernel`` write the band kernels W(x, y) out from their
+constructors' parameters, for the midpoint oracles.  ``midpoint_step`` samples a kernel at the grid points, the
+alternative to cell averaging, and ``step_norm_2n`` is the scaled Frobenius
+distance of two step kernels.
 ``exact_equal_mass_w1`` evaluates the circular W1 of equal-mass atoms in
 rational arithmetic, and ``common_cells`` refines two families to their least
 common cell count, the reference for dbar over unequal counts.
@@ -28,6 +30,23 @@ from kmflow.measures import CircleMeasure, MeasureFamily, circle_distance
 TWO_PI = 2.0 * np.pi
 
 
+def _band(h, inside, outside):
+    def kernel(x, y):
+        dist = np.abs(np.asarray(x) - np.asarray(y))
+        return np.where(np.minimum(dist, 1.0 - dist) <= h, inside, outside)
+    return kernel
+
+
+def small_world_kernel(p, h):
+    """W(x, y) = 1 - p where the circular distance of x and y is at most h, else p."""
+    return _band(h, 1.0 - p, p)
+
+
+def nearest_neighbor_kernel(h):
+    """The indicator of circular distance at most h."""
+    return _band(h, 1.0, 0.0)
+
+
 def midpoint_cell_average(kernel_eval, n, i, j, points=512):
     """Brute-force midpoint-rule average of a kernel over cell (i, j)."""
     offsets = (np.arange(points) + 0.5) / (points * n)
@@ -36,14 +55,15 @@ def midpoint_cell_average(kernel_eval, n, i, j, points=512):
     return float(np.mean(kernel_eval(xs[:, None], ys[None, :])))
 
 
-def midpoint_step(W, n: int) -> StepGraphon:
-    """Alternative discretization: sample W at the grid points (i/n, j/n).
+def midpoint_step(kernel, n: int) -> StepGraphon:
+    """Alternative discretization: sample ``kernel(x, y)`` at the grid points
+    (i/n, j/n).
 
-    This is interchangeable with cell averaging whenever both converge to W
-    in L^2.
+    This is interchangeable with cell averaging whenever both converge to the
+    kernel in L^2.
     """
     x = np.arange(1, n + 1) / n
-    values = W.eval(x[:, None], x[None, :])
+    values = kernel(x[:, None], x[None, :])
     values = 0.5 * (values + values.T)
     return StepGraphon(values)
 

@@ -347,6 +347,20 @@ _SIMULATE = ["simulate", *_ER, "--n", "2", *_SHORT]
                  "experiment 'simulate' needs the 'n' key", id="simulate-no-n"),
     pytest.param(_RERUN_ARGV, {"init_mode": "iid"}, "init_mode 'iid' needs an 'init_seed'",
                  id="iid-without-seed"),
+    pytest.param(["picard", *_ER, "--n", "2", "--m", "4", *_SHORT, "--init-seed", "3"], None,
+                 "'init_seed' needs init_mode 'iid' (got init_seed 3 with init_mode "
+                 "'quantile')", id="quantile-with-seed"),
+    pytest.param(["simulate", "--graphon", json.dumps(ER_HALF), "--n", "4", "--seeds",
+                  "3,4,5", "--T", "0.01"], None,
+                 "simulate takes a single 'seeds' entry (got [3, 4, 5])",
+                 id="simulate-seed-list"),
+    pytest.param(["sample_graph", *_ER, "--n", "2", "--seeds", "1,2"], None,
+                 "sample_graph takes a single 'seeds' entry (got [1, 2])",
+                 id="sample-graph-seed-list"),
+    pytest.param(["stability_initial", *_ER, "--n", "2", "--m", "4", *_SHORT, "--seeds", "1",
+                  "--perturbation-seed", "9"], None,
+                 "'perturbation_seed' is not used with 'seeds' (got perturbation_seed 9 "
+                 "with seeds [1])", id="stability-initial-both-seeds"),
     pytest.param(_RERUN_ARGV, {"init_mode": 5}, "'init_mode' must be 'quantile' or 'iid' "
                  "(got 5)", id="init-mode-number"),
     pytest.param(["convergence_main", *_ER, "--n", "2", "--m", "4", *_SHORT], {"ref_n": 3},
@@ -639,9 +653,10 @@ _FLAG_CASES = {
     "render_pgm": ("sample_graph", None, True),
     "output_dir": ("picard", "named", "named"),
 }
-# the settings every case starts from, each where its experiment reads it
+# the settings every case starts from, each where its experiment reads it and
+# it is not the case's key (an iid start needs a seed, and a seed an iid start)
 _FLAG_BASE = {"graphon": ER_HALF, "graphon_b": ER_HALF, "n": 2, "m": 4, "T": 0.1,
-              "dt": 0.05, "init_seed": 1}
+              "dt": 0.05, "init_mode": "iid", "init_seed": 1}
 
 
 @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)
@@ -654,7 +669,7 @@ def test_every_config_key_is_a_flag(tmp_path, monkeypatch, key):
     entry = cli.EXPERIMENTS[experiment]
     monkeypatch.setitem(cli.EXPERIMENTS, experiment,
                         entry._replace(run=lambda cfg, **inputs: None))
-    base = {k: v for k, v in _FLAG_BASE.items() if k in entry.reads}
+    base = {k: v for k, v in _FLAG_BASE.items() if k in entry.reads and k != key}
     manifests = []
     for form, flags, config in [
         ("flag", ["--" + key.replace("_", "-"), *([] if text is None else [text])], base),
@@ -877,6 +892,17 @@ def test_meanfield_fv_cli_keeps_only_endpoints(tmp_path, monkeypatch):
                  "--g", "16", "--T", "0.3", "--dt", "0.05",
                  "--output-dir", str(tmp_path)]) == 0
     assert [float(t) for t in kept[0].times] == [0.0, 0.3]
+
+
+def test_meanfield_fv_streams_its_rows(tmp_path):
+    # n*g = 2^18 phase cells: the field is 2 MiB, a list of its rows about 28 MiB
+    code, peak = peak_traced(lambda: main([
+        "meanfield_fv", "--graphon", json.dumps(SMALL_WORLD), "--n", "64", "--g", "4096",
+        "--T", "0.002", "--dt", "0.001", "--output-dir", str(tmp_path)]))
+    assert code == 0
+    assert peak < 24 * 2**20
+    with open(tmp_path / "results.csv") as rows:
+        assert sum(1 for _ in rows) == 1 + 2**18
 
 
 def _readme_examples() -> list[list[str]]:

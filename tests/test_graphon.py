@@ -1,4 +1,4 @@
-"""Kernel evaluation, cell averaging, and kernel distances."""
+"""Kernel construction, cell averaging, and kernel distances."""
 
 import json
 
@@ -14,27 +14,40 @@ from kmflow.graphon import (
     _band_offset_fractions,
     kernel_distance,
 )
-from kmflow.graphs import WeightedGraph
-from oracles import midpoint_cell_average, midpoint_step, peak_traced, step_norm_2n
+from kmflow.graphs import WeightedGraph, sample_w_random
+from oracles import (
+    midpoint_cell_average,
+    midpoint_step,
+    nearest_neighbor_kernel,
+    peak_traced,
+    small_world_kernel,
+    step_norm_2n,
+)
 
 TWO_PI = 2.0 * np.pi
 
 
-def test_constant_eval():
-    W = Graphon.constant(0.5)
-    assert float(W.eval(0.3, 0.7)) == 0.5
+def test_constant_cell_average_is_p():
+    for n in (1, 5, _TOEPLITZ_NODES + 1):
+        for p in (0.5, -0.4, 1.0):
+            assert np.all(Graphon.constant(p).cell_average(n).values == p)
 
 
-def test_small_world_eval_band():
-    W = Graphon.small_world(0.1, 0.25)
-    # arc distance between 0 and 0.4*pi is 0.4*pi <= 2*pi*0.25
-    assert float(W.eval(0.0, 0.2)) == pytest.approx(0.9)
-    assert float(W.eval(0.0, 0.3)) == pytest.approx(0.1)
-    # wraparound: |0.05 - 0.9| = 0.85 but circular distance is 0.15 <= 0.25
-    assert float(W.eval(0.05, 0.9)) == pytest.approx(0.9)
+def test_small_world_cell_average_on_and_off_band():
+    # at n = 10 cell (i, j) holds offsets |x - y| within (|i - j| - 1, |i - j| + 1)/10
+    avg = Graphon.small_world(0.1, 0.25).cell_average(10).values
+    # offsets below 0.2: on the band of half-width 0.25
+    assert avg[0, 1] == pytest.approx(0.9, abs=1e-12)
+    assert avg[3, 4] == pytest.approx(0.9, abs=1e-12)
+    # offsets in (0.3, 0.5]: off the band
+    assert avg[0, 4] == pytest.approx(0.1, abs=1e-12)
+    assert avg[2, 7] == pytest.approx(0.1, abs=1e-12)
+    # wrap-around: |x - y| in (0.8, 1] is a circular distance below 0.2
+    assert avg[0, 9] == pytest.approx(0.9, abs=1e-12)
+    assert avg[9, 0] == pytest.approx(0.9, abs=1e-12)
 
 
-def test_eval_symmetry_all_kinds():
+def test_cell_average_symmetry_all_kinds():
     kernels = [
         Graphon.constant(-0.4),
         Graphon.small_world(0.2, 0.3),
@@ -42,21 +55,23 @@ def test_eval_symmetry_all_kinds():
         Graphon.step([[0.2, -0.5], [-0.5, 1.0]]),
         Graphon.custom(lambda x, y: 0.5 * np.cos(TWO_PI * (x - y))),
     ]
-    rng = np.random.default_rng(0)
-    x = rng.random(1000)
-    y = rng.random(1000)
     for W in kernels:
-        assert np.allclose(W.eval(x, y), W.eval(y, x), atol=1e-15)
+        # the custom quadrature grid grows with n, so it stays small
+        for n in (7,) if W.fn else (7, _TOEPLITZ_NODES + 1):
+            values = W.cell_average(n).values
+            assert np.array_equal(values, values.T)
 
 
 def test_nearest_neighbor_is_band_indicator():
     W = Graphon.nearest_neighbor(0.25)
-    rng = np.random.default_rng(1)
-    x = rng.random(500)
-    y = rng.random(500)
-    dist = np.abs(x - y)
-    expected = (np.minimum(dist, 1.0 - dist) <= 0.25).astype(float)
-    assert np.array_equal(np.asarray(W.eval(x, y)), expected)
+    avg = W.cell_average(6).values
+    # every cell, the wrap-around ones and those the band edge crosses included
+    for i in range(6):
+        for j in range(6):
+            oracle = midpoint_cell_average(nearest_neighbor_kernel(0.25), 6, i, j,
+                                           points=2048)
+            # the indicator discontinuity limits the midpoint oracle to O(1/points)
+            assert avg[i, j] == pytest.approx(oracle, abs=2e-3)
 
 
 def test_parameter_validation_at_construction():
@@ -89,7 +104,7 @@ def test_cell_average_small_world_off_band_cell():
     # cell [0,1/8) x [1/2,5/8): |x-y| ranges over [3/8,5/8], entirely off band
     avg = Graphon.small_world(0.1, 0.25).cell_average(8)
     assert avg.values[0, 4] == pytest.approx(0.1, abs=1e-12)
-    oracle = midpoint_cell_average(Graphon.small_world(0.1, 0.25).eval, 8, 0, 4)
+    oracle = midpoint_cell_average(small_world_kernel(0.1, 0.25), 8, 0, 4)
     assert avg.values[0, 4] == pytest.approx(oracle, abs=1e-6)
 
 
@@ -107,7 +122,8 @@ def test_cell_average_band_matches_midpoint_oracle():
     rng = np.random.default_rng(2)
     for _ in range(6):
         i, j = rng.integers(0, 5, 2)
-        oracle = midpoint_cell_average(W.eval, 5, int(i), int(j), points=2048)
+        oracle = midpoint_cell_average(small_world_kernel(0.2, 0.3), 5, int(i), int(j),
+                                       points=2048)
         # the indicator discontinuity limits the midpoint oracle to O(1/points)
         assert avg.values[i, j] == pytest.approx(oracle, abs=2e-3)
 
@@ -172,17 +188,24 @@ def test_cell_average_output_satisfies_invariants():
         assert np.max(np.abs(avg.values)) <= 1.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257, _TOEPLITZ_NODES])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257, _TOEPLITZ_NODES - 1,
+                               _TOEPLITZ_NODES, _TOEPLITZ_NODES + 1, 1000])
 def test_band_cell_average_matches_gather_formula(n):
-    # the n x n offset gather symmetrised with its transpose, written out
-    for W in (Graphon.small_world(0.1, 0.25), Graphon.small_world(0.37, 0.013),
-              Graphon.nearest_neighbor(0.25), Graphon.nearest_neighbor(0.2)):
-        frac = _band_offset_fractions(n, W.h)
-        idx = np.arange(n)
-        matrix = frac[idx[:, None] - idx[None, :] + n - 1]
-        expected = 0.5 * (matrix + matrix.T)
-        if W.kind == "small_world":
-            expected = W.p + (1.0 - 2.0 * W.p) * expected
+    # the n x n offset gather symmetrised with its transpose, written out; each
+    # kernel is W = p off the band of half-width h (no band: h is None)
+    idx = np.arange(n)
+    for make, p, h in ((Graphon.constant, 0.3, None), (Graphon.constant, -1.0, None),
+                       (Graphon.small_world, 0.1, 0.25), (Graphon.small_world, 0.37, 0.013),
+                       (Graphon.nearest_neighbor, None, 0.25),
+                       (Graphon.nearest_neighbor, None, 0.2)):
+        W = make(*(value for value in (p, h) if value is not None))
+        if h is None:
+            expected = np.full((n, n), p)
+        else:
+            matrix = _band_offset_fractions(n, h)[idx[:, None] - idx[None, :] + n - 1]
+            expected = 0.5 * (matrix + matrix.T)
+            if p is not None:
+                expected = p + (1.0 - 2.0 * p) * expected
         expected = np.clip(expected, -1.0, 1.0)
         values = W.cell_average(n).values
         # a dense copy below the size constant, a view of the diagonals from it up
@@ -196,6 +219,27 @@ def test_band_cell_average_holds_its_diagonals_only():
     assert peak < 2**20
     assert isinstance(avg, WeightedGraph) and avg.values is avg.weights
     assert avg.values.shape == (4096, 4096) and not avg.values.flags.writeable
+
+
+def test_toeplitz_spectrum_is_taken_by_the_first_product(monkeypatch):
+    averages = []
+    cell_average = Graphon.cell_average
+
+    def recording(self, n):
+        averages.append(cell_average(self, n))
+        return averages[-1]
+
+    monkeypatch.setattr(Graphon, "cell_average", recording)
+    W, n = Graphon.small_world(0.1, 0.25), _TOEPLITZ_NODES + 1
+    sample_w_random(W, n, 0)
+    kernel_distance(W, Graphon.nearest_neighbor(0.2), "L1", n)
+    assert len(averages) == 3
+    assert all(avg._diagonals is not None and "_spectrum" not in vars(avg)
+               for avg in averages)
+    avg = averages[0]
+    x = np.random.default_rng(0).standard_normal((2, n))
+    assert np.allclose(avg._product(x), x @ np.array(avg.weights), atol=1e-12)
+    assert "_spectrum" in vars(avg)
 
 
 def _symmetric_matrix(n, seed=0):
@@ -358,10 +402,10 @@ def test_step_norm_2n():
 
 
 def test_midpoint_step_alternative_discretization():
-    W = Graphon.small_world(0.1, 0.25)
-    sampled = midpoint_step(W, 8)
+    W, kernel = Graphon.small_world(0.1, 0.25), small_world_kernel(0.1, 0.25)
+    sampled = midpoint_step(kernel, 8)
     x = np.arange(1, 9) / 8
-    assert np.allclose(sampled.values, np.asarray(W.eval(x[:, None], x[None, :])))
+    assert np.allclose(sampled.values, kernel(x[:, None], x[None, :]))
     # both discretizations approach the kernel in L2
     d_sampled = kernel_distance(Graphon.step(sampled), W, "L2", 192)
     d_avg = kernel_distance(Graphon.step(W.cell_average(8)), W, "L2", 192)
@@ -377,8 +421,7 @@ def test_json_round_trip():
                     ('{"kind": "step", "values": [[0.3]]}', Graphon.step([[0.3]]))):
         back = Graphon.from_dict(json.loads(text))
         assert back.kind == W.kind
-        rng = np.random.default_rng(3)
-        x, y = rng.random(50), rng.random(50)
-        assert np.array_equal(np.asarray(back.eval(x, y)), np.asarray(W.eval(x, y)))
+        for n in (7, _TOEPLITZ_NODES + 1):
+            assert np.array_equal(back.cell_average(n).values, W.cell_average(n).values)
     with pytest.raises(ValueError, match="unknown graphon kind: 'custom'"):
         Graphon.from_dict({"kind": "custom"})

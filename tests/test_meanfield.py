@@ -1,5 +1,7 @@
 """Particle, fixed-point, and finite-volume mean-field solvers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,31 @@ def test_picard_rejects_zero_sweeps():
     fam0 = initial_family(Uniform(), 2, 4)
     with pytest.raises(ValueError, match="max_iter"):
         picard_solve(spec, fam0, 1.0, 0.1, max_iter=0)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 0, "3"])
+@pytest.mark.parametrize("name, call", [
+    pytest.param("resolution n", lambda v: Graphon.constant(0.5).cell_average(v),
+                 id="cell_average"),
+    pytest.param("n", lambda v: initial_family(Uniform(), v, 4), id="initial_family-n"),
+    pytest.param("m", lambda v: initial_family(Uniform(), 2, v), id="initial_family-m"),
+    pytest.param("m", lambda v: BlockOscillatorSystem(Graphon.constant(0.5).cell_average(2),
+                                                      v, SINE), id="block_system"),
+    pytest.param("n", lambda v: density_field_from_spec(Uniform(), v, 8), id="density_field-n"),
+    pytest.param("g", lambda v: density_field_from_spec(Uniform(), 2, v), id="density_field-g"),
+    pytest.param("m", lambda v: quantile_family_from_density(
+        density_field_from_spec(Uniform(), 2, 8), v), id="quantile_family"),
+    pytest.param("record_every", lambda v: dynamics.recorded_states(
+        dynamics.OscillatorSystem(WeightedGraph(np.ones((2, 2))), SINE),
+        PhaseState(np.zeros(2)), 1.0, 0.1, v), id="march"),
+    pytest.param("max_iter", lambda v: picard_solve(
+        _spec(Graphon.constant(0.5), 2), initial_family(Uniform(), 2, 4), 1.0, 0.1,
+        max_iter=v), id="picard"),
+])
+def test_counts_must_be_positive_integers(name, call, value):
+    with pytest.raises(ValueError, match=re.escape(f"need an integer {name} >= 1 "
+                                                   f"(got {value!r})")):
+        call(value)
 
 
 def test_picard_capacity_rejected_before_allocating():

@@ -359,6 +359,11 @@ def test_iid_reproducible_and_needs_seed():
         initial_family(Uniform(), 2, 5, mode="iid")
 
 
+def test_quantile_start_takes_no_seed():
+    with pytest.raises(ValueError, match=r"a quantile start takes no seed \(got 3\)"):
+        initial_family(Uniform(), 2, 5, seed=3)
+
+
 @pytest.mark.parametrize("seed", [1.7, True, -1, 2**64])
 def test_iid_rejects_a_seed_that_is_not_a_uint64(seed):
     with pytest.raises(ValueError, match=rf"^iid seed must be an integer in \[0, 2\*\*64\) "

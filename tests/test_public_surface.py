@@ -2,9 +2,10 @@
 
 A public module-level function or class of ``src/kmflow``, or a public method
 of such a class, must either be named in ``kmflow.__all__`` or appear as a
-word somewhere outside its own definition: in ``src/kmflow``, ``README.md``
-or ``perfbench/*.py``.  Tests do not count as callers, so a name only tests
-use belongs in ``tests/oracles.py``.
+word somewhere outside every definition of that name in its file: in
+``src/kmflow``, ``README.md`` or ``perfbench/*.py``.  So two same-named methods
+do not count as each other's caller.  Tests do not count as callers, so a name
+only tests use belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -19,30 +20,35 @@ CALLERS = [*SOURCES, ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py
 
 
 def _public_definitions():
-    """(file, qualified name, node) of each public function, class and method."""
+    """(file, qualified name) of each public function, class and method."""
     defining = (ast.FunctionDef, ast.ClassDef)
     for path in SOURCES:
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, defining) or node.name.startswith("_"):
                 continue
-            yield path, node.name, node
+            yield path, node.name
             for item in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield path, f"{node.name}.{item.name}", item
+                    yield path, f"{node.name}.{item.name}"
 
 
-def _used_outside(path, name, node) -> bool:
-    word = re.compile(rf"\b{re.escape(name.rsplit('.', 1)[-1])}\b")
+def _used_outside(path, name) -> bool:
+    short = name.rsplit(".", 1)[-1]
+    word = re.compile(rf"\b{re.escape(short)}\b")
     for caller in CALLERS:
-        lines = caller.read_text().splitlines()
+        text = caller.read_text()
+        lines = text.splitlines()
         if caller == path:
-            del lines[node.lineno - 1:node.end_lineno]
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == short:
+                    for i in range(node.lineno - 1, node.end_lineno):
+                        lines[i] = ""
         if word.search("\n".join(lines)):
             return True
     return False
 
 
 def test_every_public_name_has_a_caller():
-    unused = [name for path, name, node in _public_definitions()
-              if name not in kmflow.__all__ and not _used_outside(path, name, node)]
+    unused = [name for path, name in _public_definitions()
+              if name not in kmflow.__all__ and not _used_outside(path, name)]
     assert unused == [], f"public names with no caller: {unused}"
