@@ -60,6 +60,7 @@ from .graphon import MAX_NODES, Graphon, _common_resolution, _is_integer, _is_re
 from .graphs import (
     WeightedGraph,
     _edge_probabilities,
+    _sample,
     deterministic_graph,
     pixel_picture,
     sample_w_random,
@@ -314,8 +315,8 @@ def _initial_phases(n: int, seed: int) -> np.ndarray:
 
 def _run_simulate(cfg: ExperimentConfig, graphon, coupling, omega, n) -> None:
     seed = cfg.seeds[0] if cfg.seeds else 0
-    graph = (sample_w_random(graphon, n, seed) if cfg.sampled
-             else deterministic_graph(graphon, n))
+    det = deterministic_graph(graphon, n)
+    graph = _sample(det, seed) if cfg.sampled else det
     system = OscillatorSystem(graph, coupling, K=cfg.K, omega=omega(n))
     states = recorded_states(system, PhaseState(_initial_phases(n, seed)), cfg.T,
                              cfg.dt, cfg.record_every)
@@ -401,7 +402,7 @@ def _run_convergence_ave(cfg: ExperimentConfig, graphon, coupling, omega, n) -> 
             base, rand = (recorded_states(OscillatorSystem(graph, coupling, K=cfg.K,
                                                            omega=frequencies),
                                           u0, cfg.T, cfg.dt, cfg.record_every)
-                          for graph in (det, sample_w_random(graphon, cells, seed)))
+                          for graph in (det, _sample(det, seed)))
             # the two runs advance together, keeping running maxima only
             sup_norm = gap = 0.0
             for (_, x), (_, y) in zip(base, rand):

@@ -23,6 +23,9 @@ deterministic graph on n nodes, which graphs and mean field multiply by through
 one product.  ``WeightedGraph._from_diagonals`` alone decides how the Toeplitz
 averages of band profiles are stored; the FFT spectrum of a large one is taken
 by its first product, so sampling and kernel distances never compute it.
+A W-random graph sampled from such an average keeps dense 0/1 ``weights`` but
+may multiply as the average's rounding, by FFT, plus sums over the pairs where
+it differs (``WeightedGraph._from_rounding``), about 1e-13 from the dense one.
 
 A custom kernel's symmetry and |W| <= 1 are checked on the first, n x n grid
 of its cell-average quadrature; L^1-continuity of x -> W(x, .) stays the
@@ -106,10 +109,13 @@ class WeightedGraph:
     ``WeightedGraph(weights)`` checks outside input: a square symmetric
     matrix of at most ``MAX_NODES`` rows within slack of [-1, 1], copied and
     clipped to [-1, 1].  ``weights`` is a read-only n x n array;
-    :meth:`_product` is every coupling sum's product with it.
+    :meth:`_product` is every coupling sum's product with it: by BLAS, by
+    FFT for diagonals ``_from_diagonals`` stores, or for a sampled graph
+    ``_from_rounding`` splits, by FFT plus sums over its :attr:`_flips`.
     """
 
     _diagonals = None
+    _sampled = False
 
     def __init__(self, weights):
         weights = np.asarray(weights)
@@ -151,6 +157,15 @@ class WeightedGraph:
         graph._diagonals = diagonals
         return graph
 
+    @classmethod
+    def _from_rounding(cls, weights: np.ndarray, rounded: np.ndarray):
+        """Sampled 0/1 ``weights`` multiplied as the Toeplitz matrix R of the
+        0/1 ``rounded`` diagonals, by FFT, plus E = weights - R (:attr:`_flips`)."""
+        graph = cls._trusted(weights)
+        rounded.setflags(write=False)
+        graph._diagonals, graph._sampled = rounded, True
+        return graph
+
     @property
     def n(self) -> int:
         return self.weights.shape[0]
@@ -161,14 +176,40 @@ class WeightedGraph:
         whose circular convolution does not wrap into the n Toeplitz outputs."""
         return np.fft.rfft(self._diagonals, 1 << (2 * self.n - 2).bit_length())
 
+    @functools.cached_property
+    def _flips(self) -> list:
+        """E = weights - R, listed by the first :meth:`_product` in blocks of
+        ``_TILE`` rows, each gathered whole: the rows that hold a flip, where
+        each row's flips start, and their columns, plus n where E is -1."""
+        flips, rounded, n = [], _toeplitz(self._diagonals), self.n
+        for i in range(0, n, _TILE):
+            sampled = self.weights[i:i + _TILE]
+            flat = np.flatnonzero(sampled != rounded[i:i + _TILE])
+            bounds = np.searchsorted(flat, np.arange(len(sampled)) * n)
+            rows = np.flatnonzero(np.diff(bounds, append=flat.size))
+            columns = flat % n
+            columns[sampled.ravel()[flat] == 0.0] += n
+            flips.append((i + rows, bounds[rows], columns))
+        return flips
+
     def _product(self, x: np.ndarray) -> np.ndarray:
         """``x @ weights`` for rows x: W times each row, W being symmetric."""
         if self._diagonals is None:
             return x @ self.weights
         spectrum, n = self._spectrum, self.n
         size = 2 * (spectrum.shape[0] - 1)
-        product = np.fft.irfft(np.fft.rfft(x, size) * spectrum, size)
-        return product[..., n - 1:2 * n - 1]
+        product = np.fft.irfft(np.fft.rfft(x, size) * spectrum, size)[..., n - 1:2 * n - 1]
+        if self._sampled:
+            # rows 2q and 2q + 1 of x as one complex row, then its negation
+            packed = x[0::2].astype(complex)
+            packed[:len(x) // 2].imag = x[1::2]
+            flipped = np.zeros_like(packed)
+            for source, out in zip(np.concatenate((packed, -packed), axis=1), flipped):
+                for rows, starts, columns in self._flips:
+                    out[rows] = np.add.reduceat(source[columns], starts)
+            product[0::2] += flipped.real
+            product[1::2] += flipped.imag[:len(x) // 2]
+        return product
 
 
 class StepGraphon(WeightedGraph):
@@ -295,6 +336,7 @@ def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 
     """
     if norm not in ("L1", "L2"):
         raise ValueError("norm must be 'L1' or 'L2'")
+    _check_count(resolution, "resolution")
     r = _common_resolution(W, U, resolution)
     diff = W.cell_average(r).values - U.cell_average(r).values
     if norm == "L1":

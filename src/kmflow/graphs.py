@@ -9,6 +9,10 @@ Two constructions:
 
 The deterministic graph is the cell average itself, and the sampler reads its
 edge probabilities from it; :mod:`kmflow.graphon` decides how it is stored.
+A sampled graph is a dense 0/1 matrix.  If P, its cell average, is stored as
+diagonals and at most 1/8 of the pairs are expected to differ from R = [P >=
+1/2], it multiplies as R, by FFT, plus sums over the pairs that differ, about
+1e-13 from the dense product; any other sampled graph multiplies by BLAS.
 
 Sampling is counter-based: the coin for pair (i, j), i <= j, comes from a
 Philox stream keyed by (seed, i) at position j - i, so results are
@@ -26,6 +30,10 @@ import numpy as np
 
 from .graphon import _TILE, Graphon, StepGraphon, WeightedGraph, _check_seed
 
+# Largest expected share of flipped pairs at which a sampled graph multiplies as
+# its rounding plus its flips: a flip costs about six dense entries.
+_MAX_FLIP_DENSITY = 1 / 8
+
 
 def deterministic_graph(W: Graphon, n: int) -> StepGraphon:
     """Weighted graph whose weight matrix is the n x n cell average of W."""
@@ -39,26 +47,37 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
     rejected since they cannot serve as edge probabilities.
     """
     _check_seed(seed)
-    probs = _edge_probabilities(W, n)
+    return _sample(_edge_probabilities(W, n), seed)
+
+
+def _sample(probs: StepGraphon, seed: int) -> WeightedGraph:
+    """The W-random graph on a cell average :func:`_edge_probabilities` checked."""
+    n, probabilities = probs.n, probs.weights
     weights = np.zeros((n, n))
     for i in range(n):
         stream = np.random.Generator(
             np.random.Philox(key=[np.uint64(seed), np.uint64(i)])
         )
-        weights[i, i:] = stream.random(n - i) < probs[i, i:]
+        weights[i, i:] = stream.random(n - i) < probabilities[i, i:]
     for i in range(0, n, _TILE):
         stop = min(i + _TILE, n)
         block = weights[i:stop, i:stop]
         block += np.triu(block, 1).T
         weights[stop:, i:stop] = weights[i:stop, stop:].T
-    # 0/1 and mirrored by construction
+    # 0/1 and mirrored by construction, so trusted either way
+    diagonals = probs._diagonals
+    if diagonals is not None:
+        # expected flips: sum_ij min(P_ij, 1 - P_ij), diagonal d holding n - |d| pairs
+        flips = (n - np.abs(np.arange(1 - n, n))) @ np.minimum(diagonals, 1.0 - diagonals)
+        if flips <= _MAX_FLIP_DENSITY * n * n:
+            return WeightedGraph._from_rounding(weights, (diagonals >= 0.5).astype(float))
     return WeightedGraph._trusted(weights)
 
 
-def _edge_probabilities(W: Graphon, n: int) -> np.ndarray:
-    """The n x n cell averages of W, rejected unless all are >= 0."""
-    probs = W.cell_average(n).weights
-    if probs.min() < 0.0:
+def _edge_probabilities(W: Graphon, n: int) -> StepGraphon:
+    """The cell average of W at n, rejected unless all entries are >= 0."""
+    probs = W.cell_average(n)
+    if probs.weights.min() < 0.0:
         raise ValueError(
             "sampling requires probability range: cell averages must be >= 0"
         )

@@ -608,6 +608,23 @@ def test_stability_initial_averages_the_kernel_once_per_trial(tmp_path, monkeypa
     assert averaged == [2, 2, 2]
 
 
+def test_convergence_ave_samples_from_the_deterministic_graph(tmp_path, monkeypatch):
+    # per n, validate checks the probabilities and the runner builds the
+    # deterministic graph that every seed samples from
+    averaged = []
+    cell_average = cli.Graphon.cell_average
+
+    def counting(self, n):
+        averaged.append(n)
+        return cell_average(self, n)
+
+    monkeypatch.setattr(cli.Graphon, "cell_average", counting)
+    assert main(["convergence_ave", "--graphon", json.dumps(ER_HALF), "--n", "16,32",
+                 "--T", "0.1", "--dt", "0.05", "--seeds", "0,1,2",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert averaged == [16, 32, 16, 32]
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--n", ","), ("--n", "3,x"), ("--m", ",,"), ("--seeds", "1,two"),
 ])

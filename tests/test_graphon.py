@@ -357,6 +357,15 @@ def test_kernel_distance_resolution_capped():
         kernel_distance(Graphon.constant(0.3), Graphon.constant(0.7), "L1", MAX_NODES + 1)
 
 
+@pytest.mark.parametrize("resolution", [True, 2.5, 0])
+def test_kernel_distance_checks_the_resolution_it_was_given(resolution):
+    # checked before it is rounded up to a multiple of the step resolutions
+    step = Graphon.step([[0.2, 0.5], [0.5, 0.9]])
+    with pytest.raises(ValueError, match=rf"^need an integer resolution >= 1 "
+                                         rf"\(got {resolution!r}\)$"):
+        kernel_distance(step, Graphon.small_world(0.1, 0.25), "L1", resolution)
+
+
 def test_kernel_distance_exact_for_commensurate_steps():
     A = Graphon.step([[1.0, 0.0], [0.0, 1.0]])
     B = Graphon.step(np.zeros((4, 4)))

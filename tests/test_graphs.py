@@ -1,5 +1,8 @@
 """Deterministic and W-random graph construction, pixel pictures."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,3 +251,123 @@ def test_sampled_graph_holds_one_matrix():
     assert peak < 1.25 * n * n * 8
     assert np.array_equal(graph.weights, graph.weights.T)
     assert np.isin(graph.weights, (0.0, 1.0)).all()
+
+
+# sha256 of np.packbits(weights != 0), recorded before sampled graphs stored
+# their rounding and flips; the split must not change one sampled bit
+SPLIT_KERNELS = {
+    "small_world(0.1, 0.25)": Graphon.small_world(0.1, 0.25),
+    "nearest_neighbor(0.2)": Graphon.nearest_neighbor(0.2),
+    "constant(0.05)": Graphon.constant(0.05),
+}
+ADJACENCY_SHA256 = {
+    ("small_world(0.1, 0.25)", 64, 0):
+        "63d472f507c263917e283b4bf7028197a7c98b7eef33ba18f1a4fbf9373c5ac2",
+    ("small_world(0.1, 0.25)", 64, 7):
+        "2af6af701f9b1b504f539991ffa22ff6fedc526c9f282b186ea11f22c8a365c3",
+    ("small_world(0.1, 0.25)", 431, 0):
+        "be8592c641988e890839c118e2b311f854e43f22a8fa97679c4f5cda6ed66faa",
+    ("small_world(0.1, 0.25)", 431, 7):
+        "3ca1b54aaa86e6b68cd2ea47a960868c7095785f86db3e1265f95b8d05d605d7",
+    ("small_world(0.1, 0.25)", 432, 0):
+        "0a9c7460a8fdbf2ab1857761f249f626c9484cb11a3dc37ab82061ea4180882f",
+    ("small_world(0.1, 0.25)", 432, 7):
+        "e900eedf1a56c1e7b754f80bfb1ca727bb835bb2d77cb0bac5f01dddd50ffa66",
+    ("small_world(0.1, 0.25)", 1024, 0):
+        "48022e07a1864ec9e348a2b6d4eaf335923fdd853c00e47704f60087703ad036",
+    ("small_world(0.1, 0.25)", 1024, 7):
+        "d6bca0f8e637ec8fd3468dc95b3eaea293a0ca12bbe2b7ccb2de7a640a4ea266",
+    ("nearest_neighbor(0.2)", 64, 0):
+        "0ba5ce9871d250b315392627b96177d53b99f792a164144ad89698484065450a",
+    ("nearest_neighbor(0.2)", 64, 7):
+        "62114b7b30f1c8ea6dc15ef1b038e90cc8b63c9b21454bac535e8818dbe5183b",
+    ("nearest_neighbor(0.2)", 431, 0):
+        "196545686be5b4c0d8c9f15401f7f58bbd9783e7a0584c55c450d86aedc318ce",
+    ("nearest_neighbor(0.2)", 431, 7):
+        "0003dada6f531b8ca798826e369e5dc4890437d03160d02c65a54cbf98b1e50c",
+    ("nearest_neighbor(0.2)", 432, 0):
+        "482065c83f4907137e63abaa9c634ac4ff4dd47d188c69e22ec55903b9328489",
+    ("nearest_neighbor(0.2)", 432, 7):
+        "6f06fabf1125f55eb9019e7d6b51f1dc6b9a5e3fe0d56fd9af739fc4bdee041f",
+    ("nearest_neighbor(0.2)", 1024, 0):
+        "d48c3bd9fa231b62f65d9365e2ef544a30bc63fbf28a2a16993b4b1ff947d237",
+    ("nearest_neighbor(0.2)", 1024, 7):
+        "df6f3e0ddced22b216d3774a52de53edcfbb187de07ceed27a96b58367681bb7",
+    ("constant(0.05)", 64, 0):
+        "d89276f398390325a14aa477287e53d0030555cd689b6091f0981f9034184651",
+    ("constant(0.05)", 64, 7):
+        "8475560a0a112512e65d69a0c518cdeb32086146a2bb9394c9c6e475bb0389d0",
+    ("constant(0.05)", 431, 0):
+        "d2463a712f7767957f811c48d3869e3b23b54b758bcda8a2e8f8caba4edea894",
+    ("constant(0.05)", 431, 7):
+        "29d2da6735526e97b31f7435fac9cf28609cdb30fc136c7a4e407a9e2a34fbb4",
+    ("constant(0.05)", 432, 0):
+        "6db3962ff69815443b856e1d5871697e6c261afe62d836451e697b2ba3dbb7a2",
+    ("constant(0.05)", 432, 7):
+        "14e12770cd6dcfcd6eb3b2fe00ddc4fb91590299144af4edcbc16856e4d677de",
+    ("constant(0.05)", 1024, 0):
+        "ac67bc3bfb57dc4ba8c45b934080d442b3fa893421db8b2e614598c11fcc3ecb",
+    ("constant(0.05)", 1024, 7):
+        "bbc6ed5dc8fe0348571ea1a8193f9bd45cc081b9ce2c4446425593e0c8befc3b",
+}
+
+
+@pytest.mark.parametrize("kernel, n, seed", sorted(ADJACENCY_SHA256))
+def test_sampled_adjacency_bits_are_pinned(kernel, n, seed):
+    weights = sample_w_random(SPLIT_KERNELS[kernel], n, seed).weights
+    digest = hashlib.sha256(np.packbits(weights != 0).tobytes()).hexdigest()
+    assert digest == ADJACENCY_SHA256[kernel, n, seed]
+
+
+@pytest.mark.parametrize("n", [_TOEPLITZ_NODES - 1, _TOEPLITZ_NODES, _TOEPLITZ_NODES + 1,
+                               1000, 1024])
+def test_split_product_matches_the_dense_product(n):
+    # from the size constant up, a sampled band graph multiplies as its
+    # rounding, by FFT, plus sums over its flipped pairs
+    for W in (*SPLIT_KERNELS.values(), Graphon.constant(0.95)):
+        g = sample_w_random(W, n, seed=n)
+        assert g._sampled == (n >= _TOEPLITZ_NODES)
+        for rows in (1, 2, 3):
+            x = np.random.default_rng(rows).standard_normal((rows, n))
+            expected = x @ np.array(g.weights)
+            got = g._product(x)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_split_rule_keeps_blas_for_dense_flips_and_small_graphs():
+    step = Graphon.step([[0.9, 0.1], [0.1, 0.9]])
+    for W, n in ((Graphon.constant(0.5), 1024), (Graphon.small_world(0.1, 0.25), 431),
+                 (step, 1024)):
+        g = sample_w_random(W, n, seed=0)
+        assert g._diagonals is None and not g._sampled
+        x = np.random.default_rng(0).standard_normal((2, n))
+        assert np.array_equal(g._product(x), x @ g.weights)
+
+
+def test_sampling_alone_builds_no_flips():
+    g = sample_w_random(Graphon.small_world(0.1, 0.25), 1024, seed=0)
+    assert g._sampled and not {"_flips", "_spectrum"} & set(vars(g))
+    assert g.weights.flags.c_contiguous and not g.weights.flags.writeable
+    assert not g._diagonals.flags.writeable
+    assert set(np.unique(g._diagonals)) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("kernel", sorted(SPLIT_KERNELS))
+def test_held_flips_are_at_most_an_eighth_of_the_weights(kernel):
+    n = 1024
+    g = sample_w_random(SPLIT_KERNELS[kernel], n, seed=1)
+    tracemalloc.start()
+    try:
+        g._flips
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= g.weights.nbytes / 8 + 64 * n
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+def test_nearest_neighbor_flips_grow_linearly(n):
+    # only the cells the band's edges cut have a fractional probability
+    g = sample_w_random(Graphon.nearest_neighbor(0.2), n, seed=2)
+    assert 0 < sum(columns.size for _, _, columns in g._flips) <= n
