@@ -63,7 +63,6 @@ from .graphs import (
     _sample,
     deterministic_graph,
     pixel_picture,
-    sample_w_random,
 )
 from .measures import (
     MeasureFamily,
@@ -172,8 +171,10 @@ class ExperimentConfig:
         its JSON specs describe (for ``meanfield_fv``, ``rho0`` is its start
         field on the phase grid), ``n``/``m`` (a list for the counts it
         sweeps, an int otherwise), ``convergence_main``'s reference sizes as
-        ``ref`` and ``distance``'s two families.  A bad setting raises
-        ValueError naming its key or file.
+        ``ref`` and ``distance``'s two families.  An experiment that samples
+        graphs takes, in place of ``graphon``, its cell averages at each entry
+        of n as ``averages``, checked as edge probabilities.  A bad setting
+        raises ValueError naming its key or file.
         """
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; pick one of "
@@ -236,8 +237,9 @@ class ExperimentConfig:
         if self.experiment == "picard":
             mf.check_picard_capacity(frames, inputs["n"] * inputs["m"])
         if self.experiment in ("sample_graph", "convergence_ave") or self.sampled:
-            for cells in counts["n"]:
-                _edge_probabilities(inputs["graphon"], cells)
+            # the runner samples from these checked averages, one per entry of n
+            kernel = inputs.pop("graphon")
+            inputs["averages"] = [_edge_probabilities(kernel, cells) for cells in counts["n"]]
         if self.experiment == "meanfield_fv":
             if (phase_cells := inputs["n"] * self.g) > MAX_PARTICLES:
                 raise ValueError(f"capacity exceeded: n*g = {inputs['n']}*{self.g} = "
@@ -313,10 +315,10 @@ def _initial_phases(n: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * math.pi, n)
 
 
-def _run_simulate(cfg: ExperimentConfig, graphon, coupling, omega, n) -> None:
+def _run_simulate(cfg: ExperimentConfig, coupling, omega, n, graphon=None,
+                  averages=None) -> None:
     seed = cfg.seeds[0] if cfg.seeds else 0
-    det = deterministic_graph(graphon, n)
-    graph = _sample(det, seed) if cfg.sampled else det
+    graph = _sample(averages[0], seed) if cfg.sampled else deterministic_graph(graphon, n)
     system = OscillatorSystem(graph, coupling, K=cfg.K, omega=omega(n))
     states = recorded_states(system, PhaseState(_initial_phases(n, seed)), cfg.T,
                              cfg.dt, cfg.record_every)
@@ -327,8 +329,8 @@ def _run_simulate(cfg: ExperimentConfig, graphon, coupling, omega, n) -> None:
                   ([float(t), *map(float, u), *order_parameter(u)] for t, u in wrapped))
 
 
-def _run_sample_graph(cfg: ExperimentConfig, graphon, n) -> None:
-    graph = sample_w_random(graphon, n, cfg.seeds[0] if cfg.seeds else 0)
+def _run_sample_graph(cfg: ExperimentConfig, n, averages) -> None:
+    graph = _sample(averages[0], cfg.seeds[0] if cfg.seeds else 0)
     kio.write_matrix_csv(_out(cfg, "results.csv"), graph.weights)
     if cfg.render_pgm:
         kio.write_pgm(_out(cfg, "graph.pgm"), pixel_picture(graph))
@@ -391,11 +393,12 @@ def _run_convergence_main(cfg: ExperimentConfig, graphon, coupling, rho0,
     kio.write_csv(_out(cfg, "results.csv"), ["n", "m", "sup_dbar"], rows)
 
 
-def _run_convergence_ave(cfg: ExperimentConfig, graphon, coupling, omega, n) -> None:
+def _run_convergence_ave(cfg: ExperimentConfig, coupling, omega, n, averages) -> None:
     rows = []
     warned = False
     for cells in n:
-        det = deterministic_graph(graphon, cells)
+        # each average is dropped once its seeds have run
+        det = averages.pop(0)
         frequencies = omega(cells)
         for seed in cfg.seeds or [0]:
             u0 = PhaseState(_initial_phases(cells, seed))

@@ -25,7 +25,8 @@ averages of band profiles are stored; the FFT spectrum of a large one is taken
 by its first product, so sampling and kernel distances never compute it.
 A W-random graph sampled from such an average keeps dense 0/1 ``weights`` but
 may multiply as the average's rounding, by FFT, plus sums over the pairs where
-it differs (``WeightedGraph._from_rounding``), about 1e-13 from the dense one.
+it differs (``WeightedGraph._from_rounding``), about 1e-13 from the dense one;
+such a split graph holds its ``weights`` as bool, one byte per pair.
 
 A custom kernel's symmetry and |W| <= 1 are checked on the first, n x n grid
 of its cell-average quadrature; L^1-continuity of x -> W(x, .) stays the
@@ -108,10 +109,11 @@ class WeightedGraph:
 
     ``WeightedGraph(weights)`` checks outside input: a square symmetric
     matrix of at most ``MAX_NODES`` rows within slack of [-1, 1], copied and
-    clipped to [-1, 1].  ``weights`` is a read-only n x n array;
-    :meth:`_product` is every coupling sum's product with it: by BLAS, by
-    FFT for diagonals ``_from_diagonals`` stores, or for a sampled graph
-    ``_from_rounding`` splits, by FFT plus sums over its :attr:`_flips`.
+    clipped to [-1, 1].  ``weights`` is a read-only n x n array, float, or
+    bool for a sampled graph ``_from_rounding`` splits; :meth:`_product` is
+    every coupling sum's product with it: by BLAS, by FFT for diagonals
+    ``_from_diagonals`` stores, or for a split graph by FFT plus sums over
+    its :attr:`_flips`.
     """
 
     _diagonals = None
@@ -159,7 +161,7 @@ class WeightedGraph:
 
     @classmethod
     def _from_rounding(cls, weights: np.ndarray, rounded: np.ndarray):
-        """Sampled 0/1 ``weights`` multiplied as the Toeplitz matrix R of the
+        """Sampled bool ``weights`` multiplied as the Toeplitz matrix R of the
         0/1 ``rounded`` diagonals, by FFT, plus E = weights - R (:attr:`_flips`)."""
         graph = cls._trusted(weights)
         rounded.setflags(write=False)

@@ -12,7 +12,10 @@ edge probabilities from it; :mod:`kmflow.graphon` decides how it is stored.
 A sampled graph is a dense 0/1 matrix.  If P, its cell average, is stored as
 diagonals and at most 1/8 of the pairs are expected to differ from R = [P >=
 1/2], it multiplies as R, by FFT, plus sums over the pairs that differ, about
-1e-13 from the dense product; any other sampled graph multiplies by BLAS.
+1e-13 from the dense product, and its ``weights`` are bool, one byte per
+pair, since that product never reads them; any other sampled graph holds
+float ``weights`` and multiplies by BLAS.  The split is decided from P's
+diagonals before sampling, so the one sampling loop fills the chosen dtype.
 
 Sampling is counter-based: the coin for pair (i, j), i <= j, comes from a
 Philox stream keyed by (seed, i) at position j - i, so results are
@@ -52,25 +55,28 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
 
 def _sample(probs: StepGraphon, seed: int) -> WeightedGraph:
     """The W-random graph on a cell average :func:`_edge_probabilities` checked."""
-    n, probabilities = probs.n, probs.weights
-    weights = np.zeros((n, n))
+    n, diagonals = probs.n, probs._diagonals
+    # expected flips: sum_ij min(P_ij, 1 - P_ij), diagonal d holding n - |d| pairs
+    split = diagonals is not None and (
+        (n - np.abs(np.arange(1 - n, n))) @ np.minimum(diagonals, 1.0 - diagonals)
+        <= _MAX_FLIP_DENSITY * n * n)
+    # a split graph's product never reads its 0/1 entries: one byte holds each
+    weights = np.zeros((n, n), dtype=bool if split else float)
+    bits = np.random.Philox(key=[np.uint64(seed), np.uint64(0)])
+    stream, state = np.random.Generator(bits), bits.state
     for i in range(n):
-        stream = np.random.Generator(
-            np.random.Philox(key=[np.uint64(seed), np.uint64(i)])
-        )
-        weights[i, i:] = stream.random(n - i) < probabilities[i, i:]
+        # stream (seed, i) from its start: counter 0, buffer empty
+        state["state"]["key"][1] = i
+        bits.state = state
+        np.less(stream.random(n - i), probs.weights[i, i:], out=weights[i, i:])
     for i in range(0, n, _TILE):
         stop = min(i + _TILE, n)
         block = weights[i:stop, i:stop]
         block += np.triu(block, 1).T
         weights[stop:, i:stop] = weights[i:stop, stop:].T
     # 0/1 and mirrored by construction, so trusted either way
-    diagonals = probs._diagonals
-    if diagonals is not None:
-        # expected flips: sum_ij min(P_ij, 1 - P_ij), diagonal d holding n - |d| pairs
-        flips = (n - np.abs(np.arange(1 - n, n))) @ np.minimum(diagonals, 1.0 - diagonals)
-        if flips <= _MAX_FLIP_DENSITY * n * n:
-            return WeightedGraph._from_rounding(weights, (diagonals >= 0.5).astype(float))
+    if split:
+        return WeightedGraph._from_rounding(weights, (diagonals >= 0.5).astype(float))
     return WeightedGraph._trusted(weights)
 
 
@@ -90,5 +96,8 @@ def pixel_picture(graph: WeightedGraph) -> np.ndarray:
     Weight 1 maps to black (0), weight 0 to white (255).  Returns a uint8
     array; see :func:`kmflow.io.write_pgm` for the binary PGM writer.
     """
-    intensity = np.rint(255.0 * (1.0 - np.abs(graph.weights)))
-    return intensity.astype(np.uint8)
+    image = np.empty((graph.n, graph.n), dtype=np.uint8)
+    for i in range(0, graph.n, _TILE):
+        # one strip of rows at a time, so no n x n float temporary is built
+        image[i:i + _TILE] = np.rint(255.0 * (1.0 - np.abs(graph.weights[i:i + _TILE])))
+    return image

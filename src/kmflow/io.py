@@ -39,9 +39,18 @@ def fmt(x) -> str:
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    """Write a square matrix row-major with a 'n=<n>' header line."""
-    matrix = np.asarray(matrix, dtype=float)
-    write_csv(path, [f"n={matrix.shape[0]}"], matrix)
+    """Write a square matrix row-major with a 'n=<n>' header line.
+
+    Each row is converted to float and formatted as it is written, through
+    one ``%.17g`` template that gives the bytes of :func:`fmt`, so a bool
+    matrix is never copied whole.
+    """
+    matrix = np.asarray(matrix)
+    template = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    with _replacing(path) as out:
+        out.write(f"n={matrix.shape[0]}\n".encode())
+        for row in matrix:
+            out.write((template % tuple(row.astype(float).tolist())).encode())
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -22,7 +22,7 @@ from kmflow.dynamics import (
     wrap_angle,
 )
 from kmflow.graphon import _TOEPLITZ_NODES, Graphon
-from kmflow.graphs import WeightedGraph, deterministic_graph
+from kmflow.graphs import WeightedGraph, deterministic_graph, sample_w_random
 from oracles import peak_traced, two_oscillator_gap, weight_perturbation_constant
 
 TWO_PI = 2.0 * np.pi
@@ -133,6 +133,19 @@ def test_custom_coupling_on_toeplitz_graph_matches_dense(n):
         dense = WeightedGraph(np.array(graph.weights))
         assert np.array_equal(OscillatorSystem(graph, coup, K=0.7).rhs_phases(u),
                               OscillatorSystem(dense, coup, K=0.7).rhs_phases(u))
+
+
+def test_custom_field_on_split_graph_matches_its_float_copy():
+    # the slab multiplies bool weights by the masses, which gives the float bits
+    coup = CouplingFunction.custom(lambda u: 0.5 * np.sin(u) + 0.25 * np.cos(2.0 * u))
+    graph = sample_w_random(Graphon.small_world(0.1, 0.25), 600, seed=4)
+    assert graph._sampled and graph.weights.dtype == bool
+    dense = WeightedGraph(graph.weights.astype(float))
+    rng = np.random.default_rng(4)
+    pos, mass = rng.uniform(0, TWO_PI, (600, 3)), rng.dirichlet(np.ones(3), 600)
+    for targets in (pos, rng.uniform(0, TWO_PI, (600, 2))):
+        assert np.array_equal(dynamics._field(graph, coup, pos, mass, targets),
+                              dynamics._field(dense, coup, pos, mass, targets))
 
 
 @pytest.mark.parametrize("n", [1, 7, 300])

@@ -9,6 +9,7 @@ import pytest
 from kmflow.graphon import _TOEPLITZ_NODES, MAX_NODES, Graphon, StepGraphon
 from kmflow.graphs import (
     WeightedGraph,
+    _sample,
     deterministic_graph,
     pixel_picture,
     sample_w_random,
@@ -363,7 +364,28 @@ def test_held_flips_are_at_most_an_eighth_of_the_weights(kernel):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= g.weights.nbytes / 8 + 64 * n
+    # an eighth of a float64 n x n matrix, whatever the weights' own dtype
+    assert held <= n * n + 64 * n
+
+
+def test_split_graph_samples_into_one_byte_per_pair():
+    n = 2048
+    probs = Graphon.small_world(0.1, 0.25).cell_average(n)
+    g, peak = peak_traced(lambda: _sample(probs, 3))
+    assert g._sampled and g.weights.dtype == bool and g.weights.nbytes == n * n
+    # float64 weights alone would take 8 n^2 bytes
+    assert peak < 1.25 * n * n
+
+
+def test_pixel_picture_builds_strips():
+    n = 2048
+    g = sample_w_random(Graphon.small_world(0.1, 0.25), n, seed=0)
+    dense = WeightedGraph._trusted(g.weights.astype(float))
+    image, peak = peak_traced(lambda: pixel_picture(dense))
+    assert np.array_equal(image, np.rint(255.0 * (1.0 - dense.weights)).astype(np.uint8))
+    assert np.array_equal(pixel_picture(g), image)
+    # the n x n image, plus a few float strips of 64 rows
+    assert peak - image.nbytes <= 4 * 64 * n * 8
 
 
 @pytest.mark.parametrize("n", [512, 1024, 2048])
