@@ -56,12 +56,11 @@ from .dynamics import (
     recorded_states,
     time_grid,
 )
-from .graphon import MAX_NODES, Graphon, _common_resolution, _is_integer, _is_real
+from .graphon import MAX_NODES, Graphon, _check_nodes, _common_resolution, _is_integer, _is_real
 from .graphs import (
     WeightedGraph,
     _edge_probabilities,
     _sample,
-    deterministic_graph,
     pixel_picture,
 )
 from .measures import (
@@ -171,10 +170,10 @@ class ExperimentConfig:
         its JSON specs describe (for ``meanfield_fv``, ``rho0`` is its start
         field on the phase grid), ``n``/``m`` (a list for the counts it
         sweeps, an int otherwise), ``convergence_main``'s reference sizes as
-        ``ref`` and ``distance``'s two families.  An experiment that samples
+        ``ref`` and ``distance``'s two families.  An experiment that builds
         graphs takes, in place of ``graphon``, its cell averages at each entry
-        of n as ``averages``, checked as edge probabilities.  A bad setting
-        raises ValueError naming its key or file.
+        of n as ``averages``, checked as edge probabilities where it samples.
+        A bad setting raises ValueError naming its key or file.
         """
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; pick one of "
@@ -236,10 +235,12 @@ class ExperimentConfig:
         frames = len(time_grid(self.T, self.dt))  # checks the step count
         if self.experiment == "picard":
             mf.check_picard_capacity(frames, inputs["n"] * inputs["m"])
-        if self.experiment in ("sample_graph", "convergence_ave") or self.sampled:
-            # the runner samples from these checked averages, one per entry of n
+        if self.experiment in ("simulate", "sample_graph", "convergence_ave"):
+            # the runner's graphs are, or are sampled from, these averages
             kernel = inputs.pop("graphon")
-            inputs["averages"] = [_edge_probabilities(kernel, cells) for cells in counts["n"]]
+            average = (Graphon.cell_average if self.experiment == "simulate"
+                       and not self.sampled else _edge_probabilities)
+            inputs["averages"] = [average(kernel, cells) for cells in counts["n"]]
         if self.experiment == "meanfield_fv":
             if (phase_cells := inputs["n"] * self.g) > MAX_PARTICLES:
                 raise ValueError(f"capacity exceeded: n*g = {inputs['n']}*{self.g} = "
@@ -254,8 +255,8 @@ class ExperimentConfig:
                 raise ValueError(f"{exc} in the 'rho0' spec {self.rho0!r}") from None
         if self.experiment == "stability_kernel":
             # the size check of kernel_distance's refinement grid
-            inputs["graphon"]._diagonals(_common_resolution(
-                inputs["graphon"], inputs["graphon_b"], self.kernel_resolution))
+            _check_nodes(_common_resolution(inputs["graphon"], inputs["graphon_b"],
+                                            self.kernel_resolution))
         if self.experiment == "distance":
             if len(self.inputs) != 2:
                 raise ValueError(f"'inputs' must name two family CSV files "
@@ -315,10 +316,9 @@ def _initial_phases(n: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * math.pi, n)
 
 
-def _run_simulate(cfg: ExperimentConfig, coupling, omega, n, graphon=None,
-                  averages=None) -> None:
+def _run_simulate(cfg: ExperimentConfig, coupling, omega, n, averages) -> None:
     seed = cfg.seeds[0] if cfg.seeds else 0
-    graph = _sample(averages[0], seed) if cfg.sampled else deterministic_graph(graphon, n)
+    graph = _sample(averages[0], seed) if cfg.sampled else averages[0]
     system = OscillatorSystem(graph, coupling, K=cfg.K, omega=omega(n))
     states = recorded_states(system, PhaseState(_initial_phases(n, seed)), cfg.T,
                              cfg.dt, cfg.record_every)

@@ -18,15 +18,9 @@ JSON spec), averaged in closed form band by band (a band intersected with a
 cell is polygonal); custom kernels fall back to a composite midpoint rule with
 Richardson extrapolation.
 
-The cell average W_n is a :class:`StepGraphon`, a :class:`WeightedGraph`: the
-deterministic graph on n nodes, which graphs and mean field multiply by through
-one product.  ``WeightedGraph._from_diagonals`` alone decides how the Toeplitz
-averages of band profiles are stored; the FFT spectrum of a large one is taken
-by its first product, so sampling and kernel distances never compute it.
-A W-random graph sampled from such an average keeps dense 0/1 ``weights`` but
-may multiply as the average's rounding, by FFT, plus sums over the pairs where
-it differs (``WeightedGraph._from_rounding``), about 1e-13 from the dense one;
-such a split graph holds its ``weights`` as bool, one byte per pair.
+The cell average W_n is a :class:`WeightedGraph` (``StepGraphon`` is another
+name for it): the deterministic graph on n nodes, which graphs and mean field
+multiply by through one product.  That class describes how a graph is stored.
 
 A custom kernel's symmetry and |W| <= 1 are checked on the first, n x n grid
 of its cell-average quadrature; L^1-continuity of x -> W(x, .) stays the
@@ -79,6 +73,12 @@ def _check_count(value, name: str) -> None:
         raise ValueError(f"need an integer {name} >= 1 (got {value!r})")
 
 
+def _check_nodes(n: int) -> None:
+    """Reject a node count above ``MAX_NODES``, the cap of dense storage."""
+    if n > MAX_NODES:
+        raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
+
+
 def _spec_kind(spec: dict, what: str, fields: dict, default=None) -> str:
     """The kind a JSON spec names, checked against ``fields`` (kind -> the
     fields it takes): an unknown kind, or a field its kind does not take, is
@@ -105,19 +105,27 @@ class QuadratureError(RuntimeError):
 
 
 class WeightedGraph:
-    """Symmetric weight matrix with |w_ij| <= 1.
+    """Symmetric weight matrix with |w_ij| <= 1 (``StepGraphon`` is another name).
 
     ``WeightedGraph(weights)`` checks outside input: a square symmetric
     matrix of at most ``MAX_NODES`` rows within slack of [-1, 1], copied and
-    clipped to [-1, 1].  ``weights`` is a read-only n x n array, float, or
-    bool for a sampled graph ``_from_rounding`` splits; :meth:`_product` is
-    every coupling sum's product with it: by BLAS, by FFT for diagonals
-    ``_from_diagonals`` stores, or for a split graph by FFT plus sums over
-    its :attr:`_flips`.
+    clipped to [-1, 1].  ``weights``, or ``values``, is read-only n x n, and
+    :meth:`_product`, every coupling sum's product with it, takes one of two forms:
+
+    * dense float ``weights`` by BLAS: step and custom kernels' cell averages,
+      band profiles' below ``_TOEPLITZ_NODES`` rows, and unsplit sampled graphs;
+    * the Toeplitz T of the read-only :attr:`_diagonals` by FFT, plus sums over
+      E = weights - T, the :attr:`_flips` (:meth:`_from_diagonals`).  A band
+      profile's cell average from ``_TOEPLITZ_NODES`` rows up is T, ``weights``
+      a view of the diagonals, with no flips.  A sampled graph ``graphs._sample``
+      splits holds bool 0/1 ``weights``, one byte per pair, and T is the rounding
+      of its edge probabilities; its product is about 1e-13 from the dense one.
+
+    The first product takes the spectrum and lists the flips, so sampling and
+    kernel distances never do.
     """
 
     _diagonals = None
-    _sampled = False
 
     def __init__(self, weights):
         weights = np.asarray(weights)
@@ -126,8 +134,7 @@ class WeightedGraph:
         n = weights.shape[0]
         if n < 1:
             raise ValueError("weights must have at least one row")
-        if n > MAX_NODES:
-            raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
+        _check_nodes(n)
         # the shape and the node cap are checked before anything is copied
         weights = np.array(weights, dtype=float)
         if not _is_symmetric(weights):
@@ -147,30 +154,30 @@ class WeightedGraph:
         return graph
 
     @classmethod
-    def _from_diagonals(cls, diagonals: np.ndarray):
-        """Toeplitz ``weights[i, j] = diagonals[i - j + n - 1]`` from
-        :meth:`Graphon._diagonals`: dense below ``_TOEPLITZ_NODES`` rows, else a
-        view of the read-only diagonals, multiplied by FFT against their spectrum."""
+    def _from_diagonals(cls, diagonals: np.ndarray, sampled: np.ndarray | None = None):
+        """T[i, j] = diagonals[i - j + n - 1] from :meth:`Graphon._diagonals`:
+        dense below ``_TOEPLITZ_NODES`` rows, else a view of the read-only
+        diagonals with no flips; or, given the bool matrix ``sampled``, that
+        graph, multiplied as T, its 0/1 rounding, plus flips."""
         n = (diagonals.shape[0] + 1) // 2
-        if n < _TOEPLITZ_NODES:
+        if sampled is None and n < _TOEPLITZ_NODES:
             return cls._trusted(np.array(_toeplitz(diagonals)))
         diagonals.setflags(write=False)
-        graph = cls._trusted(_toeplitz(diagonals))
+        graph = cls._trusted(_toeplitz(diagonals) if sampled is None else sampled)
         graph._diagonals = diagonals
-        return graph
-
-    @classmethod
-    def _from_rounding(cls, weights: np.ndarray, rounded: np.ndarray):
-        """Sampled bool ``weights`` multiplied as the Toeplitz matrix R of the
-        0/1 ``rounded`` diagonals, by FFT, plus E = weights - R (:attr:`_flips`)."""
-        graph = cls._trusted(weights)
-        rounded.setflags(write=False)
-        graph._diagonals, graph._sampled = rounded, True
+        if sampled is None:
+            graph._flips = ()
         return graph
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """``weights`` read as a step kernel: ``values[i, j]`` is its value on
+        cell ``[i/n, (i+1)/n) x [j/n, (j+1)/n)`` (0-based indices)."""
+        return self.weights
 
     @functools.cached_property
     def _spectrum(self) -> np.ndarray:
@@ -180,7 +187,7 @@ class WeightedGraph:
 
     @functools.cached_property
     def _flips(self) -> list:
-        """E = weights - R, listed by the first :meth:`_product` in blocks of
+        """E = weights - T, listed by the first :meth:`_product` in blocks of
         ``_TILE`` rows, each gathered whole: the rows that hold a flip, where
         each row's flips start, and their columns, plus n where E is -1."""
         flips, rounded, n = [], _toeplitz(self._diagonals), self.n
@@ -201,7 +208,7 @@ class WeightedGraph:
         spectrum, n = self._spectrum, self.n
         size = 2 * (spectrum.shape[0] - 1)
         product = np.fft.irfft(np.fft.rfft(x, size) * spectrum, size)[..., n - 1:2 * n - 1]
-        if self._sampled:
+        if self._flips:
             # rows 2q and 2q + 1 of x as one complex row, then its negation
             packed = x[0::2].astype(complex)
             packed[:len(x) // 2].imag = x[1::2]
@@ -214,16 +221,7 @@ class WeightedGraph:
         return product
 
 
-class StepGraphon(WeightedGraph):
-    """Symmetric piecewise-constant kernel on the n x n cell grid.
-
-    ``values[i, j]``, the graph's ``weights``, is the constant value on cell
-    ``[i/n, (i+1)/n) x [j/n, (j+1)/n)`` (0-based indices).
-    """
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.weights
+StepGraphon = WeightedGraph
 
 
 class Graphon:
@@ -264,7 +262,7 @@ class Graphon:
 
     @classmethod
     def step(cls, values) -> "Graphon":
-        step = values if isinstance(values, StepGraphon) else StepGraphon(values)
+        step = values if isinstance(values, WeightedGraph) else WeightedGraph(values)
         return cls("step", step=step)
 
     @classmethod
@@ -281,7 +279,7 @@ class Graphon:
 
     # -- cell averaging ------------------------------------------------
 
-    def cell_average(self, n: int) -> StepGraphon:
+    def cell_average(self, n: int) -> WeightedGraph:
         """Project onto the step functions at resolution n.
 
         Entry (i, j) is n^2 times the integral of W over the cell
@@ -291,10 +289,10 @@ class Graphon:
         """
         diagonals = self._diagonals(n)
         if diagonals is not None:
-            return StepGraphon._from_diagonals(diagonals)
+            return WeightedGraph._from_diagonals(diagonals)
         if self.step_values is not None:
-            return StepGraphon(_step_cell_average(self.step_values.values, n))
-        return StepGraphon(_custom_cell_average(self.fn, n))
+            return WeightedGraph(_step_cell_average(self.step_values.values, n))
+        return WeightedGraph(_custom_cell_average(self.fn, n))
 
     def _diagonals(self, n: int) -> np.ndarray | None:
         """The 2n-1 diagonals of the resolution-n cell average, once n is checked.
@@ -306,8 +304,7 @@ class Graphon:
         exactly.  Step and custom kernels return None.
         """
         _check_count(n, "resolution n")
-        if n > MAX_NODES:
-            raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
+        _check_nodes(n)
         if self._bands is None:
             return None
         base, bands = self._bands

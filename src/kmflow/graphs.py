@@ -8,14 +8,12 @@ Two constructions:
   with probability equal to the cell average ("W-random" sampling).
 
 The deterministic graph is the cell average itself, and the sampler reads its
-edge probabilities from it; :mod:`kmflow.graphon` decides how it is stored.
-A sampled graph is a dense 0/1 matrix.  If P, its cell average, is stored as
-diagonals and at most 1/8 of the pairs are expected to differ from R = [P >=
-1/2], it multiplies as R, by FFT, plus sums over the pairs that differ, about
-1e-13 from the dense product, and its ``weights`` are bool, one byte per
-pair, since that product never reads them; any other sampled graph holds
-float ``weights`` and multiplies by BLAS.  The split is decided from P's
-diagonals before sampling, so the one sampling loop fills the chosen dtype.
+edge probabilities from it; :class:`~kmflow.graphon.WeightedGraph` describes
+how either is stored.  A sampled graph splits, into the rounding R = [P >=
+1/2] of its cell average P plus the pairs that differ, when P is stored as
+diagonals and at most 1/8 of the pairs are expected to differ.  This is
+decided from P's diagonals before sampling, so the one sampling loop fills
+the chosen dtype.
 
 Sampling is counter-based: the coin for pair (i, j), i <= j, comes from a
 Philox stream keyed by (seed, i) at position j - i, so results are
@@ -76,7 +74,7 @@ def _sample(probs: StepGraphon, seed: int) -> WeightedGraph:
         weights[stop:, i:stop] = weights[i:stop, stop:].T
     # 0/1 and mirrored by construction, so trusted either way
     if split:
-        return WeightedGraph._from_rounding(weights, (diagonals >= 0.5).astype(float))
+        return WeightedGraph._from_diagonals((diagonals >= 0.5).astype(float), weights)
     return WeightedGraph._trusted(weights)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphon import MAX_NODES
+from .graphon import _check_nodes
 
 
 @contextlib.contextmanager
@@ -62,8 +62,7 @@ def read_matrix_csv(path) -> np.ndarray:
             n = int(header[2:]) if header[:2] == "n=" and header[2:].isdecimal() else 0
             if n < 1:
                 raise ValueError(f"line 1 is not an 'n=<n>' header with n >= 1 (got {header!r})")
-            if n > MAX_NODES:
-                raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
+            _check_nodes(n)
             matrix, rows = np.empty((n, n)), 0
             for number, line in enumerate(lines, start=2):
                 line = line.removesuffix("\n")

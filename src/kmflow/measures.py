@@ -257,14 +257,14 @@ class MeasureTrajectory:
 
 def check_shared_grid(a, b) -> None:
     """Reject two trajectories (phase or family) recorded on different grids."""
-    if a.times.shape != b.times.shape or not np.allclose(a.times, b.times, atol=1e-12):
+    if a.times.shape != b.times.shape or not np.allclose(a.times, b.times, rtol=0.0, atol=1e-12):
         raise ValueError("trajectories must share the recording grid")
 
 
 def d_alpha(a: MeasureTrajectory, b: MeasureTrajectory, alpha: float = 3.0) -> float:
     """Weighted sup metric: max over shared times of e^(-alpha t) * dbar."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not (_is_real(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be a finite number > 0 (got {alpha!r})")
     check_shared_grid(a, b)
     return float(max(math.exp(-alpha * t) * dbar(fa, fb)
                      for t, fa, fb in zip(a.times, a.families, b.families)))

@@ -646,6 +646,23 @@ def test_convergence_ave_samples_from_the_deterministic_graph(tmp_path, monkeypa
     assert averaged == [16, 32]
 
 
+@pytest.mark.parametrize("kernel, sampled", [(NEGATIVE, []), (ER_HALF, ["--sampled"])])
+def test_simulate_integrates_on_the_average_validate_builds(tmp_path, monkeypatch,
+                                                             kernel, sampled):
+    # one average per run; without --sampled a negative kernel still runs
+    averaged = []
+    cell_average = cli.Graphon.cell_average
+
+    def counting(self, n):
+        averaged.append(n)
+        return cell_average(self, n)
+
+    monkeypatch.setattr(cli.Graphon, "cell_average", counting)
+    assert main(["simulate", "--graphon", json.dumps(kernel), "--n", "4", *sampled,
+                 "--T", "0.1", "--dt", "0.05", "--output-dir", str(tmp_path)]) == 0
+    assert averaged == [4]
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--n", ","), ("--n", "3,x"), ("--m", ",,"), ("--seeds", "1,two"),
 ])

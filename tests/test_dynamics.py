@@ -139,7 +139,7 @@ def test_custom_field_on_split_graph_matches_its_float_copy():
     # the slab multiplies bool weights by the masses, which gives the float bits
     coup = CouplingFunction.custom(lambda u: 0.5 * np.sin(u) + 0.25 * np.cos(2.0 * u))
     graph = sample_w_random(Graphon.small_world(0.1, 0.25), 600, seed=4)
-    assert graph._sampled and graph.weights.dtype == bool
+    assert graph._diagonals is not None and graph.weights.dtype == bool
     dense = WeightedGraph(graph.weights.astype(float))
     rng = np.random.default_rng(4)
     pos, mass = rng.uniform(0, TWO_PI, (600, 3)), rng.dirichlet(np.ones(3), 600)

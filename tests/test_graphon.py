@@ -421,6 +421,17 @@ def test_midpoint_step_alternative_discretization():
     assert d_sampled < 0.5 and d_avg < 0.5
 
 
+def test_step_kernel_of_a_split_sampled_graph():
+    # StepGraphon is the graph class, so a split graph's bool weights step
+    # like their float copy
+    assert StepGraphon is WeightedGraph
+    g = sample_w_random(Graphon.small_world(0.1, 0.25), 600, seed=4)
+    assert g._diagonals is not None and g.weights.dtype == bool
+    for n in (97, 600, 1200):
+        assert np.array_equal(Graphon.step(g).cell_average(n).values,
+                              Graphon.step(g.weights.astype(float)).cell_average(n).values)
+
+
 def test_json_round_trip():
     # the JSON specs the CLI reads build the kernels their constructors build
     for text, W in (('{"kind": "constant", "p": 0.5}', Graphon.constant(0.5)),

@@ -175,6 +175,15 @@ def test_toeplitz_graph_stores_diagonals_only():
         g.weights[0, 0] = 0.0
 
 
+def test_toeplitz_graph_product_lists_no_flips():
+    g = deterministic_graph(Graphon.small_world(0.1, 0.25), 4096)
+    x = np.random.default_rng(0).standard_normal((2, 4096))
+    _, peak = peak_traced(lambda: g._product(x))
+    # two rows' FFT buffers; listing flips would gather 64-row blocks of the
+    # n x n view, 2.3 MB at this n
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 64, _TOEPLITZ_NODES])
 def test_toeplitz_graph_reads_like_its_dense_copy(n, tmp_path):
     for W in (Graphon.constant(-0.4), Graphon.small_world(0.2, 0.3),
@@ -215,7 +224,7 @@ def test_toeplitz_storage_rule(n):
 
 def _count_matrix_checks(monkeypatch):
     """Count full symmetric-matrix checks: calls of the one checked
-    constructor, which StepGraphon inherits."""
+    constructor, ``WeightedGraph.__init__``."""
     calls = []
     original = WeightedGraph.__init__
 
@@ -327,7 +336,7 @@ def test_split_product_matches_the_dense_product(n):
     # rounding, by FFT, plus sums over its flipped pairs
     for W in (*SPLIT_KERNELS.values(), Graphon.constant(0.95)):
         g = sample_w_random(W, n, seed=n)
-        assert g._sampled == (n >= _TOEPLITZ_NODES)
+        assert (g._diagonals is not None) == (n >= _TOEPLITZ_NODES)
         for rows in (1, 2, 3):
             x = np.random.default_rng(rows).standard_normal((rows, n))
             expected = x @ np.array(g.weights)
@@ -341,14 +350,14 @@ def test_split_rule_keeps_blas_for_dense_flips_and_small_graphs():
     for W, n in ((Graphon.constant(0.5), 1024), (Graphon.small_world(0.1, 0.25), 431),
                  (step, 1024)):
         g = sample_w_random(W, n, seed=0)
-        assert g._diagonals is None and not g._sampled
+        assert g._diagonals is None
         x = np.random.default_rng(0).standard_normal((2, n))
         assert np.array_equal(g._product(x), x @ g.weights)
 
 
 def test_sampling_alone_builds_no_flips():
     g = sample_w_random(Graphon.small_world(0.1, 0.25), 1024, seed=0)
-    assert g._sampled and not {"_flips", "_spectrum"} & set(vars(g))
+    assert g._diagonals is not None and not {"_flips", "_spectrum"} & set(vars(g))
     assert g.weights.flags.c_contiguous and not g.weights.flags.writeable
     assert not g._diagonals.flags.writeable
     assert set(np.unique(g._diagonals)) == {0.0, 1.0}
@@ -372,7 +381,7 @@ def test_split_graph_samples_into_one_byte_per_pair():
     n = 2048
     probs = Graphon.small_world(0.1, 0.25).cell_average(n)
     g, peak = peak_traced(lambda: _sample(probs, 3))
-    assert g._sampled and g.weights.dtype == bool and g.weights.nbytes == n * n
+    assert g._diagonals is not None and g.weights.dtype == bool and g.weights.nbytes == n * n
     # float64 weights alone would take 8 n^2 bytes
     assert peak < 1.25 * n * n
 

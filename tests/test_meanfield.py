@@ -28,10 +28,13 @@ from kmflow.meanfield import (
 from kmflow.measures import (
     CircleMeasure,
     MeasureFamily,
+    MeasureTrajectory,
     TwoCluster,
     Uniform,
     VonMises,
+    d_alpha,
     dbar,
+    empirical_from_phases,
     initial_family,
     sup_dbar,
 )
@@ -231,6 +234,22 @@ def test_picard_uniform_fixed_point_immediately():
     fam0 = initial_family(Uniform(), 4, 32)
     _, report = picard_solve(spec, fam0, 1.0, 1e-2, alpha=3.0, tol=1e-4)
     assert report["converged"] and report["iterations"] == 1
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"alpha": np.nan}, "alpha must be a finite number > 2"),
+    ({"alpha": np.inf}, "alpha must be a finite number > 2"),
+    ({"alpha": 2.0}, "alpha must be a finite number > 2"),
+    ({"tol": np.nan}, "tol must be a finite number > 0"),
+    ({"tol": np.inf}, "tol must be a finite number > 0"),
+    ({"tol": 0.0}, "tol must be a finite number > 0"),
+])
+def test_picard_rejects_settings_the_cli_rejects(setting, message):
+    # a NaN alpha would run every sweep on NaN distances, a NaN tol never stop
+    spec = _spec(Graphon.constant(0.5), 4)
+    fam0 = initial_family(Uniform(), 4, 8)
+    with pytest.raises(ValueError, match=message):
+        picard_solve(spec, fam0, 1.0, 1e-2, **setting)
 
 
 def test_picard_contraction_ratios():
@@ -649,6 +668,20 @@ def test_sup_dbar_is_max_of_refined_frame_distances():
                                 record_every=2)
     with pytest.raises(ValueError, match="recording grid"):
         sup_dbar(a, every_other)
+
+
+def test_grids_a_relative_tolerance_would_merge_are_rejected():
+    # dt and dt (1 + 1e-5) both give 101 frames, up to 9.9e-6 apart
+    system = dynamics.OscillatorSystem(Graphon.constant(0.5).cell_average(4), SINE)
+    u0 = PhaseState(np.linspace(0.0, 1.0, 4))
+    a, b = (dynamics.integrate(system, u0, 1.0, dt) for dt in (0.01, 0.0100001))
+    assert a.times.size == b.times.size == 101
+    fa, fb = (MeasureTrajectory(t.times, [empirical_from_phases(u, 4, 1) for u in t.phases])
+              for t in (a, b))
+    for distance in (lambda: dynamics.sup_norm_1n(a, b), lambda: sup_dbar(fa, fb),
+                     lambda: d_alpha(fa, fb, 3.0)):
+        with pytest.raises(ValueError, match="recording grid"):
+            distance()
 
 
 @pytest.mark.parametrize("perturb", ["kernel", "initial"])

@@ -192,6 +192,9 @@ def test_d_alpha_examples():
     assert d_alpha(a, b, 3.0) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         d_alpha(traj, a, 3.0)  # grid mismatch
+    for alpha in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha must be a finite number > 0"):
+            d_alpha(traj, traj, alpha)
 
 
 def test_empirical_from_phases():

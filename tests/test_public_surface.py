@@ -1,10 +1,11 @@
-"""Every public name kmflow defines has a caller or is exported.
+"""Every name kmflow defines has a caller, or is exported if it is public.
 
 A public module-level function or class of ``src/kmflow``, or a public method
 of such a class, must either be named in ``kmflow.__all__`` or appear as a
 word somewhere outside every definition of that name in its file: in
 ``src/kmflow``, ``README.md`` or ``perfbench/*.py``.  So two same-named methods
-do not count as each other's caller.  Tests do not count as callers, so a name
+do not count as each other's caller.  A private one (dunders aside) must
+appear so in ``src/kmflow`` itself.  Tests do not count as callers, so a name
 only tests use belongs in ``tests/oracles.py``.
 """
 
@@ -19,23 +20,28 @@ SOURCES = sorted((ROOT / "src" / "kmflow").glob("*.py"))
 CALLERS = [*SOURCES, ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))]
 
 
-def _public_definitions():
-    """(file, qualified name) of each public function, class and method."""
+def _definitions(private: bool):
+    """(file, qualified name) of each public, or each private but not dunder,
+    module-level function and class, and method of such a class."""
+    def chosen(name):
+        return name.startswith("_") == private and not name.startswith("__")
+
     defining = (ast.FunctionDef, ast.ClassDef)
     for path in SOURCES:
         for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, defining) or node.name.startswith("_"):
+            if not isinstance(node, defining):
                 continue
-            yield path, node.name
+            if chosen(node.name):
+                yield path, node.name
             for item in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and chosen(item.name):
                     yield path, f"{node.name}.{item.name}"
 
 
-def _used_outside(path, name) -> bool:
+def _used_outside(path, name, callers=CALLERS) -> bool:
     short = name.rsplit(".", 1)[-1]
     word = re.compile(rf"\b{re.escape(short)}\b")
-    for caller in CALLERS:
+    for caller in callers:
         text = caller.read_text()
         lines = text.splitlines()
         if caller == path:
@@ -49,6 +55,12 @@ def _used_outside(path, name) -> bool:
 
 
 def test_every_public_name_has_a_caller():
-    unused = [name for path, name in _public_definitions()
+    unused = [name for path, name in _definitions(private=False)
               if name not in kmflow.__all__ and not _used_outside(path, name)]
     assert unused == [], f"public names with no caller: {unused}"
+
+
+def test_every_private_name_has_a_caller():
+    unused = [name for path, name in _definitions(private=True)
+              if not _used_outside(path, name, SOURCES)]
+    assert unused == [], f"private names with no caller: {unused}"
