@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import WeightedGraph, _check_count, _check_seed, _is_real, _spec_kind
+from .graphon import WeightedGraph, _check_count, _check_real, _check_seed, _spec_kind
 from .measures import TWO_PI, check_shared_grid, wrap_angle
 
 # Longest time grid (steps) a run may ask for; the grid is allocated up front.
@@ -79,10 +79,7 @@ class CouplingFunction:
 
     @classmethod
     def sine_shift(cls, alpha: float) -> "CouplingFunction":
-        if not _is_real(alpha):
-            raise ValueError(f"coupling field 'alpha' must be a finite number "
-                             f"(got {alpha!r})")
-        return cls("sine_shift", alpha=float(alpha))
+        return cls("sine_shift", alpha=_check_real(alpha, "coupling field 'alpha'"))
 
     @classmethod
     def custom(cls, fn) -> "CouplingFunction":
@@ -135,6 +132,7 @@ class PhaseState:
         self.phases = np.asarray(self.phases, dtype=float)
         if self.phases.ndim != 1:
             raise ValueError("phases must be a 1-D vector")
+        _check_finite(self.phases, "phases")
 
     @property
     def n(self) -> int:
@@ -148,7 +146,7 @@ class OscillatorSystem:
                  K: float = 1.0, omega=None):
         self.graph = graph
         self.coupling = coupling
-        self.K = float(K)
+        self.K = _check_real(K, "coupling strength K")
         if omega is None:
             omega = np.zeros(graph.n)
         self.omega = np.asarray(omega, dtype=float)
@@ -156,6 +154,7 @@ class OscillatorSystem:
             raise ValueError(
                 f"omega must have length {graph.n}, got shape {self.omega.shape}"
             )
+        _check_finite(self.omega, "omega")
 
     @property
     def n(self) -> int:
@@ -166,6 +165,13 @@ class OscillatorSystem:
         atoms = u[:, None]
         return self.omega + self.K * _field(self.graph, self.coupling, atoms, 1.0,
                                             atoms).ravel()
+
+
+def _check_finite(values: np.ndarray, name: str) -> None:
+    """Reject a vector holding a NaN or an infinity, naming it and the entry."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{name} must be finite (entry {bad[0]} is {values[bad[0]]})")
 
 
 def _field(w: WeightedGraph, coupling: CouplingFunction, pos, mass, targets):
@@ -262,10 +268,8 @@ def _rk4_step(rhs_fn, u, dt):
 
 def time_grid(T: float, dt: float) -> np.ndarray:
     """Step endpoints 0, dt, 2*dt, ..., T with a shortened final step."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if not (math.isfinite(T) and T >= 0.0):
-        raise ValueError(f"T must be finite and nonnegative, got {T!r}")
+    dt = _check_real(dt, "dt", 0.0, open=True)
+    T = _check_real(T, "T", 0.0)
     if T / dt > MAX_STEPS:
         raise ValueError(
             f"T / dt = {T / dt:.6g} steps exceeds the limit of {MAX_STEPS}")
@@ -377,12 +381,7 @@ def sup_norm_1n(a: Trajectory, b: Trajectory) -> float:
 def omega_from_spec(spec: dict, n: int) -> np.ndarray:
     """Intrinsic frequencies from {'kind': 'zero' | 'constant' | 'normal'}."""
     def number(name: str, low: float = -math.inf) -> float:
-        value = spec[name]
-        if not (_is_real(value) and value >= low):
-            bound = "" if low == -math.inf else f" >= {low:g}"
-            raise ValueError(f"omega field {name!r} must be a finite number{bound} "
-                             f"(got {value!r})")
-        return float(value)
+        return _check_real(spec[name], f"omega field {name!r}", low)
 
     kind = _spec_kind(spec, "omega", {"zero": (), "constant": ("value",),
                                       "normal": ("mean", "sd", "seed")}, "zero")

@@ -14,9 +14,9 @@ A graphon here is a bounded symmetric measurable function W on [0,1]^2 with
 Cell averaging projects a kernel onto the step functions at resolution n.  The
 first three kinds are one band profile ``(base, ((h, jump), ...))``, ``base``
 plus ``jump`` where the circular distance is at most h (``kind`` only names the
-JSON spec), averaged in closed form band by band (a band intersected with a
-cell is polygonal); custom kernels fall back to a composite midpoint rule with
-Richardson extrapolation.
+JSON spec), averaged in closed form band by band (over a cell, x - y has a tent
+density, so a band's share is a difference of its CDF); custom kernels fall
+back to a composite midpoint rule with Richardson extrapolation.
 
 The cell average W_n is a :class:`WeightedGraph` (``StepGraphon`` is another
 name for it): the deterministic graph on n nodes, which graphs and mean field
@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,9 +51,9 @@ _QUADRATURE_POINTS = 4096
 
 
 def _is_real(value) -> bool:
-    """Whether a value is a finite real number: not a bool, None or string."""
+    """Whether a value is a real number, not a bool, within the float range."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_integer(value, low: int, high: float = math.inf) -> bool:
@@ -65,6 +66,18 @@ def _check_seed(seed, name: str = "seed") -> None:
     """Reject a seed that is not an integer in [0, 2**64), naming it ``name``."""
     if not _is_integer(seed, 0, 2**64):
         raise ValueError(f"{name} must be an integer in [0, 2**64) (got {seed!r})")
+
+
+def _check_real(value, name: str, low: float = -math.inf, high: float = math.inf,
+                open: bool = False) -> float:
+    """``value`` as a float once it is a finite real number in [low, high], or
+    in (low, high) if ``open``; otherwise a ValueError naming it ``name``."""
+    if not (_is_real(value) and (low < value < high if open else low <= value <= high)):
+        ends = "()" if open else "[]"
+        bound = (f" in {ends[0]}{low:g}, {high:g}{ends[1]}" if high < math.inf
+                 else f" {'>' if open else '>='} {low:g}" if low > -math.inf else "")
+        raise ValueError(f"{name} must be a finite number{bound} (got {value!r})")
+    return float(value)
 
 
 def _check_count(value, name: str) -> None:
@@ -237,28 +250,18 @@ class Graphon:
 
     @classmethod
     def constant(cls, p: float) -> "Graphon":
-        if not (_is_real(p) and -1.0 <= p <= 1.0):
-            raise ValueError(f"constant kernel value p must be a real number in [-1, 1] "
-                             f"(got {p!r})")
-        return cls("constant", bands=(float(p), ()))
+        return cls("constant", bands=(_check_real(p, "constant kernel value p", -1.0, 1.0), ()))
 
     @classmethod
     def small_world(cls, p: float, h: float) -> "Graphon":
-        if not (_is_real(p) and 0.0 < p < 0.5):
-            raise ValueError(f"small-world parameter p must be a real number in (0, 1/2) "
-                             f"(got {p!r})")
-        if not (_is_real(h) and 0.0 < h < 0.5):
-            raise ValueError(f"small-world band half-width h must be a real number in "
-                             f"(0, 1/2) (got {h!r})")
-        p, h = float(p), float(h)
+        p = _check_real(p, "small-world parameter p", 0.0, 0.5, open=True)
+        h = _check_real(h, "small-world band half-width h", 0.0, 0.5, open=True)
         return cls("small_world", bands=(p, ((h, 1.0 - 2.0 * p),)))
 
     @classmethod
     def nearest_neighbor(cls, h: float) -> "Graphon":
-        if not (_is_real(h) and 0.0 < h < 0.5):
-            raise ValueError(f"band half-width h must be a real number in (0, 1/2) "
-                             f"(got {h!r})")
-        return cls("nearest_neighbor", bands=(0.0, ((float(h), 1.0),)))
+        h = _check_real(h, "band half-width h", 0.0, 0.5, open=True)
+        return cls("nearest_neighbor", bands=(0.0, ((h, 1.0),)))
 
     @classmethod
     def step(cls, values) -> "Graphon":
@@ -356,36 +359,24 @@ def _common_resolution(W: Graphon, U: Graphon, resolution: int) -> int:
     return -(-resolution // base) * base
 
 
-def _area_below(ax, bx, ay, by, c):
-    """Area of {(x, y) in [ax,bx] x [ay,by] : x - y <= c} (vectorized in ax/bx)."""
-    height = by - ay
-    x1 = np.minimum(bx, np.maximum(ax, ay + c))
-    full = (x1 - ax) * height
-    xr = np.minimum(bx, np.maximum(x1, by + c))
-    sloped = (by + c) * (xr - x1) - 0.5 * (xr**2 - x1**2)
-    return full + sloped
-
-
 def _band_offset_fractions(n: int, h: float) -> np.ndarray:
     """Fraction of each cell covered by the circular band min(|x-y|, 1-|x-y|) <= h.
 
-    The fraction depends on cells only through the diagonal offset d = i - j,
-    so only the 2n-1 exact areas are computed; entry d + n - 1 belongs to
-    offset d.  Offsets d and -d agree up to rounding, so the result is
-    symmetrised as ``0.5 * (frac + frac[::-1])``.  The areas are differences of
-    rounded areas, so they are clamped to [0, 1] first: an empty cell must not
-    come out as a tiny negative probability.
+    Over the cell of diagonal offset d = i - j (entry d + n - 1), n (x - y) - d
+    has the tent density on (-1, 1), with CDF 1/2 + z - z|z|/2 at z in [-1, 1],
+    and the band is x - y in [-h, h], below h - 1 or above 1 - h.  Each edge
+    is n h minus an integer, exact where it cuts the cell, so the fractions
+    are exact up to the rounding of n h.  They are clamped to [0, 1] and
+    symmetrised, ``0.5 * (frac + frac[::-1])``, as d and -d agree up to rounding.
     """
-    d = np.arange(-(n - 1), n)
-    ax = d / n
-    bx = (d + 1) / n
-    ay, by = 0.0, 1.0 / n
+    d, nh = np.arange(-(n - 1), n), n * h
 
-    def strip(lo, hi):
-        return _area_below(ax, bx, ay, by, hi) - _area_below(ax, bx, ay, by, lo)
+    def cdf(z):
+        z = np.clip(z, -1.0, 1.0)
+        return 0.5 + z - 0.5 * z * np.abs(z)
 
-    area = strip(-h, h) + strip(1.0 - h, 2.0) + strip(-2.0, -(1.0 - h))
-    frac = np.clip(area * n * n, 0.0, 1.0)
+    frac = cdf(nh - d) - cdf(-nh - d) + cdf(nh - (d + n)) + 1.0 - cdf((n - d) - nh)
+    frac = np.clip(frac, 0.0, 1.0)
     return 0.5 * (frac + frac[::-1])
 
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import CouplingFunction, PhaseState, time_grid
-from .graphon import Graphon, StepGraphon, WeightedGraph, _check_count, _is_real, kernel_distance
+from .graphon import Graphon, StepGraphon, WeightedGraph, _check_count, _check_real, kernel_distance
 from .measures import (
     TWO_PI,
     DensitySpec,
@@ -263,10 +263,8 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
     the map to contract.  A run whose stored trajectory (frames x atoms x 8 B)
     would exceed ``PICARD_MAX_BYTES`` is rejected before any frame is stored.
     """
-    if not (_is_real(alpha) and alpha > 2.0):
-        raise ValueError(f"alpha must be a finite number > 2 (got {alpha!r})")
-    if not (_is_real(tol) and tol > 0.0):
-        raise ValueError(f"tol must be a finite number > 0 (got {tol!r})")
+    alpha = _check_real(alpha, "alpha", 2.0, open=True)
+    tol = _check_real(tol, "tol", 0.0, open=True)
     _check_count(max_iter, "max_iter")
     spec._check_cells(family0)
     times = time_grid(T, dt)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import _check_count, _check_seed, _is_real, _spec_kind
+from .graphon import _check_count, _check_real, _check_seed, _spec_kind
 
 TWO_PI = 2.0 * math.pi
 
@@ -263,8 +263,7 @@ def check_shared_grid(a, b) -> None:
 
 def d_alpha(a: MeasureTrajectory, b: MeasureTrajectory, alpha: float = 3.0) -> float:
     """Weighted sup metric: max over shared times of e^(-alpha t) * dbar."""
-    if not (_is_real(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be a finite number > 0 (got {alpha!r})")
+    alpha = _check_real(alpha, "alpha", 0.0, open=True)
     check_shared_grid(a, b)
     return float(max(math.exp(-alpha * t) * dbar(fa, fb)
                      for t, fa, fb in zip(a.times, a.families, b.families)))
@@ -327,13 +326,6 @@ class Uniform(DensitySpec):
         return np.full(np.shape(u), 1.0 / TWO_PI)
 
 
-def _check_kappa(kappa) -> float:
-    if not (_is_real(kappa) and 0.0 <= kappa <= KAPPA_MAX):
-        raise ValueError(f"concentration kappa must be finite, a real number in "
-                         f"[0, {KAPPA_MAX:g}] (got {kappa!r})")
-    return float(kappa)
-
-
 class VonMises(DensitySpec):
     """Von Mises distribution with concentration kappa and mode mu0.
 
@@ -360,11 +352,8 @@ class VonMises(DensitySpec):
     """
 
     def __init__(self, kappa: float, mu0: float = 0.0):
-        self.kappa = _check_kappa(kappa)
-        if not _is_real(mu0):
-            raise ValueError(f"von Mises mode mu0 must be a finite real number "
-                             f"(got {mu0!r})")
-        self.mu0 = float(mu0)
+        self.kappa = _check_real(kappa, "concentration kappa", 0.0, KAPPA_MAX)
+        self.mu0 = _check_real(mu0, "von Mises mode mu0")
 
     def quantile(self, q):
         if self.kappa == 0.0:
@@ -452,16 +441,9 @@ class TwoCluster(DensitySpec):
     """Two-point mixture: mass w at theta1, mass 1-w at theta2."""
 
     def __init__(self, theta1: float, theta2: float, w: float):
-        for name, theta in (("theta1", theta1), ("theta2", theta2)):
-            if not _is_real(theta):
-                raise ValueError(f"cluster position {name} must be a finite real "
-                                 f"number (got {theta!r})")
-        if not (_is_real(w) and 0.0 < w < 1.0):
-            raise ValueError(f"cluster weight w must be a real number in (0, 1) "
-                             f"(got {w!r})")
-        self.theta1 = float(theta1)
-        self.theta2 = float(theta2)
-        self.w = float(w)
+        self.theta1 = _check_real(theta1, "cluster position theta1")
+        self.theta2 = _check_real(theta2, "cluster position theta2")
+        self.w = _check_real(w, "cluster weight w", 0.0, 1.0, open=True)
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)
@@ -491,7 +473,7 @@ class VonMisesTwist(XDependent):
     """Von Mises whose mode rotates with the cell: mu0(x) = 2*pi*x."""
 
     def __init__(self, kappa: float):
-        self.kappa = _check_kappa(kappa)
+        self.kappa = _check_real(kappa, "concentration kappa", 0.0, KAPPA_MAX)
         super().__init__(lambda x: VonMises(self.kappa, TWO_PI * x))
 
 

@@ -8,9 +8,11 @@ explicit double sum over a g x g coupling table (also for the weak-form
 residual, test function by test function), and the two-oscillator
 dynamics from its closed-form solution.  ``small_world_kernel`` and
 ``nearest_neighbor_kernel`` write the band kernels W(x, y) out from their
-constructors' parameters, for the midpoint oracles.  ``midpoint_step`` samples a kernel at the grid points, the
-alternative to cell averaging, and ``step_norm_2n`` is the scaled Frobenius
-distance of two step kernels.
+constructors' parameters, for the midpoint oracles, and
+``band_cell_fraction`` the share of a cell the band covers, summed from
+polygon areas in rational arithmetic.  ``midpoint_step`` samples a kernel at
+the grid points, the alternative to cell averaging, and ``step_norm_2n`` is
+the scaled Frobenius distance of two step kernels.
 ``exact_equal_mass_w1`` evaluates the circular W1 of equal-mass atoms in
 rational arithmetic, and ``common_cells`` refines two families to their least
 common cell count, the reference for dbar over unequal counts.
@@ -45,6 +47,28 @@ def small_world_kernel(p, h):
 def nearest_neighbor_kernel(h):
     """The indicator of circular distance at most h."""
     return _band(h, 1.0, 0.0)
+
+
+def _area_below(ax, bx, ay, by, c):
+    """Area of {(x, y) in [ax, bx] x [ay, by] : x - y <= c}: a full rectangle
+    up to x = ay + c, then the trapezoid under the line y = x - c."""
+    x1 = min(bx, max(ax, ay + c))
+    xr = min(bx, max(x1, by + c))
+    return (x1 - ax) * (by - ay) + (by + c) * (xr - x1) - (xr * xr - x1 * x1) / 2
+
+
+def band_cell_fraction(n, h, d) -> Fraction:
+    """Exact share of a cell of diagonal offset d = i - j at resolution n covered
+    by the circular band min(|x - y|, 1 - |x - y|) <= h: the strips
+    |x - y| <= h, x - y >= 1 - h and x - y <= h - 1, each a difference of
+    polygon areas, in ``Fraction`` arithmetic at the float value of h."""
+    h = Fraction(h)
+    cell = (Fraction(d, n), Fraction(d + 1, n), Fraction(0), Fraction(1, n))
+
+    def strip(lo, hi):
+        return _area_below(*cell, hi) - _area_below(*cell, lo)
+
+    return (strip(-h, h) + strip(1 - h, 2) + strip(-2, h - 1)) * n * n
 
 
 def midpoint_cell_average(kernel_eval, n, i, j, points=512):

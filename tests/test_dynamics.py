@@ -227,6 +227,38 @@ def test_nonfinite_state_aborts_with_step_index():
     assert err.value.step == 1 and err.value.t == 0.01
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda g: OscillatorSystem(g, CouplingFunction.sine(), omega=[0, np.nan, 0, 0]),
+     "omega must be finite (entry 1 is nan)"),
+    (lambda g: OscillatorSystem(g, CouplingFunction.sine(), omega=[0, 0, 0, -np.inf]),
+     "omega must be finite (entry 3 is -inf)"),
+    (lambda g: integrate(OscillatorSystem(g, CouplingFunction.sine()),
+                         PhaseState([0.0, 1.0, np.nan, 0.0]), 1.0, 0.1),
+     "phases must be finite (entry 2 is nan)"),
+], ids=["omega-nan", "omega-inf", "phase-nan"])
+def test_nonfinite_omega_and_phases_are_rejected_by_name(make, message):
+    # a NaN here would otherwise fail the velocity bound, which blames the
+    # kernel or the coupling
+    graph = deterministic_graph(Graphon.constant(0.5), 4)
+    with pytest.raises(ValueError) as error:
+        make(graph)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("kernel", [Graphon.nearest_neighbor(0.2), Graphon.nearest_neighbor(0.1),
+                                    Graphon.small_world(0.1, 0.25),
+                                    Graphon.small_world(0.37, 0.013)],
+                         ids=["nn-0.2", "nn-0.1", "sw-0.1-0.25", "sw-0.37-0.013"])
+def test_twisted_states_are_equilibria_of_band_graphs(kernel):
+    # W_n is circulant and symmetric, so sum_j W_ij sin(2 pi q (j - i) / n) = 0
+    # exactly; n covers the dense product and, from _TOEPLITZ_NODES up, the FFT
+    for n in (64, _TOEPLITZ_NODES - 1, _TOEPLITZ_NODES, 4096, 8192):
+        system = OscillatorSystem(deterministic_graph(kernel, n), CouplingFunction.sine())
+        for q in range(4):
+            residual = np.max(np.abs(rhs(system, PhaseState(TWO_PI * q * np.arange(n) / n))))
+            assert residual <= 2e-15, (n, q, residual)
+
+
 def test_rotational_equivariance():
     rng = np.random.default_rng(7)
     w = rng.uniform(-1, 1, (8, 8))
@@ -308,12 +340,18 @@ def test_time_grid_endpoints_and_steps(dt, steps, jitter):
 
 
 @pytest.mark.parametrize("T, dt, message", [
-    (float("nan"), 0.1, "T must be finite"),
-    (float("inf"), 0.1, "T must be finite"),
-    (1.0, float("nan"), "dt must be finite"),
-    (1.0, float("inf"), "dt must be finite"),
+    pytest.param(float("nan"), 0.1, r"T must be a finite number >= 0 \(got nan\)",
+                 id="nan-0.1-T must be finite"),
+    pytest.param(float("inf"), 0.1, r"T must be a finite number >= 0 \(got inf\)",
+                 id="inf-0.1-T must be finite"),
+    pytest.param(1.0, float("nan"), r"dt must be a finite number > 0 \(got nan\)",
+                 id="1.0-nan-dt must be finite"),
+    pytest.param(1.0, float("inf"), r"dt must be a finite number > 0 \(got inf\)",
+                 id="1.0-inf-dt must be finite"),
     (1e9, 0.01, "exceeds the limit"),
     (1.0, 1e-300, "exceeds the limit"),
+    (True, True, r"dt must be a finite number > 0 \(got True\)"),
+    ("1", 0.1, r"T must be a finite number >= 0 \(got '1'\)"),
 ])
 def test_time_grid_rejects_before_allocating(T, dt, message):
     with pytest.raises(ValueError, match=message):

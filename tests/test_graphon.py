@@ -1,10 +1,14 @@
-"""Kernel construction, cell averaging, and kernel distances."""
+"""Kernel construction, cell averaging, kernel distances, and the shared check
+of every real setting."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kmflow.dynamics import CouplingFunction, OscillatorSystem, omega_from_spec, time_grid
 from kmflow.graphon import (
     _TOEPLITZ_NODES,
     MAX_NODES,
@@ -15,7 +19,19 @@ from kmflow.graphon import (
     kernel_distance,
 )
 from kmflow.graphs import WeightedGraph, sample_w_random
+from kmflow.meanfield import VelocityFieldSpec, picard_solve
+from kmflow.measures import (
+    KAPPA_MAX,
+    MeasureTrajectory,
+    TwoCluster,
+    Uniform,
+    VonMises,
+    VonMisesTwist,
+    d_alpha,
+    initial_family,
+)
 from oracles import (
+    band_cell_fraction,
     midpoint_cell_average,
     midpoint_step,
     nearest_neighbor_kernel,
@@ -87,6 +103,67 @@ def test_parameter_validation_at_construction():
         StepGraphon([[0.0, 1.0], [0.5, 0.0]])  # not symmetric
     with pytest.raises(ValueError):
         StepGraphon([[2.0]])  # out of range
+
+
+def _real_sites():
+    """(id, build from one value, name, low, high, open) of every real setting
+    checked by ``graphon._check_real``."""
+    graph = Graphon.constant(0.5).cell_average(2)
+    start = initial_family(Uniform(), 1, 1)
+    frames = MeasureTrajectory(np.array([0.0]), [start])
+    spec = VelocityFieldSpec(Graphon.constant(0.5).cell_average(1), CouplingFunction.sine())
+    normal = {"kind": "normal", "mean": 0.0, "sd": 1.0, "seed": 0}
+    half, anything = (0.0, 0.5, True), (-math.inf, math.inf, False)
+    return [
+        ("constant-p", Graphon.constant, "constant kernel value p", -1.0, 1.0, False),
+        ("small-world-p", lambda v: Graphon.small_world(v, 0.25), "small-world parameter p",
+         *half),
+        ("small-world-h", lambda v: Graphon.small_world(0.1, v),
+         "small-world band half-width h", *half),
+        ("nearest-neighbor-h", Graphon.nearest_neighbor, "band half-width h", *half),
+        ("sine-shift-alpha", CouplingFunction.sine_shift, "coupling field 'alpha'", *anything),
+        ("omega-value", lambda v: omega_from_spec({"kind": "constant", "value": v}, 2),
+         "omega field 'value'", *anything),
+        ("omega-mean", lambda v: omega_from_spec({**normal, "mean": v}, 2),
+         "omega field 'mean'", *anything),
+        ("omega-sd", lambda v: omega_from_spec({**normal, "sd": v}, 2), "omega field 'sd'",
+         0.0, math.inf, False),
+        ("K", lambda v: OscillatorSystem(graph, CouplingFunction.sine(), K=v),
+         "coupling strength K", *anything),
+        ("T", lambda v: time_grid(v, 1.0), "T", 0.0, math.inf, False),
+        ("dt", lambda v: time_grid(0.0, v), "dt", 0.0, math.inf, True),
+        ("von-mises-kappa", VonMises, "concentration kappa", 0.0, KAPPA_MAX, False),
+        ("von-mises-mu0", lambda v: VonMises(1.0, v), "von Mises mode mu0", *anything),
+        ("twist-kappa", VonMisesTwist, "concentration kappa", 0.0, KAPPA_MAX, False),
+        ("theta1", lambda v: TwoCluster(v, 1.0, 0.5), "cluster position theta1", *anything),
+        ("theta2", lambda v: TwoCluster(1.0, v, 0.5), "cluster position theta2", *anything),
+        ("w", lambda v: TwoCluster(0.0, 1.0, v), "cluster weight w", 0.0, 1.0, True),
+        ("d-alpha", lambda v: d_alpha(frames, frames, v), "alpha", 0.0, math.inf, True),
+        ("picard-alpha", lambda v: picard_solve(spec, start, 0.0, 0.1, alpha=v), "alpha",
+         2.0, math.inf, True),
+        ("picard-tol", lambda v: picard_solve(spec, start, 0.0, 0.1, tol=v), "tol",
+         0.0, math.inf, True),
+    ]
+
+
+@pytest.mark.parametrize("site", _real_sites(), ids=lambda site: site[0])
+def test_every_real_setting_is_checked_alike(site):
+    _, build, name, low, high, open_ = site
+    rejected, accepted = [True, math.nan, math.inf, -math.inf, "0.25", -10**400], []
+    for bound, inward in ((low, math.inf), (high, -math.inf)):
+        if math.isfinite(bound):
+            # the bound and its float neighbour lie on either side of it
+            beside = math.nextafter(bound, inward if open_ else -inward)
+            rejected.append(bound if open_ else beside)
+            accepted.append(beside if open_ else bound)
+    for value in rejected:
+        with pytest.raises(ValueError) as error:
+            build(value)
+        message = str(error.value)
+        assert message.startswith(f"{name} must be a finite number")
+        assert f"(got {value!r})" in message
+    for value in accepted or [-0.75]:
+        build(value)
 
 
 def test_cell_average_constant():
@@ -214,6 +291,22 @@ def test_band_cell_average_matches_gather_formula(n):
         assert np.array_equal(values, expected)
 
 
+@pytest.mark.parametrize("n", [4096, 8192])
+@pytest.mark.parametrize("h", [0.1, 0.2, 1 / 3])
+def test_band_fractions_match_exact_polygon_areas(n, h):
+    # only the offsets an edge of the band cuts are partly covered: there the
+    # rational polygon areas are the reference, elsewhere the cell is in or out
+    fractions = _band_offset_fractions(n, h)
+    edges = [n * edge for edge in (Fraction(h), -Fraction(h), Fraction(h) - 1, 1 - Fraction(h))]
+    cut = {d for edge in edges for d in (math.floor(edge), math.ceil(edge)) if abs(d) < n}
+    assert len(cut) == 8
+    for d in cut:
+        assert abs(fractions[d + n - 1] - float(band_cell_fraction(n, h, d))) <= 1e-12
+    offsets = np.array(sorted(set(range(-(n - 1), n)) - cut))
+    inside = np.minimum(np.abs(offsets), n - np.abs(offsets)) <= n * h
+    assert np.array_equal(fractions[offsets + n - 1], inside.astype(float))
+
+
 def test_band_cell_average_holds_its_diagonals_only():
     avg, peak = peak_traced(lambda: Graphon.small_world(0.1, 0.25).cell_average(4096))
     assert peak < 2**20
@@ -247,7 +340,14 @@ def _symmetric_matrix(n, seed=0):
     return np.triu(a) + np.triu(a, 1).T
 
 
-_CONSTRUCTORS = [StepGraphon, WeightedGraph]
+def _column_major(values):
+    """The graph of ``values`` given as its transpose, a column-major view, so
+    the tiled symmetry check, the bound check and the clip read it strided."""
+    return WeightedGraph(values.T)
+
+
+# "step" was StepGraphon, now a name of WeightedGraph; its id runs the layout case
+_CONSTRUCTORS = [_column_major, WeightedGraph]
 
 
 @pytest.mark.parametrize("make", _CONSTRUCTORS, ids=["step", "weighted"])
@@ -278,7 +378,7 @@ def test_bound_check_and_clip_leave_caller_array_unchanged(make):
     values[65, 65] = -1.0 - 5e-10
     before = values.copy()
     built = make(values)
-    stored = built.values if isinstance(built, StepGraphon) else built.weights
+    stored = built.weights
     assert np.array_equal(values, before)
     assert stored[0, 69] == stored[69, 0] == 1.0 and stored[65, 65] == -1.0
     assert not stored.flags.writeable

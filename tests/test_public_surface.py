@@ -7,6 +7,9 @@ word somewhere outside every definition of that name in its file: in
 do not count as each other's caller.  A private one (dunders aside) must
 appear so in ``src/kmflow`` itself.  Tests do not count as callers, so a name
 only tests use belongs in ``tests/oracles.py``.
+
+And every real setting goes through one check: ``_is_real`` is read only by
+``graphon._check_real`` and by the CLI's ``_CHECKS`` table.
 """
 
 import ast
@@ -64,3 +67,19 @@ def test_every_private_name_has_a_caller():
     unused = [name for path, name in _definitions(private=True)
               if not _used_outside(path, name, SOURCES)]
     assert unused == [], f"private names with no caller: {unused}"
+
+
+def test_real_settings_have_one_check():
+    """``_is_real`` is read only in ``graphon._check_real``, which gives every
+    real setting of the library its bounds and its one wording, and in the
+    CLI's ``_CHECKS`` table of config keys."""
+    allowed = {("graphon.py", "_check_real"), ("cli.py", "_CHECKS")}
+    stray = []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            target = node.targets[0] if isinstance(node, ast.Assign) else node
+            if (path.name, getattr(target, "name", getattr(target, "id", None))) in allowed:
+                continue
+            stray += [f"{path.name}:{use.lineno}" for use in ast.walk(node)
+                      if isinstance(use, ast.Name) and use.id == "_is_real"]
+    assert stray == [], f"_is_real read outside _check_real and cli._CHECKS: {stray}"
