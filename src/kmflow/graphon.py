@@ -334,16 +334,23 @@ def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 
     of the projections is returned.  The requested ``resolution`` is rounded
     up to a multiple of every step-kernel resolution among the arguments, so
     the result is exact when both kernels are step functions; otherwise it is
-    a quadrature estimate with O(1/resolution) error.
+    a quadrature estimate with O(1/resolution) error.  Two band profiles differ
+    by a Toeplitz matrix, whose mean is taken over its 2r - 1 diagonals, each
+    weighted by its cells, in one compensated sum: exact over the diagonals up
+    to rounding, in O(r) time and memory.
     """
     if norm not in ("L1", "L2"):
         raise ValueError("norm must be 'L1' or 'L2'")
     _check_count(resolution, "resolution")
     r = _common_resolution(W, U, resolution)
-    diff = W.cell_average(r).values - U.cell_average(r).values
-    if norm == "L1":
-        return float(np.mean(np.abs(diff, out=diff)))
-    return float(np.sqrt(np.mean(np.square(diff, out=diff))))
+    a, b = W._diagonals(r), U._diagonals(r)
+    dense = a is None or b is None
+    diff = W.cell_average(r).values - U.cell_average(r).values if dense else a - b
+    power = np.abs(diff, out=diff) if norm == "L1" else np.square(diff, out=diff)
+    # between band profiles diagonal d of the difference holds r - |d| cells
+    mean = (float(np.mean(power)) if dense
+            else math.fsum((r - np.abs(np.arange(1 - r, r))) * power) / r**2)
+    return mean if norm == "L1" else math.sqrt(mean)
 
 
 # -- internals ----------------------------------------------------------

@@ -13,7 +13,10 @@ how either is stored.  A sampled graph splits, into the rounding R = [P >=
 1/2] of its cell average P plus the pairs that differ, when P is stored as
 diagonals and at most 1/8 of the pairs are expected to differ.  This is
 decided from P's diagonals before sampling, so the one sampling loop fills
-the chosen dtype.
+the chosen dtype.  The 1/8 is set by the memory-bound product at n = 4096.
+At n = 1024, where float weights (8 MiB) stay in cache, the split only breaks
+even with BLAS in time and is kept for memory: sampled small_world(0.1, 0.25)
+holds 1 MiB of bool weights plus about 0.86 MB of flips there.
 
 Sampling is counter-based: the coin for pair (i, j), i <= j, comes from a
 Philox stream keyed by (seed, i) at position j - i, so results are
@@ -81,7 +84,8 @@ def _sample(probs: StepGraphon, seed: int) -> WeightedGraph:
 def _edge_probabilities(W: Graphon, n: int) -> StepGraphon:
     """The cell average of W at n, rejected unless all entries are >= 0."""
     probs = W.cell_average(n)
-    if probs.weights.min() < 0.0:
+    # a Toeplitz average holds every entry in its 2n - 1 diagonals
+    if (probs.weights if probs._diagonals is None else probs._diagonals).min() < 0.0:
         raise ValueError(
             "sampling requires probability range: cell averages must be >= 0"
         )

@@ -41,7 +41,8 @@ family as its step is taken, and :func:`evolve_family` stores them all.
 the running max of dbar, so its memory does not grow with the number of
 recorded frames.  The pushforward map genuinely needs its frozen
 (frames, cells, atoms) trajectory; :func:`picard_solve` checks the size of
-one such array against ``PICARD_MAX_BYTES`` before it stores any.
+one such array against ``PICARD_MAX_BYTES`` before it stores any, and holds
+only that one, overwritten a block of frames behind the transport reading it.
 
 Everything in this module takes intrinsic frequencies to be zero; the
 discrete simulators in :mod:`kmflow.dynamics` support omega directly.
@@ -49,6 +50,7 @@ discrete simulators in :mod:`kmflow.dynamics` support omega directly.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -63,17 +65,25 @@ from .measures import (
     MeasureFamily,
     MeasureTrajectory,
     _cell_rows,
-    d_alpha,
+    _w1_rows,
+    d_alpha,  # picard_solve takes its terms itself; perfbench rebinds this name
     dbar,
     empirical_from_phases,
     initial_family,
+    wrap_angle,
 )
 
 # Bytes of one stored (frames, cells, atoms) array of atom positions in
-# picard_solve, frames x cells x atoms x 8 B.  A sweep holds three such arrays
-# at once (the frozen iterate, its families and the new transport), so the
-# limit keeps the iteration under about 768 MiB.
+# picard_solve, frames x cells x atoms x 8 B.  A sweep holds one such array,
+# the iterate it overwrites as it transports, and the returned families take
+# another after the last sweep, so the limit keeps a run under about 512 MiB.
 PICARD_MAX_BYTES = 2**28
+
+# A Picard sweep compares and stores its new frames in blocks of up to this
+# many bytes (at least one frame).  Taken one frame at a time between the RK4
+# steps, perfbench's (8, 16) custom-coupling solve ran about 6% slower (best
+# of 36 solves, 2-vCPU VM).
+_SETTLE_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -192,12 +202,14 @@ def _particle_system(spec: VelocityFieldSpec,
 
 
 def _transport(spec: VelocityFieldSpec, times: np.ndarray, frozen: np.ndarray,
-               mass: np.ndarray, start: np.ndarray) -> np.ndarray:
+               mass: np.ndarray, start: np.ndarray):
     """RK4-transport points ``start`` (cells, points) through the field of
     the frozen atoms ``frozen`` (frames, cells, atoms), whose raw (unwrapped)
     positions are interpolated linearly in time between grid points.
 
-    Returns the transported points at every grid time, (frames, cells, points).
+    Yields the (cells, points) frame at each grid time, stepping frame k + 1
+    from ``frozen[k]`` and ``frozen[k + 1]`` as it is taken: a caller holding
+    frame k may overwrite ``frozen[k - 1]``.
     """
     w, coupling = spec.step_graphon, spec.coupling
 
@@ -207,9 +219,7 @@ def _transport(spec: VelocityFieldSpec, times: np.ndarray, frozen: np.ndarray,
         return dynamics._rk4_step(
             lambda y, s: dynamics._field(w, coupling, atoms[s], mass, y), x, h)
 
-    # one preallocated (frames, cells, points) array, filled as steps are taken
-    frames = dynamics._march(step, start, times, 1)
-    return np.fromiter((x for _, x in frames), np.dtype((float, start.shape)), len(times))
+    return (x for _, x in dynamics._march(step, start, times, 1))
 
 
 def characteristic_flow(spec: VelocityFieldSpec, frozen: MeasureTrajectory,
@@ -229,14 +239,14 @@ def characteristic_flow(spec: VelocityFieldSpec, frozen: MeasureTrajectory,
         raise ValueError("t_start and t_end must lie on the frozen time grid")
     if i1 < i0:
         raise ValueError("backward transport not supported")
-    positions = np.asarray(positions, dtype=float)
+    positions = np.array(positions, dtype=float)
     if positions.ndim != 2 or len(positions) != frozen.families[0].n_cells:
         raise ValueError(f"points must form a (cells, points) array, got {positions.shape}")
     # families store wrapped positions; unwrap each atom's path in time so
     # the linear interpolation between grid points is chart-independent
     pos = np.unwrap(np.array([f.positions for f in frozen.families]), axis=0)
-    return _transport(spec, times[i0:i1 + 1], pos[i0:i1 + 1],
-                      frozen.families[0].masses, positions)[-1]
+    return collections.deque(_transport(spec, times[i0:i1 + 1], pos[i0:i1 + 1],
+                                        frozen.families[0].masses, positions), maxlen=1)[0]
 
 
 def check_picard_capacity(frames: int, atoms: int) -> None:
@@ -270,21 +280,35 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
     times = time_grid(T, dt)
     start, mass = family0.positions, family0.masses
     check_picard_capacity(times.size, start.size)
-    frozen = np.broadcast_to(start, times.shape + start.shape)
-    prev_traj = MeasureTrajectory(times, [MeasureFamily(p, mass) for p in frozen])
+    # the one stored iterate, raw positions; it starts constant in time
+    frozen = np.broadcast_to(start, times.shape + start.shape).copy()
+    block = max(1, _SETTLE_BYTES // start.nbytes)
+
+    def settle(frames, k0):
+        """Compare frames k0, k0 + 1, ... of the new iterate with the frozen
+        ones, then store them there; the largest of d_alpha's terms."""
+        d = 0.0
+        for k, frame in enumerate(frames, start=k0):
+            dbar_k = float(np.mean(_w1_rows(wrap_angle(frame), mass,
+                                            wrap_angle(frozen[k]), mass)))
+            d = max(d, math.exp(-alpha * times[k]) * dbar_k)
+            frozen[k] = frame
+        return d
 
     distances: list[float] = []
     ratios: list[float] = []
     converged = False
-    new_traj = prev_traj
     for _ in range(max_iter):
-        frozen = _transport(spec, times, frozen, mass, start)
-        new_traj = MeasureTrajectory(times, [MeasureFamily(p, mass) for p in frozen])
-        d = d_alpha(new_traj, prev_traj, alpha)
+        d, pending = 0.0, []
+        for k, frame in enumerate(_transport(spec, times, frozen, mass, start)):
+            if len(pending) == block:  # the transport is past them
+                d = max(d, settle(pending, k - block))
+                pending = []
+            pending.append(frame)
+        d = max(d, settle(pending, times.size - len(pending)))
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0.0:
             ratios.append(distances[-1] / distances[-2])
-        prev_traj = new_traj
         if d < tol:
             converged = True
             break
@@ -296,7 +320,7 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
         "d_alpha": distances,
         "contraction_ratios": ratios,
     }
-    return new_traj, report
+    return MeasureTrajectory(times, [MeasureFamily(p, mass) for p in frozen]), report
 
 
 # -- finite volumes ---------------------------------------------------------

@@ -16,9 +16,12 @@ the scaled Frobenius distance of two step kernels.
 ``exact_equal_mass_w1`` evaluates the circular W1 of equal-mass atoms in
 rational arithmetic, and ``common_cells`` refines two families to their least
 common cell count, the reference for dbar over unequal counts.
+``toeplitz_mean_power`` is the (r - |d|)-weighted mean of |a_d - b_d|^p over
+the 2r - 1 float diagonals of two Toeplitz matrices, in rational arithmetic.
 ``peak_traced`` measures the peak memory a call allocates.
 """
 
+import collections
 import math
 import tracemalloc
 from fractions import Fraction
@@ -251,6 +254,18 @@ def weak_residual(times, fields, w, coupling):
 def two_oscillator_gap(phi0: float, K: float, t: float) -> float:
     """Closed-form phase gap: tan(phi/2) = tan(phi0/2) * exp(-K t)."""
     return 2.0 * np.arctan(np.tan(0.5 * phi0) * np.exp(-K * t))
+
+
+def toeplitz_mean_power(a, b, power: int) -> Fraction:
+    """Exact mean of |A - B|^power over the r x r entries of the Toeplitz
+    matrices with diagonals a and b (entry (i, j) = a[i - j + r - 1]):
+    diagonal d holds r - |d| entries."""
+    r = (len(a) + 1) // 2
+    cells = collections.Counter()  # cells per distinct pair of diagonal values
+    for d, pair in zip(range(1 - r, r), zip(a.tolist(), b.tolist())):
+        cells[pair] += r - abs(d)
+    return sum(abs(Fraction(x) - Fraction(y)) ** power * k
+               for (x, y), k in cells.items()) / r**2
 
 
 def peak_traced(fn):

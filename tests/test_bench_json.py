@@ -1,0 +1,50 @@
+"""tools/bench_json.py summarizes perfbench runs; a stub stands in for them."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("bench_json", ROOT / "tools" / "bench_json.py")
+bench_json = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_json)
+
+
+def _stub(calls):
+    def runner(workload, seed, seconds):
+        calls.append((workload, seed, seconds))
+        base = {"particles_vm": 1.0, "graphs_dense": 2.0, "picard_custom": 3.0}[workload]
+        return {"correct": seed != 5, "attempted": 10, "failed": int(seed == 5), "metrics": {
+            "setup_s": {"value": base + seed, "unit": "s"},
+            "solve_s": {"value": base * seed, "unit": "s"},
+            "peak_rss_mib": {"value": 40.0 + seed, "unit": "MiB"},
+        }}
+    return runner
+
+
+def test_bench_json_takes_medians_of_every_declared_metric():
+    calls = []
+    payload = bench_json.bench([0, 5, 1], 40.0, runner=_stub(calls))
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [entry["name"] for entry in declared["workloads"]]
+    assert calls == [(w, seed, 40.0) for w in workloads for seed in (0, 5, 1)]
+    assert list(payload["workloads"]) == workloads
+    picard = payload["workloads"]["picard_custom"]
+    assert picard["failed"] == 1 and picard["attempted"] == 30
+    assert picard["metrics"] == {
+        "setup_s": {"median": 4.0, "values": [3.0, 8.0, 4.0], "unit": "s"},
+        "solve_s": {"median": 3.0, "values": [0.0, 15.0, 3.0], "unit": "s"},
+        "peak_rss_mib": {"median": 41.0, "values": [40.0, 45.0, 41.0], "unit": "MiB"},
+    }
+    assert set(picard["metrics"]) == {m["name"] for m in declared["end_to_end"]}
+    json.dumps(payload)
+
+
+def test_bench_json_counts_source_lines_as_wc_does():
+    lines = bench_json.source_lines()
+    sources = sorted((ROOT / "src" / "kmflow").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *map(str, sources)], capture_output=True, text=True,
+                        check=True).stdout.splitlines()
+    assert lines == {**{Path(line.split()[1]).name: int(line.split()[0]) for line in wc[:-1]},
+                     "total": int(wc[-1].split()[0])}

@@ -3,6 +3,7 @@ of every real setting."""
 
 import json
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,7 @@ from oracles import (
     peak_traced,
     small_world_kernel,
     step_norm_2n,
+    toeplitz_mean_power,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -325,8 +327,9 @@ def test_toeplitz_spectrum_is_taken_by_the_first_product(monkeypatch):
     monkeypatch.setattr(Graphon, "cell_average", recording)
     W, n = Graphon.small_world(0.1, 0.25), _TOEPLITZ_NODES + 1
     sample_w_random(W, n, 0)
+    # a distance of two band kernels reads their diagonals, building no average
     kernel_distance(W, Graphon.nearest_neighbor(0.2), "L1", n)
-    assert len(averages) == 3
+    assert len(averages) == 1
     assert all(avg._diagonals is not None and "_spectrum" not in vars(avg)
                for avg in averages)
     avg = averages[0]
@@ -418,19 +421,54 @@ _TOEPLITZ_KERNELS = [
 ]
 
 
+def _within_ulps(value, reference, ulps=4):
+    return abs(value - reference) <= ulps * math.ulp(reference)
+
+
+def _assert_matches_exact_oracle(W, U, r):
+    a, b = W._diagonals(r), U._diagonals(r)
+    mean_square = toeplitz_mean_power(a, b, 2)
+    root = (Decimal(mean_square.numerator) / Decimal(mean_square.denominator)).sqrt(
+        Context(prec=40))
+    assert _within_ulps(kernel_distance(W, U, "L1", r), float(toeplitz_mean_power(a, b, 1)))
+    assert _within_ulps(kernel_distance(W, U, "L2", r), float(root))
+
+
 @pytest.mark.parametrize("r", [1, 2, 63, 512])
 def test_kernel_distance_toeplitz_route_matches_step_route(r):
+    # two band kernels are compared over their diagonals: within 4 ulps of the
+    # mean over the r x r difference and of its exact value
     for W in _TOEPLITZ_KERNELS:
         for U in _TOEPLITZ_KERNELS:
             diff = W.cell_average(r).values - U.cell_average(r).values
-            assert kernel_distance(W, U, "L1", r) == np.mean(np.abs(diff))
-            assert kernel_distance(W, U, "L2", r) == np.sqrt(np.mean(diff**2))
+            assert _within_ulps(kernel_distance(W, U, "L1", r), np.mean(np.abs(diff)))
+            assert _within_ulps(kernel_distance(W, U, "L2", r), np.sqrt(np.mean(diff**2)))
+            _assert_matches_exact_oracle(W, U, r)
+
+
+@pytest.mark.parametrize("r", [431, 4096])
+def test_band_kernel_distance_matches_exact_oracle(r):
+    for W in _TOEPLITZ_KERNELS:
+        for U in _TOEPLITZ_KERNELS:
+            _assert_matches_exact_oracle(W, U, r)
+
+
+def _no_cell_average(self, n):
+    raise AssertionError(f"cell_average({n}) called")
+
+
+def test_band_kernel_distance_reads_only_diagonals(monkeypatch):
+    # at the node cap a dense difference would take 512 MiB
+    monkeypatch.setattr(Graphon, "cell_average", _no_cell_average)
+    W, U = Graphon.small_world(0.1, 0.25), Graphon.nearest_neighbor(0.2)
+    for norm in ("L1", "L2"):
+        distance, peak = peak_traced(lambda: kernel_distance(W, U, norm, MAX_NODES))
+        assert distance > 0.0 and peak < 5 * 2**20
 
 
 def test_kernel_distance_step_band_mix_takes_dense_route(monkeypatch):
-    # every pair is a difference of two cell averages; from the size constant
-    # up, two band averages are views of their diagonals, so the difference
-    # is the one r x r array
+    # two band kernels are compared over their 2r - 1 diagonals, building no
+    # cell average; a step kernel takes both averages and their difference
     averaged = []
     cell_average = Graphon.cell_average
 
@@ -443,9 +481,8 @@ def test_kernel_distance_step_band_mix_takes_dense_route(monkeypatch):
     r = _TOEPLITZ_NODES
     distance, peak = peak_traced(
         lambda: kernel_distance(band, Graphon.nearest_neighbor(0.2), "L1", r))
-    assert distance > 0.0 and peak < 1.25 * r * r * 8
-    assert averaged == ["small_world", "nearest_neighbor"]
-    del averaged[:]
+    assert distance > 0.0 and peak < 256 * r
+    assert averaged == []
     mixed = kernel_distance(step, band, "L1", 64)
     assert averaged == ["step", "small_world"]
     diff = step.cell_average(64).values - band.cell_average(64).values

@@ -348,6 +348,44 @@ def test_picard_max_iter_reports_nonconvergence():
     assert traj.times[-1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("frames_per_block", [1, 3, 64])
+def test_picard_reports_d_alpha_between_successive_iterates(monkeypatch, frames_per_block):
+    spec = _spec(Graphon.small_world(0.1, 0.25), 4, CUSTOM)
+    fam0 = initial_family(VonMises(2.0, 1.0), 4, 8, mode="iid", seed=3)
+    monkeypatch.setattr(meanfield, "_SETTLE_BYTES", frames_per_block * fam0.positions.nbytes)
+    times = dynamics.time_grid(1.0, 0.05)
+    iterates = [MeasureTrajectory(times, [fam0] * len(times))]
+    for sweeps in (1, 2, 3):
+        traj, report = picard_solve(spec, fam0, 1.0, 0.05, alpha=3.5, tol=1e-15,
+                                    max_iter=sweeps)
+        iterates.append(traj)
+    # each sweep's distance is exactly d_alpha of its iterate and the one before
+    assert report["d_alpha"] == [d_alpha(b, a, 3.5) for a, b in zip(iterates, iterates[1:])]
+
+
+def test_picard_holds_one_stored_iterate():
+    # 101 frames x 32 x 256 atoms: 6.3 MiB per stored array; the returned
+    # families take one, the iterate a sweep overwrites in place another
+    spec = _spec(Graphon.small_world(0.1, 0.25), 32)
+    fam0 = initial_family(VonMises(2.0, 1.0), 32, 256, mode="iid", seed=0)
+    array = 101 * fam0.positions.nbytes
+    (traj, report), peak = peak_traced(
+        lambda: picard_solve(spec, fam0, 1.0, 0.01, tol=1e-15, max_iter=2))
+    assert report["iterations"] == 2 and len(traj.families) == 101
+    assert peak <= 2.5 * array
+
+
+def test_flow_keeps_only_its_last_frame():
+    # 4 cells of 2 frozen atoms carry 2048 points each over 401 frames, 26 MiB
+    # if every transported frame were stored
+    spec = _spec(Graphon.constant(0.7), 4)
+    frozen = solve_particles(spec, VonMises(1.5, 2.0), 4, 2, 4.0, 1e-2)
+    points = np.tile(np.linspace(0.0, TWO_PI, 2048), (4, 1))
+    end, peak = peak_traced(lambda: characteristic_flow(spec, frozen, points, 0.0, 4.0))
+    assert end.shape == points.shape
+    assert peak < 24 * points.nbytes
+
+
 @pytest.mark.parametrize("coupling", [SINE, CUSTOM], ids=["sine", "custom"])
 def test_picard_and_flow_accept_ragged_families(coupling):
     # the ragged family and its copy with every atom split into equal parts,

@@ -84,7 +84,7 @@ def test_transport_step_matches_double_sum_rk4(coupling):
     k3 = field(mid, start + 0.5 * h * k2)
     k4 = field(right, start + h * k3)
     expected = start + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    path = meanfield._transport(spec, np.array([0.0, h]), frozen, mass, start)
+    path = np.array(list(meanfield._transport(spec, np.array([0.0, h]), frozen, mass, start)))
     assert np.array_equal(path[0], start)
     assert np.max(np.abs(path[1] - expected)) <= TOL
 
