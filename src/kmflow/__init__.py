@@ -37,7 +37,6 @@ from .meanfield import (
     solve_fv,
     solve_particles,
     stability_experiments,
-    velocity,
     weak_residual,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "initial_family",
     "VelocityFieldSpec",
     "DensityField",
-    "velocity",
     "solve_particles",
     "picard_solve",
     "solve_fv",

@@ -25,7 +25,7 @@ reduction applies to each pair of frames.
 Every velocity in kmflow is one coupling sum, :func:`_field`: V(u) = n^-1
 sum_i W_ki sum_j m_ij D(v_ij - u) over the atoms v_ij of mass m_ij in cell i.
 The right-hand side here is that sum with one unit-mass atom per oscillator;
-the mean-field particle system, pointwise velocity and Picard transport of
+the mean-field particle system and the Picard transport of
 :mod:`kmflow.meanfield` call it too.  For the sine family it applies W,
 through ``WeightedGraph._product``, to the (2, n) per-cell moments (angle
 addition) of one sin/cos pair per atom: alpha rotates the n moments, and
@@ -179,8 +179,8 @@ def _field(w: WeightedGraph, coupling: CouplingFunction, pos, mass, targets):
 
     Returns V[k, t] = n^-1 sum_i w[i, k] sum_j mass[i, j] D(pos[i, j] -
     targets[k, t]) for source atoms of shape (n, atoms) and targets of shape
-    (k, t); ``mass`` may be a scalar.  ``w`` is the graph (k = n, and column
-    k is row k) or, for one cell's velocity, that column of it alone.
+    (k, t); ``mass`` may be a scalar.  ``w`` is the graph, so k = n and
+    column k is row k.
     """
     n = pos.shape[0]
     if coupling.is_sine_family:

@@ -159,8 +159,8 @@ class WeightedGraph:
 
     @classmethod
     def _trusted(cls, weights: np.ndarray):
-        """Instance owning weights kmflow built: a symmetric matrix within [-1, 1]
-        (or one column of it); nothing is copied or checked, and it is made read-only."""
+        """Instance owning weights kmflow built: a symmetric matrix within [-1, 1];
+        nothing is copied or checked, and it is made read-only."""
         graph = cls.__new__(cls)
         weights.setflags(write=False)
         graph.weights = weights

@@ -22,16 +22,19 @@ interoperating methods:
   velocities one FFT correlation, O(n g log g) after W_n rho.
 
 :func:`weak_residual` tests a finite-volume run against the weak form with
-one fixed family, (1 - t/T)^2 {sin ku, cos ku} for k = 1, 2, 3.
+one fixed family, (1 - t/T)^2 {sin ku, cos ku} for k = 1, 2, 3.  Its phase
+integrals are taken as the run steps, each frame's from the transform of
+W_n rho that also gives the frame's next step, so a run keeps its last field
+and 96 n bytes per recorded frame, not the frames themselves.
 
 Families are the (cells, atoms) position and mass arrays of
 :class:`kmflow.measures.MeasureFamily`, read directly: cells with fewer atoms
 carry zero-mass padding, which adds exactly nothing to V, and the families of
-a trajectory share one masses array.  The particle system, the pushforward
-map and the pointwise :func:`velocity` all evaluate V through the coupling
-sum of the graph dynamics, :func:`kmflow.dynamics._field` (O(N + n^2) for N
-atoms of the sine family), with the cell average W_n, a graph, passed itself;
-W_n rho too is its one product.  The pushforward map steps with its RK4 step.
+a trajectory share one masses array.  The particle system and the
+pushforward map evaluate V through the coupling sum of the graph dynamics,
+:func:`kmflow.dynamics._field` (O(N + n^2) for N atoms of the sine family),
+with the cell average W_n, a graph, passed itself; W_n rho too is its one
+product.  The pushforward map steps with its RK4 step.
 Particles, that map and the finite volumes all step in its one stepping loop,
 :func:`kmflow.dynamics._march`, which aborts on a non-finite state.
 
@@ -130,21 +133,6 @@ class BlockOscillatorSystem:
         blocks = u.reshape(self.n_cells, self.m)
         return dynamics._field(self.step, self.coupling, blocks, 1.0 / self.m,
                                blocks).ravel()
-
-
-def velocity(spec: VelocityFieldSpec, family: MeasureFamily, u, cell: int):
-    """Velocity field induced by a measure family at phase(s) u in a cell.
-
-    Returns n^-1 sum_i W[cell, i] * int D(v - u) dmu^i(v), the inner
-    integral evaluated exactly as a mass-weighted sum over atoms.
-    """
-    spec._check_cells(family)
-    if not 0 <= cell < spec.n:
-        raise IndexError(f"cell index {cell} out of range [0, {spec.n})")
-    u = np.asarray(u, dtype=float)
-    column = WeightedGraph._trusted(spec.step_graphon.weights[:, cell:cell + 1])
-    return dynamics._field(column, spec.coupling, family.positions,
-                           family.masses, u.reshape(1, -1)).reshape(u.shape)
 
 
 # -- particle method -------------------------------------------------------
@@ -392,28 +380,22 @@ def density_field_from_spec(rho0: DensitySpec, n: int, g: int) -> DensityField:
 
 @dataclass
 class DensityTrajectory:
-    times: np.ndarray
-    fields: list[DensityField]
+    """A finite-volume run: its recorded times, its last field, the spec it
+    was solved with, and each recorded frame's weak-form moments, the (n, 6)
+    phase integrals ``moments[0, s]`` of rho and ``moments[1, s]`` of rho V
+    (V at the cell centres) against the test family's phase factors and
+    their u-derivatives (:func:`weak_residual`): 96 n bytes per frame."""
 
-    @property
-    def final_field(self) -> DensityField:
-        return self.fields[-1]
+    times: np.ndarray
+    final_field: DensityField
+    spec: VelocityFieldSpec
+    moments: np.ndarray  # (2, frames, n, 6)
 
 
 def _coupling_spectrum(coupling: CouplingFunction, g: int, offset: float):
     """du times the conjugate rfft of D at the offsets (j + offset) * du."""
     du = TWO_PI / g
     return np.conj(np.fft.rfft(coupling((np.arange(g) + offset) * du))) * du
-
-
-def _grid_velocity(w: WeightedGraph, rho: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """V[i, f] = n^-1 sum_j w[i, j] du sum_k rho[j, k] D((k - f + offset) du)
-    for grid densities rho (n, g): the g x g table of D is circulant, so its
-    product is one batched FFT correlation of W_n rho, O(n g log g)."""
-    w_rho = w._product(rho.T).T  # W_n times each of the g columns of rho
-    v = np.fft.irfft(np.fft.rfft(w_rho) * spectrum, rho.shape[1]) / rho.shape[0]
-    dynamics._check_velocity_bound(v)
-    return v
 
 
 def check_cfl(dt: float, g: int) -> None:
@@ -430,24 +412,51 @@ def solve_fv(spec: VelocityFieldSpec, rho0: DensityField, T: float, dt: float,
 
     Face velocities are rebuilt each step from the current density by
     midpoint quadrature in the phase variable (exact in x, the kernel being
-    cell-constant): one FFT correlation with D tabulated once at the g
-    offsets (j + 1/2) * du, O(n^2 g + n g log g) per step.  The step is
+    cell-constant): one FFT correlation of W_n rho with D tabulated once at
+    the g offsets (j + 1/2) * du, O(n^2 g + n g log g) per step.  Each
+    recorded frame, checked as a :class:`DensityField`, leaves only its
+    weak-form moments, their cell-centre velocities (D at the offsets j * du)
+    from the same transform; the run keeps its last field.  The step is
     checked by :func:`check_cfl` before stepping.
     """
     if rho0.n != spec.n:
         raise ValueError(f"density has {rho0.n} x-cells, kernel expects {spec.n}")
     check_cfl(dt, rho0.g)
-    du = rho0.du
-    w, spectrum = spec.step_graphon, _coupling_spectrum(spec.coupling, rho0.g, 0.5)
+    n, g, du = rho0.n, rho0.g, rho0.du
+    w, k = spec.step_graphon, np.arange(1.0, 4.0)
+    # columns sin u, cos u, sin 2u, cos 2u, sin 3u, cos 3u at the cell centres
+    ku = ((np.arange(g) + 0.5) * du)[:, None] * k
+    trig = np.stack((np.sin(ku), np.cos(ku)), axis=2).reshape(g, 6)
+    trig_u = np.stack((k * np.cos(ku), -k * np.sin(ku)), axis=2).reshape(g, 6)
+    faces, centres = (_coupling_spectrum(spec.coupling, g, offset) for offset in (0.5, 0.0))
+    transformed = [None, None]  # the last density transformed, rfft(W_n rho) of it
+
+    def grid_velocity(rho, spectrum):
+        """V[i, f] = n^-1 sum_j w[i, j] du sum_k rho[j, k] D((k - f + offset) du):
+        the g x g table of D is circulant, so its product is one batched FFT
+        correlation of W_n rho, whose transform each density takes once."""
+        if transformed[0] is not rho:
+            transformed[:] = rho, np.fft.rfft(w._product(rho.T).T)
+        v = np.fft.irfft(transformed[1] * spectrum, g) / n
+        dynamics._check_velocity_bound(v)
+        return v
 
     def upwind(rho, _, h):
-        v_face = _grid_velocity(w, rho, spectrum)
+        v_face = grid_velocity(rho, faces)
         flux = np.where(v_face > 0.0, v_face * np.roll(rho, 1, axis=1), v_face * rho)
         return rho - (h / du) * (np.roll(flux, -1, axis=1) - flux)
 
-    frames = [(t, DensityField(rho)) for t, rho in
-              dynamics._march(upwind, rho0.values, time_grid(T, dt), record_every)]
-    return DensityTrajectory(np.array([t for t, _ in frames]), [f for _, f in frames])
+    grid = time_grid(T, dt)
+    frames = dynamics._march(upwind, rho0.values, grid, record_every)
+    # t = 0, then ceil(steps / record_every) recorded steps
+    records = 1 + -(-(len(grid) - 1) // record_every)
+    times, moments = np.empty(records), np.empty((2, records, n, 6))
+    for s, (t, rho) in enumerate(frames):
+        final = DensityField(rho)
+        times[s] = t
+        moments[0, s] = rho @ trig
+        moments[1, s] = (rho * grid_velocity(rho, centres)) @ trig_u
+    return DensityTrajectory(times, final, spec, moments)
 
 
 def quantile_family_from_density(fieldv: DensityField, m: int) -> MeasureFamily:
@@ -476,28 +485,21 @@ def weak_residual(traj: DensityTrajectory, spec: VelocityFieldSpec) -> float:
     The tests vanish at t = T, so the weak identity closes without a terminal
     term.  For each w, evaluates | int_0^T int_S rho (d_t w + V d_u w) du dt
     + int_S w(0, .) rho^0 du | with the phase integral on the solver grid
-    and the time integral by the trapezoid rule over recorded times.  Frames
-    are streamed (V as in :func:`solve_fv`, D at offsets j * du), keeping
-    only their phase integrals against two (g, 6) tables: the family's phase
-    factors and their u-derivatives.  A one-frame run (T = 0) is rejected.
+    (V at the cell centres) and the time integral by the trapezoid rule over
+    recorded times, from the phase integrals :func:`solve_fv` took of each
+    frame as it stepped.  ``spec`` must be the spec the run was solved with.
+    A one-frame run (T = 0) is rejected.
     """
-    times, first = traj.times, traj.fields[0]
-    du, T = first.du, float(times[-1])
+    if spec is not traj.spec:
+        raise ValueError("weak residual needs the spec the run was solved with")
+    times, du, T = traj.times, traj.final_field.du, float(traj.times[-1])
     if not T > 0.0:
         raise ValueError(f"weak residual needs a positive horizon T, got T = {T:g}")
-    k = np.arange(1.0, 4.0)
-    ku = ((np.arange(first.g) + 0.5) * du)[:, None] * k
-    # columns sin u, cos u, sin 2u, cos 2u, sin 3u, cos 3u
-    trig = np.stack((np.sin(ku), np.cos(ku)), axis=2).reshape(first.g, 6)
-    trig_u = np.stack((k * np.cos(ku), -k * np.sin(ku)), axis=2).reshape(first.g, 6)
-    spectrum = _coupling_spectrum(spec.coupling, first.g, 0.0)
-    space = np.empty((len(times), first.n, 6))
-    for s, (t, fld) in enumerate(zip(times, traj.fields)):
-        rho = fld.values
-        flux = rho * _grid_velocity(spec.step_graphon, rho, spectrum)
-        phi, dphi = (1.0 - t / T) ** 2, -2.0 * (1.0 - t / T) / T
-        space[s] = (dphi * (rho @ trig) + phi * (flux @ trig_u)) * du
-    defect = np.trapezoid(space, times, axis=0) + (first.values @ trig) * du
+    rho_trig, flux_trig = traj.moments
+    phi = ((1.0 - times / T) ** 2)[:, None, None]
+    dphi = (-2.0 * (1.0 - times / T) / T)[:, None, None]
+    space = (dphi * rho_trig + phi * flux_trig) * du
+    defect = np.trapezoid(space, times, axis=0) + rho_trig[0] * du
     return float(np.max(np.abs(defect), initial=0.0))
 
 

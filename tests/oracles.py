@@ -19,6 +19,9 @@ rational arithmetic, and ``common_cells`` refines two families to their least
 common cell count, the reference for dbar over unequal counts.
 ``toeplitz_mean_power`` is the (r - |d|)-weighted mean of |a_d - b_d|^p over
 the 2r - 1 float diagonals of two Toeplitz matrices, in rational arithmetic.
+``van_der_corput_order`` and ``coarse_graph_km`` start a graph KM from
+quantiles in bit-reversed order in each coarse cell and coarse-grain its
+final phases, for the graph-against-mean-field test.
 ``peak_traced`` measures the peak memory a call allocates.
 """
 
@@ -30,8 +33,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
+from kmflow.dynamics import CouplingFunction, OscillatorSystem, PhaseState, integrate
 from kmflow.graphon import WeightedGraph
-from kmflow.measures import MeasureFamily
+from kmflow.measures import MeasureFamily, empirical_from_phases, initial_family
 
 TWO_PI = 2.0 * np.pi
 
@@ -278,6 +282,28 @@ def toeplitz_mean_power(a, b, power: int) -> Fraction:
         cells[pair] += r - abs(d)
     return sum(abs(Fraction(x) - Fraction(y)) ** power * k
                for (x, y), k in cells.items()) / r**2
+
+
+def van_der_corput_order(m: int) -> np.ndarray:
+    """0, ..., m - 1 in bit-reversed order, m a power of two: every leading run
+    of 2^j entries samples the range evenly."""
+    bits = m.bit_length() - 1
+    assert m == 1 << bits, f"{m} is not a power of two"
+    return np.array([int(f"{i:0{bits}b}"[::-1], 2) for i in range(m)])
+
+
+def coarse_graph_km(graph: WeightedGraph, rho0, cells: int, T: float, dt: float):
+    """Final phases of the sine KM (K = 1, omega = 0) on ``graph`` as a
+    ``cells``-cell family: each of the ``cells`` runs of m = n / cells
+    consecutive nodes starts at rho0's m quantiles in van der Corput order
+    (rho0 x-independent).  Sorted quantiles would bias a band that covers part
+    of a run."""
+    m = graph.n // cells
+    quantiles = initial_family(rho0, 1, m).positions[0]
+    start = PhaseState(np.tile(quantiles[van_der_corput_order(m)], cells))
+    traj = integrate(OscillatorSystem(graph, CouplingFunction.sine()), start, T, dt,
+                     record_every=10**9)
+    return empirical_from_phases(traj.phases[-1], cells, m)
 
 
 def peak_traced(fn):

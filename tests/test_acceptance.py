@@ -37,6 +37,7 @@ from kmflow.measures import (
     initial_family,
 )
 from oracles import (
+    coarse_graph_km,
     common_cells,
     lp_transport_distance,
     random_circle_measure,
@@ -273,3 +274,35 @@ def test_c11_cross_method_agreement():
     gap = dbar(quantile_family_from_density(fv.final_field, m), pt.final_family)
     _report("C11 finite-volume vs particle agreement", gap < 0.05,
             f"dbar(T=1) = {gap:.4f}")
+
+
+def test_c12_graph_km_converges_to_the_mean_field():
+    # the KM on a band graph against the mean field of its limit kernel.  A
+    # circulant W and an x-independent start keep the mean field x-independent:
+    # it is the one-cell particle system on constant(w0), w0 the kernel's row
+    # mean, and with the graph's n / 16 atoms per coarse cell it is exact for
+    # the atomic start (Neunzert), so the gap isolates the graph term
+    T, dt, cells = 1.0, 1e-2, 16
+    rho0 = VonMises(2.0, np.pi)
+
+    def gap(kernel, w0, n):
+        graph_family = coarse_graph_km(deterministic_graph(kernel, n), rho0, cells, T, dt)
+        mean_field = solve_particles(VelocityFieldSpec(Graphon.constant(w0).cell_average(1),
+                                                       SINE),
+                                     rho0, 1, n // cells, T, dt, record_every=10**9)
+        return dbar(graph_family, mean_field.final_family)
+
+    # small_world(0.1, 0.25): its band, 2h n nodes, is a multiple of n / 16, so
+    # every residue class mod n / 16 carries the same weight and the graph KM
+    # is the particle system: dense (n < 432) and Toeplitz products, RK4 and
+    # block particles in one equality
+    exact = [gap(Graphon.small_world(0.1, 0.25), 0.1 + 0.8 * 0.5, n) for n in (256, 1024, 4096)]
+    # nearest_neighbor(0.2) covers 6.4 coarse cells; its gap falls about as 1/n
+    sizes = (256, 1024, 4096, 8192)
+    gaps = [gap(Graphon.nearest_neighbor(0.2), 0.4, n) for n in sizes]
+    slope = float(np.polyfit(np.log(sizes), np.log(gaps), 1)[0])
+    ok = max(exact) <= 1e-14 and -1.1 <= slope <= -0.8
+    _report("C12 graph KM on band kernels converges to the mean field", ok,
+            "small-world identity " + ", ".join(f"{v:.1e}" for v in exact)
+            + "; nearest-neighbour " + ", ".join(f"{v:.1e}" for v in gaps)
+            + f", slope {slope:.2f}")

@@ -5,6 +5,8 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location("bench_json", ROOT / "tools" / "bench_json.py")
 bench_json = importlib.util.module_from_spec(_SPEC)
@@ -23,9 +25,13 @@ def _stub(calls):
     return runner
 
 
+def _tier1():
+    return {"wall_s": 51.8, "passed": 750, "failed": 0}
+
+
 def test_bench_json_takes_medians_of_every_declared_metric():
     calls = []
-    payload = bench_json.bench([0, 5, 1], 40.0, runner=_stub(calls))
+    payload = bench_json.bench([0, 5, 1], 40.0, runner=_stub(calls), tier1=_tier1)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [entry["name"] for entry in declared["workloads"]]
     assert calls == [(w, seed, 40.0) for w in workloads for seed in (0, 5, 1)]
@@ -38,7 +44,36 @@ def test_bench_json_takes_medians_of_every_declared_metric():
         "peak_rss_mib": {"median": 41.0, "values": [40.0, 45.0, 41.0], "unit": "MiB"},
     }
     assert set(picard["metrics"]) == {m["name"] for m in declared["end_to_end"]}
+    assert payload["tier1"] == _tier1()
     json.dumps(payload)
+
+
+def test_bench_json_times_one_tier1_run(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", "/elsewhere")
+    calls, ticks = [], iter([10.0, 62.5])
+
+    def run(command, **kwargs):
+        calls.append((command, kwargs))
+        return subprocess.CompletedProcess(command, 1, stdout=(
+            "...F.E\n= short test summary info =\n"
+            "FAILED tests/test_x.py::test_y\n2 failed, 748 passed, 1 error in 51.80s\n"))
+
+    result = bench_json.run_tier1(run=run, clock=lambda: next(ticks))
+    assert result == {"wall_s": 52.5, "passed": 748, "failed": 3}
+    [(command, kwargs)] = calls
+    assert command[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert kwargs["cwd"] == ROOT
+    assert kwargs["env"]["PYTHONPATH"] == "src:/elsewhere"
+
+
+@pytest.mark.parametrize("output, counts", [
+    ("750 passed in 51.82s", (750, 0)),
+    ("1 failed, 749 passed, 2 xfailed, 1 warning in 3.1s", (749, 1)),
+    ("3 errors in 1.0s", (0, 3)),
+    ("", (0, 0)),
+])
+def test_tier1_counts_read_the_summary_line(output, counts):
+    assert bench_json.tier1_counts(output) == dict(zip(("passed", "failed"), counts))
 
 
 def test_bench_json_counts_source_lines_as_wc_does():

@@ -23,7 +23,6 @@ from kmflow.meanfield import (
     solve_fv,
     solve_particles,
     stability_experiments,
-    velocity,
     weak_residual,
 )
 from kmflow.measures import (
@@ -51,21 +50,31 @@ def _spec(graphon, n, coupling=SINE):
 
 
 # -- velocity field ----------------------------------------------------------
+# The mean-field velocity of a family is the coupling sum dynamics._field over
+# the whole graph W_n, one row of targets per cell.
+
+
+def _velocity(spec, fam, targets):
+    return dynamics._field(spec.step_graphon, spec.coupling, fam.positions, fam.masses,
+                           np.asarray(targets, dtype=float))
+
+
+def _per_cell(u, n):
+    return np.broadcast_to(u, (n, len(u)))
 
 
 def test_velocity_zero_kernel():
     spec = _spec(Graphon.step(np.zeros((3, 3))), 3)
     fam = initial_family(VonMises(2.0, 1.0), 3, 8)
-    v = velocity(spec, fam, np.linspace(0, TWO_PI, 7), 1)
-    assert np.allclose(v, 0.0)
+    v = _velocity(spec, fam, _per_cell(np.linspace(0, TWO_PI, 7), 3))
+    assert np.array_equal(v, np.zeros((3, 7)))
 
 
 def test_velocity_vanishes_at_uniform():
     spec = _spec(Graphon.constant(0.5), 4)
     fam = initial_family(Uniform(), 4, 256)
-    u = np.linspace(0.0, TWO_PI, 17)
-    for cell in range(4):
-        assert np.max(np.abs(velocity(spec, fam, u, cell))) < 1e-10
+    v = _velocity(spec, fam, _per_cell(np.linspace(0.0, TWO_PI, 17), 4))
+    assert np.max(np.abs(v)) < 1e-10
 
 
 def test_velocity_single_atom_formula():
@@ -73,10 +82,9 @@ def test_velocity_single_atom_formula():
     theta = 1.0
     fam = MeasureFamily(np.full((8, 1), theta), np.ones((8, 1)))
     u = np.array([0.3, 2.0, 5.5])
-    for cell in (0, 3, 7):
-        row_mean = spec.step_graphon.values[cell].mean()
-        assert np.allclose(velocity(spec, fam, u, cell),
-                           row_mean * np.sin(theta - u), atol=1e-14)
+    row_means = spec.step_graphon.values.mean(axis=1)
+    assert np.allclose(_velocity(spec, fam, _per_cell(u, 8)),
+                       row_means[:, None] * np.sin(theta - u), rtol=0.0, atol=1e-14)
 
 
 def _ragged_family(counts, seed=11):
@@ -94,13 +102,11 @@ def _ragged_family(counts, seed=11):
 def test_velocity_matches_double_sum(coupling):
     spec = _spec(Graphon.small_world(0.2, 0.3), 4, coupling)
     fam = _ragged_family((1, 3, 5, 2))
-    w = spec.step_graphon.values
-    u = np.linspace(0.0, TWO_PI, 11)
-    for cell in range(4):
-        expected = oracles.coupling_sum(w[cell:cell + 1], coupling, fam.positions,
-                                        fam.masses, u[None, :])[0]
-        assert np.allclose(velocity(spec, fam, u, cell), expected,
-                           rtol=0.0, atol=1e-14)
+    # each cell its own targets
+    targets = np.linspace(0.0, TWO_PI, 11) + np.arange(4)[:, None]
+    expected = oracles.coupling_sum(spec.step_graphon.values, coupling, fam.positions,
+                                    fam.masses, targets)
+    assert np.allclose(_velocity(spec, fam, targets), expected, rtol=0.0, atol=1e-14)
 
 
 def test_custom_slab_chunks_match_one_block(monkeypatch):
@@ -110,14 +116,14 @@ def test_custom_slab_chunks_match_one_block(monkeypatch):
     targets = np.stack([u, u + 1.0, u + 2.0])
     w = spec.step_graphon
     whole = dynamics._field(w, CUSTOM, fam.positions, fam.masses, targets)
+    assert np.allclose(whole, oracles.coupling_sum(w.values, CUSTOM, fam.positions,
+                                                   fam.masses, targets),
+                       rtol=0.0, atol=1e-14)
     # 7-row blocks within a cell, then slabs of two whole cells
     for budget in (7 * 40 * 3, 2 * 37 * 40 * 3):
         monkeypatch.setattr(dynamics, "_SLAB_ELEMENTS", budget)
         chunked = dynamics._field(w, CUSTOM, fam.positions, fam.masses, targets)
         assert np.allclose(chunked, whole, rtol=0.0, atol=1e-15)
-        for cell in range(3):
-            assert np.allclose(velocity(spec, fam, targets[cell], cell), whole[cell],
-                               rtol=0.0, atol=1e-15)
 
 
 def test_custom_slab_single_block_at_small_sizes():
@@ -136,32 +142,29 @@ def test_custom_slab_single_block_at_small_sizes():
 
 
 def test_custom_slab_memory_bounded():
-    # one cell of 16384 atoms: an unchunked slab would need 2 GiB per temporary
+    # a one-cell graph of 16384 atoms: an unchunked slab of its 16384 targets
+    # would need 2 GiB per temporary
     m = 16384
     spec = _spec(Graphon.constant(1.0), 1, CouplingFunction.custom(lambda d: 0.0 * d))
     fam = initial_family(Uniform(), 1, m)
     u = np.linspace(0.0, TWO_PI, m, endpoint=False)
-    v, peak = peak_traced(lambda: velocity(spec, fam, u, 0))
-    assert np.array_equal(v, np.zeros(m))
+    v, peak = peak_traced(lambda: _velocity(spec, fam, u[None]))
+    assert np.array_equal(v, np.zeros((1, m)))
     assert peak < 40 * 2**20
-
-
-def test_velocity_cell_out_of_range():
-    spec = _spec(Graphon.constant(0.5), 3)
-    fam = initial_family(Uniform(), 3, 4)
-    with pytest.raises(IndexError):
-        velocity(spec, fam, 0.0, 3)
 
 
 def test_velocity_amplitude_and_lipschitz_bounds():
     rng = np.random.default_rng(0)
     spec = _spec(Graphon.small_world(0.2, 0.3), 6)
     fam = initial_family(TwoCluster(0.3, 2.0, 0.4), 6, 16)
-    u = rng.uniform(0, TWO_PI, 200)
-    v = velocity(spec, fam, u, 2)
+    u = rng.uniform(0, TWO_PI, (6, 200))
+    v = _velocity(spec, fam, u)
     assert np.max(np.abs(v)) <= 1.0 + 1e-9
-    u2 = rng.uniform(0, TWO_PI, 200)
-    v2 = velocity(spec, fam, u2, 2)
+    assert np.allclose(v, oracles.coupling_sum(spec.step_graphon.values, SINE,
+                                               fam.positions, fam.masses, u),
+                       rtol=0.0, atol=1e-14)
+    u2 = rng.uniform(0, TWO_PI, (6, 200))
+    v2 = _velocity(spec, fam, u2)
     assert np.all(np.abs(v - v2) <= np.abs(u - u2) + 1e-12)
 
 
@@ -564,7 +567,9 @@ def test_weak_residual_matches_double_sum(coupling, g):
     rho0 = _random_field(3, g, seed=1)
     dt = 0.9 * rho0.du
     traj = solve_fv(spec, rho0, 5 * dt, dt)
-    frames = [f.values for f in traj.fields]
+    # the frame at each recorded time, as the last field of a run to that time
+    frames = [solve_fv(spec, rho0, t, dt).final_field.values for t in traj.times]
+    assert np.array_equal(frames[-1], traj.final_field.values)
     expected = oracles.weak_residual(traj.times, frames, spec.step_graphon.values,
                                      coupling)
     assert abs(weak_residual(traj, spec) - expected) <= 1e-13
@@ -577,9 +582,21 @@ def test_weak_residual_peak_stays_under_eight_frames(frames):
     rho0 = density_field_from_spec(VonMises(2.0, 1.0), n, g)
     dt = 0.9 * rho0.du
     traj = solve_fv(spec, rho0, (frames - 1) * dt, dt)
-    assert len(traj.fields) == frames
+    assert len(traj.times) == frames
     _, peak = peak_traced(lambda: weak_residual(traj, spec))
     assert peak < 8 * n * g * 8
+
+
+@pytest.mark.parametrize("frames", [20, 200])
+def test_fv_peak_stays_under_sixteen_fields(frames):
+    # a run keeps its last field and 96 n bytes per recorded frame, not the frames
+    n, g = 16, 1024
+    spec = _spec(Graphon.small_world(0.3, 0.2), n)
+    rho0 = density_field_from_spec(VonMises(2.0, 1.0), n, g)
+    dt = 0.9 * rho0.du
+    traj, peak = peak_traced(lambda: solve_fv(spec, rho0, (frames - 1) * dt, dt))
+    assert traj.moments.shape == (2, frames, n, 6)
+    assert peak < 16 * n * g * 8
 
 
 def test_fv_endpoints_only_run_builds_no_coupling_table():
@@ -589,7 +606,7 @@ def test_fv_endpoints_only_run_builds_no_coupling_table():
     rho0 = density_field_from_spec(VonMises(2.0, 1.0), n, g)
     dt = 0.9 * rho0.du
     traj, peak = peak_traced(lambda: solve_fv(spec, rho0, 10 * dt, dt, record_every=10**9))
-    assert len(traj.fields) == 2
+    assert len(traj.times) == 2
     assert peak < 8 * 2**20
 
 
@@ -619,9 +636,9 @@ def test_fv_rejects_cfl_violation():
 def test_fv_positivity():
     spec = _spec(Graphon.constant(0.9), 2)
     rho0 = density_field_from_spec(VonMises(4.0, 0.5), 2, 64)
-    traj = solve_fv(spec, rho0, 1.0, 0.9 * rho0.du, record_every=20)
-    for field in traj.fields:
-        assert np.all(field.values >= 0.0)
+    dt = 0.9 * rho0.du
+    for T in (dt, 20 * dt, 0.5, 1.0):
+        assert np.all(solve_fv(spec, rho0, T, dt).final_field.values >= 0.0)
 
 
 def test_fv_agrees_with_particles_moderate_resolution():
@@ -648,9 +665,20 @@ def test_quantile_family_from_density_uniform():
 def test_weak_residual_rejects_a_zero_horizon():
     spec = _spec(Graphon.constant(0.5), 2)
     traj = solve_fv(spec, density_field_from_spec(Uniform(), 2, 16), 0.0, 0.1)
-    assert len(traj.fields) == 1
+    assert len(traj.times) == 1
     with pytest.raises(ValueError, match="positive horizon T, got T = 0"):
         weak_residual(traj, spec)
+
+
+def test_weak_residual_rejects_another_spec():
+    spec = _spec(Graphon.constant(0.5), 2)
+    rho0 = density_field_from_spec(VonMises(2.0, 1.0), 2, 16)
+    traj = solve_fv(spec, rho0, 0.5, 0.1)
+    for other in (_spec(Graphon.constant(0.5), 2), _spec(Graphon.constant(0.5), 2, CUSTOM),
+                  VelocityFieldSpec(spec.step_graphon, CUSTOM)):
+        with pytest.raises(ValueError, match="the spec the run was solved with"):
+            weak_residual(traj, other)
+    assert weak_residual(traj, spec) > 0.0
 
 
 def test_weak_residual_stationary_solution():

@@ -1,4 +1,4 @@
-"""Write BENCH_<number>.json: the benchmark's end-to-end metrics and the source size.
+"""Write BENCH_<number>.json: the benchmark's end-to-end metrics, Tier-1 and the source size.
 
 Run from anywhere, with the checkout's own interpreter:
 
@@ -9,16 +9,25 @@ For each workload that ``BENCHMARK.json`` declares and each seed, it runs
 reads the JSON object on the last line of its output.  The file holds, per
 workload, the median over the seeds of each end-to-end metric (with every
 run's value), the checks failed and attempted, and the line count of each
-``src/kmflow/*.py`` file as ``wc -l`` gives it.
+``src/kmflow/*.py`` file as ``wc -l`` gives it.  After the perfbench runs it
+runs the Tier-1 suite once in a fresh process,
+
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+
+and records its wall time and its passed and failed counts (errors count as
+failed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,6 +42,26 @@ def run_perfbench(workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def run_tier1(run=subprocess.run, clock=time.perf_counter) -> dict:
+    """Wall time and counts of one Tier-1 run, through ``run`` (``subprocess.run``)."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": "src" + (f":{path}" if path else "")}
+    start = clock()
+    proc = run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+               cwd=ROOT, env=env, capture_output=True, text=True)
+    return {"wall_s": clock() - start, **tier1_counts(proc.stdout)}
+
+
+def tier1_counts(output: str) -> dict:
+    """Passed and failed tests in pytest's closing summary line, such as
+    ``2 failed, 748 passed, 1 error in 51.80s``; errors count as failed."""
+    counts = dict.fromkeys(("passed", "failed", "error"), 0)
+    summary = (output.strip().splitlines() or [""])[-1]
+    for number, word in re.findall(r"(\d+) (passed|failed|error)", summary):
+        counts[word] = int(number)
+    return {"passed": counts["passed"], "failed": counts["failed"] + counts["error"]}
+
+
 def source_lines() -> dict:
     """Newlines in each ``src/kmflow/*.py`` file, as ``wc -l`` counts them, and their total."""
     counts = {path.name: path.read_bytes().count(b"\n")
@@ -40,9 +69,11 @@ def source_lines() -> dict:
     return {**counts, "total": sum(counts.values())}
 
 
-def bench(seeds: list[int], seconds: float, runner=run_perfbench) -> dict:
+def bench(seeds: list[int], seconds: float, runner=run_perfbench,
+          tier1=run_tier1) -> dict:
     """Run every declared workload over ``seeds`` through ``runner`` and
-    summarize the end-to-end metrics ``BENCHMARK.json`` names."""
+    summarize the end-to-end metrics ``BENCHMARK.json`` names; then run
+    Tier-1 once through ``tier1``."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [metric["name"] for metric in declared["end_to_end"]]
     workloads = {}
@@ -59,7 +90,7 @@ def bench(seeds: list[int], seconds: float, runner=run_perfbench) -> dict:
             "metrics": metrics,
         }
     return {"seeds": seeds, "seconds": seconds, "workloads": workloads,
-            "source_lines": source_lines()}
+            "tier1": tier1(), "source_lines": source_lines()}
 
 
 def main(argv=None) -> int:
