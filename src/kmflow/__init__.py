@@ -20,7 +20,6 @@ from .dynamics import (
     integrate,
     norm_1n,
     order_parameter,
-    rhs,
 )
 from .measures import (
     MeasureFamily,
@@ -54,7 +53,6 @@ __all__ = [
     "PhaseState",
     "Trajectory",
     "integrate",
-    "rhs",
     "order_parameter",
     "norm_1n",
     "MeasureFamily",

@@ -230,13 +230,6 @@ def _check_velocity_bound(v) -> None:
         )
 
 
-def rhs(system, state: PhaseState) -> np.ndarray:
-    """Phase velocities of ``system`` at ``state``."""
-    if state.n != system.n:
-        raise ValueError(f"state has {state.n} phases, system expects {system.n}")
-    return system.rhs_phases(state.phases)
-
-
 @dataclass
 class Trajectory:
     """Recorded states of one integration run: times[k] <-> phases[k, :]."""

@@ -34,9 +34,9 @@ a trajectory share one masses array.  The particle system and the
 pushforward map evaluate V through the coupling sum of the graph dynamics,
 :func:`kmflow.dynamics._field` (O(N + n^2) for N atoms of the sine family),
 with the cell average W_n, a graph, passed itself; W_n rho too is its one
-product.  The pushforward map steps with its RK4 step.
-Particles, that map and the finite volumes all step in its one stepping loop,
-:func:`kmflow.dynamics._march`, which aborts on a non-finite state.
+product.  The pushforward map, run only by :func:`picard_solve`, steps with
+its RK4 step; it, the particles and the finite volumes all step in its one
+stepping loop, :func:`kmflow.dynamics._march`, aborting on a non-finite state.
 
 Particle runs are streamed: :func:`particle_frames` yields each recorded
 family as its step is taken, and :func:`evolve_family` stores them all.
@@ -53,7 +53,6 @@ discrete simulators in :mod:`kmflow.dynamics` support omega directly.
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass, field
 
@@ -192,8 +191,9 @@ def _particle_system(spec: VelocityFieldSpec,
 def _transport(spec: VelocityFieldSpec, times: np.ndarray, frozen: np.ndarray,
                mass: np.ndarray, start: np.ndarray):
     """RK4-transport points ``start`` (cells, points) through the field of
-    the frozen atoms ``frozen`` (frames, cells, atoms), whose raw (unwrapped)
-    positions are interpolated linearly in time between grid points.
+    the frozen atoms ``frozen`` (frames, cells, atoms), the raw (unwrapped)
+    iterate of :func:`picard_solve`, its one caller, interpolated linearly in
+    time between grid points.
 
     Yields the (cells, points) frame at each grid time, stepping frame k + 1
     from ``frozen[k]`` and ``frozen[k + 1]`` as it is taken: a caller holding
@@ -208,51 +208,6 @@ def _transport(spec: VelocityFieldSpec, times: np.ndarray, frozen: np.ndarray,
             lambda y, s: dynamics._field(w, coupling, atoms[s], mass, y), x, h)
 
     return (x for _, x in dynamics._march(step, start, times, 1))
-
-
-def characteristic_flow(spec: VelocityFieldSpec, frozen: MeasureTrajectory,
-                        positions: np.ndarray, t_start: float,
-                        t_end: float) -> np.ndarray:
-    """Transport phase points (cells, points) from t_start to t_end along the
-    velocity field induced by a frozen measure trajectory.
-
-    Both endpoints must lie on the trajectory's time grid.  This is the
-    two-parameter flow of the characteristics equation; composing
-    consecutive transports reproduces the one-shot transport.
-    """
-    times = frozen.times
-    i0 = int(np.argmin(np.abs(times - t_start)))
-    i1 = int(np.argmin(np.abs(times - t_end)))
-    if abs(times[i0] - t_start) > 1e-12 or abs(times[i1] - t_end) > 1e-12:
-        raise ValueError("t_start and t_end must lie on the frozen time grid")
-    if i1 < i0:
-        raise ValueError("backward transport not supported")
-    positions = np.array(positions, dtype=float)
-    if positions.ndim != 2 or len(positions) != frozen.families[0].n_cells:
-        raise ValueError(f"points must form a (cells, points) array, got {positions.shape}")
-    # families store wrapped positions; unwrap each atom's path in time so
-    # the linear interpolation between grid points is chart-independent
-    pos = _unwrapped_frames(frozen.families, i0, i1)
-    return collections.deque(_transport(spec, times[i0:i1 + 1], pos,
-                                        frozen.families[0].masses, positions), maxlen=1)[0]
-
-
-def _unwrapped_frames(families, i0: int, i1: int) -> np.ndarray:
-    """Frames i0..i1 of ``np.unwrap`` of the positions along time, bit for bit;
-    its correction, a cumulative sum over frames, is carried frame by frame."""
-    frames = np.empty((i1 - i0 + 1, *families[0].positions.shape))
-    correction = np.zeros(frames.shape[1:])
-    for k in range(i1 + 1):
-        if k:  # np.unwrap's correction at period 2*pi of the jumps |dd| >= pi
-            dd = families[k].positions - families[k - 1].positions
-            step = np.mod(dd + math.pi, TWO_PI) - math.pi
-            step[(step == -math.pi) & (dd > 0.0)] = math.pi
-            step -= dd
-            step[np.abs(dd) < math.pi] = 0.0
-            correction += step
-        if k >= i0:
-            frames[k - i0] = families[k].positions + correction
-    return frames
 
 
 def check_picard_capacity(frames: int, atoms: int) -> None:
@@ -341,14 +296,7 @@ class DensityField:
             raise ValueError("density field must be a 2-D array (n, g)")
         if values.shape[1] == 0:
             raise ValueError("density field needs a phase grid of g >= 1 cells")
-        if not (values >= 0.0).all():
-            raise ValueError("densities must be nonnegative")
-        du = TWO_PI / values.shape[1]
-        mass = values.sum(axis=1) * du
-        if not np.max(np.abs(mass - 1.0)) <= 1e-10:
-            raise ValueError(
-                "per-cell normalization violated: du * sum(rho) must be 1"
-            )
+        _check_density(values)
         self.values = values
         self.values.setflags(write=False)
 
@@ -366,6 +314,16 @@ class DensityField:
 
     def cell_masses(self) -> np.ndarray:
         return self.values.sum(axis=1) * self.du
+
+
+def _check_density(values: np.ndarray) -> None:
+    """Reject (n, g) densities with a negative entry or a cell whose mass
+    du * sum(rho) is not 1."""
+    if not (values >= 0.0).all():
+        raise ValueError("densities must be nonnegative")
+    mass = values.sum(axis=1) * (TWO_PI / values.shape[1])
+    if not np.max(np.abs(mass - 1.0)) <= 1e-10:
+        raise ValueError("per-cell normalization violated: du * sum(rho) must be 1")
 
 
 def density_field_from_spec(rho0: DensitySpec, n: int, g: int) -> DensityField:
@@ -452,11 +410,11 @@ def solve_fv(spec: VelocityFieldSpec, rho0: DensityField, T: float, dt: float,
     records = 1 + -(-(len(grid) - 1) // record_every)
     times, moments = np.empty(records), np.empty((2, records, n, 6))
     for s, (t, rho) in enumerate(frames):
-        final = DensityField(rho)
+        _check_density(rho)
         times[s] = t
         moments[0, s] = rho @ trig
         moments[1, s] = (rho * grid_velocity(rho, centres)) @ trig_u
-    return DensityTrajectory(times, final, spec, moments)
+    return DensityTrajectory(times, DensityField(rho), spec, moments)
 
 
 def quantile_family_from_density(fieldv: DensityField, m: int) -> MeasureFamily:

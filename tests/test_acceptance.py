@@ -276,33 +276,58 @@ def test_c11_cross_method_agreement():
             f"dbar(T=1) = {gap:.4f}")
 
 
-def test_c12_graph_km_converges_to_the_mean_field():
-    # the KM on a band graph against the mean field of its limit kernel.  A
-    # circulant W and an x-independent start keep the mean field x-independent:
-    # it is the one-cell particle system on constant(w0), w0 the kernel's row
-    # mean, and with the graph's n / 16 atoms per coarse cell it is exact for
-    # the atomic start (Neunzert), so the gap isolates the graph term
+def _c12_gap(graph, w0):
+    """dbar at T = 1 between the sine KM on a band graph, coarse-grained into
+    16 cells, and the mean field of its limit kernel.  A circulant W and an
+    x-independent start keep the mean field x-independent: it is the one-cell
+    particle system on constant(w0), w0 the kernel's row mean, and with the
+    graph's n / 16 atoms per coarse cell it is exact for the atomic start
+    (Neunzert), so the gap isolates the graph term."""
     T, dt, cells = 1.0, 1e-2, 16
     rho0 = VonMises(2.0, np.pi)
+    graph_family = coarse_graph_km(graph, rho0, cells, T, dt)
+    mean_field = solve_particles(VelocityFieldSpec(Graphon.constant(w0).cell_average(1), SINE),
+                                 rho0, 1, graph.n // cells, T, dt, record_every=10**9)
+    return dbar(graph_family, mean_field.final_family)
 
-    def gap(kernel, w0, n):
-        graph_family = coarse_graph_km(deterministic_graph(kernel, n), rho0, cells, T, dt)
-        mean_field = solve_particles(VelocityFieldSpec(Graphon.constant(w0).cell_average(1),
-                                                       SINE),
-                                     rho0, 1, n // cells, T, dt, record_every=10**9)
-        return dbar(graph_family, mean_field.final_family)
 
+def _slope(sizes, gaps):
+    return float(np.polyfit(np.log(sizes), np.log(gaps), 1)[0])
+
+
+def test_c12_graph_km_converges_to_the_mean_field():
     # small_world(0.1, 0.25): its band, 2h n nodes, is a multiple of n / 16, so
     # every residue class mod n / 16 carries the same weight and the graph KM
     # is the particle system: dense (n < 432) and Toeplitz products, RK4 and
     # block particles in one equality
-    exact = [gap(Graphon.small_world(0.1, 0.25), 0.1 + 0.8 * 0.5, n) for n in (256, 1024, 4096)]
+    exact = [_c12_gap(deterministic_graph(Graphon.small_world(0.1, 0.25), n), 0.1 + 0.8 * 0.5)
+             for n in (256, 1024, 4096)]
     # nearest_neighbor(0.2) covers 6.4 coarse cells; its gap falls about as 1/n
     sizes = (256, 1024, 4096, 8192)
-    gaps = [gap(Graphon.nearest_neighbor(0.2), 0.4, n) for n in sizes]
-    slope = float(np.polyfit(np.log(sizes), np.log(gaps), 1)[0])
+    gaps = [_c12_gap(deterministic_graph(Graphon.nearest_neighbor(0.2), n), 0.4)
+            for n in sizes]
+    slope = _slope(sizes, gaps)
     ok = max(exact) <= 1e-14 and -1.1 <= slope <= -0.8
     _report("C12 graph KM on band kernels converges to the mean field", ok,
             "small-world identity " + ", ".join(f"{v:.1e}" for v in exact)
             + "; nearest-neighbour " + ", ".join(f"{v:.1e}" for v in gaps)
             + f", slope {slope:.2f}")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_c12_sampled_graph_km_converges_to_the_mean_field(seed):
+    # W-random graphs on the same kernels.  Only the fractional diagonals of
+    # nearest_neighbor(0.2) are random, so its gap still falls about as 1/n;
+    # every small-world edge is random, and sampling noise, about n^-1/2,
+    # dominates its gap
+    sizes = (256, 1024, 4096)
+    near = [_c12_gap(sample_w_random(Graphon.nearest_neighbor(0.2), n, seed), 0.4)
+            for n in sizes]
+    small = [_c12_gap(sample_w_random(Graphon.small_world(0.1, 0.25), n, seed), 0.5)
+             for n in sizes]
+    near_slope, small_slope = _slope(sizes, near), _slope(sizes, small)
+    ok = -1.1 <= near_slope <= -0.8 and -0.65 <= small_slope <= -0.35
+    _report(f"C12 sampled graph KM converges to the mean field (seed {seed})", ok,
+            "nearest-neighbour " + ", ".join(f"{v:.1e}" for v in near)
+            + f", slope {near_slope:.2f}; small-world "
+            + ", ".join(f"{v:.1e}" for v in small) + f", slope {small_slope:.2f}")

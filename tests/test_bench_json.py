@@ -29,9 +29,14 @@ def _tier1():
     return {"wall_s": 51.8, "passed": 750, "failed": 0}
 
 
+def _readme_cli():
+    return [{"command": "kmflow render a.csv b.pgm", "wall_s": 0.3, "exit_code": 0}]
+
+
 def test_bench_json_takes_medians_of_every_declared_metric():
     calls = []
-    payload = bench_json.bench([0, 5, 1], 40.0, runner=_stub(calls), tier1=_tier1)
+    payload = bench_json.bench([0, 5, 1], 40.0, runner=_stub(calls), tier1=_tier1,
+                               readme_cli=_readme_cli)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [entry["name"] for entry in declared["workloads"]]
     assert calls == [(w, seed, 40.0) for w in workloads for seed in (0, 5, 1)]
@@ -45,6 +50,7 @@ def test_bench_json_takes_medians_of_every_declared_metric():
     }
     assert set(picard["metrics"]) == {m["name"] for m in declared["end_to_end"]}
     assert payload["tier1"] == _tier1()
+    assert payload["readme_cli"] == _readme_cli()
     json.dumps(payload)
 
 
@@ -64,6 +70,34 @@ def test_bench_json_times_one_tier1_run(monkeypatch):
     assert command[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
     assert kwargs["cwd"] == ROOT
     assert kwargs["env"]["PYTHONPATH"] == "src:/elsewhere"
+
+
+def test_bench_json_times_each_readme_cli_example(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", "/elsewhere")
+    calls, ticks = [], iter(range(16))
+
+    def run(command, **kwargs):
+        # the examples share one directory, fresh for this run
+        assert Path(kwargs["cwd"]).is_dir() and kwargs["cwd"] != str(ROOT)
+        calls.append((command, kwargs))
+        return subprocess.CompletedProcess(command, int(command[-1] == "out/dist"))
+
+    timings = bench_json.run_readme_cli(run=run, clock=lambda: float(next(ticks)))
+    examples = bench_json.readme_examples()
+    assert len(examples) == 8 and examples[0][0] == "sample_graph"
+    assert [command[1:] for command, _ in calls] == [["-m", "kmflow.cli", *argv]
+                                                      for argv in examples]
+    assert len({kwargs["cwd"] for _, kwargs in calls}) == 1
+    assert not Path(calls[0][1]["cwd"]).exists()
+    assert calls[0][1]["env"]["PYTHONPATH"] == f"{ROOT / 'src'}:/elsewhere"
+    assert timings[-2] == {
+        "command": "kmflow distance out/mfp/results.csv out/mfp/results.csv "
+                   "--output-dir out/dist",
+        "wall_s": 1.0, "exit_code": 1}
+    assert [t["exit_code"] for t in timings] == [0] * 6 + [1, 0]
+    assert timings[0]["command"].startswith(
+        "kmflow sample_graph --graphon '{\"kind\": \"small_world\"")
+    json.dumps(timings)
 
 
 @pytest.mark.parametrize("output, counts", [

@@ -16,7 +16,6 @@ from kmflow.dynamics import (
     norm_1n,
     omega_from_spec,
     order_parameter,
-    rhs,
     sup_norm_1n,
     time_grid,
     wrap_angle,
@@ -35,14 +34,14 @@ def _system(weights, coupling=None, K=1.0, omega=None):
 
 def test_rhs_zero_at_synchrony():
     sys_ = _system(np.ones((4, 4)))
-    v = rhs(sys_, PhaseState(np.full(4, 1.3)))
+    v = sys_.rhs_phases(np.full(4, 1.3))
     assert np.allclose(v, 0.0, atol=1e-15)
 
 
 def test_rhs_two_oscillators():
     # n=2, W=1, K=1, sine, u=(0, pi/2): v = (sin(pi/2)/2, sin(-pi/2)/2)
     sys_ = _system(np.ones((2, 2)))
-    v = rhs(sys_, PhaseState(np.array([0.0, np.pi / 2])))
+    v = sys_.rhs_phases(np.array([0.0, np.pi / 2]))
     assert np.allclose(v, [0.5, -0.5], atol=1e-15)
 
 
@@ -51,7 +50,7 @@ def test_rhs_single_oscillator_shifted():
     alpha, K, w11, om = 0.4, 2.0, 0.7, 0.3
     sys_ = _system(np.array([[w11]]), CouplingFunction.sine_shift(alpha), K=K,
                    omega=np.array([om]))
-    v = rhs(sys_, PhaseState(np.array([1.0])))
+    v = sys_.rhs_phases(np.array([1.0]))
     assert v[0] == pytest.approx(om + K * w11 * np.sin(alpha), abs=1e-15)
 
 
@@ -163,9 +162,9 @@ def test_dense_rhs_matches_two_products(n):
     assert np.max(np.abs(sys_.rhs_phases(u) - expected)) <= 1e-13
 
 
-def test_rhs_dimension_mismatch():
-    with pytest.raises(ValueError):
-        rhs(_system(np.ones((3, 3))), PhaseState(np.zeros(2)))
+def test_integrate_rejects_a_state_of_another_size():
+    with pytest.raises(ValueError, match="state has 2 phases, system expects 3"):
+        integrate(_system(np.ones((3, 3))), PhaseState(np.zeros(2)), 1.0, 0.1)
 
 
 def test_zero_rhs_constant_trajectory():
@@ -255,7 +254,7 @@ def test_twisted_states_are_equilibria_of_band_graphs(kernel):
     for n in (64, _TOEPLITZ_NODES - 1, _TOEPLITZ_NODES, 4096, 8192):
         system = OscillatorSystem(deterministic_graph(kernel, n), CouplingFunction.sine())
         for q in range(4):
-            residual = np.max(np.abs(rhs(system, PhaseState(TWO_PI * q * np.arange(n) / n))))
+            residual = np.max(np.abs(system.rhs_phases(TWO_PI * q * np.arange(n) / n)))
             assert residual <= 2e-15, (n, q, residual)
 
 
@@ -432,5 +431,5 @@ def test_omega_from_spec():
     b = omega_from_spec({"kind": "normal", "mean": 0.0, "sd": 1.0, "seed": 9}, 5)
     assert np.array_equal(a, b)
     sys_ = _system(np.zeros((2, 2)), omega=np.array([1.0, -1.0]))
-    v = rhs(sys_, PhaseState(np.zeros(2)))
+    v = sys_.rhs_phases(np.zeros(2))
     assert np.array_equal(v, [1.0, -1.0])

@@ -14,8 +14,6 @@ from kmflow.meanfield import (
     DensityField,
     StabilityConfig,
     VelocityFieldSpec,
-    _unwrapped_frames,
-    characteristic_flow,
     density_field_from_spec,
     evolve_family,
     picard_solve,
@@ -378,51 +376,6 @@ def test_picard_holds_one_stored_iterate():
     assert peak <= 2.5 * array
 
 
-def test_flow_keeps_only_its_last_frame():
-    # 4 cells of 2 frozen atoms carry 2048 points each over 401 frames, 26 MiB
-    # if every transported frame were stored
-    spec = _spec(Graphon.constant(0.7), 4)
-    frozen = solve_particles(spec, VonMises(1.5, 2.0), 4, 2, 4.0, 1e-2)
-    points = np.tile(np.linspace(0.0, TWO_PI, 2048), (4, 1))
-    end, peak = peak_traced(lambda: characteristic_flow(spec, frozen, points, 0.0, 4.0))
-    assert end.shape == points.shape
-    assert peak < 24 * points.nbytes
-
-
-def _random_walk_trajectory(frames, cells, atoms, seed=7):
-    raw = np.cumsum(np.random.default_rng(seed).normal(scale=1.5, size=(frames, cells, atoms)),
-                    axis=0)
-    masses = np.full((cells, atoms), 1.0 / atoms)
-    return MeasureTrajectory(np.arange(frames) / (frames - 1),
-                             [MeasureFamily(r, masses) for r in raw])
-
-
-def test_one_step_flow_unwraps_only_its_frames():
-    # a one-step flow at the end of 101 frames of 32 x 256 atoms: unwrapping
-    # every frame took about 600 frames of 64 KiB (6 stored arrays)
-    frozen = _random_walk_trajectory(101, 32, 256)
-    spec = _spec(Graphon.small_world(0.1, 0.25), 32)
-    points = frozen.families[-2].positions.copy()
-    end, peak = peak_traced(
-        lambda: characteristic_flow(spec, frozen, points, frozen.times[-2], 1.0))
-    assert end.shape == points.shape
-    assert peak < 20 * points.nbytes
-
-
-def test_unwrapped_frames_match_np_unwrap():
-    # a random walk with jumps past pi, and one atom's exact half-period jumps
-    # of both signs
-    walk = _random_walk_trajectory(101, 4, 8).families
-    path = [0.0, np.pi, 0.0, np.pi, np.nextafter(TWO_PI, 0.0), 0.0, 3.0, 3.0 + np.pi]
-    jumps = [MeasureFamily([[u]], [[1.0]]) for u in path]
-    for families in (walk, jumps):
-        reference = np.unwrap(np.array([f.positions for f in families]), axis=0)
-        last = len(families) - 1
-        for i0, i1 in [(0, last), (last - 1, last), (0, 0), (3, 5), (last, last)]:
-            got = _unwrapped_frames(families, i0, i1)
-            assert got.tobytes() == reference[i0:i1 + 1].tobytes()
-
-
 @pytest.mark.parametrize("coupling", [SINE, CUSTOM], ids=["sine", "custom"])
 def test_picard_and_flow_accept_ragged_families(coupling):
     # the ragged family and its copy with every atom split into equal parts,
@@ -441,30 +394,14 @@ def test_picard_and_flow_accept_ragged_families(coupling):
         # the padding keeps zero mass and the atoms their masses
         assert f.masses is fam.masses
         assert dbar(f, g) < 1e-12
-    # each row of a (cells, points) array is moved as if transported alone
+    # the field of the ragged atoms moves each row of a (cells, points) array
+    # of targets as if it were taken alone
     pts = np.array([0.1, 1.3, 2.9, 4.4])
-    full = characteristic_flow(spec, traj, np.tile(pts, (3, 1)), 0.0, 0.5)
+    full = _velocity(spec, fam, np.tile(pts, (3, 1)))
     assert full.shape == (3, 4)
     for k in (1, 2, 3):
-        part = characteristic_flow(spec, traj, np.tile(pts[:k], (3, 1)), 0.0, 0.5)
+        part = _velocity(spec, fam, np.tile(pts[:k], (3, 1)))
         assert np.allclose(part, full[:, :k], rtol=0.0, atol=1e-14)
-
-
-def test_flow_two_parameter_composition():
-    # transporting 0 -> s then s -> t equals transporting 0 -> t
-    spec = _spec(Graphon.constant(0.7), 3)
-    rho0 = VonMises(1.5, 2.0)
-    frozen = solve_particles(spec, rho0, 3, 12, 1.0, 2e-2)
-    start = frozen.families[0].positions
-    mid = characteristic_flow(spec, frozen, start, 0.0, 0.5)
-    end_two_leg = characteristic_flow(spec, frozen, mid, 0.5, 1.0)
-    end_direct = characteristic_flow(spec, frozen, start, 0.0, 1.0)
-    assert np.array_equal(end_two_leg, end_direct)
-    # s = s transport is the identity
-    same = characteristic_flow(spec, frozen, start, 0.5, 0.5)
-    assert np.array_equal(same, start)
-    with pytest.raises(ValueError, match="points"):
-        characteristic_flow(spec, frozen, start[:2], 0.0, 0.5)
 
 
 # -- finite volumes ----------------------------------------------------------
@@ -639,6 +576,18 @@ def test_fv_positivity():
     dt = 0.9 * rho0.du
     for T in (dt, 20 * dt, 0.5, 1.0):
         assert np.all(solve_fv(spec, rho0, T, dt).final_field.values >= 0.0)
+
+
+def test_fv_checks_every_recorded_frame(monkeypatch):
+    # each recorded frame is checked in place, and the returned field once more
+    spec = _spec(Graphon.constant(0.9), 2)
+    rho0 = density_field_from_spec(VonMises(4.0, 0.5), 2, 64)
+    check, calls = meanfield._check_density, []
+    monkeypatch.setattr(meanfield, "_check_density",
+                        lambda values: calls.append(values.shape) or check(values))
+    traj = solve_fv(spec, rho0, 1.0, 0.9 * rho0.du, record_every=3)
+    assert len(traj.times) == 5
+    assert calls == [(2, 64)] * (len(traj.times) + 1)
 
 
 def test_fv_agrees_with_particles_moderate_resolution():

@@ -15,7 +15,10 @@ runs the Tier-1 suite once in a fresh process,
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
 and records its wall time and its passed and failed counts (errors count as
-failed).
+failed).  Last it runs each ``kmflow`` example of README's ``## CLI`` block,
+in order and in one fresh temporary directory (later examples read earlier
+outputs), as ``python -m kmflow.cli ...`` with ``src`` on ``PYTHONPATH``, and
+records each command's wall time and exit code.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ import argparse
 import json
 import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -42,14 +47,41 @@ def run_perfbench(workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _env(src: str) -> dict:
+    """This process's environment with ``src`` first on ``PYTHONPATH``."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (f":{path}" if path else "")}
+
+
 def run_tier1(run=subprocess.run, clock=time.perf_counter) -> dict:
     """Wall time and counts of one Tier-1 run, through ``run`` (``subprocess.run``)."""
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": "src" + (f":{path}" if path else "")}
     start = clock()
     proc = run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-               cwd=ROOT, env=env, capture_output=True, text=True)
+               cwd=ROOT, env=_env("src"), capture_output=True, text=True)
     return {"wall_s": clock() - start, **tier1_counts(proc.stdout)}
+
+
+def readme_examples() -> list[list[str]]:
+    """The arguments of each ``kmflow`` command in README's ``## CLI`` sh block,
+    backslash continuations joined."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("kmflow ")]
+
+
+def run_readme_cli(run=subprocess.run, clock=time.perf_counter) -> list[dict]:
+    """Command, wall time and exit code of each README CLI example, run in
+    order through ``run`` (``subprocess.run``) in one fresh directory."""
+    env, timings = _env(str(ROOT / "src")), []
+    with tempfile.TemporaryDirectory() as workdir:
+        for argv in readme_examples():
+            start = clock()
+            proc = run([sys.executable, "-m", "kmflow.cli", *argv], cwd=workdir, env=env,
+                       capture_output=True, text=True)
+            timings.append({"command": shlex.join(["kmflow", *argv]),
+                            "wall_s": clock() - start, "exit_code": proc.returncode})
+    return timings
 
 
 def tier1_counts(output: str) -> dict:
@@ -70,10 +102,11 @@ def source_lines() -> dict:
 
 
 def bench(seeds: list[int], seconds: float, runner=run_perfbench,
-          tier1=run_tier1) -> dict:
+          tier1=run_tier1, readme_cli=run_readme_cli) -> dict:
     """Run every declared workload over ``seeds`` through ``runner`` and
     summarize the end-to-end metrics ``BENCHMARK.json`` names; then run
-    Tier-1 once through ``tier1``."""
+    Tier-1 once through ``tier1`` and the README CLI examples through
+    ``readme_cli``."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [metric["name"] for metric in declared["end_to_end"]]
     workloads = {}
@@ -90,7 +123,7 @@ def bench(seeds: list[int], seconds: float, runner=run_perfbench,
             "metrics": metrics,
         }
     return {"seeds": seeds, "seconds": seconds, "workloads": workloads,
-            "tier1": tier1(), "source_lines": source_lines()}
+            "tier1": tier1(), "readme_cli": readme_cli(), "source_lines": source_lines()}
 
 
 def main(argv=None) -> int:
