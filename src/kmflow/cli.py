@@ -332,6 +332,7 @@ def _run_simulate(cfg: ExperimentConfig, coupling, omega, n, averages) -> None:
 def _run_sample_graph(cfg: ExperimentConfig, n, averages) -> None:
     graph = _sample(averages[0], cfg.seeds[0] if cfg.seeds else 0)
     kio.write_matrix_csv(_out(cfg, "results.csv"), graph.weights)
+    _out(cfg, "graph.pgm").unlink(missing_ok=True)  # an earlier run's picture
     if cfg.render_pgm:
         kio.write_pgm(_out(cfg, "graph.pgm"), pixel_picture(graph))
 

@@ -285,7 +285,7 @@ class Graphon:
         Entry (i, j) is n^2 times the integral of W over the cell
         I_i x I_j.  Closed forms are used for band profiles and step kernels;
         custom kernels use midpoint quadrature refined until the Richardson
-        extrapolants agree to 1e-9, on at most 4096 points per axis.
+        extrapolants agree to 1e-9, on at most 4096 points per axis (n <= 1024).
         """
         diagonals = self._diagonals(n)
         if diagonals is not None:
@@ -433,6 +433,9 @@ def _check_custom_values(vals: np.ndarray) -> None:
 def _custom_cell_average(fn, n: int) -> np.ndarray:
     """Composite midpoint quadrature with Richardson extrapolation per cell;
     the first, n x n grid is checked by :func:`_check_custom_values`."""
+    if 4 * n > _QUADRATURE_POINTS:  # Richardson needs grids of n, 2n and 4n points
+        raise ValueError(f"custom kernel cell averages need n <= {_QUADRATURE_POINTS // 4} "
+                         f"cells (4n quadrature points per axis), got n = {n}")
     prev_est = None
     prev_rich = None
     achieved = math.inf
@@ -440,7 +443,7 @@ def _custom_cell_average(fn, n: int) -> np.ndarray:
     while n * s <= _QUADRATURE_POINTS:
         g = n * s
         mid = (np.arange(g) + 0.5) / g
-        vals = np.asarray(fn(mid[:, None], mid[None, :]), dtype=float)
+        vals = np.broadcast_to(np.asarray(fn(mid[:, None], mid[None, :]), dtype=float), (g, g))
         if s == 1:
             _check_custom_values(vals)
         est = vals.reshape(n, s, n, s).mean(axis=(1, 3))

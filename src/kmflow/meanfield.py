@@ -39,13 +39,14 @@ its RK4 step; it, the particles and the finite volumes all step in its one
 stepping loop, :func:`kmflow.dynamics._march`, aborting on a non-finite state.
 
 Particle runs are streamed: :func:`particle_frames` yields each recorded
-family as its step is taken, and :func:`evolve_family` stores them all.
-:func:`stability_experiments` advances its two runs together and keeps only
-the running max of dbar, so its memory does not grow with the number of
-recorded frames.  The pushforward map genuinely needs its frozen
-(frames, cells, atoms) trajectory; :func:`picard_solve` checks the size of
-one such array against ``PICARD_MAX_BYTES`` before it stores any, and holds
-only that one, overwritten a block of frames behind the transport reading it.
+family as its step is taken, and :func:`evolve_family` stores them all as
+rows of one phase array.  :func:`stability_experiments` advances its two runs
+together and keeps only the running max of dbar, so its memory does not grow
+with the number of recorded frames.  The pushforward map genuinely needs its
+frozen (frames, cells, atoms) trajectory; :func:`picard_solve` checks the
+size of one such array against ``PICARD_MAX_BYTES`` before it stores any,
+holds only that one, overwritten a block of frames behind the transport
+reading it, and returns families over its rows.
 
 Everything in this module takes intrinsic frequencies to be zero; the
 discrete simulators in :mod:`kmflow.dynamics` support omega directly.
@@ -76,9 +77,9 @@ from .measures import (
 )
 
 # Bytes of one stored (frames, cells, atoms) array of atom positions in
-# picard_solve, frames x cells x atoms x 8 B.  A sweep holds one such array,
-# the iterate it overwrites as it transports, and the returned families take
-# another after the last sweep, so the limit keeps a run under about 512 MiB.
+# picard_solve, frames x cells x atoms x 8 B.  A run holds one such array,
+# the iterate its sweeps overwrite as they transport and its returned families
+# share, so the limit keeps a run under about 512 MiB.
 PICARD_MAX_BYTES = 2**28
 
 # A Picard sweep compares and stores its new frames in blocks of up to this
@@ -158,8 +159,16 @@ def evolve_family(spec: VelocityFieldSpec, family: MeasureFamily, T: float,
     system = _particle_system(spec, family)
     traj = dynamics.integrate(system, PhaseState(family.positions.ravel()), T, dt,
                               record_every=record_every)
-    families = [empirical_from_phases(row, spec.n, system.m) for row in traj.phases]
+    families = [empirical_from_phases(u, spec.n, system.m) for u in _wrapped(traj.phases)]
     return MeasureTrajectory(traj.times, families)
+
+
+def _wrapped(a: np.ndarray) -> np.ndarray:
+    """``a`` wrapped in place, as by ``wrap_angle``, and made read-only."""
+    np.mod(a, TWO_PI, out=a)
+    np.subtract(a, TWO_PI, out=a, where=a >= TWO_PI)
+    a.setflags(write=False)
+    return a
 
 
 def particle_frames(spec: VelocityFieldSpec, family: MeasureFamily, T: float,
@@ -186,28 +195,6 @@ def _particle_system(spec: VelocityFieldSpec,
 
 
 # -- fixed-point (pushforward) iteration -----------------------------------
-
-
-def _transport(spec: VelocityFieldSpec, times: np.ndarray, frozen: np.ndarray,
-               mass: np.ndarray, start: np.ndarray):
-    """RK4-transport points ``start`` (cells, points) through the field of
-    the frozen atoms ``frozen`` (frames, cells, atoms), the raw (unwrapped)
-    iterate of :func:`picard_solve`, its one caller, interpolated linearly in
-    time between grid points.
-
-    Yields the (cells, points) frame at each grid time, stepping frame k + 1
-    from ``frozen[k]`` and ``frozen[k + 1]`` as it is taken: a caller holding
-    frame k may overwrite ``frozen[k - 1]``.
-    """
-    w, coupling = spec.step_graphon, spec.coupling
-
-    def step(x, k, h):
-        left, right = frozen[k], frozen[k + 1]
-        atoms = {0.0: left, 0.5: 0.5 * (left + right), 1.0: right}
-        return dynamics._rk4_step(
-            lambda y, s: dynamics._field(w, coupling, atoms[s], mass, y), x, h)
-
-    return (x for _, x in dynamics._march(step, start, times, 1))
 
 
 def check_picard_capacity(frames: int, atoms: int) -> None:
@@ -245,6 +232,12 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
     frozen = np.broadcast_to(start, times.shape + start.shape).copy()
     block = max(1, _SETTLE_BYTES // start.nbytes)
 
+    def step(x, k, h):  # RK4 through frames k and k + 1, linear in time
+        left, right = frozen[k], frozen[k + 1]
+        atoms = {0.0: left, 0.5: 0.5 * (left + right), 1.0: right}
+        return dynamics._rk4_step(lambda y, s: dynamics._field(
+            spec.step_graphon, spec.coupling, atoms[s], mass, y), x, h)
+
     def settle(frames, k0):
         """Compare frames k0, k0 + 1, ... of the new iterate with the frozen
         ones, then store them there; the largest of d_alpha's terms."""
@@ -261,7 +254,7 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
     converged = False
     for _ in range(max_iter):
         d, pending = 0.0, []
-        for k, frame in enumerate(_transport(spec, times, frozen, mass, start)):
+        for k, (_, frame) in enumerate(dynamics._march(step, start, times, 1)):
             if len(pending) == block:  # the transport is past them
                 d = max(d, settle(pending, k - block))
                 pending = []
@@ -281,7 +274,8 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
         "d_alpha": distances,
         "contraction_ratios": ratios,
     }
-    return MeasureTrajectory(times, [MeasureFamily(p, mass) for p in frozen]), report
+    families = [MeasureFamily(p, mass) for p in _wrapped(frozen)]
+    return MeasureTrajectory(times, families), report
 
 
 # -- finite volumes ---------------------------------------------------------

@@ -151,8 +151,9 @@ class MeasureFamily:
     ``positions`` and ``masses`` are read-only (cells, atoms) arrays; cell i
     is the measure sum_j masses[i, j] delta_{positions[i, j]}.  Masses are
     nonnegative with every row summing to 1; zero-mass atoms are padding,
-    dropped from the CSV form.  Positions are finite, wrapped into a copy; a
-    read-only masses array that owns its data is shared, not copied.
+    dropped from the CSV form.  Positions are finite and wrapped into a copy
+    unless they lie in [0, 2*pi) already and are, or view, a read-only array
+    that owns its data; masses are copied unless they are such an array.
     """
 
     def __init__(self, positions, masses):
@@ -169,7 +170,11 @@ class MeasureFamily:
         if not (np.abs(totals - 1.0) <= _MASS_TOL).all():
             worst = float(totals[np.argmax(np.abs(totals - 1.0))])
             raise ValueError(f"atom masses must sum to 1 in every cell (got {worst!r})")
-        self.positions = wrap_angle(positions)
+        owner = positions if positions.base is None else positions.base
+        shared = (isinstance(owner, np.ndarray) and owner.base is None
+                  and not owner.flags.writeable and not np.signbit(positions).any()
+                  and (positions < TWO_PI).all())
+        self.positions = positions if shared else wrap_angle(positions)
         self.positions.setflags(write=False)
         shared = not masses.flags.writeable and masses.base is None
         self.masses = masses if shared else masses.copy()

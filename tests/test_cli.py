@@ -173,6 +173,16 @@ def test_sampled_er_pixel_density(tmp_path):
     assert abs(black - 0.5) < 0.05
 
 
+def test_sample_graph_without_picture_removes_an_earlier_one(tmp_path):
+    argv = ["sample_graph", "--graphon", json.dumps(ER_HALF), "--n", "8",
+            "--output-dir", str(tmp_path)]
+    assert main([*argv, "--seeds", "7", "--render-pgm"]) == 0
+    assert (tmp_path / "graph.pgm").exists()
+    assert main([*argv, "--seeds", "8"]) == 0
+    assert not (tmp_path / "graph.pgm").exists()
+    assert json.loads(_read(tmp_path / "manifest.json"))["render_pgm"] is False
+
+
 # sha256 of results.csv and graph.pgm from sample_graph at n = 512, seed 7,
 # recorded when every sampled graph held float64 weights
 SPLIT_SAMPLE_SHA256 = {

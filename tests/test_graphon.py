@@ -18,7 +18,7 @@ from kmflow.graphon import (
     _band_offset_fractions,
     kernel_distance,
 )
-from kmflow.graphs import WeightedGraph, sample_w_random
+from kmflow.graphs import WeightedGraph, deterministic_graph, sample_w_random
 from kmflow.meanfield import VelocityFieldSpec, picard_solve
 from kmflow.measures import (
     KAPPA_MAX,
@@ -256,6 +256,15 @@ def test_cell_average_custom_nonconvergence_reports_tolerance():
     with pytest.raises(QuadratureError) as err:
         Graphon.custom(jump).cell_average(2)
     assert err.value.achieved > err.value.target
+
+
+def test_custom_cell_average_takes_at_most_1024_cells():
+    # Richardson needs 4n <= 4096 midpoint points per axis
+    const = Graphon.custom(lambda x, y: 0.5 + 0 * x)
+    assert np.array_equal(const.cell_average(1024).values, np.full((1024, 1024), 0.5))
+    for build in (const.cell_average, lambda n: deterministic_graph(const, n)):
+        with pytest.raises(ValueError, match=r"n <= 1024 cells .* got n = 1025"):
+            build(1025)
 
 
 def test_cell_average_output_satisfies_invariants():

@@ -220,6 +220,24 @@ def test_particles_preserve_cell_mass():
         assert fam.masses is traj.families[0].masses
 
 
+def test_evolve_family_shares_its_recorded_phases():
+    # 101 frames x 16 x 256 atoms: the families are rows of the one recorded
+    # phase array, wrapped in place, not a second copy of it
+    spec = _spec(Graphon.small_world(0.1, 0.25), 16)
+    fam0 = initial_family(VonMises(2.0, 1.0), 16, 256, mode="iid", seed=0)
+    array = 101 * fam0.positions.nbytes
+    traj, peak = peak_traced(lambda: evolve_family(spec, fam0, 1.0, 0.01))
+    assert len(traj.families) == 101 and peak <= 1.3 * array
+    owner = traj.families[0].positions.base
+    system = BlockOscillatorSystem(spec.step_graphon, 256, spec.coupling)
+    raw = dynamics.integrate(system, PhaseState(fam0.positions.ravel()), 1.0, 0.01)
+    for fam, row in zip(traj.families, raw.phases):
+        ref = empirical_from_phases(row, 16, 256)
+        assert fam.positions.base is owner
+        assert np.array_equal(fam.positions, ref.positions)
+        assert np.array_equal(fam.masses, ref.masses)
+
+
 def test_evolve_family_requires_uniform_atoms():
     spec = _spec(Graphon.constant(0.5), 1)
     fam = MeasureFamily(np.array([[0.0, 1.0]]), np.array([[0.3, 0.7]]))
@@ -365,15 +383,15 @@ def test_picard_reports_d_alpha_between_successive_iterates(monkeypatch, frames_
 
 
 def test_picard_holds_one_stored_iterate():
-    # 101 frames x 32 x 256 atoms: 6.3 MiB per stored array; the returned
-    # families take one, the iterate a sweep overwrites in place another
+    # 101 frames x 32 x 256 atoms: 6.3 MiB per stored array; the sweeps
+    # overwrite the one iterate in place and the returned families share it
     spec = _spec(Graphon.small_world(0.1, 0.25), 32)
     fam0 = initial_family(VonMises(2.0, 1.0), 32, 256, mode="iid", seed=0)
     array = 101 * fam0.positions.nbytes
     (traj, report), peak = peak_traced(
         lambda: picard_solve(spec, fam0, 1.0, 0.01, tol=1e-15, max_iter=2))
     assert report["iterations"] == 2 and len(traj.families) == 101
-    assert peak <= 2.5 * array
+    assert peak <= 1.5 * array
 
 
 @pytest.mark.parametrize("coupling", [SINE, CUSTOM], ids=["sine", "custom"])

@@ -25,6 +25,7 @@ from kmflow.measures import (
     family_from_rows,
     family_to_rows,
     initial_family,
+    wrap_angle,
 )
 from oracles import (
     circle_distance,
@@ -109,6 +110,48 @@ def test_measure_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="atom positions must be finite"):
             MeasureFamily([[0.0, bad]], [[0.5, 0.5]])
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+def test_family_shares_read_only_wrapped_positions():
+    # a read-only owner in [0, 2*pi), and read-only views of it, are shared
+    owner = _read_only(np.random.default_rng(0).uniform(0.0, TWO_PI, (3, 4)))
+    masses = np.full((1, 4), 0.25)
+    for positions in (owner[1:2], owner[2:]):
+        assert MeasureFamily(positions, masses).positions is positions
+    assert MeasureFamily(owner, np.full((3, 4), 0.25)).positions is owner
+
+
+def _writable_owner():
+    owner = np.random.default_rng(0).uniform(0.0, TWO_PI, (2, 4))
+    return _read_only(owner[1:])
+
+
+def _unwrapped():
+    return _read_only(np.array([[0.5, TWO_PI, -1.0, 7.0]]))
+
+
+def _buffer_view():
+    return np.frombuffer(np.linspace(0.0, 6.0, 4).tobytes()).reshape(1, 4)
+
+
+def _buffer_owner():
+    return np.ndarray((1, 4), buffer=np.linspace(0.0, 6.0, 4).tobytes())
+
+
+@pytest.mark.parametrize("make", [_writable_owner, _unwrapped, _buffer_view, _buffer_owner],
+                         ids=["writable-owner", "unwrapped", "frombuffer", "bytes-base"])
+def test_family_copies_positions_it_cannot_share(make):
+    positions = make()
+    assert not positions.flags.writeable
+    fam = MeasureFamily(positions, np.full((1, 4), 0.25))
+    assert not np.shares_memory(fam.positions, positions)
+    assert np.array_equal(fam.positions, wrap_angle(positions))
+    assert not fam.positions.flags.writeable
 
 
 def test_dbar_examples():

@@ -14,6 +14,7 @@ from kmflow.dynamics import CouplingFunction, OscillatorSystem
 from kmflow.graphon import Graphon
 from kmflow.graphs import WeightedGraph, deterministic_graph, sample_w_random
 from kmflow.meanfield import BlockOscillatorSystem, VelocityFieldSpec
+from kmflow.measures import MeasureFamily
 from oracles import coupling_sum
 
 TWO_PI = 2.0 * np.pi
@@ -64,29 +65,36 @@ def test_block_rhs_matches_double_sum(coupling):
 
 @pytest.mark.parametrize("coupling", COUPLINGS, ids=IDS)
 def test_transport_step_matches_double_sum_rk4(coupling):
-    # one RK4 step through the frozen atoms, interpolated linearly in time
-    n, atoms, points, h = 4, 6, 5, 0.1
+    # Picard on a one-step grid: sweep 1 takes one RK4 step through the
+    # constant iterate, sweep 2 through the atoms interpolated linearly in
+    # time between the start and sweep 1's frame
+    n, atoms, h = 4, 6, 0.1
     spec = VelocityFieldSpec(KERNEL.cell_average(n), coupling)
     rng = np.random.default_rng(2)
-    frozen = rng.uniform(0.0, TWO_PI, (2, n, atoms))
+    start = rng.uniform(0.0, TWO_PI, (n, atoms))
     mass = rng.uniform(0.5, 1.5, (n, atoms))
     mass /= mass.sum(axis=1, keepdims=True)
-    start = rng.uniform(0.0, TWO_PI, (n, points))
     w = spec.step_graphon.values
 
     def field(pos, x):
         return coupling_sum(w, coupling, pos, mass, x)
 
-    left, right = frozen
-    mid = 0.5 * (left + right)
-    k1 = field(left, start)
-    k2 = field(mid, start + 0.5 * h * k1)
-    k3 = field(mid, start + 0.5 * h * k2)
-    k4 = field(right, start + h * k3)
-    expected = start + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    path = np.array(list(meanfield._transport(spec, np.array([0.0, h]), frozen, mass, start)))
-    assert np.array_equal(path[0], start)
-    assert np.max(np.abs(path[1] - expected)) <= TOL
+    def rk4(left, right):
+        mid = 0.5 * (left + right)
+        k1 = field(left, start)
+        k2 = field(mid, start + 0.5 * h * k1)
+        k3 = field(mid, start + 0.5 * h * k2)
+        k4 = field(right, start + h * k3)
+        return start + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    expected = rk4(start, rk4(start, start))
+    traj, report = meanfield.picard_solve(spec, MeasureFamily(start, mass), h, h,
+                                          tol=1e-15, max_iter=2)
+    assert report["iterations"] == 2 and np.array_equal(traj.times, [0.0, h])
+    assert np.array_equal(traj.families[0].positions, start)
+    # the returned positions are wrapped: compare on the circle
+    gap = (traj.families[1].positions - expected + np.pi) % TWO_PI - np.pi
+    assert np.max(np.abs(gap)) <= TOL
 
 
 def _sine_field_two_pairs(w, alpha, pos, mass, targets):
