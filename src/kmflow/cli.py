@@ -332,7 +332,6 @@ def _run_simulate(cfg: ExperimentConfig, coupling, omega, n, averages) -> None:
 def _run_sample_graph(cfg: ExperimentConfig, n, averages) -> None:
     graph = _sample(averages[0], cfg.seeds[0] if cfg.seeds else 0)
     kio.write_matrix_csv(_out(cfg, "results.csv"), graph.weights)
-    _out(cfg, "graph.pgm").unlink(missing_ok=True)  # an earlier run's picture
     if cfg.render_pgm:
         kio.write_pgm(_out(cfg, "graph.pgm"), pixel_picture(graph))
 
@@ -492,12 +491,13 @@ EXPERIMENTS = {
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes results + manifest, returns exit status.
 
-    An earlier run's manifest is removed first and the new one is written only
-    after the experiment has finished, so a run that fails leaves none behind
-    to vouch for outputs it did not write.
+    An earlier run's manifest and optional outputs are removed first, and the
+    new manifest is written once the experiment has finished, so no manifest
+    vouches for outputs its run did not write and no run keeps another's.
     """
     inputs = cfg.validate()
-    (Path(cfg.output_dir) / "manifest.json").unlink(missing_ok=True)
+    for name in ("manifest.json", "drift.csv", "iteration_report.json", "graph.pgm"):
+        (Path(cfg.output_dir) / name).unlink(missing_ok=True)
     EXPERIMENTS[cfg.experiment].run(cfg, **inputs)
     kio.write_json(_out(cfg, "manifest.json"), cfg.to_dict())
     return 0

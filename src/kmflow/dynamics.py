@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import WeightedGraph, _check_count, _check_real, _check_seed, _spec_kind
+from .graphon import WeightedGraph, _check_count, _check_real, _check_seed, _from_spec
 from .measures import TWO_PI, check_shared_grid, wrap_angle
 
 # Longest time grid (steps) a run may ask for; the grid is allocated up front.
@@ -114,12 +114,10 @@ class CouplingFunction:
             return np.sin(np.asarray(u, dtype=float) + self.alpha)
         return np.asarray(self.fn(u), dtype=float)
 
-    _FIELDS = {"sine": (), "sine_shift": ("alpha",)}
-
     @classmethod
     def from_dict(cls, spec: dict) -> "CouplingFunction":
-        kind = _spec_kind(spec, "coupling", cls._FIELDS)
-        return getattr(cls, kind)(*(spec[name] for name in cls._FIELDS[kind]))
+        """The coupling a JSON spec names; a custom coupling has no JSON form."""
+        return _from_spec(spec, "coupling", {"sine": cls.sine, "sine_shift": cls.sine_shift})
 
 
 @dataclass
@@ -372,16 +370,13 @@ def sup_norm_1n(a: Trajectory, b: Trajectory) -> float:
 
 
 def omega_from_spec(spec: dict, n: int) -> np.ndarray:
-    """Intrinsic frequencies from {'kind': 'zero' | 'constant' | 'normal'}."""
-    def number(name: str, low: float = -math.inf) -> float:
-        return _check_real(spec[name], f"omega field {name!r}", low)
+    """n intrinsic frequencies from {'kind': 'zero' (the default) | 'constant' | 'normal'}."""
+    def normal(seed, mean, sd):
+        _check_seed(seed, "omega field 'seed'")
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        return rng.normal(_check_real(mean, "omega field 'mean'"),
+                          _check_real(sd, "omega field 'sd'", 0.0), n)
 
-    kind = _spec_kind(spec, "omega", {"zero": (), "constant": ("value",),
-                                      "normal": ("mean", "sd", "seed")}, "zero")
-    if kind == "zero":
-        return np.zeros(n)
-    if kind == "constant":
-        return np.full(n, number("value"))
-    _check_seed(spec["seed"], "omega field 'seed'")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(spec["seed"])))
-    return rng.normal(number("mean"), number("sd", 0.0), n)
+    return _from_spec(spec, "omega", {
+        "zero": lambda: np.zeros(n), "normal": normal,
+        "constant": lambda value: np.full(n, _check_real(value, "omega field 'value'"))}, "zero")

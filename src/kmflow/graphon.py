@@ -1,7 +1,8 @@
 """Symmetric kernels on the unit square ("graphons") and their discretizations.
 
 A graphon here is a bounded symmetric measurable function W on [0,1]^2 with
-|W| <= 1. Built-in families:
+|W| <= 1.  Built-in families, each but ``custom`` also a JSON spec whose fields
+are the constructor's parameters (:func:`_from_spec` decodes every JSON spec):
 
 * ``constant(p)``            -- W == p (Erdos-Renyi limit for p in (0,1)),
 * ``small_world(p, h)``      -- 1-p inside the circular band
@@ -30,6 +31,7 @@ caller's obligation.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import numbers
 import sys
@@ -92,17 +94,20 @@ def _check_nodes(n: int) -> None:
         raise ValueError(f"dense storage supports up to {MAX_NODES} nodes, got {n}")
 
 
-def _spec_kind(spec: dict, what: str, fields: dict, default=None) -> str:
-    """The kind a JSON spec names, checked against ``fields`` (kind -> the
-    fields it takes): an unknown kind, or a field its kind does not take, is
-    rejected rather than ignored."""
+def _from_spec(spec: dict, what: str, kinds: dict, default=None):
+    """The object a JSON spec names: ``kinds`` maps each kind to a constructor
+    whose parameters are the fields it takes, those with defaults optional.  An
+    unknown kind or field is rejected rather than ignored, a missing required
+    field raises ``KeyError`` naming it, and the fields go in by name."""
     kind = spec.get("kind", default)
-    if kind not in fields:
+    if kind not in kinds:
         raise ValueError(f"unknown {what} kind: {kind!r}")
-    extra = sorted(set(spec) - {"kind", *fields[kind]})
+    fields = inspect.signature(kinds[kind]).parameters
+    extra = sorted(set(spec) - {"kind", *fields})
     if extra:
         raise ValueError(f"{what} kind {kind!r} takes no field {extra[0]!r}")
-    return kind
+    return kinds[kind](**{name: spec[name] for name, field in fields.items()
+                          if name in spec or field.default is field.empty})
 
 
 class QuadratureError(RuntimeError):
@@ -315,13 +320,11 @@ class Graphon:
 
     # -- deserialization -----------------------------------------------
 
-    _FIELDS = {"constant": ("p",), "small_world": ("p", "h"),
-               "nearest_neighbor": ("h",), "step": ("values",)}
-
     @classmethod
     def from_dict(cls, spec: dict) -> "Graphon":
-        kind = _spec_kind(spec, "graphon", cls._FIELDS)
-        return getattr(cls, kind)(*(spec[name] for name in cls._FIELDS[kind]))
+        """The kernel a JSON spec names; a custom kernel has no JSON form."""
+        return _from_spec(spec, "graphon", {kind: getattr(cls, kind) for kind in (
+            "constant", "small_world", "nearest_neighbor", "step")})
 
 
 def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 256) -> float:
@@ -434,8 +437,8 @@ def _custom_cell_average(fn, n: int) -> np.ndarray:
     """Composite midpoint quadrature with Richardson extrapolation per cell;
     the first, n x n grid is checked by :func:`_check_custom_values`."""
     if 4 * n > _QUADRATURE_POINTS:  # Richardson needs grids of n, 2n and 4n points
-        raise ValueError(f"custom kernel cell averages need n <= {_QUADRATURE_POINTS // 4} "
-                         f"cells (4n quadrature points per axis), got n = {n}")
+        raise ValueError(f"custom kernel cell averages take at most {_QUADRATURE_POINTS // 4} "
+                         f"cells per axis (4 quadrature points each), got {n} cells")
     prev_est = None
     prev_rich = None
     achieved = math.inf

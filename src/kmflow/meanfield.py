@@ -159,16 +159,9 @@ def evolve_family(spec: VelocityFieldSpec, family: MeasureFamily, T: float,
     system = _particle_system(spec, family)
     traj = dynamics.integrate(system, PhaseState(family.positions.ravel()), T, dt,
                               record_every=record_every)
-    families = [empirical_from_phases(u, spec.n, system.m) for u in _wrapped(traj.phases)]
+    wrap_angle(traj.phases, out=traj.phases).setflags(write=False)
+    families = [empirical_from_phases(u, spec.n, system.m) for u in traj.phases]
     return MeasureTrajectory(traj.times, families)
-
-
-def _wrapped(a: np.ndarray) -> np.ndarray:
-    """``a`` wrapped in place, as by ``wrap_angle``, and made read-only."""
-    np.mod(a, TWO_PI, out=a)
-    np.subtract(a, TWO_PI, out=a, where=a >= TWO_PI)
-    a.setflags(write=False)
-    return a
 
 
 def particle_frames(spec: VelocityFieldSpec, family: MeasureFamily, T: float,
@@ -274,7 +267,8 @@ def picard_solve(spec: VelocityFieldSpec, family0: MeasureFamily, T: float,
         "d_alpha": distances,
         "contraction_ratios": ratios,
     }
-    families = [MeasureFamily(p, mass) for p in _wrapped(frozen)]
+    wrap_angle(frozen, out=frozen).setflags(write=False)
+    families = [MeasureFamily(p, mass) for p in frozen]
     return MeasureTrajectory(times, families), report
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphon import _check_count, _check_real, _check_seed, _spec_kind
+from .graphon import _check_count, _check_real, _check_seed, _from_spec
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,10 +46,10 @@ _MASS_TOL = 1e-12
 KAPPA_MAX = 1e6
 
 
-def wrap_angle(u):
-    """Reduce angles to [0, 2*pi)."""
-    r = np.mod(u, TWO_PI)
-    return np.where(r >= TWO_PI, r - TWO_PI, r)
+def wrap_angle(u, out=None):
+    """Reduce angles to [0, 2*pi), into ``out`` if given (``out=u`` wraps in place)."""
+    r = np.asarray(np.mod(u, TWO_PI, out=out))
+    return np.subtract(r, TWO_PI, out=r, where=r >= TWO_PI)
 
 
 def _w1_rows(pos_a, mass_a, pos_b, mass_b) -> np.ndarray:
@@ -454,16 +454,10 @@ class VonMisesTwist(XDependent):
 
 
 def density_from_dict(spec: dict) -> DensitySpec:
-    kind = _spec_kind(spec, "density", {
-        "uniform": (), "von_mises": ("kappa", "mu0"),
-        "two_cluster": ("theta1", "theta2", "w"), "von_mises_twist": ("kappa",)})
-    if kind == "uniform":
-        return Uniform()
-    if kind == "von_mises":
-        return VonMises(spec["kappa"], spec.get("mu0", 0.0))
-    if kind == "two_cluster":
-        return TwoCluster(spec["theta1"], spec["theta2"], spec["w"])
-    return VonMisesTwist(spec["kappa"])
+    """The start density a JSON spec names, its fields its class's parameters."""
+    return _from_spec(spec, "density", {"uniform": Uniform, "von_mises": VonMises,
+                                        "two_cluster": TwoCluster,
+                                        "von_mises_twist": VonMisesTwist})
 
 
 def cell_representative(i: int, n: int) -> float:

@@ -530,8 +530,24 @@ def test_failed_rerun_removes_earlier_manifest(tmp_path, capsys, monkeypatch):
                         entry._replace(run=failing_runner))
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: solver failed\n"
-    # no manifest vouches for the earlier outputs, and no temporary file is left
-    assert sorted(p.name for p in out.iterdir()) == ["drift.csv", "results.csv"]
+    # no manifest vouches for the earlier outputs, the optional drift.csv is
+    # gone with it, and no temporary file is left
+    assert sorted(p.name for p in out.iterdir()) == ["results.csv"]
+
+
+_PICARD_ARGV = ["picard", *_ER, "--n", "2", "--m", "4", *_SHORT]
+
+
+@pytest.mark.parametrize("first, second, stale", [
+    (_PICARD_ARGV, _RERUN_ARGV, "iteration_report.json"),
+    (_RERUN_ARGV, _PICARD_ARGV, "drift.csv"),
+], ids=["picard-then-particles", "particles-then-picard"])
+def test_a_run_removes_another_experiments_outputs(tmp_path, first, second, stale):
+    assert main(first + ["--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / stale).exists()
+    assert main(second + ["--output-dir", str(tmp_path)]) == 0
+    assert not (tmp_path / stale).exists()
+    assert json.loads(_read(tmp_path / "manifest.json"))["experiment"] == second[0]
 
 
 @pytest.mark.parametrize("experiment, flags, message", [

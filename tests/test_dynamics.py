@@ -258,6 +258,34 @@ def test_twisted_states_are_equilibria_of_band_graphs(kernel):
             assert residual <= 2e-15, (n, q, residual)
 
 
+_TWIST_KERNELS = {"nn-0.2": Graphon.nearest_neighbor(0.2),
+                  "sw-0.1-0.25": Graphon.small_world(0.1, 0.25)}
+
+
+@pytest.mark.parametrize("kernel, n, q, k", [
+    *((name, n, q, k) for name in _TWIST_KERNELS for n in (64, 512, 4096)
+      for q, k in ((1, 1), (1, 3), (2, 5))),
+    ("nn-0.2", 512, 3, 1),  # the one growing mode: lambda = +0.0713
+])
+def test_twisted_states_decay_at_their_linear_rates(kernel, n, q, k):
+    # Linearised about the twisted state 2 pi q i / n, the circulant W_n with
+    # row 0 w_d has the Fourier modes as eigenvectors, mode k with rate
+    #   lambda_k(n) = n^-1 sum_d w_d cos(2 pi q d / n) (cos(2 pi k d / n) - 1)
+    # (Wiley, Strogatz & Girvan, Chaos 16 (2006); Medvedev, Physica D 266
+    # (2014)).  A start eps = 1e-7 off along cos(2 pi k i / n) keeps the
+    # nonlinear terms at relative O(eps).
+    graph = deterministic_graph(_TWIST_KERNELS[kernel], n)
+    d = np.arange(n)
+    twisted, mode = TWO_PI * q * d / n, np.cos(TWO_PI * k * d / n)
+    T, eps = 0.5, 1e-7
+    traj = integrate(OscillatorSystem(graph, CouplingFunction.sine()),
+                     PhaseState(twisted + eps * mode), T, 0.01, record_every=MAX_STEPS)
+    start, end = ((2.0 / n) * (u - twisted) @ mode for u in traj.phases)
+    rate = np.sum(graph.weights[0] * np.cos(TWO_PI * q * d / n) * (mode - 1.0)) / n
+    assert (rate > 0.0) == (q == 3)
+    assert abs(np.log(end / start) / T - rate) <= 1e-6 * abs(rate)
+
+
 def test_rotational_equivariance():
     rng = np.random.default_rng(7)
     w = rng.uniform(-1, 1, (8, 8))
@@ -308,6 +336,26 @@ def test_wrap_angle_range():
     u = np.array([-0.1, 0.0, TWO_PI, 7.0, -TWO_PI])
     w = wrap_angle(u)
     assert np.all((w >= 0.0) & (w < TWO_PI))
+
+
+def test_wrap_angle_keeps_the_bits_of_the_where_formula():
+    # np.mod, then 2 pi off where the result rounds to 2 pi, written out the
+    # way wrap_angle computed it before it took ``out``
+    def where_formula(u):
+        r = np.mod(u, TWO_PI)
+        return np.where(r >= TWO_PI, r - TWO_PI, r)
+
+    edges = [-0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0), 1e-300, -1e-300, 1e17, -1e17]
+    u = np.concatenate((np.random.default_rng(0).normal(0.0, 10.0, 100_000), edges))
+    expected = where_formula(u).view(np.int64)
+    assert np.array_equal(wrap_angle(u).view(np.int64), expected)
+    inplace = u.copy()
+    assert wrap_angle(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace.view(np.int64), expected)
+    for scalar in (7.0, -1e-300, TWO_PI):
+        wrapped = wrap_angle(scalar)
+        assert isinstance(wrapped, np.ndarray) and wrapped.shape == ()
+        assert wrapped.view(np.int64) == where_formula(scalar).view(np.int64)
 
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,6 +1,7 @@
 """Kernel construction, cell averaging, kernel distances, and the shared check
 of every real setting."""
 
+import inspect
 import json
 import math
 from decimal import Context, Decimal
@@ -28,6 +29,7 @@ from kmflow.measures import (
     VonMises,
     VonMisesTwist,
     d_alpha,
+    density_from_dict,
     initial_family,
 )
 from oracles import (
@@ -259,12 +261,17 @@ def test_cell_average_custom_nonconvergence_reports_tolerance():
 
 
 def test_custom_cell_average_takes_at_most_1024_cells():
-    # Richardson needs 4n <= 4096 midpoint points per axis
+    # Richardson needs 4n <= 4096 midpoint points per axis; the message names
+    # the cell count it got, not a parameter, as kernel_distance passes its
+    # resolution
     const = Graphon.custom(lambda x, y: 0.5 + 0 * x)
     assert np.array_equal(const.cell_average(1024).values, np.full((1024, 1024), 0.5))
-    for build in (const.cell_average, lambda n: deterministic_graph(const, n)):
-        with pytest.raises(ValueError, match=r"n <= 1024 cells .* got n = 1025"):
-            build(1025)
+    for build, cells in ((const.cell_average, 1025),
+                         (lambda n: deterministic_graph(const, n), 1025),
+                         (lambda n: kernel_distance(const, Graphon.constant(0.5), "L1", n), 2000)):
+        with pytest.raises(ValueError, match=rf"take at most 1024 cells per axis .*, "
+                                             rf"got {cells} cells$"):
+            build(cells)
 
 
 def test_cell_average_output_satisfies_invariants():
@@ -588,3 +595,59 @@ def test_json_round_trip():
             assert np.array_equal(back.cell_average(n).values, W.cell_average(n).values)
     with pytest.raises(ValueError, match="unknown graphon kind: 'custom'"):
         Graphon.from_dict({"kind": "custom"})
+
+
+# Each JSON spec family by the name its messages use: its decoder and, per
+# kind, the public constructor whose parameters are the kind's fields (None
+# for omega, whose kinds are closures over n) and a spec of every field.
+_SPEC_FAMILIES = {
+    "graphon": (Graphon.from_dict, {
+        "constant": (Graphon.constant, {"p": 0.5}),
+        "small_world": (Graphon.small_world, {"p": 0.1, "h": 0.25}),
+        "nearest_neighbor": (Graphon.nearest_neighbor, {"h": 0.2}),
+        "step": (Graphon.step, {"values": [[0.3]]})}),
+    "coupling": (CouplingFunction.from_dict, {
+        "sine": (CouplingFunction.sine, {}),
+        "sine_shift": (CouplingFunction.sine_shift, {"alpha": 0.3})}),
+    "density": (density_from_dict, {
+        "uniform": (Uniform, {}),
+        "von_mises": (VonMises, {"kappa": 2.0, "mu0": 1.0}),
+        "two_cluster": (TwoCluster, {"theta1": 0.1, "theta2": 2.0, "w": 0.3}),
+        "von_mises_twist": (VonMisesTwist, {"kappa": 1.5})}),
+    "omega": (lambda spec: omega_from_spec(spec, 3), {
+        "zero": (None, {}),
+        "constant": (None, {"value": 2.5}),
+        "normal": (None, {"seed": 9, "mean": 0.0, "sd": 1.0})}),
+}
+
+
+@pytest.mark.parametrize("what, kind", [
+    pytest.param(what, kind, id=f"{what}-{kind}")
+    for what, (_, kinds) in _SPEC_FAMILIES.items() for kind in kinds])
+def test_spec_fields_are_constructor_parameters(what, kind):
+    decode, kinds = _SPEC_FAMILIES[what]
+    constructor, fields = kinds[kind]
+    built = decode({"kind": kind, **fields})
+    if constructor is None:
+        assert built.shape == (3,)
+    else:
+        assert set(fields) == set(inspect.signature(constructor).parameters)
+        assert type(built) is type(constructor(**fields))
+    with pytest.raises(ValueError, match=rf"^{what} kind '{kind}' takes no field 'typo'$"):
+        decode({"kind": kind, **fields, "typo": 1})
+    for name in set(fields) - {"mu0"}:
+        with pytest.raises(KeyError) as missing:
+            decode({"kind": kind, **{key: fields[key] for key in fields if key != name}})
+        assert missing.value.args == (name,)
+
+
+def test_spec_defaults_and_library_only_kinds():
+    # a field with a default takes the constructor's; a spec with no kind is
+    # zero frequencies; custom kernels and couplings are callables, with no
+    # JSON form
+    default = inspect.signature(VonMises).parameters["mu0"].default
+    assert density_from_dict({"kind": "von_mises", "kappa": 2.0}).mu0 == default == 0.0
+    assert np.array_equal(omega_from_spec({}, 3), np.zeros(3))
+    for what, decode in (("graphon", Graphon.from_dict), ("coupling", CouplingFunction.from_dict)):
+        with pytest.raises(ValueError, match=rf"^unknown {what} kind: 'custom'$"):
+            decode({"kind": "custom"})

@@ -9,7 +9,9 @@ appear so in ``src/kmflow`` itself.  Tests do not count as callers, so a name
 only tests use belongs in ``tests/oracles.py``.
 
 And every real setting goes through one check: ``_is_real`` is read only by
-``graphon._check_real`` and by the CLI's ``_CHECKS`` table.
+``graphon._check_real`` and by the CLI's ``_CHECKS`` table.  Every JSON spec
+goes through one decoder: its ``"kind"`` is read only in ``graphon._from_spec``,
+and no ``_FIELDS`` table lists a kind's fields beside its constructor.
 """
 
 import ast
@@ -83,3 +85,29 @@ def test_real_settings_have_one_check():
             stray += [f"{path.name}:{use.lineno}" for use in ast.walk(node)
                       if isinstance(use, ast.Name) and use.id == "_is_real"]
     assert stray == [], f"_is_real read outside _check_real and cli._CHECKS: {stray}"
+
+
+def _reads_kind(node) -> bool:
+    """Whether a node reads the ``"kind"`` entry of a mapping: ``x["kind"]``,
+    or ``x.get("kind", ...)`` or ``x.pop("kind", ...)``."""
+    if isinstance(node, ast.Subscript):
+        key = node.slice
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr in ("get", "pop") and node.args):
+        key = node.args[0]
+    else:
+        return False
+    return isinstance(key, ast.Constant) and key.value == "kind"
+
+
+def test_specs_have_one_decoder():
+    readers, tables = set(), []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if _reads_kind(node):
+                    readers.add((path.name, getattr(top, "name", None)))
+                if "_FIELDS" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    tables.append(f"{path.name}:{node.lineno}")
+    assert readers == {("graphon.py", "_from_spec")}
+    assert tables == [], f"_FIELDS tables left: {tables}"
