@@ -26,14 +26,14 @@ Every velocity in kmflow is one coupling sum, :func:`_field`: V(u) = n^-1
 sum_i W_ki sum_j m_ij D(v_ij - u) over the atoms v_ij of mass m_ij in cell i.
 The right-hand side here is that sum with one unit-mass atom per oscillator;
 the mean-field particle system and the Picard transport of
-:mod:`kmflow.meanfield` call it too.  For the sine family it applies W,
-through ``WeightedGraph._product``, to the (2, n) per-cell moments (angle
-addition) of one sin/cos pair per atom: alpha rotates the n moments, and
-targets that are the sources (the graph right-hand side, block particles)
-reuse the pair.  A custom D is evaluated in slabs of whole target
-cells under one element budget.  Every RK4 step, there too, is
-:func:`_rk4_step`, and every run, finite volumes too, steps along its time
-grid in :func:`_march`.
+:mod:`kmflow.meanfield` call it too.  A coupling with a short Fourier series
+(the sine family, a ``fourier`` spec, a custom D its probe resolves) is summed
+through moments, by angle addition: W, through ``WeightedGraph._product``,
+applies to the (2K, n) per-cell moments of sin kv, cos kv, rotated by the
+coefficients, and each target takes sin ku, cos ku, so O(K N) trig calls for N
+atoms.  Any other custom D is evaluated in slabs of whole target cells under
+one element budget.  Every RK4 step, there too, is :func:`_rk4_step`, and
+every run, finite volumes too, steps along its time grid in :func:`_march`.
 """
 
 from __future__ import annotations
@@ -66,20 +66,50 @@ class IntegrationError(RuntimeError):
 
 
 class CouplingFunction:
-    """2*pi-periodic coupling function with |D| <= 1 and Lipschitz constant <= 1."""
+    """2*pi-periodic coupling function with |D| <= 1 and Lipschitz constant <= 1.
 
-    def __init__(self, kind: str, alpha: float = 0.0, fn=None):
+    ``modes = (ks, a, b)``, when D has a short Fourier series, is D(u) = sum
+    a_k cos(ku) + b_k sin(ku) over the harmonics ks, or over k = 1 alone with
+    float a, b when ks is None (the sine family); :func:`_field` sums through it.
+    """
+
+    def __init__(self, kind: str, alpha: float = 0.0, fn=None, modes=None):
         self.kind = kind
         self.alpha = alpha
         self.fn = fn
+        self.modes = modes
 
     @classmethod
     def sine(cls) -> "CouplingFunction":
-        return cls("sine")
+        return cls("sine", modes=(None, 0.0, 1.0))
 
     @classmethod
     def sine_shift(cls, alpha: float) -> "CouplingFunction":
-        return cls("sine_shift", alpha=_check_real(alpha, "coupling field 'alpha'"))
+        alpha = _check_real(alpha, "coupling field 'alpha'")
+        return cls("sine_shift", alpha=alpha, modes=(None, math.sin(alpha), math.cos(alpha)))
+
+    @classmethod
+    def fourier(cls, cos, sin) -> "CouplingFunction":
+        """D(u) = cos[0] + sum_k cos[k] cos(ku) + sin[k - 1] sin(ku), k = 1..K; with
+        |c_k| = hypot(a_k, b_k), |a_0| + sum |c_k| <= 1 and sum k |c_k| <= 1 are
+        checked, which bound |D| and Lip(D) exactly."""
+        fields = {"cos": cos, "sin": sin}
+        for name, values in fields.items():
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"coupling field {name!r} must be a list of numbers "
+                                 f"(got {values!r})")
+            fields[name] = [_check_real(x, f"coupling field {name!r} entry") for x in values]
+        a, b = np.array(fields["cos"], dtype=float), np.array(fields["sin"], dtype=float)
+        if a.size != b.size + 1:
+            raise ValueError(f"coupling field 'sin' must hold one value fewer than 'cos' "
+                             f"(got {b.size} and {a.size})")
+        size = np.hypot(a[1:], b)
+        for name, bound in (("|D|", abs(a[0]) + size.sum()),
+                            ("Lip(D)", np.arange(1, a.size) @ size)):
+            if not bound <= 1.0:
+                raise ValueError(f"coupling fields 'cos' and 'sin' must satisfy {name} <= 1: "
+                                 f"their series bound is {bound:.6g}")
+        return cls("fourier", modes=_harmonics(a, np.append(0.0, b)))
 
     @classmethod
     def custom(cls, fn) -> "CouplingFunction":
@@ -88,7 +118,11 @@ class CouplingFunction:
         One call of ``fn`` at 1024 equispaced points checks |fn| <= 1 and, by
         the secant slopes (the pair across 2*pi included, so a D that is not
         periodic fails too), Lip(fn) <= 1; between the points both stay the
-        caller's obligation.
+        caller's obligation.  The probe's rfft, its modes above a round-off
+        floor of 1e-15, gives ``modes`` when they are at most 256 harmonics
+        and match ``fn`` to 1e-13 at 1024 points shifted by an irrational
+        fraction of a cell; otherwise (a kink, a NaN, a mismatch) ``fn``
+        itself is summed, in slabs.
         """
         if not callable(fn):
             raise ValueError("custom coupling must be callable")
@@ -103,7 +137,13 @@ class CouplingFunction:
         if not slope <= 1.0 + 1e-9:
             raise ValueError(f"coupling function must satisfy Lip(D) <= 1: its secant "
                              f"slopes on {u.size} points reach {slope:.6g}")
-        return cls("custom", fn=fn)
+        c = np.fft.rfft(probe) / u.size  # a_0, then (a_k - i b_k) / 2
+        c[1:] *= 2.0
+        c[np.abs(c) <= 1e-15] = 0.0
+        series = cls("fourier", modes=_harmonics(c.real, -c.imag))
+        u += (math.sqrt(5.0) - 1.0) / 2.0 * u[1]
+        resolved = np.all(series.modes[0] <= 256) and np.max(np.abs(series(u) - fn(u))) <= 1e-13
+        return cls("custom", fn=fn, modes=series.modes if resolved else None)
 
     @property
     def is_sine_family(self) -> bool:
@@ -112,12 +152,24 @@ class CouplingFunction:
     def __call__(self, u):
         if self.is_sine_family:
             return np.sin(np.asarray(u, dtype=float) + self.alpha)
+        if self.fn is None:
+            ks, a, b = self.modes
+            ku = np.multiply.outer(ks, np.asarray(u, dtype=float))
+            return np.tensordot(a, np.cos(ku), 1) + np.tensordot(b, np.sin(ku), 1)
         return np.asarray(self.fn(u), dtype=float)
 
     @classmethod
     def from_dict(cls, spec: dict) -> "CouplingFunction":
         """The coupling a JSON spec names; a custom coupling has no JSON form."""
-        return _from_spec(spec, "coupling", {"sine": cls.sine, "sine_shift": cls.sine_shift})
+        return _from_spec(spec, "coupling", {"sine": cls.sine, "sine_shift": cls.sine_shift,
+                                             "fourier": cls.fourier})
+
+
+def _harmonics(a, b):
+    """``modes`` of the nonzero terms of the series with cos and sin
+    coefficients ``a``, ``b`` of the harmonics 0, 1, ..."""
+    ks = np.flatnonzero(np.hypot(a, b))
+    return ks, a[ks], b[ks]
 
 
 @dataclass
@@ -178,23 +230,33 @@ def _field(w: WeightedGraph, coupling: CouplingFunction, pos, mass, targets):
     Returns V[k, t] = n^-1 sum_i w[i, k] sum_j mass[i, j] D(pos[i, j] -
     targets[k, t]) for source atoms of shape (n, atoms) and targets of shape
     (k, t); ``mass`` may be a scalar.  ``w`` is the graph, so k = n and
-    column k is row k.
+    column k is row k.  A coupling with ``modes`` costs one product of its
+    (2K, n) moments and O(K N) trig calls; any other calls D in slabs.
     """
     n = pos.shape[0]
-    if coupling.is_sine_family:
-        # sin(v - u + alpha) = sin(v + alpha) cos u - cos(v + alpha) sin u;
-        # the shift rotates the moments of sin v, cos v by angle addition
-        trig = np.empty((2, *pos.shape))
-        sin_v, cos_v = np.sin(pos, out=trig[0]), np.cos(pos, out=trig[1])
-        moments = (mass * trig).sum(axis=2)
-        if coupling.alpha:
-            cos_a, sin_a = math.cos(coupling.alpha), math.sin(coupling.alpha)
+    if coupling.modes is not None:
+        # D(v - u) = sum_k cos(ku) P_k(v) - sin(ku) Q_k(v) by angle addition,
+        # P_k = b_k sin kv + a_k cos kv and Q_k = b_k cos kv - a_k sin kv: W
+        # applies to the (2, modes, n) per-cell moments of P, Q, which rotate
+        # those of sin kv, cos kv; the sine family's one mode keeps 2-D arrays
+        ks, a, b = coupling.modes
+        if ks is not None:
+            ks, a, b = ks[:, None, None], a[:, None], b[:, None]
+        angles = pos if ks is None else ks * pos
+        trig = np.empty((2, *angles.shape))
+        sin_u, cos_u = np.sin(angles, out=trig[0]), np.cos(angles, out=trig[1])
+        moments = (mass * trig).sum(axis=-1)
+        if ks is not None or a:
             s, c = moments
-            s[:], c[:] = s * cos_a + c * sin_a, c * cos_a - s * sin_a
-        a, b = w._product(moments)
-        sin_u, cos_u = ((sin_v, cos_v) if targets is pos
-                        else (np.sin(targets), np.cos(targets)))
-        out = cos_u * (a / n)[:, None] - sin_u * (b / n)[:, None]
+            s[:], c[:] = s * b + c * a, c * b - s * a
+        p, q = (w._product(moments) if ks is None
+                else w._product(moments.reshape(-1, n)).reshape(moments.shape))
+        if targets is not pos:  # targets that are the sources reuse the pair
+            angles = targets if ks is None else ks * targets
+            sin_u, cos_u = np.sin(angles), np.cos(angles)
+        out = cos_u * (p / n)[..., None] - sin_u * (q / n)[..., None]
+        if ks is not None:
+            out = out.sum(axis=0)
     else:
         columns = w.weights.T
         src = pos.ravel()

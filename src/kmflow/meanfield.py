@@ -32,7 +32,8 @@ Families are the (cells, atoms) position and mass arrays of
 carry zero-mass padding, which adds exactly nothing to V, and the families of
 a trajectory share one masses array.  The particle system and the
 pushforward map evaluate V through the coupling sum of the graph dynamics,
-:func:`kmflow.dynamics._field` (O(N + n^2) for N atoms of the sine family),
+:func:`kmflow.dynamics._field` (O(K N + K n^2) for N atoms of a coupling of
+K Fourier modes: the sine family, ``fourier``, a custom D its probe resolves),
 with the cell average W_n, a graph, passed itself; W_n rho too is its one
 product.  The pushforward map, run only by :func:`picard_solve`, steps with
 its RK4 step; it, the particles and the finite volumes all step in its one

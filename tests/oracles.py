@@ -23,6 +23,11 @@ the 2r - 1 float diagonals of two Toeplitz matrices, in rational arithmetic.
 quantiles in bit-reversed order in each coarse cell and coarse-grain its
 final phases, for the graph-against-mean-field test.
 ``peak_traced`` measures the peak memory a call allocates.
+``triangle_wave`` is a coupling no short Fourier series resolves (its
+coefficients fall as k^-2), so ``CouplingFunction.custom`` sums it in slabs.
+``moment_hierarchy`` integrates the Fourier moments of the mean-field cells
+of a Fourier coupling, the moment hierarchy of Daido, Physica D 91 (1996),
+from von Mises starts taken from ``scipy.special.ive``.
 """
 
 import collections
@@ -209,6 +214,55 @@ def coupling_sum(w, coupling, pos, mass, targets):
             table = coupling(pos[i][:, None] - targets[k][None, :])
             out[k] += w[k][i] * (mass[i] @ table)
     return out / len(pos)
+
+
+def triangle_wave(u):
+    """(2/pi) arcsin(sin u): |D| <= 1, Lipschitz 2/pi, a kink at every pi/2."""
+    return (2.0 / np.pi) * np.arcsin(np.sin(u))
+
+
+def moment_hierarchy(w, cos, sin, kappa, mu, T, dt, modes=64):
+    """z_1(T) of each cell i of the mean-field solution for D(u) = cos[0] +
+    sum_l cos[l] cos(lu) + sin[l - 1] sin(lu) on the step kernel ``w``.
+
+    The cells start von Mises with concentration ``kappa`` and modes ``mu[i]``,
+    z_k(0) = e^{ik mu} I_k(kappa) / I_0(kappa).  Their moments z_k = E e^{iku}
+    follow dz_k/dt = ik sum_l d_l H_l z_{k-l}, with D(u) = sum_l d_l e^{ilu} and
+    H_l = n^-1 sum_j w_ij z_{l,j}, truncated at |k| <= ``modes`` and integrated
+    by RK4 at the step ``dt``.
+    """
+    from scipy.special import ive
+
+    w = np.asarray(w, dtype=float)
+    n, L = len(mu), len(cos) - 1
+    k = np.arange(-modes, modes + 1)
+    z = (ive(np.abs(k), kappa) / ive(0, kappa)) * np.exp(1j * np.outer(mu, k))
+    d = {0: cos[0]}
+    for l in range(1, L + 1):
+        d[l] = (cos[l] - 1j * sin[l - 1]) / 2
+        d[-l] = np.conj(d[l])
+
+    def rhs(z):
+        H = w @ z / n
+        dz = np.zeros_like(z)
+        for l, d_l in d.items():
+            # z_{k - l} at column k + modes, zero beyond the truncation
+            shifted = np.zeros_like(z)
+            if l >= 0:
+                shifted[:, l:] = z[:, :z.shape[1] - l]
+            else:
+                shifted[:, :l] = z[:, -l:]
+            dz += d_l * H[:, [l + modes]] * shifted
+        return 1j * k * dz
+
+    steps = round(T / dt)
+    for _ in range(steps):
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * dt * k1)
+        k3 = rhs(z + 0.5 * dt * k2)
+        k4 = rhs(z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z[:, modes + 1]
 
 
 def grid_velocity(w, coupling, rho, points):

@@ -309,6 +309,48 @@ def test_picard_cli_writes_report(tmp_path):
     assert len(report["d_alpha"]) == report["iterations"]
 
 
+def test_fourier_picard_replays_and_matches_its_custom_run(tmp_path):
+    # the two-harmonic D as JSON: its manifest replays byte for byte, and the
+    # run matches the library run of the same D as a callable
+    coupling = {"kind": "fourier", "cos": [0.0, 0.0, 0.0], "sin": [0.5, 0.25]}
+    raw = {"experiment": "picard", "graphon": SMALL_WORLD, "n": 4, "m": 8, "T": 0.5,
+           "dt": 0.05, "rho0": {"kind": "von_mises", "kappa": 2.0, "mu0": 1.0},
+           "coupling": coupling, "output_dir": str(tmp_path / "first")}
+    run(ExperimentConfig.from_dict(raw))
+    manifest = json.loads(_read(tmp_path / "first" / "manifest.json"))
+    assert manifest["coupling"] == coupling
+    manifest["output_dir"] = str(tmp_path / "second")
+    run(ExperimentConfig.from_dict(manifest))
+    for name in ("results.csv", "iteration_report.json"):
+        assert (tmp_path / "first" / name).read_bytes() == \
+            (tmp_path / "second" / name).read_bytes()
+    custom = cli.CouplingFunction.custom(lambda u: 0.5 * np.sin(u) + 0.25 * np.sin(2.0 * u))
+    spec = mf.VelocityFieldSpec(cli.Graphon.from_dict(SMALL_WORLD).cell_average(4), custom)
+    traj, _ = mf.picard_solve(spec, initial_family(VonMises(2.0, 1.0), 4, 8), 0.5, 0.05)
+    rows = np.loadtxt(tmp_path / "first" / "results.csv", delimiter=",", skiprows=1)
+    assert np.max(np.abs(rows[:, 1] - traj.final_family.positions.ravel())) <= 1e-12
+
+
+@pytest.mark.parametrize("coupling, message", [
+    ({"kind": "fourier", "cos": [0.0]}, "lacks the field 'sin'"),
+    ({"kind": "fourier", "cos": [0.0], "sin": [], "alpha": 1},
+     "coupling kind 'fourier' takes no field 'alpha'"),
+    ({"kind": "fourier", "cos": 0.5, "sin": []},
+     "coupling field 'cos' must be a list of numbers (got 0.5)"),
+    ({"kind": "fourier", "cos": [0.0, "0.5"], "sin": [0.0]},
+     "coupling field 'cos' entry must be a finite number (got '0.5')"),
+    ({"kind": "fourier", "cos": [0.0, 0.0], "sin": [1.5]},
+     "coupling fields 'cos' and 'sin' must satisfy |D| <= 1"),
+], ids=["missing", "unknown", "not-a-list", "not-a-number", "amplitude"])
+def test_bad_fourier_fields_rejected_by_name(tmp_path, capsys, coupling, message):
+    code = main(["picard", "--graphon", json.dumps(ER_HALF), "--n", "2", "--T", "0.1",
+                 "--coupling", json.dumps(coupling), "--output-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0] and "'coupling' spec" in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_meanfield_fv_cli(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "experiment": "meanfield_fv", "graphon": ER_HALF, "n": 2, "g": 32,

@@ -22,7 +22,12 @@ from kmflow.dynamics import (
 )
 from kmflow.graphon import _TOEPLITZ_NODES, Graphon
 from kmflow.graphs import WeightedGraph, deterministic_graph, sample_w_random
-from oracles import peak_traced, two_oscillator_gap, weight_perturbation_constant
+from oracles import (
+    peak_traced,
+    triangle_wave,
+    two_oscillator_gap,
+    weight_perturbation_constant,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,9 +128,106 @@ def test_custom_coupling_probe_accepts_one_lipschitz_periodic_d(fn):
     assert CouplingFunction.custom(fn).fn is fn
 
 
+# a D its probe does not resolve as a short series, so it is summed in slabs
+TRIANGLE = CouplingFunction.custom(triangle_wave)
+
+
+def _exp_cos(u):
+    # a scaled analytic D: |D| <= 0.25 (e - I_0(1)) < 0.42, Lip < 0.25 e
+    return 0.25 * (np.exp(np.cos(u)) - np.i0(1.0))
+
+
+def _aliased(u):
+    # 0.5 sin u on the probe's grid, where sin(1024 u) vanishes; Lip(D) = 1
+    return 0.5 * np.sin(u) + (0.5 / 1024) * np.sin(1024.0 * u)
+
+
+@pytest.mark.parametrize("fn, harmonics", [
+    pytest.param(lambda u: 0.5 * np.sin(u) + 0.25 * np.sin(2.0 * u), [1, 2], id="two-sines"),
+    pytest.param(lambda u: 0.3 + 0.5 * np.cos(u), [0, 1], id="offset-cosine"),
+    pytest.param(lambda u: 0.0 * u, [], id="zero"),
+    pytest.param(_exp_cos, list(range(1, 14)), id="exp-cos"),
+])
+def test_custom_probe_resolves_a_short_series(fn, harmonics):
+    modes = CouplingFunction.custom(fn).modes
+    assert modes[0].tolist() == harmonics
+    u = np.random.default_rng(0).uniform(-TWO_PI, 2 * TWO_PI, 500)
+    series = CouplingFunction("fourier", modes=modes)
+    assert np.max(np.abs(series(u) - fn(u))) <= 1e-13
+
+
+def test_workload_coupling_resolves_to_its_two_sines():
+    ks, a, b = CouplingFunction.custom(lambda u: 0.5 * np.sin(u) + 0.25 * np.sin(2.0 * u)).modes
+    assert ks.tolist() == [1, 2]
+    assert np.allclose(a, 0.0, rtol=0.0, atol=1e-15)
+    assert np.allclose(b, [0.5, 0.25], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("fn", [triangle_wave, _aliased], ids=["triangle", "aliased"])
+def test_custom_probe_keeps_slabs_for_a_d_its_series_misses(fn):
+    assert CouplingFunction.custom(fn).modes is None
+
+
+def test_resolved_custom_rhs_never_calls_its_function():
+    calls = []
+
+    def counted(u):
+        calls.append(np.shape(u))
+        return 0.5 * np.sin(u) + 0.25 * np.cos(2.0 * u)
+
+    coupling = CouplingFunction.custom(counted)
+    assert len(calls) == 2  # the probe and the shifted probe
+    rng = np.random.default_rng(7)
+    w = rng.uniform(-1, 1, (9, 9))
+    w = (w + w.T) / 2
+    u = rng.uniform(0, TWO_PI, 9)
+    calls.clear()
+    v = _system(w, coupling, K=1.3).rhs_phases(u)
+    assert calls == []
+    expected = (1.3 / 9) * np.sum(w * (0.5 * np.sin(u[None] - u[:, None])
+                                       + 0.25 * np.cos(2.0 * (u[None] - u[:, None]))), axis=1)
+    assert np.max(np.abs(v - expected)) <= 1e-15
+
+
+def test_fourier_coupling_evaluates_its_series():
+    coupling = CouplingFunction.fourier([0.1, 0.2, -0.05], [0.3, 0.1])
+    u = np.linspace(-3.0, 9.0, 41)
+    expected = (0.1 + 0.2 * np.cos(u) - 0.05 * np.cos(2 * u) + 0.3 * np.sin(u)
+                + 0.1 * np.sin(2 * u))
+    assert np.allclose(coupling(u), expected, rtol=0.0, atol=1e-15)
+    assert not coupling.is_sine_family and coupling.fn is None
+    # one mode for each nonzero term, the constant only when it is set
+    assert CouplingFunction.fourier([0.0, 0.0, 0.0], [0.0, 0.5]).modes[0].tolist() == [2]
+    assert CouplingFunction.fourier([0.4], []).modes[0].tolist() == [0]
+    assert CouplingFunction.fourier([0.0], []).modes[0].tolist() == []
+
+
+@pytest.mark.parametrize("cos, sin, message", [
+    ("0.5", [], r"coupling field 'cos' must be a list of numbers \(got '0.5'\)"),
+    ([], [], r"coupling field 'sin' must hold one value fewer than 'cos' \(got 0 and 0\)"),
+    ([0.0, 0.0], {"b": 1}, r"coupling field 'sin' must be a list of numbers"),
+    ([0.0, np.nan], [0.5], r"coupling field 'cos' entry must be a finite number \(got nan\)"),
+    ([0.0, 0.0], [True], r"coupling field 'sin' entry must be a finite number \(got True\)"),
+    ([0.0, 0.0], [0.5, 0.1], r"'sin' must hold one value fewer than 'cos' \(got 2 and 2\)"),
+    ([0.5, 0.0], [0.6], r"'cos' and 'sin' must satisfy \|D\| <= 1: their series bound is 1.1$"),
+    ([0.0, 0.0, 0.3], [0.0, 0.45], r"must satisfy Lip\(D\) <= 1: their series bound is 1.08167$"),
+])
+def test_fourier_coupling_rejects_bad_fields(cos, sin, message):
+    with pytest.raises(ValueError, match=message):
+        CouplingFunction.fourier(cos, sin)
+
+
+def test_fourier_bounds_are_checked_exactly():
+    # amplitude 1 and Lipschitz 1 exactly are allowed
+    CouplingFunction.fourier([0.0, 0.0, 0.0], [0.5, 0.25])
+    CouplingFunction.fourier([0.0, 0.6], [0.8])
+    CouplingFunction.fourier([0.0, 0.0, 0.3], [0.0, 0.4])
+
+
 @pytest.mark.parametrize("n", [5, 600])
 def test_custom_coupling_on_toeplitz_graph_matches_dense(n):
-    coup = CouplingFunction.custom(lambda u: 0.5 * np.sin(u) + 0.25 * np.cos(2.0 * u))
+    coup = TRIANGLE
+    assert coup.modes is None
     u = np.random.default_rng(3).uniform(0, TWO_PI, n)
     for W in _TOEPLITZ_KERNELS:
         graph = deterministic_graph(W, n)
@@ -136,7 +238,7 @@ def test_custom_coupling_on_toeplitz_graph_matches_dense(n):
 
 def test_custom_field_on_split_graph_matches_its_float_copy():
     # the slab multiplies bool weights by the masses, which gives the float bits
-    coup = CouplingFunction.custom(lambda u: 0.5 * np.sin(u) + 0.25 * np.cos(2.0 * u))
+    coup = TRIANGLE
     graph = sample_w_random(Graphon.small_world(0.1, 0.25), 600, seed=4)
     assert graph._diagonals is not None and graph.weights.dtype == bool
     dense = WeightedGraph(graph.weights.astype(float))

@@ -608,7 +608,8 @@ _SPEC_FAMILIES = {
         "step": (Graphon.step, {"values": [[0.3]]})}),
     "coupling": (CouplingFunction.from_dict, {
         "sine": (CouplingFunction.sine, {}),
-        "sine_shift": (CouplingFunction.sine_shift, {"alpha": 0.3})}),
+        "sine_shift": (CouplingFunction.sine_shift, {"alpha": 0.3}),
+        "fourier": (CouplingFunction.fourier, {"cos": [0.0, 0.1], "sin": [0.5]})}),
     "density": (density_from_dict, {
         "uniform": (Uniform, {}),
         "von_mises": (VonMises, {"kappa": 2.0, "mu0": 1.0}),

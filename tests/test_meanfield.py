@@ -29,6 +29,7 @@ from kmflow.measures import (
     TwoCluster,
     Uniform,
     VonMises,
+    VonMisesTwist,
     d_alpha,
     dbar,
     empirical_from_phases,
@@ -36,11 +37,13 @@ from kmflow.measures import (
     sup_dbar,
 )
 import oracles
-from oracles import padded_family, peak_traced, two_oscillator_gap
+from oracles import padded_family, peak_traced, triangle_wave, two_oscillator_gap
 
 TWO_PI = 2.0 * np.pi
 SINE = CouplingFunction.sine()
 CUSTOM = CouplingFunction.custom(lambda v: 0.5 * np.sin(v) + 0.25 * np.sin(2.0 * v))
+# a D its probe does not resolve as a short series, so it is summed in slabs
+TRIANGLE = CouplingFunction.custom(triangle_wave)
 
 
 def _spec(graphon, n, coupling=SINE):
@@ -108,19 +111,19 @@ def test_velocity_matches_double_sum(coupling):
 
 
 def test_custom_slab_chunks_match_one_block(monkeypatch):
-    spec = _spec(Graphon.small_world(0.2, 0.3), 3, CUSTOM)
+    spec = _spec(Graphon.small_world(0.2, 0.3), 3, TRIANGLE)
     fam = _ragged_family((5, 40, 17))
     u = np.linspace(0.0, TWO_PI, 37)
     targets = np.stack([u, u + 1.0, u + 2.0])
     w = spec.step_graphon
-    whole = dynamics._field(w, CUSTOM, fam.positions, fam.masses, targets)
-    assert np.allclose(whole, oracles.coupling_sum(w.values, CUSTOM, fam.positions,
+    whole = dynamics._field(w, TRIANGLE, fam.positions, fam.masses, targets)
+    assert np.allclose(whole, oracles.coupling_sum(w.values, TRIANGLE, fam.positions,
                                                    fam.masses, targets),
                        rtol=0.0, atol=1e-14)
     # 7-row blocks within a cell, then slabs of two whole cells
     for budget in (7 * 40 * 3, 2 * 37 * 40 * 3):
         monkeypatch.setattr(dynamics, "_SLAB_ELEMENTS", budget)
-        chunked = dynamics._field(w, CUSTOM, fam.positions, fam.masses, targets)
+        chunked = dynamics._field(w, TRIANGLE, fam.positions, fam.masses, targets)
         assert np.allclose(chunked, whole, rtol=0.0, atol=1e-15)
 
 
@@ -130,7 +133,7 @@ def test_custom_slab_single_block_at_small_sizes():
 
     def counted(d):
         calls.append(d.shape)
-        return 0.5 * np.sin(d) + 0.25 * np.sin(2.0 * d)
+        return triangle_wave(d)
 
     system = BlockOscillatorSystem(Graphon.small_world(0.1, 0.25).cell_average(8), 16,
                                    CouplingFunction.custom(counted))
@@ -149,6 +152,31 @@ def test_custom_slab_memory_bounded():
     v, peak = peak_traced(lambda: _velocity(spec, fam, u[None]))
     assert np.array_equal(v, np.zeros((1, m)))
     assert peak < 40 * 2**20
+
+
+def test_unresolved_custom_slab_memory_bounded():
+    # as above, for a D summed in slabs; equispaced atoms of an odd D cancel
+    m = 16384
+    spec = _spec(Graphon.constant(1.0), 1, TRIANGLE)
+    fam = initial_family(Uniform(), 1, m)
+    u = np.linspace(0.0, TWO_PI, m, endpoint=False)
+    v, peak = peak_traced(lambda: _velocity(spec, fam, u[None]))
+    assert np.max(np.abs(v)) < 1e-15
+    assert peak < 40 * 2**20
+
+
+# z_1(T) error of quantile-placed particles, (4 cells, m atoms), against the
+# moment hierarchy; measured 1.75e-2, 5.80e-4 and 1.19e-8
+@pytest.mark.parametrize("m, bound", [(16, 2e-2), (64, 7e-4), (256, 1.5e-8)])
+def test_fourier_particles_follow_the_moment_hierarchy(m, bound):
+    cos, sin, n = [0.0, 0.0, 0.0], [0.5, 0.25], 4
+    spec = _spec(Graphon.small_world(0.1, 0.25), n, CouplingFunction.fourier(cos, sin))
+    traj = solve_particles(spec, VonMisesTwist(2.0), n, m, 1.0, 0.01)
+    z1 = np.mean(np.exp(1j * traj.final_family.positions), axis=1)
+    mu = TWO_PI * np.arange(1, n + 1) / n  # the twist's modes at the cell representatives
+    expected = oracles.moment_hierarchy(spec.step_graphon.values, cos, sin, 2.0, mu,
+                                        1.0, 0.01)
+    assert np.max(np.abs(z1 - expected)) <= bound
 
 
 def test_velocity_amplitude_and_lipschitz_bounds():
@@ -483,7 +511,9 @@ def _nan_off_probe_grid(u):
 
 
 def test_solvers_raise_on_nan_coupling_between_probe_points():
+    # the probe's series misses the NaN, the shifted probe does not: slabs
     spec = _spec(Graphon.constant(0.5), 2, CouplingFunction.custom(_nan_off_probe_grid))
+    assert spec.coupling.modes is None
     with pytest.raises(RuntimeError, match="velocity bound violated"):
         picard_solve(spec, initial_family(VonMises(2.0, 1.0), 2, 4), 0.1, 0.05)
     # g = 6 puts the face offsets (j + 1/2) * du between probe points

@@ -6,24 +6,28 @@ D(v_ij - u) through one routine; each is checked against the explicit double
 sum of ``oracles.coupling_sum`` (the pointwise velocity in test_meanfield.py).
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from kmflow import meanfield
+from kmflow import dynamics, graphon, meanfield
 from kmflow.dynamics import CouplingFunction, OscillatorSystem
 from kmflow.graphon import Graphon
 from kmflow.graphs import WeightedGraph, deterministic_graph, sample_w_random
 from kmflow.meanfield import BlockOscillatorSystem, VelocityFieldSpec
 from kmflow.measures import MeasureFamily
-from oracles import coupling_sum
+from oracles import coupling_sum, triangle_wave
 
 TWO_PI = 2.0 * np.pi
 COUPLINGS = [
     CouplingFunction.sine(),
     CouplingFunction.sine_shift(0.3),
     CouplingFunction.custom(lambda u: 0.5 * np.sin(u) + 0.25 * np.sin(2.0 * u)),
+    CouplingFunction.fourier([0.1, 0.2, -0.05], [0.3, 0.1]),
+    CouplingFunction.custom(triangle_wave),
 ]
-IDS = ["sine", "sine_shift", "custom"]
+IDS = ["sine", "sine_shift", "custom", "fourier", "slab"]
 KERNEL = Graphon.small_world(0.2, 0.3)
 TOL = 1e-13
 
@@ -129,3 +133,57 @@ def test_sine_rhs_reuses_the_sources_pair(alpha, tol):
     expected = _sine_field_two_pairs(step, alpha, blocks, 1.0 / m, blocks).ravel()
     got = BlockOscillatorSystem(step, m, coupling).rhs_phases(x)
     assert np.max(np.abs(got - expected)) <= tol
+
+
+def _sine_field_reference(w, alpha, pos, mass, targets):
+    """The sine family's field in its own two-row form, the moments of sin v,
+    cos v rotated by alpha when it is nonzero: the bits the modal sum keeps."""
+    n = pos.shape[0]
+    trig = np.empty((2, *pos.shape))
+    sin_v, cos_v = np.sin(pos, out=trig[0]), np.cos(pos, out=trig[1])
+    moments = (mass * trig).sum(axis=2)
+    if alpha:
+        cos_a, sin_a = math.cos(alpha), math.sin(alpha)
+        s, c = moments
+        s[:], c[:] = s * cos_a + c * sin_a, c * cos_a - s * sin_a
+    a, b = w._product(moments)
+    sin_u, cos_u = ((sin_v, cos_v) if targets is pos
+                    else (np.sin(targets), np.cos(targets)))
+    return cos_u * (a / n)[:, None] - sin_u * (b / n)[:, None]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, -2.1])
+@pytest.mark.parametrize("n", [8, 300, 600])
+def test_sine_family_field_keeps_its_bits(alpha, n):
+    coupling = CouplingFunction.sine_shift(alpha) if alpha else CouplingFunction.sine()
+    rng = np.random.default_rng(n)
+    for name, graph in _graphs(n).items():
+        for atoms in (1, 3):
+            pos = rng.uniform(-TWO_PI, 2 * TWO_PI, (n, atoms))
+            for mass in (1.0 / atoms, rng.dirichlet(np.ones(atoms), n)):
+                for targets in (pos, rng.uniform(0.0, TWO_PI, (n, 2))):
+                    got = dynamics._field(graph, coupling, pos, mass, targets)
+                    assert np.array_equal(
+                        got, _sine_field_reference(graph, alpha, pos, mass, targets)), name
+
+
+@pytest.mark.parametrize("coupling", COUPLINGS[2:4], ids=IDS[2:4])
+def test_modal_field_matches_double_sum_on_every_product(coupling, monkeypatch):
+    # band averages from 16 rows up are stored as diagonals, so n = 48 takes
+    # the Toeplitz FFT and the split sampled graph its flipped pairs
+    monkeypatch.setattr(graphon, "_TOEPLITZ_NODES", 16)
+    assert coupling.modes is not None
+    n, band = 48, Graphon.small_world(0.1, 0.25)
+    rng = np.random.default_rng(9)
+    w = rng.uniform(-1.0, 1.0, (n, n))
+    graphs = {"dense": WeightedGraph((w + w.T) / 2),
+              "toeplitz": deterministic_graph(band, n),
+              "split": sample_w_random(band, n, seed=4)}
+    assert graphs["toeplitz"]._diagonals is not None
+    assert graphs["split"]._flips and graphs["split"].weights.dtype == bool
+    pos, mass = rng.uniform(-TWO_PI, 2 * TWO_PI, (n, 3)), rng.dirichlet(np.ones(3), n)
+    for name, graph in graphs.items():
+        for targets in (pos, rng.uniform(0.0, TWO_PI, (n, 2))):
+            expected = coupling_sum(graph.weights, coupling, pos, mass, targets)
+            got = dynamics._field(graph, coupling, pos, mass, targets)
+            assert np.max(np.abs(got - expected)) <= TOL, name
