@@ -1,5 +1,8 @@
 """Experiment runner: configuration parsing, convergence studies, file I/O.
 
+It reads its two inputs, JSON configs and family CSVs, itself; ``sample_graph
+--render-pgm`` draws a graph's pixel picture from the matrix it holds.
+
 Every run that finishes writes a ``manifest.json`` holding the fully resolved
 configuration (defaults included), so re-running from a manifest reproduces
 the outputs byte for byte.  Numeric CSV output uses 17 significant digits.
@@ -57,12 +60,7 @@ from .dynamics import (
     time_grid,
 )
 from .graphon import MAX_NODES, Graphon, _check_nodes, _common_resolution, _is_integer, _is_real
-from .graphs import (
-    WeightedGraph,
-    _edge_probabilities,
-    _sample,
-    pixel_picture,
-)
+from .graphs import _edge_probabilities, _sample, pixel_picture
 from .measures import (
     MeasureFamily,
     dbar,
@@ -281,7 +279,7 @@ def _build_spec(key: str, spec):
 
 def _read_config(path) -> dict:
     try:
-        raw = kio.read_json(path)
+        raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -503,16 +501,6 @@ def run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def render(matrix_file, out_path) -> None:
-    """Turn a CSV weight matrix into a binary PGM pixel picture."""
-    matrix = kio.read_matrix_csv(matrix_file)
-    try:
-        graph = WeightedGraph(matrix)
-    except ValueError as exc:
-        raise ValueError(f"{matrix_file}: {exc}") from None
-    kio.write_pgm(out_path, pixel_picture(graph))
-
-
 # -- command line ------------------------------------------------------------
 
 _FLAG_FIELDS = [f for f in dataclasses.fields(ExperimentConfig)
@@ -567,15 +555,9 @@ def main(argv=None) -> int:
                            help=_flag_help(f))
         if name == "distance":
             p.add_argument("inputs", nargs="*", help="two family CSV files")
-    p_render = sub.add_parser("render", help="CSV weight matrix -> PGM image")
-    p_render.add_argument("matrix", help="CSV matrix file")
-    p_render.add_argument("out", help="output PGM path")
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "render":
-            render(args.matrix, args.out)
-            return 0
         raw = _read_config(args.config) if args.config else {}
         raw.update({f.name: _flag_value(f, getattr(args, f.name)) for f in _FLAG_FIELDS
                     if getattr(args, f.name) is not None})

@@ -1,10 +1,11 @@
-"""File formats: CSV matrices, binary PGM images, JSON manifests.
+"""File writers: CSV tables and matrices, binary PGM images, JSON manifests.
 
 All floating-point output uses 17 significant digits so reruns with the same
 configuration produce byte-identical files.  Every writer writes a temporary
 file next to its target and renames it into place, so a file is either
 absent, left as it was, or complete.  :func:`write_csv` writes each row as it
-arrives, so a writer fed from a generator holds one row at a time.
+arrives, so a writer fed from a generator holds one row at a time.  Nothing
+here reads: :mod:`kmflow.cli` parses its configs and family CSVs itself.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-
-from .graphon import _check_nodes
 
 
 @contextlib.contextmanager
@@ -44,37 +43,6 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
     one row at a time to float, so a bool matrix is never copied whole."""
     matrix = np.asarray(matrix)
     write_csv(path, [f"n={matrix.shape[0]}"], (row.astype(float).tolist() for row in matrix))
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix_csv` line by line into one
-    (n, n) array.  An error names the file, and the line of a malformed row."""
-    try:
-        with open(path) as lines:
-            header = next(lines, "").strip()
-            n = int(header[2:]) if header[:2] == "n=" and header[2:].isdecimal() else 0
-            if n < 1:
-                raise ValueError(f"line 1 is not an 'n=<n>' header with n >= 1 (got {header!r})")
-            _check_nodes(n)
-            matrix, rows = np.empty((n, n)), 0
-            for number, line in enumerate(lines, start=2):
-                line = line.removesuffix("\n")
-                if not line.strip():
-                    continue
-                try:
-                    row = [float(v) for v in line.split(",")]
-                except ValueError:
-                    row = []
-                if len(row) != n:
-                    raise ValueError(f"line {number} needs {n} numeric entries (got {line!r})")
-                if rows < n:
-                    matrix[rows] = row
-                rows += 1
-        if rows != n:
-            raise ValueError(f"declares n={n} but holds {rows} rows")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return matrix
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -112,7 +80,3 @@ def write_csv(path, header: list[str], rows) -> None:
 def write_json(path, payload: dict) -> None:
     with _replacing(path) as out:
         out.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
-
-
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())

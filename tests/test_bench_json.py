@@ -30,7 +30,7 @@ def _tier1():
 
 
 def _readme_cli():
-    return [{"command": "kmflow render a.csv b.pgm", "wall_s": 0.3, "exit_code": 0}]
+    return [{"command": "kmflow distance a.csv b.csv", "wall_s": 0.3, "exit_code": 0}]
 
 
 def test_bench_json_takes_medians_of_every_declared_metric():
@@ -84,17 +84,17 @@ def test_bench_json_times_each_readme_cli_example(monkeypatch):
 
     timings = bench_json.run_readme_cli(run=run, clock=lambda: float(next(ticks)))
     examples = bench_json.readme_examples()
-    assert len(examples) == 8 and examples[0][0] == "sample_graph"
+    assert len(examples) == 7 and examples[0][0] == "sample_graph"
     assert [command[1:] for command, _ in calls] == [["-m", "kmflow.cli", *argv]
                                                       for argv in examples]
     assert len({kwargs["cwd"] for _, kwargs in calls}) == 1
     assert not Path(calls[0][1]["cwd"]).exists()
     assert calls[0][1]["env"]["PYTHONPATH"] == f"{ROOT / 'src'}:/elsewhere"
-    assert timings[-2] == {
+    assert timings[-1] == {
         "command": "kmflow distance out/mfp/results.csv out/mfp/results.csv "
                    "--output-dir out/dist",
         "wall_s": 1.0, "exit_code": 1}
-    assert [t["exit_code"] for t in timings] == [0] * 6 + [1, 0]
+    assert [t["exit_code"] for t in timings] == [0] * 6 + [1]
     assert timings[0]["command"].startswith(
         "kmflow sample_graph --graphon '{\"kind\": \"small_world\"")
     json.dumps(timings)

@@ -15,7 +15,7 @@ import pytest
 from kmflow import cli
 from kmflow import io as kio
 from kmflow import meanfield as mf
-from kmflow.cli import ExperimentConfig, _perturbed_family, main, render, run
+from kmflow.cli import ExperimentConfig, _perturbed_family, main, run
 from kmflow.measures import VonMises, initial_family, wrap_angle
 from oracles import peak_traced
 
@@ -106,59 +106,33 @@ def test_cli_subcommand_config_mismatch(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_render_identity_matrix(tmp_path):
-    matrix = tmp_path / "matrix.csv"
-    kio.write_matrix_csv(matrix, np.eye(2))
-    out = tmp_path / "picture.pgm"
-    render(matrix, out)
-    data = out.read_bytes()
-    assert data.startswith(b"P5\n2 2\n255\n")
-    # diagonal black (0), off-diagonal white (255)
-    assert list(data[-4:]) == [0, 255, 255, 0]
+@pytest.mark.parametrize("n", [128, 512])
+def test_render_pgm_pictures_the_written_matrix(tmp_path, n):
+    # float weights at n = 128; at n = 512 the graph splits and holds bools
+    assert main(["sample_graph", "--graphon", json.dumps(SMALL_WORLD), "--n", str(n),
+                 "--seeds", "7", "--render-pgm", "--output-dir", str(tmp_path)]) == 0
+    weights = np.loadtxt(tmp_path / "results.csv", delimiter=",", skiprows=1)
+    header = f"P5\n{n} {n}\n255\n".encode()
+    data = (tmp_path / "graph.pgm").read_bytes()
+    assert weights.shape == (n, n) and data.startswith(header)
+    picture = np.rint(255.0 * (1.0 - np.abs(weights))).astype(np.uint8)
+    assert data[len(header):] == picture.tobytes()
 
 
-def test_render_empty_file_fails(tmp_path, capsys):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    code = main(["render", str(empty), str(tmp_path / "out.pgm")])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
-
-
-def test_render_malformed_csv_fails(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("n=2\n1,0\n0\n")
-    with pytest.raises(ValueError):
-        render(bad, tmp_path / "out.pgm")
-
-
-@pytest.mark.parametrize("text, message", [
-    ("n=2\n1,0\n0,abc\n", "line 3 needs 2 numeric entries (got '0,abc')"),
-    ("n=x\n1\n", "line 1 is not an 'n=<n>' header with n >= 1 (got 'n=x')"),
-    ("1,0\n0,1\n", "line 1 is not an 'n=<n>' header with n >= 1 (got '1,0')"),
-    ("", "line 1 is not an 'n=<n>' header with n >= 1 (got '')"),
-    ("n=2\n1,0\n0\n", "line 3 needs 2 numeric entries (got '0')"),
-    ("n=2\n1,0\n", "declares n=2 but holds 1 rows"),
-    ("n=2\n1,0.5\n0,1\n", "weights must be symmetric"),
-    ("n=2\n1,0\n0,1\n0,1\n", "declares n=2 but holds 3 rows"),
-    ("n=8193\n", "dense storage supports up to 8192 nodes, got 8193"),
-], ids=["bad-entry", "bad-header", "no-header", "empty", "short-row", "short", "asymmetric",
-        "long", "over-capacity"])
-def test_render_errors_name_file_and_line(tmp_path, capsys, text, message):
-    bad = tmp_path / "bad.csv"
-    bad.write_text(text)
-    assert main(["render", str(bad), str(tmp_path / "out.pgm")]) == 1
-    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
-    assert not (tmp_path / "out.pgm").exists()
-
-
-def test_matrix_csv_read_holds_one_matrix(tmp_path):
-    n = 1024
-    matrix = np.random.default_rng(0).uniform(-1.0, 1.0, (n, n))
+def test_matrix_csv_round_trips_floats(tmp_path):
+    matrix = np.random.default_rng(0).uniform(-1.0, 1.0, (64, 64))
     kio.write_matrix_csv(tmp_path / "m.csv", matrix)
-    read, peak = peak_traced(lambda: kio.read_matrix_csv(tmp_path / "m.csv"))
-    assert np.array_equal(read, matrix)
-    assert peak < 1.25 * n * n * 8
+    assert _read(tmp_path / "m.csv").startswith("n=64\n")
+    assert np.array_equal(np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1), matrix)
+
+
+def test_render_subcommand_is_gone(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["render", "a.csv", "b.pgm"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'render'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sampled_er_pixel_density(tmp_path):
@@ -1064,7 +1038,6 @@ README_OUTPUT_SHA256 = {
     "out/sim/results.csv": "e204b1169330596e7b542acfbab514adaedbfff043d1f6a452ad6c76dab336b7",
     "out/stab/results.csv": "52f129e4b527f065d9af34cbe74fa391a789d038bdb935f2d5a8553e6db70408",
     "out/sw/graph.pgm": "7bdd64a82e80b8ad10bc992fdce771e91178fbd4657ab23542da78e96e58268d",
-    "out/sw/picture.pgm": "7bdd64a82e80b8ad10bc992fdce771e91178fbd4657ab23542da78e96e58268d",
     "out/sw/results.csv": "ba4750346b1368a049f26d8e2fe8afba1639fa0a7481a3a8987e4b7635f585fe",
 }
 
@@ -1105,7 +1078,7 @@ def _readme_mismatch(written: dict) -> str:
 def test_readme_examples_replay_byte_for_byte(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     examples = _readme_examples()
-    assert len(examples) == 8
+    assert len(examples) == 7
     for argv in examples:
         assert main(argv) == 0, (argv, capsys.readouterr().err)
     written = {p.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()

@@ -648,6 +648,31 @@ def test_fv_agrees_with_particles_moderate_resolution():
     assert dbar(fam_fv, pt.final_family) < 0.05
 
 
+# z_1(1) error of the upwind scheme at dt = du/2, (4 cells, g phase cells),
+# against the moment hierarchy: first order, g * err measured 0.229-0.235
+# (sine) and 0.116-0.119 (two harmonics) at g = 64..512, orders 0.98-0.99
+@pytest.mark.parametrize("coupling, cos, sin, bound", [
+    (SINE, [0.0, 0.0], [1.0], 0.25),
+    (CouplingFunction.fourier([0.0, 0.0, 0.0], [0.5, 0.25]), [0.0, 0.0, 0.0], [0.5, 0.25], 0.125),
+], ids=["sine", "two-harmonic"])
+def test_fv_follows_the_moment_hierarchy_at_first_order(coupling, cos, sin, bound):
+    n, grids = 4, np.array([64, 128, 256, 512])
+    spec = _spec(Graphon.small_world(0.1, 0.25), n, coupling)
+    mu = TWO_PI * np.arange(1, n + 1) / n  # the twist's modes at the cell representatives
+    expected = oracles.moment_hierarchy(spec.step_graphon.values, cos, sin, 2.0, mu,
+                                        1.0, 0.01)
+    errors = []
+    for g in grids:
+        field0 = density_field_from_spec(VonMisesTwist(2.0), n, g)
+        du = field0.du
+        rho = solve_fv(spec, field0, 1.0, du / 2, record_every=10**9).final_field.values
+        z1 = du * rho @ np.exp(1j * (np.arange(g) + 0.5) * du)
+        errors.append(np.max(np.abs(z1 - expected)))
+    errors = np.array(errors)
+    assert np.all(grids * errors < bound)
+    assert np.all(np.log2(errors[:-1] / errors[1:]) >= 0.95)
+
+
 def test_quantile_family_from_density_uniform():
     field = density_field_from_spec(Uniform(), 2, 64)
     fam = quantile_family_from_density(field, 4)
