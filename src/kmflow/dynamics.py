@@ -16,9 +16,9 @@ explicitly reduced, so trajectories of nearby systems can be compared with
 unwrapped differences over short horizons.
 
 :func:`recorded_states` yields the recorded frames one at a time, and
-:func:`integrate` fills one (records, n) array from it.  A sup-over-time
-comparison of two runs can therefore advance both together and keep only
-running maxima; :func:`sup_norm_1n` takes its per-frame values from
+:func:`integrate` stores the same frames in one (records, n) array.  A
+sup-over-time comparison of two runs can therefore advance both together and
+keep only running maxima; :func:`sup_norm_1n` takes its per-frame values from
 :func:`norm_1n`, which, with :func:`pairwise_gap`, is what such a streaming
 reduction applies to each pair of frames.
 
@@ -358,6 +358,11 @@ def _march(step, state, times, record_every: int):
     return frames(state)
 
 
+def _records(times, record_every: int) -> int:
+    """How many frames :func:`_march` yields: t = 0, then ceil(steps / record_every)."""
+    return 1 + -(-(len(times) - 1) // record_every)
+
+
 def recorded_states(system, state0: PhaseState, T: float, dt: float,
                     record_every: int = 1):
     """Iterator over the ``(t, u)`` that :func:`integrate` records.
@@ -366,11 +371,16 @@ def recorded_states(system, state0: PhaseState, T: float, dt: float,
     taken, so a caller that reduces each frame as it arrives holds one state
     at a time.  Each ``u`` is a fresh array that is never written again.
     """
+    return _rk4_frames(system, state0, time_grid(T, dt), record_every)
+
+
+def _rk4_frames(system, state0: PhaseState, times, record_every: int):
+    """:func:`_march` along ``times`` of the RK4 steps of ``system`` from ``state0``."""
     if state0.n != system.n:
         raise ValueError(f"state has {state0.n} phases, system expects {system.n}")
     rhs = lambda u, _: system.rhs_phases(u)
     return _march(lambda u, _, h: _rk4_step(rhs, u, h), state0.phases.astype(float),
-                  time_grid(T, dt), record_every)
+                  times, record_every)
 
 
 def integrate(system, state0: PhaseState, T: float, dt: float,
@@ -381,9 +391,9 @@ def integrate(system, state0: PhaseState, T: float, dt: float,
     recorded at t = 0, every ``record_every``-th step, and at T.  A
     non-finite state aborts with the offending step index.
     """
-    frames = recorded_states(system, state0, T, dt, record_every)
-    # t = 0, then ceil(steps / record_every) recorded steps
-    records = 1 + -(-(len(time_grid(T, dt)) - 1) // record_every)
+    grid = time_grid(T, dt)
+    frames = _rk4_frames(system, state0, grid, record_every)
+    records = _records(grid, record_every)
     times, phases = np.empty(records), np.empty((records, state0.n))
     for k, (t, u) in enumerate(frames):
         times[k], phases[k] = t, u

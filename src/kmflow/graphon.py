@@ -15,9 +15,9 @@ are the constructor's parameters (:func:`_from_spec` decodes every JSON spec):
 Cell averaging projects a kernel onto the step functions at resolution n.  The
 first three kinds are one band profile ``(base, ((h, jump), ...))``, ``base``
 plus ``jump`` where the circular distance is at most h (``kind`` only names the
-JSON spec), averaged in closed form band by band (over a cell, x - y has a tent
-density, so a band's share is a difference of its CDF); custom kernels fall
-back to a composite midpoint rule with Richardson extrapolation.
+JSON spec), whose circulant average is its first column, in closed form band by
+band (over a cell, x - y has a tent density, so a band's share is a difference
+of its CDF); custom kernels take a midpoint rule with Richardson extrapolation.
 
 The cell average W_n is a :class:`WeightedGraph`, the step kernel that is also
 the deterministic graph on n nodes, which graphs and mean field multiply by
@@ -41,8 +41,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_NODES = 8192
 
-# Toeplitz matrices from this many rows up multiply by FFT: the (2, n) product
-# of the sine field crossed over from dense between 416 and 448 on a 2-vCPU VM.
+# Band averages from this many rows up multiply as circulants, by FFT.  The (2, n)
+# product beat dense from n = 320 when n has small prime factors only and by 601
+# when n is prime (Bluestein's FFT), best of 9 on a 2-vCPU VM; 432 lies between.
 _TOEPLITZ_NODES = 432
 
 _BOUND_SLACK = 1e-9
@@ -116,10 +117,9 @@ class QuadratureError(RuntimeError):
     def __init__(self, achieved: float, target: float):
         self.achieved = achieved
         self.target = target
-        super().__init__(
-            f"cell-average quadrature did not converge: achieved "
-            f"{achieved:.3e}, target {target:.3e}"
-        )
+        super().__init__(f"cell-average quadrature did not converge: achieved {achieved:.3e}, "
+                         f"target {target:.3e}; exact cell averages of a kernel with jumps "
+                         f"come from Graphon.step or a band kernel")
 
 
 class WeightedGraph:
@@ -132,18 +132,18 @@ class WeightedGraph:
 
     * dense float ``weights`` by BLAS: step and custom kernels' cell averages,
       band profiles' below ``_TOEPLITZ_NODES`` rows, and unsplit sampled graphs;
-    * the Toeplitz T of the read-only :attr:`_diagonals` by FFT, plus sums over
-      E = weights - T, the :attr:`_flips` (:meth:`_from_diagonals`).  A band
-      profile's cell average from ``_TOEPLITZ_NODES`` rows up is T, ``weights``
-      a view of the diagonals, with no flips.  A sampled graph ``graphs._sample``
-      splits holds bool 0/1 ``weights``, one byte per pair, and T is the rounding
+    * the circulant C of its read-only first column :attr:`_column` by FFT,
+      plus sums over E = weights - C, the :attr:`_flips` (:meth:`_from_column`).
+      A band profile's cell average from ``_TOEPLITZ_NODES`` rows up is C,
+      ``weights`` a view, with no flips.  A sampled graph ``graphs._sample``
+      splits holds bool 0/1 ``weights``, one byte per pair, and C is the rounding
       of its edge probabilities; its product is about 1e-13 from the dense one.
 
     The first product takes the spectrum and lists the flips, so sampling and
     kernel distances never do.
     """
 
-    _diagonals = None
+    _column = None
 
     def __init__(self, weights):
         weights = np.asarray(weights)
@@ -172,17 +172,15 @@ class WeightedGraph:
         return graph
 
     @classmethod
-    def _from_diagonals(cls, diagonals: np.ndarray, sampled: np.ndarray | None = None):
-        """T[i, j] = diagonals[i - j + n - 1] from :meth:`Graphon._diagonals`:
-        dense below ``_TOEPLITZ_NODES`` rows, else a view of the read-only
-        diagonals with no flips; or, given the bool matrix ``sampled``, that
-        graph, multiplied as T, its 0/1 rounding, plus flips."""
-        n = (diagonals.shape[0] + 1) // 2
-        if sampled is None and n < _TOEPLITZ_NODES:
-            return cls._trusted(np.array(_toeplitz(diagonals)))
-        diagonals.setflags(write=False)
-        graph = cls._trusted(_toeplitz(diagonals) if sampled is None else sampled)
-        graph._diagonals = diagonals
+    def _from_column(cls, column: np.ndarray, sampled: np.ndarray | None = None):
+        """C[i, j] = column[(i - j) % n] from :meth:`Graphon._column`: dense below
+        ``_TOEPLITZ_NODES`` rows, else a view with no flips; or, given the bool
+        matrix ``sampled``, that graph, multiplied as C, its 0/1 rounding, plus flips."""
+        if sampled is None and column.shape[0] < _TOEPLITZ_NODES:
+            return cls._trusted(np.array(_circulant(column)))
+        column.setflags(write=False)
+        graph = cls._trusted(_circulant(column) if sampled is None else sampled)
+        graph._column = column
         if sampled is None:
             graph._flips = ()
         return graph
@@ -199,16 +197,15 @@ class WeightedGraph:
 
     @functools.cached_property
     def _spectrum(self) -> np.ndarray:
-        """The diagonals' FFT, taken on the first :meth:`_product`, at a length
-        whose circular convolution does not wrap into the n Toeplitz outputs."""
-        return np.fft.rfft(self._diagonals, 1 << (2 * self.n - 2).bit_length())
+        """The column's FFT, C's eigenvalues, taken on the first :meth:`_product`."""
+        return np.fft.rfft(self._column)
 
     @functools.cached_property
     def _flips(self) -> list:
-        """E = weights - T, listed by the first :meth:`_product` in blocks of
+        """E = weights - C, listed by the first :meth:`_product` in blocks of
         ``_TILE`` rows, each gathered whole: the rows that hold a flip, where
         each row's flips start, and their columns, plus n where E is -1."""
-        flips, rounded, n = [], _toeplitz(self._diagonals), self.n
+        flips, rounded, n = [], _circulant(self._column), self.n
         for i in range(0, n, _TILE):
             sampled = self.weights[i:i + _TILE]
             flat = np.flatnonzero(sampled != rounded[i:i + _TILE])
@@ -221,11 +218,9 @@ class WeightedGraph:
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         """``x @ weights`` for rows x: W times each row, W being symmetric."""
-        if self._diagonals is None:
+        if self._column is None:
             return x @ self.weights
-        spectrum, n = self._spectrum, self.n
-        size = 2 * (spectrum.shape[0] - 1)
-        product = np.fft.irfft(np.fft.rfft(x, size) * spectrum, size)[..., n - 1:2 * n - 1]
+        product = np.fft.irfft(np.fft.rfft(x) * self._spectrum, self.n)
         if self._flips:
             # rows 2q and 2q + 1 of x as one complex row, then its negation
             packed = x[0::2].astype(complex)
@@ -292,31 +287,31 @@ class Graphon:
         custom kernels use midpoint quadrature refined until the Richardson
         extrapolants agree to 1e-9, on at most 4096 points per axis (n <= 1024).
         """
-        diagonals = self._diagonals(n)
-        if diagonals is not None:
-            return WeightedGraph._from_diagonals(diagonals)
+        column = self._column(n)
+        if column is not None:
+            return WeightedGraph._from_column(column)
         if self.step_values is not None:
             return WeightedGraph(_step_cell_average(self.step_values.values, n))
         return WeightedGraph(_custom_cell_average(self.fn, n))
 
-    def _diagonals(self, n: int) -> np.ndarray | None:
-        """The 2n-1 diagonals of the resolution-n cell average, once n is checked.
+    def _column(self, n: int) -> np.ndarray | None:
+        """The first column of the resolution-n cell average, once n is checked.
 
-        A band profile has a Toeplitz cell average: entry (i, j) is
-        ``diagonals[i - j + n - 1]``, ``base`` plus each band's ``jump`` times
-        the fraction of the cell it covers.  The constructors keep the vector
-        in [-1, 1], and it is symmetrised, so ``diagonals == diagonals[::-1]``
-        exactly.  Step and custom kernels return None.
+        A band profile has a circulant cell average, the band being circular:
+        entry (i, j) is ``column[(i - j) % n]``, ``base`` plus each band's
+        ``jump`` times the fraction of the cell it covers.  The constructors
+        keep the vector in [-1, 1], and it is symmetrised, so ``column[k] ==
+        column[n - k]`` exactly.  Step and custom kernels return None.
         """
         _check_count(n, "resolution n")
         _check_nodes(n)
         if self._bands is None:
             return None
         base, bands = self._bands
-        diagonals = np.full(2 * n - 1, base)
+        column = np.full(n, base)
         for h, jump in bands:
-            diagonals += jump * _band_offset_fractions(n, h)
-        return diagonals
+            column += jump * _band_offset_fractions(n, h)
+        return column
 
     # -- deserialization -----------------------------------------------
 
@@ -335,21 +330,18 @@ def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 
     up to a multiple of every step-kernel resolution among the arguments, so
     the result is exact when both kernels are step functions; otherwise it is
     a quadrature estimate with O(1/resolution) error.  Two band profiles differ
-    by a Toeplitz matrix, whose mean is taken over its 2r - 1 diagonals, each
-    weighted by its cells, in one compensated sum: exact over the diagonals up
-    to rounding, in O(r) time and memory.
+    by a circulant, whose mean is its first column's, taken in one compensated
+    sum: exact over the column up to rounding, in O(r) time and memory.
     """
     if norm not in ("L1", "L2"):
         raise ValueError("norm must be 'L1' or 'L2'")
     _check_count(resolution, "resolution")
     r = _common_resolution(W, U, resolution)
-    a, b = W._diagonals(r), U._diagonals(r)
+    a, b = W._column(r), U._column(r)
     dense = a is None or b is None
     diff = W.cell_average(r).values - U.cell_average(r).values if dense else a - b
     power = np.abs(diff, out=diff) if norm == "L1" else np.square(diff, out=diff)
-    # between band profiles diagonal d of the difference holds r - |d| cells
-    mean = (float(np.mean(power)) if dense
-            else math.fsum((r - np.abs(np.arange(1 - r, r))) * power) / r**2)
+    mean = float(np.mean(power)) if dense else math.fsum(power) / r
     return mean if norm == "L1" else math.sqrt(mean)
 
 
@@ -358,7 +350,7 @@ def kernel_distance(W: Graphon, U: Graphon, norm: str = "L2", resolution: int = 
 
 def _common_resolution(W: Graphon, U: Graphon, resolution: int) -> int:
     """``resolution`` rounded up to a multiple of every step-kernel resolution
-    among W and U; :meth:`Graphon._diagonals` checks the result."""
+    among W and U; :meth:`Graphon._column` checks the result."""
     base = 1
     for kernel in (W, U):
         if kernel.step_values is not None:
@@ -367,16 +359,16 @@ def _common_resolution(W: Graphon, U: Graphon, resolution: int) -> int:
 
 
 def _band_offset_fractions(n: int, h: float) -> np.ndarray:
-    """Fraction of each cell covered by the circular band min(|x-y|, 1-|x-y|) <= h.
+    """Fraction of the cells i - j = d, d = 0..n-1, the circular band covers.
 
-    Over the cell of diagonal offset d = i - j (entry d + n - 1), n (x - y) - d
-    has the tent density on (-1, 1), with CDF 1/2 + z - z|z|/2 at z in [-1, 1],
-    and the band is x - y in [-h, h], below h - 1 or above 1 - h.  Each edge
-    is n h minus an integer, exact where it cuts the cell, so the fractions
-    are exact up to the rounding of n h.  They are clamped to [0, 1] and
-    symmetrised, ``0.5 * (frac + frac[::-1])``, as d and -d agree up to rounding.
+    Over such a cell n (x - y) - d has the tent density on (-1, 1), with CDF
+    1/2 + z - z|z|/2 at z in [-1, 1], and the band min(|x-y|, 1-|x-y|) <= h is
+    x - y in [-h, h], above 1 - h or, at n = 1, below h - 1.  Each edge is n h
+    minus an integer, exact where it cuts the cell, so the fractions are exact
+    up to the rounding of n h.  They are clamped to [0, 1] and symmetrised,
+    ``0.5 * (frac + np.roll(frac[::-1], 1))``, as d and n - d agree up to rounding.
     """
-    d, nh = np.arange(-(n - 1), n), n * h
+    d, nh = np.arange(n), n * h
 
     def cdf(z):
         z = np.clip(z, -1.0, 1.0)
@@ -384,13 +376,13 @@ def _band_offset_fractions(n: int, h: float) -> np.ndarray:
 
     frac = cdf(nh - d) - cdf(-nh - d) + cdf(nh - (d + n)) + 1.0 - cdf((n - d) - nh)
     frac = np.clip(frac, 0.0, 1.0)
-    return 0.5 * (frac + frac[::-1])
+    return 0.5 * (frac + np.roll(frac[::-1], 1))
 
 
-def _toeplitz(diagonals: np.ndarray) -> np.ndarray:
-    """Read-only n x n view T[i, j] = diagonals[i - j + n - 1] of a 2n-1 vector."""
-    n = (diagonals.shape[0] + 1) // 2
-    return sliding_window_view(diagonals[::-1], n)[::-1]
+def _circulant(column: np.ndarray) -> np.ndarray:
+    """Read-only n x n view C[i, j] = column[(i - j) % n] of an n-vector: the
+    windows of ``concatenate((column[1:], column))``, read backwards."""
+    return sliding_window_view(np.concatenate((column[1:], column))[::-1], len(column))[::-1]
 
 
 def _is_symmetric(a: np.ndarray) -> bool:

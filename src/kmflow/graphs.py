@@ -10,13 +10,13 @@ Two constructions:
 The deterministic graph is the cell average itself, and the sampler reads its
 edge probabilities from it; :class:`~kmflow.graphon.WeightedGraph` describes
 how either is stored.  A sampled graph splits, into the rounding R = [P >=
-1/2] of its cell average P plus the pairs that differ, when P is stored as
-diagonals and at most 1/8 of the pairs are expected to differ.  This is
-decided from P's diagonals before sampling, so the one sampling loop fills
-the chosen dtype.  The 1/8 is set by the memory-bound product at n = 4096.
-At n = 1024, where float weights (8 MiB) stay in cache, the split only breaks
-even with BLAS in time and is kept for memory: sampled small_world(0.1, 0.25)
-holds 1 MiB of bool weights plus about 0.86 MB of flips there.
+1/2] of its cell average P plus the pairs that differ, when P is a circulant
+stored as its first column c and at most 1/8 of the pairs, n sum min(c, 1 - c),
+are expected to differ.  This is decided before sampling, so the one sampling
+loop fills the chosen dtype.  The 1/8 is set by the memory-bound product at
+n = 4096.  At n = 1024, where float weights (8 MiB) stay in cache, the split
+only breaks even with BLAS in time and is kept for memory: sampled
+small_world(0.1, 0.25) holds 1 MiB of bool weights plus 0.86 MB of flips there.
 
 Sampling is counter-based: the coin for pair (i, j), i <= j, comes from a
 Philox stream keyed by (seed, i) at position j - i, so results are
@@ -56,11 +56,9 @@ def sample_w_random(W: Graphon, n: int, seed: int) -> WeightedGraph:
 
 def _sample(probs: WeightedGraph, seed: int) -> WeightedGraph:
     """The W-random graph on a cell average :func:`_edge_probabilities` checked."""
-    n, diagonals = probs.n, probs._diagonals
-    # expected flips: sum_ij min(P_ij, 1 - P_ij), diagonal d holding n - |d| pairs
-    split = diagonals is not None and (
-        (n - np.abs(np.arange(1 - n, n))) @ np.minimum(diagonals, 1.0 - diagonals)
-        <= _MAX_FLIP_DENSITY * n * n)
+    n, column = probs.n, probs._column
+    # expected flips: sum_ij min(P_ij, 1 - P_ij), n times the column's sum
+    split = column is not None and np.minimum(column, 1.0 - column).sum() <= _MAX_FLIP_DENSITY * n
     # a split graph's product never reads its 0/1 entries: one byte holds each
     weights = np.zeros((n, n), dtype=bool if split else float)
     bits = np.random.Philox(key=[np.uint64(seed), np.uint64(0)])
@@ -77,15 +75,14 @@ def _sample(probs: WeightedGraph, seed: int) -> WeightedGraph:
         weights[stop:, i:stop] = weights[i:stop, stop:].T
     # 0/1 and mirrored by construction, so trusted either way
     if split:
-        return WeightedGraph._from_diagonals((diagonals >= 0.5).astype(float), weights)
+        return WeightedGraph._from_column((column >= 0.5).astype(float), weights)
     return WeightedGraph._trusted(weights)
 
 
 def _edge_probabilities(W: Graphon, n: int) -> WeightedGraph:
     """The cell average of W at n, rejected unless all entries are >= 0."""
     probs = W.cell_average(n)
-    # a Toeplitz average holds every entry in its 2n - 1 diagonals
-    if (probs.weights if probs._diagonals is None else probs._diagonals).min() < 0.0:
+    if (probs.weights if probs._column is None else probs._column).min() < 0.0:
         raise ValueError(
             "sampling requires probability range: cell averages must be >= 0"
         )

@@ -395,8 +395,7 @@ def solve_fv(spec: VelocityFieldSpec, rho0: DensityField, T: float, dt: float,
 
     grid = time_grid(T, dt)
     frames = dynamics._march(upwind, rho0.values, grid, record_every)
-    # t = 0, then ceil(steps / record_every) recorded steps
-    records = 1 + -(-(len(grid) - 1) // record_every)
+    records = dynamics._records(grid, record_every)
     times, moments = np.empty(records), np.empty((2, records, n, 6))
     for s, (t, rho) in enumerate(frames):
         _check_density(rho)

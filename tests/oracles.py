@@ -17,6 +17,8 @@ the scaled Frobenius distance of two step kernels.
 ``exact_equal_mass_w1`` evaluates the circular W1 of equal-mass atoms in
 rational arithmetic, and ``common_cells`` refines two families to their least
 common cell count, the reference for dbar over unequal counts.
+``locked_order_parameter`` is Kuramoto's self-consistent order parameter of
+a locked all-to-all population, the synchronized branch at frequencies omega.
 ``toeplitz_mean_power`` is the (r - |d|)-weighted mean of |a_d - b_d|^p over
 the 2r - 1 float diagonals of two Toeplitz matrices, in rational arithmetic.
 ``van_der_corput_order`` and ``coarse_graph_km`` start a graph KM from
@@ -324,6 +326,22 @@ def weak_residual(times, fields, w, coupling):
 def two_oscillator_gap(phi0: float, K: float, t: float) -> float:
     """Closed-form phase gap: tan(phi/2) = tan(phi0/2) * exp(-K t)."""
     return 2.0 * np.arctan(np.tan(0.5 * phi0) * np.exp(-K * t))
+
+
+def locked_order_parameter(omega, coupling: float) -> float:
+    """Order parameter r of the locked state of the all-to-all Kuramoto model
+    du_i/dt = omega_i + coupling * r sin(psi - u_i) (Kuramoto, 1984): the
+    largest root of r = mean sqrt(1 - ((omega_i - mean omega) / (coupling r))^2),
+    reached by fixed-point iteration down from r = 1, whose map is increasing."""
+    spread = (np.asarray(omega) - np.mean(omega)) / coupling
+    r = 1.0
+    for _ in range(10**4):
+        following = float(np.mean(np.sqrt(1.0 - (spread / r) ** 2)))
+        if not following < r:
+            assert following == r, "no locked state: some oscillator drifts"
+            return r
+        r = following
+    raise AssertionError("the fixed-point iteration did not settle")
 
 
 def toeplitz_mean_power(a, b, power: int) -> Fraction:

@@ -1028,9 +1028,11 @@ def _readme_examples() -> list[list[str]]:
 # 4.4e-16 (results, 32 of 2048 rows).  stab/ was re-pinned when two band
 # kernels were compared over their diagonals: its kernel L1 became exactly
 # float(0.6) - float(0.5), moving the bound 2 ulps, 0.73890560989306509 ->
-# 0.73890560989306486.
+# 0.73890560989306486.  ave/ was re-pinned when band graphs became circulants
+# stored as their first column and multiplied by one length-n FFT: at most
+# 1.73e-18 (1.61e-16 relative), 2 of 15 rows.
 README_OUTPUT_SHA256 = {
-    "out/ave/results.csv": "7f5f297b8e1582a0b367abed5349b1ebad2d229be6415e8468e617c40e43f8a2",
+    "out/ave/results.csv": "80f9a7f0c97f3baf06ed5cc111cf87f0ab9e5605de55c47462fd09874e6a169f",
     "out/conv/results.csv": "1f0108e0980e1dd5833f764b2515da0e30cf039fcb95146fd862f6efbdec079e",
     "out/dist/results.csv": "e64bcf0ee63aa381586382827b75c6dbfc0c7f0317e40c7f463db945e9520ef8",
     "out/mfp/drift.csv": "64ae315b2e65b6f6e4b2404e967fe03f84c33ec46336f2d0fe797aba0c06fe9e",

@@ -23,6 +23,7 @@ from kmflow.dynamics import (
 from kmflow.graphon import _TOEPLITZ_NODES, Graphon
 from kmflow.graphs import WeightedGraph, deterministic_graph, sample_w_random
 from oracles import (
+    locked_order_parameter,
     peak_traced,
     triangle_wave,
     two_oscillator_gap,
@@ -89,7 +90,7 @@ def test_toeplitz_rhs_matches_double_sum(coupling, n):
     omega = rng.normal(size=n)
     for W in _TOEPLITZ_KERNELS:
         graph = deterministic_graph(W, n)
-        assert (graph._diagonals is not None) == (n >= _TOEPLITZ_NODES)
+        assert (graph._column is not None) == (n >= _TOEPLITZ_NODES)
         sys_ = OscillatorSystem(graph, coupling, K=1.3, omega=omega)
         w = W.cell_average(n).values
         expected = omega + (1.3 / n) * np.sum(w * coupling(u[None, :] - u[:, None]), axis=1)
@@ -240,7 +241,7 @@ def test_custom_field_on_split_graph_matches_its_float_copy():
     # the slab multiplies bool weights by the masses, which gives the float bits
     coup = TRIANGLE
     graph = sample_w_random(Graphon.small_world(0.1, 0.25), 600, seed=4)
-    assert graph._diagonals is not None and graph.weights.dtype == bool
+    assert graph._column is not None and graph.weights.dtype == bool
     dense = WeightedGraph(graph.weights.astype(float))
     rng = np.random.default_rng(4)
     pos, mass = rng.uniform(0, TWO_PI, (600, 3)), rng.dirichlet(np.ones(3), 600)
@@ -364,8 +365,25 @@ _TWIST_KERNELS = {"nn-0.2": Graphon.nearest_neighbor(0.2),
                   "sw-0.1-0.25": Graphon.small_world(0.1, 0.25)}
 
 
+@pytest.mark.parametrize("kernel", sorted(_TWIST_KERNELS))
+@pytest.mark.parametrize("n", [_TOEPLITZ_NODES, 512, 1000, 4096, 8192])
+def test_band_spectrum_is_the_cosine_sums_of_its_column(kernel, n):
+    # W_n = C(c) is a symmetric circulant, c[k] == c[n - k], so its eigenvalues
+    # are real: the direct sums mu_j = sum_k c_k cos(2 pi j k / n), the angle
+    # reduced mod n in integers
+    graph = deterministic_graph(_TWIST_KERNELS[kernel], n)
+    column, k = graph._column, np.arange(n)
+    assert np.array_equal(column, graph.weights[:, 0])
+    assert np.array_equal(column[1:], column[:0:-1])
+    spectrum = graph._spectrum
+    direct = np.array([column @ np.cos(TWO_PI * (j * k % n) / n) for j in range(n // 2 + 1)])
+    scale = np.abs(column).sum()
+    assert np.max(np.abs(spectrum.real - direct)) <= 1e-14 * scale
+    assert np.max(np.abs(spectrum.imag)) <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("kernel, n, q, k", [
-    *((name, n, q, k) for name in _TWIST_KERNELS for n in (64, 512, 4096)
+    *((name, n, q, k) for name in _TWIST_KERNELS for n in (64, 512, 4096, 8192)
       for q, k in ((1, 1), (1, 3), (2, 5))),
     ("nn-0.2", 512, 3, 1),  # the one growing mode: lambda = +0.0713
 ])
@@ -385,7 +403,30 @@ def test_twisted_states_decay_at_their_linear_rates(kernel, n, q, k):
     start, end = ((2.0 / n) * (u - twisted) @ mode for u in traj.phases)
     rate = np.sum(graph.weights[0] * np.cos(TWO_PI * q * d / n) * (mode - 1.0)) / n
     assert (rate > 0.0) == (q == 3)
+    # the same rate from the eigenvalues mu = spectrum / n of W_n:
+    # lambda_k = (mu_{q+k} + mu_{q-k}) / 2 - mu_q, with mu_{-j} = mu_j
+    stored = graph._column is not None
+    assert stored == (n >= _TOEPLITZ_NODES)
+    mu = (graph._spectrum if stored else np.fft.rfft(graph.weights[:, 0])).real / n
+    assert abs(0.5 * (mu[q + k] + mu[abs(q - k)]) - mu[q] - rate) <= 1e-12 * abs(rate)
     assert abs(np.log(end / start) / T - rate) <= 1e-6 * abs(rate)
+
+
+def test_synchronized_branch_reaches_the_locked_order_parameter():
+    # all-to-all coupling K p with normal frequencies, started in synchrony:
+    # every oscillator locks, phase-locked at sin(u_i - psi) = (omega_i -
+    # mean omega) / (K p r), and r(T) is the largest root of Kuramoto's
+    # self-consistency r = mean sqrt(1 - ((omega_i - mean omega) / (K p r))^2)
+    n, p, K = 1024, 1.0, 6.0
+    graph = deterministic_graph(Graphon.constant(p), n)
+    assert graph._column is not None
+    omega = omega_from_spec({"kind": "normal", "mean": 0.0, "sd": 1.0, "seed": 0}, n)
+    traj = integrate(OscillatorSystem(graph, CouplingFunction.sine(), K=K, omega=omega),
+                     PhaseState(np.zeros(n)), 10.0, 0.01, record_every=MAX_STEPS)
+    r, _ = order_parameter(traj.phases[-1])
+    expected = locked_order_parameter(omega, K * p)
+    assert np.max(np.abs(omega - omega.mean())) < K * p * expected
+    assert abs(r - expected) <= 1e-14
 
 
 def test_rotational_equivariance():

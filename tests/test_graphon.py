@@ -255,7 +255,9 @@ def test_custom_cell_average_accepts_symmetric_bounded_kernels(fn):
 
 def test_cell_average_custom_nonconvergence_reports_tolerance():
     jump = lambda x, y: np.where(x + y > 1.0, 1.0, 0.0)
-    with pytest.raises(QuadratureError) as err:
+    with pytest.raises(QuadratureError, match=r"did not converge: achieved .*; exact cell "
+                       r"averages of a kernel with jumps come from Graphon\.step or a band "
+                       r"kernel$") as err:
         Graphon.custom(jump).cell_average(2)
     assert err.value.achieved > err.value.target
 
@@ -296,13 +298,13 @@ def test_band_cell_average_matches_gather_formula(n):
         if h is None:
             expected = np.full((n, n), p)
         else:
-            matrix = _band_offset_fractions(n, h)[idx[:, None] - idx[None, :] + n - 1]
+            matrix = _band_offset_fractions(n, h)[(idx[:, None] - idx[None, :]) % n]
             expected = 0.5 * (matrix + matrix.T)
             if p is not None:
                 expected = p + (1.0 - 2.0 * p) * expected
         expected = np.clip(expected, -1.0, 1.0)
         values = W.cell_average(n).values
-        # a dense copy below the size constant, a view of the diagonals from it up
+        # a dense copy below the size constant, a view built from the column from it up
         assert values.flags.c_contiguous == (n < _TOEPLITZ_NODES)
         assert not values.flags.writeable
         assert np.array_equal(values, expected)
@@ -312,23 +314,45 @@ def test_band_cell_average_matches_gather_formula(n):
 @pytest.mark.parametrize("h", [0.1, 0.2, 1 / 3])
 def test_band_fractions_match_exact_polygon_areas(n, h):
     # only the offsets an edge of the band cuts are partly covered: there the
-    # rational polygon areas are the reference, elsewhere the cell is in or out
+    # rational polygon areas of the cells i - j = k and i - j = k - n are the
+    # reference, elsewhere the cell is in or out
     fractions = _band_offset_fractions(n, h)
     edges = [n * edge for edge in (Fraction(h), -Fraction(h), Fraction(h) - 1, 1 - Fraction(h))]
-    cut = {d for edge in edges for d in (math.floor(edge), math.ceil(edge)) if abs(d) < n}
-    assert len(cut) == 8
-    for d in cut:
-        assert abs(fractions[d + n - 1] - float(band_cell_fraction(n, h, d))) <= 1e-12
-    offsets = np.array(sorted(set(range(-(n - 1), n)) - cut))
-    inside = np.minimum(np.abs(offsets), n - np.abs(offsets)) <= n * h
-    assert np.array_equal(fractions[offsets + n - 1], inside.astype(float))
+    cut = {d % n for edge in edges for d in (math.floor(edge), math.ceil(edge)) if abs(d) < n}
+    assert len(cut) == 4
+    for k in cut:
+        for d in (k, k - n):
+            assert abs(fractions[k] - float(band_cell_fraction(n, h, d))) <= 1e-12
+    offsets = np.array(sorted(set(range(n)) - cut))
+    inside = np.minimum(offsets, n - offsets) <= n * h
+    assert np.array_equal(fractions[offsets], inside.astype(float))
 
 
-def test_band_cell_average_holds_its_diagonals_only():
-    avg, peak = peak_traced(lambda: Graphon.small_world(0.1, 0.25).cell_average(4096))
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("h", [0.1, 0.25, 0.45])
+def test_band_fractions_match_polygon_areas_at_every_offset(n, h):
+    # at a few cells the band's edges cut most of them, and at n = 1 the one
+    # cell holds both of its wrap-around strips
+    fractions = _band_offset_fractions(n, h)
+    assert fractions.shape == (n,)
+    for k in range(n):
+        for d in (k, k - n) if k else (0,):
+            assert abs(fractions[k] - float(band_cell_fraction(n, h, d))) <= 1e-15
+
+
+def test_band_cell_average_holds_its_column_only():
+    n = 4096
+    avg, peak = peak_traced(lambda: Graphon.small_world(0.1, 0.25).cell_average(n))
     assert peak < 2**20
     assert isinstance(avg, WeightedGraph) and avg.values is avg.weights
-    assert avg.values.shape == (4096, 4096) and not avg.values.flags.writeable
+    assert avg.values.shape == (n, n) and not avg.values.flags.writeable
+    assert avg._column.shape == (n,) and not avg._column.flags.writeable
+    # the n x n view reads the column's 2n - 1 wrapped entries, held nowhere else
+    base = avg.values
+    while base.base is not None:
+        base = base.base
+    assert base.shape == (2 * n - 1,)
+    assert np.array_equal(base, np.concatenate((avg._column[1:], avg._column)))
 
 
 def test_toeplitz_spectrum_is_taken_by_the_first_product(monkeypatch):
@@ -342,15 +366,16 @@ def test_toeplitz_spectrum_is_taken_by_the_first_product(monkeypatch):
     monkeypatch.setattr(Graphon, "cell_average", recording)
     W, n = Graphon.small_world(0.1, 0.25), _TOEPLITZ_NODES + 1
     sample_w_random(W, n, 0)
-    # a distance of two band kernels reads their diagonals, building no average
+    # a distance of two band kernels reads their columns, building no average
     kernel_distance(W, Graphon.nearest_neighbor(0.2), "L1", n)
     assert len(averages) == 1
-    assert all(avg._diagonals is not None and "_spectrum" not in vars(avg)
+    assert all(avg._column is not None and "_spectrum" not in vars(avg)
                for avg in averages)
     avg = averages[0]
     x = np.random.default_rng(0).standard_normal((2, n))
     assert np.allclose(avg._product(x), x @ np.array(avg.weights), atol=1e-12)
-    assert "_spectrum" in vars(avg)
+    # one length-n transform of the column
+    assert vars(avg)["_spectrum"].shape == (n // 2 + 1,)
 
 
 def _symmetric_matrix(n, seed=0):
@@ -441,7 +466,9 @@ def _within_ulps(value, reference, ulps=4):
 
 
 def _assert_matches_exact_oracle(W, U, r):
-    a, b = W._diagonals(r), U._diagonals(r)
+    # the 2r - 1 diagonals d = i - j of each circulant, read at offset d mod r
+    offsets = np.arange(1 - r, r) % r
+    a, b = W._column(r)[offsets], U._column(r)[offsets]
     mean_square = toeplitz_mean_power(a, b, 2)
     root = (Decimal(mean_square.numerator) / Decimal(mean_square.denominator)).sqrt(
         Context(prec=40))
@@ -451,7 +478,7 @@ def _assert_matches_exact_oracle(W, U, r):
 
 @pytest.mark.parametrize("r", [1, 2, 63, 512])
 def test_kernel_distance_toeplitz_route_matches_step_route(r):
-    # two band kernels are compared over their diagonals: within 4 ulps of the
+    # two band kernels are compared over their columns: within 4 ulps of the
     # mean over the r x r difference and of its exact value
     for W in _TOEPLITZ_KERNELS:
         for U in _TOEPLITZ_KERNELS:
@@ -472,7 +499,7 @@ def _no_cell_average(self, n):
     raise AssertionError(f"cell_average({n}) called")
 
 
-def test_band_kernel_distance_reads_only_diagonals(monkeypatch):
+def test_band_kernel_distance_reads_only_columns(monkeypatch):
     # at the node cap a dense difference would take 512 MiB
     monkeypatch.setattr(Graphon, "cell_average", _no_cell_average)
     W, U = Graphon.small_world(0.1, 0.25), Graphon.nearest_neighbor(0.2)
@@ -482,7 +509,7 @@ def test_band_kernel_distance_reads_only_diagonals(monkeypatch):
 
 
 def test_kernel_distance_step_band_mix_takes_dense_route(monkeypatch):
-    # two band kernels are compared over their 2r - 1 diagonals, building no
+    # two band kernels are compared over their r-entry columns, building no
     # cell average; a step kernel takes both averages and their difference
     averaged = []
     cell_average = Graphon.cell_average
@@ -576,7 +603,7 @@ def test_midpoint_step_alternative_discretization():
 def test_step_kernel_of_a_split_sampled_graph():
     # a split graph's bool weights step like their float copy
     g = sample_w_random(Graphon.small_world(0.1, 0.25), 600, seed=4)
-    assert g._diagonals is not None and g.weights.dtype == bool
+    assert g._column is not None and g.weights.dtype == bool
     for n in (97, 600, 1200):
         assert np.array_equal(Graphon.step(g).cell_average(n).values,
                               Graphon.step(g.weights.astype(float)).cell_average(n).values)

@@ -104,7 +104,7 @@ def test_sample_empirical_edge_probabilities():
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_sample_matches_per_pair_philox_oracle(n):
     # pair (i, j), i <= j, is drawn at position j - i of the stream keyed (seed, i);
-    # band and constant kernels take their probabilities from the diagonals
+    # band and constant kernels take their probabilities from the column
     step = Graphon.step([[0.9, 0.2, 0.5], [0.2, 0.7, 0.1], [0.5, 0.1, 0.4]])
     for W in (Graphon.small_world(0.2, 0.3), Graphon.nearest_neighbor(0.2),
               Graphon.constant(0.3), step):
@@ -165,12 +165,12 @@ def test_band_averages_nonnegative_and_sampleable(h):
         sample_w_random(W, n, seed=n)
 
 
-def test_toeplitz_graph_stores_diagonals_only():
+def test_circulant_graph_stores_its_column_only():
     W = Graphon.small_world(0.1, 0.25)
     g, peak = peak_traced(lambda: deterministic_graph(W, 4096))
     assert peak < 2**20
     assert g.weights.shape == (4096, 4096) and not g.weights.flags.writeable
-    assert not g._diagonals.flags.writeable
+    assert not g._column.flags.writeable
     with pytest.raises(ValueError):
         g.weights[0, 0] = 0.0
 
@@ -189,7 +189,7 @@ def test_toeplitz_graph_reads_like_its_dense_copy(n, tmp_path):
     for W in (Graphon.constant(-0.4), Graphon.small_world(0.2, 0.3),
               Graphon.nearest_neighbor(0.2)):
         g = deterministic_graph(W, n)
-        assert (g._diagonals is not None) == (n >= _TOEPLITZ_NODES)
+        assert (g._column is not None) == (n >= _TOEPLITZ_NODES)
         dense = WeightedGraph(np.array(g.weights))
         assert np.array_equal(g.weights, W.cell_average(n).values)
         assert np.array_equal(pixel_picture(g), pixel_picture(dense))
@@ -202,7 +202,7 @@ def test_toeplitz_graph_reads_like_its_dense_copy(n, tmp_path):
 @pytest.mark.parametrize("n", [1, 7, 255, 256, 257, _TOEPLITZ_NODES - 1, _TOEPLITZ_NODES,
                                _TOEPLITZ_NODES + 1, 1000])
 def test_toeplitz_storage_rule(n):
-    # dense below the size constant, read-only diagonals from it up; either
+    # dense below the size constant, a read-only column from it up; either
     # way the graph is the cell average and its product is the dense product
     x = np.random.default_rng(n).normal(size=(2, n))
     for W in (Graphon.constant(-0.4), Graphon.small_world(0.1, 0.25),
@@ -211,14 +211,14 @@ def test_toeplitz_storage_rule(n):
         assert isinstance(g, WeightedGraph)
         assert np.array_equal(g.weights, W.cell_average(n).values)
         dense = n < _TOEPLITZ_NODES
-        assert (g._diagonals is None) == dense
+        assert (g._column is None) == dense
         assert g.weights.flags.c_contiguous == dense
         assert not g.weights.flags.writeable
         expected = x @ np.array(g.weights)
         if dense:
             assert np.array_equal(g._product(x), expected)
         else:
-            assert not g._diagonals.flags.writeable
+            assert not g._column.flags.writeable
             assert np.max(np.abs(g._product(x) - expected)) <= 1e-12
 
 
@@ -336,7 +336,7 @@ def test_split_product_matches_the_dense_product(n):
     # rounding, by FFT, plus sums over its flipped pairs
     for W in (*SPLIT_KERNELS.values(), Graphon.constant(0.95)):
         g = sample_w_random(W, n, seed=n)
-        assert (g._diagonals is not None) == (n >= _TOEPLITZ_NODES)
+        assert (g._column is not None) == (n >= _TOEPLITZ_NODES)
         for rows in (1, 2, 3):
             x = np.random.default_rng(rows).standard_normal((rows, n))
             expected = x @ np.array(g.weights)
@@ -350,17 +350,17 @@ def test_split_rule_keeps_blas_for_dense_flips_and_small_graphs():
     for W, n in ((Graphon.constant(0.5), 1024), (Graphon.small_world(0.1, 0.25), 431),
                  (step, 1024)):
         g = sample_w_random(W, n, seed=0)
-        assert g._diagonals is None
+        assert g._column is None
         x = np.random.default_rng(0).standard_normal((2, n))
         assert np.array_equal(g._product(x), x @ g.weights)
 
 
 def test_sampling_alone_builds_no_flips():
     g = sample_w_random(Graphon.small_world(0.1, 0.25), 1024, seed=0)
-    assert g._diagonals is not None and not {"_flips", "_spectrum"} & set(vars(g))
+    assert g._column is not None and not {"_flips", "_spectrum"} & set(vars(g))
     assert g.weights.flags.c_contiguous and not g.weights.flags.writeable
-    assert not g._diagonals.flags.writeable
-    assert set(np.unique(g._diagonals)) == {0.0, 1.0}
+    assert not g._column.flags.writeable
+    assert set(np.unique(g._column)) == {0.0, 1.0}
 
 
 @pytest.mark.parametrize("kernel", sorted(SPLIT_KERNELS))
@@ -381,7 +381,7 @@ def test_split_graph_samples_into_one_byte_per_pair():
     n = 2048
     probs = Graphon.small_world(0.1, 0.25).cell_average(n)
     g, peak = peak_traced(lambda: _sample(probs, 3))
-    assert g._diagonals is not None and g.weights.dtype == bool and g.weights.nbytes == n * n
+    assert g._column is not None and g.weights.dtype == bool and g.weights.nbytes == n * n
     # float64 weights alone would take 8 n^2 bytes
     assert peak < 1.25 * n * n
 

@@ -11,7 +11,9 @@ only tests use belongs in ``tests/oracles.py``.
 And every real setting goes through one check: ``_is_real`` is read only by
 ``graphon._check_real`` and by the CLI's ``_CHECKS`` table.  Every JSON spec
 goes through one decoder: its ``"kind"`` is read only in ``graphon._from_spec``,
-and no ``_FIELDS`` table lists a kind's fields beside its constructor.
+and no ``_FIELDS`` table lists a kind's fields beside its constructor.  A band
+cell average's stored first column, ``_column``, is read only in ``graphon.py``
+and ``graphs.py``, so how a graph is stored stays behind the graph layer.
 """
 
 import ast
@@ -85,6 +87,19 @@ def test_real_settings_have_one_check():
             stray += [f"{path.name}:{use.lineno}" for use in ast.walk(node)
                       if isinstance(use, ast.Name) and use.id == "_is_real"]
     assert stray == [], f"_is_real read outside _check_real and cli._CHECKS: {stray}"
+
+
+def test_band_column_is_read_only_by_the_graph_layer():
+    """``_column``, the one stored form of a band cell average (the circulant's
+    first column, :meth:`Graphon._column` and ``WeightedGraph._column``), is
+    read only in ``graphon.py`` and ``graphs.py``: every other module takes a
+    graph's ``weights`` or its ``_product``."""
+    stray = [f"{path.name}:{node.lineno}" for path in SOURCES
+             if path.name not in ("graphon.py", "graphs.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr == "_column")
+             or (isinstance(node, ast.Constant) and node.value == "_column")]
+    assert stray == [], f"_column read outside graphon.py and graphs.py: {stray}"
 
 
 def _reads_kind(node) -> bool:

@@ -169,8 +169,8 @@ def test_sine_family_field_keeps_its_bits(alpha, n):
 
 @pytest.mark.parametrize("coupling", COUPLINGS[2:4], ids=IDS[2:4])
 def test_modal_field_matches_double_sum_on_every_product(coupling, monkeypatch):
-    # band averages from 16 rows up are stored as diagonals, so n = 48 takes
-    # the Toeplitz FFT and the split sampled graph its flipped pairs
+    # band averages from 16 rows up are stored as their first column, so
+    # n = 48 takes the circulant FFT and the split sampled graph its flipped pairs
     monkeypatch.setattr(graphon, "_TOEPLITZ_NODES", 16)
     assert coupling.modes is not None
     n, band = 48, Graphon.small_world(0.1, 0.25)
@@ -179,7 +179,7 @@ def test_modal_field_matches_double_sum_on_every_product(coupling, monkeypatch):
     graphs = {"dense": WeightedGraph((w + w.T) / 2),
               "toeplitz": deterministic_graph(band, n),
               "split": sample_w_random(band, n, seed=4)}
-    assert graphs["toeplitz"]._diagonals is not None
+    assert graphs["toeplitz"]._column is not None
     assert graphs["split"]._flips and graphs["split"].weights.dtype == bool
     pos, mass = rng.uniform(-TWO_PI, 2 * TWO_PI, (n, 3)), rng.dirichlet(np.ones(3), n)
     for name, graph in graphs.items():
